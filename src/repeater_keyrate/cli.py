@@ -38,6 +38,10 @@ from .validation import run_checks
 
 FIG8_FIDELITY = 0.99995
 FIG8_GATE_QUALITY = 0.9999
+# Largest nesting level any subcommand accepts: 2^20 - 1 stations, which at
+# 2000 km are 2 mm apart.  Past it the chain is unphysical and the cost of a
+# level (3 * 2^N pairs, 2^N-station chains) only grows.
+MAX_NESTING_LEVEL = 20
 
 
 class CliError(SystemExit):
@@ -116,46 +120,82 @@ def _parse_range(spec: str, field: str) -> list[float]:
     return values
 
 
-def _resolve_beta(settings: Settings) -> float:
+def _parse_unit_range(spec: str, field: str) -> list[float]:
+    values = _parse_range(spec, field)
+    if values[0] < 0.0 or values[-1] > 1.0:
+        raise CliError(f"{field} values must be in [0, 1], got {spec!r}")
+    return values
+
+
+def _parse_distances(spec: str) -> list[float]:
+    values = _parse_range(spec, "--distance-range")
+    if values[0] <= 0:
+        raise CliError(f"--distance-range values must be positive, got {spec!r}")
+    return values
+
+
+def _resolve_beta(settings: Settings, default: float | None = None) -> float:
     beta = settings.get("beta", None, float)
     gate_quality = settings.get("gate_quality", None, float)
     if beta is not None and gate_quality is not None:
         raise CliError("--beta and --gate-quality are mutually exclusive")
     if beta is None and gate_quality is None:
-        raise CliError("one of --beta or --gate-quality is required")
-    if beta is None:
+        if default is None:
+            raise CliError("one of --beta or --gate-quality is required")
+        beta = default
+    elif beta is None:
         beta = 1.0 - gate_quality
     if not 0.0 <= beta <= 1.0:
         raise CliError(f"--beta must be in [0, 1], got {beta}")
     return beta
 
 
-def _resolve_common(settings: Settings) -> dict:
-    f0 = settings.get("fidelity", None, float)
-    if f0 is None:
-        raise CliError("--fidelity is required")
-    if not 0.0 <= f0 <= 1.0:
-        raise CliError(f"--fidelity must be in [0, 1], got {f0}")
+def _resolve_fiber(settings: Settings, t0_default: str = "physical") -> dict:
     alpha = settings.get("alpha", DEFAULT_ALPHA_DB_PER_KM, float)
     if alpha <= 0:
         raise CliError(f"--alpha must be positive, got {alpha}")
     speed = settings.get("speed", DEFAULT_SPEED_KM_PER_S, float)
     if speed <= 0:
         raise CliError(f"--speed must be positive, got {speed}")
-    t0 = settings.get("t0", "physical", str)
+    t0 = settings.get("t0", t0_default, str)
     if t0 in ("1", "normalized"):
         t0_mode = "normalized"
     elif t0 == "physical":
         t0_mode = "physical"
     else:
         raise CliError(f"--t0 must be 'physical' or '1', got {t0!r}")
+    return {"alpha_db_per_km": alpha, "speed_km_per_s": speed, "t0_mode": t0_mode}
+
+
+def _resolve_common(
+    settings: Settings,
+    *,
+    f0_default: float | None = None,
+    beta_default: float | None = None,
+    t0_default: str = "physical",
+) -> dict:
+    """F0, beta and the fiber parameters, validated; every subcommand that
+    evaluates the rate pipeline at one (F0, beta) point resolves them here."""
+    f0 = settings.get("fidelity", f0_default, float)
+    if f0 is None:
+        raise CliError("--fidelity is required")
+    if not 0.0 <= f0 <= 1.0:
+        raise CliError(f"--fidelity must be in [0, 1], got {f0}")
     return {
-        "beta": _resolve_beta(settings),
+        "beta": _resolve_beta(settings, beta_default),
         "f0": f0,
-        "alpha_db_per_km": alpha,
-        "speed_km_per_s": speed,
-        "t0_mode": t0_mode,
+        **_resolve_fiber(settings, t0_default),
     }
+
+
+def _check_nesting(nesting: int, flag: str) -> int:
+    """Nesting levels above MAX_NESTING_LEVEL are refused for every subcommand."""
+    if nesting > MAX_NESTING_LEVEL:
+        raise CliError(
+            f"{flag} allows nesting levels up to N = {MAX_NESTING_LEVEL} "
+            f"({2 ** MAX_NESTING_LEVEL - 1} stations), got N = {nesting}"
+        )
+    return nesting
 
 
 def _nesting_range(settings: Settings) -> range:
@@ -165,7 +205,7 @@ def _nesting_range(settings: Settings) -> range:
         raise CliError(f"--min-nesting must be >= 0, got {lo}")
     if hi < lo:
         raise CliError(f"--max-nesting must be >= --min-nesting, got {hi} < {lo}")
-    return range(lo, hi + 1)
+    return range(lo, _check_nesting(hi, "--max-nesting") + 1)
 
 
 def _open_output(path: str | None):
@@ -203,7 +243,9 @@ def cmd_keyrate(settings: Settings) -> int:
             raise CliError("--nesting and --stations are mutually exclusive")
         if stations < 0 or (stations + 1) & stations != 0:
             raise CliError(f"--stations must be 2^N - 1 (0, 1, 3, 7, ...), got {stations}")
-        nesting = (stations + 1).bit_length() - 1
+        nesting = _check_nesting((stations + 1).bit_length() - 1, "--stations")
+    elif nesting is not None:
+        _check_nesting(nesting, "--nesting")
     if optimize == (nesting is not None):
         raise CliError("exactly one of --optimize or --nesting/--stations is required")
 
@@ -281,8 +323,11 @@ def cmd_threshold(settings: Settings) -> int:
     for r in station_list:
         if r < 1 or (r + 1) & r != 0:
             raise CliError(f"--stations entries must be of the form 2^N - 1 with N >= 1, got {r}")
+        _check_nesting((r + 1).bit_length() - 1, "--stations")
 
     tol = settings.get("tolerance", 1e-4, float)
+    if not tol > 0:
+        raise CliError(f"--tolerance must be positive, got {tol}")
     header = "r,N,p_G_min,F_0_min,p_G_min_full,F_0_min_full"
     rows = []
     print(f"{'r':>5} {'N':>3} {'p_G,min':>9} {'F_0,min':>9}")
@@ -339,30 +384,29 @@ def cmd_sweep(settings: Settings) -> int:
     gate_range = settings.get("gate_quality_range", None, str)
     jobs = settings.get("jobs", 1, int)
     n_values = list(_nesting_range(settings))
-    alpha = settings.get("alpha", DEFAULT_ALPHA_DB_PER_KM, float)
-    speed = settings.get("speed", DEFAULT_SPEED_KM_PER_S, float)
-    t0 = settings.get("t0", "physical", str)
-    t0_mode = "normalized" if t0 in ("1", "normalized") else "physical"
 
     if distance_range is not None:
         if fidelity_range is not None or gate_range is not None:
             raise CliError("--distance-range cannot be combined with surface ranges")
-        beta = _resolve_beta(settings)
-        f0 = settings.get("fidelity", None, float)
-        if f0 is None:
-            raise CliError("--fidelity is required for a distance sweep")
-        distances = _parse_range(distance_range, "--distance-range")
-        tasks = [(d, beta, f0, n_values, alpha, speed, t0_mode) for d in distances]
+        common = _resolve_common(settings)
+        distances = _parse_distances(distance_range)
+        tasks = [
+            (d, common["beta"], common["f0"], n_values, common["alpha_db_per_km"],
+             common["speed_km_per_s"], common["t0_mode"])
+            for d in distances
+        ]
         rows = _run_tasks(_sweep_distance_row, tasks, jobs)
         header = "L_km,N_opt,L0_km,P0,Z,R_per_s,eX,eY,eZ,r_inf,K_per_mem_per_s"
     elif fidelity_range is not None and gate_range is not None:
+        fiber = _resolve_fiber(settings)
         distance = settings.get("distance", None, float)
-        if distance is None:
-            raise CliError("--distance is required for a surface sweep")
-        f0_values = _parse_range(fidelity_range, "--fidelity-range")
-        pg_values = _parse_range(gate_range, "--gate-quality-range")
+        if distance is None or distance <= 0:
+            raise CliError("--distance (km, positive) is required for a surface sweep")
+        f0_values = _parse_unit_range(fidelity_range, "--fidelity-range")
+        pg_values = _parse_unit_range(gate_range, "--gate-quality-range")
         tasks = [
-            (f0, pg, distance, n_values, alpha, speed, t0_mode)
+            (f0, pg, distance, n_values, fiber["alpha_db_per_km"],
+             fiber["speed_km_per_s"], fiber["t0_mode"])
             for f0 in f0_values
             for pg in pg_values
         ]
@@ -380,38 +424,29 @@ def cmd_sweep(settings: Settings) -> int:
 
 def cmd_cost(settings: Settings) -> int:
     if bool(getattr(settings.args, "paper_fig8_defaults", False)):
-        f0 = settings.get("fidelity", FIG8_FIDELITY, float)
-        beta = settings.get("beta", None, float)
-        gate_quality = settings.get("gate_quality", None, float)
-        if beta is None and gate_quality is None:
-            beta = 1.0 - FIG8_GATE_QUALITY
-        elif beta is None:
-            beta = 1.0 - gate_quality
-        t0_mode = "normalized"
+        common = _resolve_common(
+            settings,
+            f0_default=FIG8_FIDELITY,
+            beta_default=1.0 - FIG8_GATE_QUALITY,
+            t0_default="normalized",
+        )
     else:
         common = _resolve_common(settings)
-        f0, beta, t0_mode = common["f0"], common["beta"], common["t0_mode"]
-    alpha = settings.get("alpha", DEFAULT_ALPHA_DB_PER_KM, float)
-    speed = settings.get("speed", DEFAULT_SPEED_KM_PER_S, float)
 
     distance_range = settings.get("distance_range", None, str)
     if distance_range is None:
         distance = settings.get("distance", None, float)
-        if distance is None:
-            raise CliError("--distance or --distance-range is required")
+        if distance is None or distance <= 0:
+            raise CliError("--distance (km, positive) or --distance-range is required")
         distances = [distance]
     else:
-        distances = _parse_range(distance_range, "--distance-range")
+        distances = _parse_distances(distance_range)
 
     n_range = _nesting_range(settings)
     header = "L_km,C,C_prime,N_opt,L0_km"
     rows = []
     for distance in distances:
-        rep = cost_coefficient(
-            distance, beta, f0,
-            t0_mode=t0_mode, n_range=n_range,
-            alpha_db_per_km=alpha, speed_km_per_s=speed,
-        )
+        rep = cost_coefficient(distance, n_range=n_range, **common)
         rows.append(
             ",".join(
                 _fmt(v) for v in (distance, rep.cost, rep.cost_coefficient, rep.nesting, rep.l0_km)

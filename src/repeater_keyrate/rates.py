@@ -30,9 +30,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
-import mpmath as mp
 import numpy as np
-from scipy.optimize import bisect as _bisect
 
 from .decode import final_state
 from .encgen import encoded_pair
@@ -174,13 +172,66 @@ def transmission_prob(l0_km: float, alpha_db_per_km: float = DEFAULT_ALPHA_DB_PE
     return float(10.0 ** (-alpha_db_per_km * l0_km / 10.0))
 
 
+# Past this many terms the tail sum gives way to its Euler-Maclaurin limit
+# (:func:`_z_asymptote`).  The cap is what keeps tiny P0 finite in time and
+# memory: at P0 ~ 1e-17 the sum would need ~1e18 terms.
+_Z_TAIL_CAP = 200_000
+# ln(1e20): the tail is cut where num_pairs * (1 - P0)^k < 1e-20.
+_TAIL_CUTOFF = 46.0
+# Above this many pairs H_n comes from its asymptotic series (next term
+# 1/(252 n^6) < 1e-17) instead of a sum whose cost grows with n.
+_HARMONIC_SUM_MAX = 256
+_LN2 = math.log(2.0)
+
+
+def _log1mexp(u: np.ndarray) -> np.ndarray:
+    """log(1 - exp(u)) for u < 0, accurate at both ends (Maechler's split)."""
+    out = np.empty_like(u)
+    near = u > -_LN2
+    out[near] = np.log(-np.expm1(u[near]))
+    out[~near] = np.log1p(-np.exp(u[~near]))
+    return out
+
+
+def _harmonic(n: int) -> float:
+    if n <= _HARMONIC_SUM_MAX:
+        return math.fsum(1.0 / j for j in range(1, n + 1))
+    return (
+        math.log(n) + np.euler_gamma + 1.0 / (2 * n) - 1.0 / (12 * n**2) + 1.0 / (120 * n**4)
+    )
+
+
+def _z_tail_sum(num_pairs: int, x: float, k_end: int) -> float:
+    """1 + sum_{k=1}^{k_end} [1 - (1 - e^{-k x})^n] in double precision."""
+    k = np.arange(1, k_end + 1, dtype=float)
+    terms = -np.expm1(num_pairs * _log1mexp(-k * x))
+    return 1.0 + math.fsum(terms.tolist())
+
+
+def _z_asymptote(num_pairs: int, x: float) -> float:
+    """Euler-Maclaurin limit H_n / x + 1/2 of the tail sum for small x.
+
+    The integral of the summand is H_n / x and its value at k = 0 is 1; the
+    derivative corrections vanish up to order n - 1 because the summand is
+    flat to that order at k = 0, so for n >= 2 they are O(x^3) against
+    Z ~ 1/x.
+    """
+    return _harmonic(num_pairs) / x + 0.5
+
+
 @lru_cache(maxsize=65536)
 def z_n(num_pairs: int, p0: float) -> float:
     """Expected rounds until all ``num_pairs`` geometric waits have succeeded.
 
-    The alternating binomial sum cancels catastrophically in double
-    precision once num_pairs is large, so it is summed at a working
-    precision scaled to the binomial growth (~0.302 digits per pair).
+    Z_n = 1 + sum_{k>=1} [1 - (1 - q^k)^n] with q = 1 - P0 (the expected
+    maximum of n geometric variables; the alternating binomial closed form
+    of Bernardes, Praxmeyer & van Loock, PRA 83, 012323 (2011), is the same
+    number).  Each term is -expm1(n log(1 - q^k)), which keeps its relative
+    precision where q^k is below machine epsilon, and the terms are added
+    exactly with ``math.fsum``.  The sum stops where n q^k < 1e-20; when
+    that takes more than the cap (200 000) terms (tiny P0) the
+    Euler-Maclaurin limit H_n / (-ln q) + 1/2 replaces it.  n = 1 is the
+    exact 1 / P0.
     """
     if num_pairs < 1 or int(num_pairs) != num_pairs:
         raise ValueError(f"num_pairs must be a positive integer, got {num_pairs}")
@@ -188,15 +239,13 @@ def z_n(num_pairs: int, p0: float) -> float:
         raise ValueError(f"P0 must be in (0, 1], got {p0} (P0 = 0 diverges)")
     if p0 == 1.0:
         return 1.0
-    # binomial growth plus the digits 1 - (1-P0)^j cancels away for tiny P0
-    digits = 30 + int(0.302 * num_pairs) + max(0, int(-math.log10(p0)) + 1)
-    with mp.workdps(digits):
-        q = 1 - mp.mpf(p0)
-        total = mp.mpf(0)
-        for j in range(1, num_pairs + 1):
-            term = mp.mpf(math.comb(num_pairs, j)) / (1 - q**j)
-            total += term if j % 2 == 1 else -term
-        return float(total)
+    if num_pairs == 1:
+        return 1.0 / p0
+    x = -math.log1p(-p0)
+    k_end = (math.log(num_pairs) + _TAIL_CUTOFF) / x
+    if k_end > _Z_TAIL_CAP:
+        return _z_asymptote(num_pairs, x)
+    return _z_tail_sum(num_pairs, x, math.ceil(k_end))
 
 
 def repeater_rate_qec(params: RepeaterParams) -> float:
@@ -206,10 +255,19 @@ def repeater_rate_qec(params: RepeaterParams) -> float:
     the 3 * 2^N Bell pairs, and each round costs two fundamental times
     (photon transit plus acknowledgement).
     """
-    p0 = transmission_prob(params.segment_km, params.alpha_db_per_km)
-    z = z_n(3 * params.segments, p0)
+    _, z = _waiting_rounds(params)
     t0 = 1.0 if params.t0_mode == "normalized" else params.segment_km / params.speed_km_per_s
     return 1.0 / (2.0 * t0 * z)
+
+
+def _waiting_rounds(params: RepeaterParams) -> tuple[float, float]:
+    """(P0, Z) for the chain's segments.
+
+    A segment long enough for P0 to underflow to 0.0 never delivers a pair:
+    Z is infinite and the rate 0, where :func:`z_n` itself rejects P0 = 0.
+    """
+    p0 = transmission_prob(params.segment_km, params.alpha_db_per_km)
+    return p0, (z_n(3 * params.segments, p0) if p0 > 0.0 else math.inf)
 
 
 def jiang_rate(m: int, p0: float, l0_km: float) -> float:
@@ -262,8 +320,7 @@ def key_rate(params: RepeaterParams) -> RateReport:
     )
     e_x, e_y, e_z = error_rates(coeffs)
     fraction = secret_fraction_six_state(e_x, e_y, e_z)
-    p0 = transmission_prob(params.segment_km, params.alpha_db_per_km)
-    z = z_n(3 * params.segments, p0)
+    p0, z = _waiting_rounds(params)
     rate = repeater_rate_qec(params)
     return RateReport(
         p0=p0,
@@ -298,7 +355,8 @@ def optimize_over_stations(
     speed_km_per_s: float = DEFAULT_SPEED_KM_PER_S,
     t0_mode: str = "physical",
 ) -> tuple[int, RateReport]:
-    """Key rate maximized over the nesting level; ties go to fewer stations."""
+    """Key rate maximized over the nesting level; ties go to fewer stations,
+    except that a level whose P0 underflowed to 0 loses every tie."""
     n_values = sorted(set(int(n) for n in n_range))
     if not n_values:
         raise ValueError("n_range must be nonempty")
@@ -315,9 +373,33 @@ def optimize_over_stations(
                 t0_mode=t0_mode,
             )
         )
-        if best is None or report.key_rate > best[1].key_rate:
+        if best is None or (report.key_rate, report.p0 > 0.0) > (
+            best[1].key_rate, best[1].p0 > 0.0
+        ):
             best = (n, report)
     return best
+
+
+def _bisect(f: Callable[[float], float], a: float, b: float, fa: float, xtol: float) -> float:
+    """Root of ``f`` in [a, b] by bisection, given fa = f(a) with a sign
+    opposite to f(b).
+
+    Follows ``scipy.optimize.bisect`` (rtol = 4 eps, 100 iterations) midpoint
+    for midpoint, so it returns the same float.
+    """
+    if xtol <= 0.0:
+        raise ValueError(f"bisection tolerance must be positive, got {xtol}")
+    rtol = 4.0 * np.finfo(float).eps
+    dm = b - a
+    for _ in range(100):
+        dm *= 0.5
+        xm = a + dm
+        fm = f(xm)
+        if fm * fa >= 0.0:
+            a = xm
+        if fm == 0.0 or abs(dm) < xtol + rtol * abs(xm):
+            return xm
+    raise RuntimeError(f"bisection did not converge in 100 iterations (xtol={xtol})")
 
 
 def _require_chain_stations(r: int) -> None:
@@ -346,7 +428,7 @@ def threshold_gate_quality(
         raise NoThresholdError(
             f"no sign change for r={r} in beta bracket [{lo}, {hi}]"
         )
-    beta_star = _bisect(f, lo, hi, xtol=tol)
+    beta_star = _bisect(f, lo, hi, f_lo, tol)
     return 1.0 - beta_star
 
 
@@ -368,7 +450,7 @@ def threshold_fidelity(
         raise NoThresholdError(
             f"no sign change for r={r} in F0 bracket [{lo}, {hi}]"
         )
-    return float(_bisect(f, lo, hi, xtol=tol))
+    return _bisect(f, lo, hi, f_lo, tol)
 
 
 @dataclass(frozen=True)

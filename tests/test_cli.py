@@ -1,7 +1,12 @@
 import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import repeater_keyrate
 from repeater_keyrate.cli import main
 
 
@@ -88,6 +93,39 @@ class TestKeyrate:
         assert code == 2
         assert "--stations" in err
 
+    def test_underflowed_p0_reports_zero_key(self, capsys):
+        code, out, err = run(
+            capsys, "keyrate", "--distance", "100000", "--nesting", "1",
+            "--fidelity", "0.99", "--gate-quality", "0.99",
+        )
+        assert code == 0, err
+        kv = parse_kv(out)
+        assert kv["K_per_mem_per_s"] == "0"
+        assert kv["P0"] == "0"
+        assert kv["Z"] == "inf"
+
+    def test_deep_nesting_finishes(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run(
+            capsys, "keyrate", "--distance", "600", "--nesting", "14",
+            "--fidelity", "0.99", "--gate-quality", "0.99",
+        )
+        assert time.perf_counter() - start < 2.0
+        assert code == 0
+        assert parse_kv(out)["N"] == "14"
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--nesting", "21"), ("--stations", str(2**21 - 1)), ("--max-nesting", "21"),
+    ])
+    def test_nesting_above_bound_rejected(self, capsys, flag, value):
+        extra = ("--optimize",) if flag == "--max-nesting" else ()
+        code, _, err = run(
+            capsys, "keyrate", "--distance", "600", "--fidelity", "0.99",
+            "--gate-quality", "0.99", flag, value, *extra,
+        )
+        assert code == 2
+        assert err.startswith("error:") and flag in err
+
     def test_csv_output(self, capsys, tmp_path):
         path = tmp_path / "row.csv"
         code, _, _ = run(
@@ -114,6 +152,15 @@ class TestThreshold:
         code, _, err = run(capsys, "threshold", "--stations", "2")
         assert code == 2
         assert "2^N - 1" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("--stations", str(2**21 - 1)),
+        ("--stations", "1", "--tolerance", "0"),
+    ])
+    def test_out_of_range_values_rejected(self, capsys, argv):
+        code, _, err = run(capsys, "threshold", *argv)
+        assert code == 2
+        assert err.startswith("error:")
 
 
 class TestSweep:
@@ -164,6 +211,34 @@ class TestSweep:
         assert code == 2
         assert "empty" in err
 
+    def test_underflowed_distance_sweep(self, capsys):
+        code, out, err = run(
+            capsys, "sweep", "--distance-range", "100000:100000:1", "--fidelity", "0.99",
+            "--gate-quality", "0.99", "--max-nesting", "10",
+        )
+        assert code == 0, err
+        row = out.strip().splitlines()[1].split(",")
+        assert float(row[3]) > 0.0  # P0 of the chosen level
+        assert row[-1] == "0"
+
+    @pytest.mark.parametrize("argv", [
+        ("--distance-range", "600:600:100", "--fidelity", "2", "--gate-quality", "0.99"),
+        ("--distance-range", "600:600:100", "--fidelity", "0.99", "--gate-quality", "0.99",
+         "--t0", "bogus"),
+        ("--distance-range", "600:600:100", "--fidelity", "0.99", "--gate-quality", "0.99",
+         "--alpha", "-1"),
+        ("--distance", "600", "--fidelity-range", "0.99:1.01:0.01",
+         "--gate-quality-range", "0.99:1:0.01"),
+        ("--distance", "600", "--fidelity-range", "0.99:1:0.01",
+         "--gate-quality-range=-0.01:0.01:0.01"),
+        ("--distance", "600", "--fidelity-range", "0.99:1:0.01",
+         "--gate-quality-range", "0.99:1:0.01", "--max-nesting", "21"),
+    ])
+    def test_invalid_scalars_rejected(self, capsys, argv):
+        code, _, err = run(capsys, "sweep", "--max-nesting", "2", *argv)
+        assert code == 2
+        assert err.startswith("error:")
+
     def test_modeless_invocation_rejected(self, capsys):
         code, _, err = run(capsys, "sweep", "--fidelity", "0.98", "--gate-quality", "0.992")
         assert code == 2
@@ -186,6 +261,11 @@ class TestCost:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "L_km,C,C_prime,N_opt,L0_km"
         assert len(lines) == 4
+
+    def test_fig8_defaults_validate_overrides(self, capsys):
+        code, _, err = run(capsys, "cost", "--paper-fig8-defaults", "--beta", "3")
+        assert code == 2
+        assert err.startswith("error:") and "--beta" in err
 
     def test_max_nesting_widening_never_increases_cost(self, capsys):
         _, out_narrow, _ = run(
@@ -280,3 +360,18 @@ class TestHelp:
         for name in ("keyrate", "threshold", "sweep", "cost", "enumerate-errors", "validate"):
             assert name in out
         assert "M = 6" in out or "6 memories" in out
+
+
+class TestRuntimeDependencies:
+    def test_numpy_alone_at_runtime(self):
+        src = Path(repeater_keyrate.__file__).resolve().parents[1]
+        probe = (
+            "import sys, repeater_keyrate, repeater_keyrate.cli; "
+            "print(sorted(m for m in ('scipy', 'mpmath') if m in sys.modules))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+            check=True, timeout=60,
+        ).stdout
+        assert out.strip() == "[]"

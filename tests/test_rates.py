@@ -1,9 +1,13 @@
 import math
+import time
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
+from scipy.optimize import bisect
 
+from repeater_keyrate import rates
 from repeater_keyrate.qstate import BellDiagCoeffs
 from repeater_keyrate.rates import (
     CostReport,
@@ -115,6 +119,81 @@ def z_series_oracle(num_pairs, p0):
     return total
 
 
+def z_binomial_reference(num_pairs, p0):
+    """The alternating binomial closed form (Bernardes, Praxmeyer & van Loock,
+    PRA 83, 012323 (2011)) summed in mpmath at a precision scaled to the
+    binomial growth (~0.302 digits per pair), so the cancellation is exact."""
+    if p0 == 1.0:
+        return 1.0
+    digits = 30 + int(0.302 * num_pairs) + max(0, int(-math.log10(p0)) + 1)
+    with mp.workdps(digits):
+        q = 1 - mp.mpf(p0)
+        total = mp.mpf(0)
+        for j in range(1, num_pairs + 1):
+            term = mp.mpf(math.comb(num_pairs, j)) / (1 - q**j)
+            total += term if j % 2 == 1 else -term
+        return float(total)
+
+
+REFERENCE_PAIRS = (1, 2, *(3 * 2**nesting for nesting in range(11)))
+
+
+def cap_rate(num_pairs):
+    """-ln(1 - P0) at which the tail sum reaches its term cap."""
+    return (math.log(num_pairs) + rates._TAIL_CUTOFF) / rates._Z_TAIL_CAP
+
+
+class TestZnTailSum:
+    @pytest.mark.parametrize("num_pairs", REFERENCE_PAIRS)
+    def test_matches_binomial_reference(self, num_pairs):
+        p_cap = -math.expm1(-cap_rate(num_pairs))
+        for p0 in (1e-30, 1e-17, p_cap * 0.999, p_cap * 1.001, 1e-3, 0.37, 0.999):
+            assert z_n(num_pairs, p0) == pytest.approx(
+                z_binomial_reference(num_pairs, p0), rel=1e-14, abs=0.0
+            ), p0
+
+    @pytest.mark.parametrize("num_pairs", REFERENCE_PAIRS[1:])
+    def test_tail_sum_meets_asymptote_at_cap(self, num_pairs):
+        x = cap_rate(num_pairs)
+        tail = rates._z_tail_sum(num_pairs, x, rates._Z_TAIL_CAP)
+        assert rates._z_asymptote(num_pairs, x) == pytest.approx(tail, rel=1e-14, abs=0.0)
+
+    def test_exact_cases(self):
+        assert z_n(1, 0.3) == 1.0 / 0.3
+        assert z_n(3072, 1.0) == 1.0
+
+    def test_every_p0_is_fast(self):
+        x_cap = cap_rate(3072)
+        near_cap = [-math.expm1(-x_cap * f) for f in (0.999, 1.0, 1.001)]
+        for p0 in [*np.geomspace(1e-30, 0.999, 40), *near_cap]:
+            best = float("inf")
+            for _ in range(3):
+                start = time.perf_counter()
+                z_n.__wrapped__(3072, float(p0))
+                best = min(best, time.perf_counter() - start)
+            assert best < 0.05, (p0, best)
+
+
+class TestBisection:
+    @pytest.mark.parametrize("tol", [1e-4, 1.5e-4])
+    def test_same_floats_as_scipy(self, tol):
+        for r in (1, 3, 7, 15, 31, 63, 127):
+            nesting = (r + 1).bit_length() - 1
+
+            def f_beta(beta):
+                return rates._chain_secret_fraction(beta, 1.0, nesting, phase_trivial_only=True)
+
+            def f_f0(f0):
+                return rates._chain_secret_fraction(0.0, f0, nesting, phase_trivial_only=True)
+
+            assert threshold_gate_quality(r, tol=tol) == 1.0 - bisect(f_beta, 0.0, 0.05, xtol=tol)
+            assert threshold_fidelity(r, tol=tol) == bisect(f_f0, 0.9, 1.0, xtol=tol)
+
+    def test_rejects_nonpositive_tolerance(self):
+        with pytest.raises(ValueError):
+            threshold_gate_quality(1, tol=0.0)
+
+
 class TestZn:
     def test_single_pair(self):
         for p0 in (0.1, 0.37, 0.9):
@@ -221,6 +300,20 @@ class TestKeyRate:
             assert report.p_r == 1.0
             assert report.secret_fraction == 1.0
             assert report.key_rate == report.rate_pairs_per_s / 6
+
+    def test_underflowed_p0_gives_no_rate(self):
+        params = RepeaterParams(beta=0.01, f0=0.99, distance_km=100000.0, nesting=1)
+        report = key_rate(params)
+        assert report.p0 == 0.0
+        assert report.z_value == math.inf
+        assert report.rate_pairs_per_s == 0.0
+        assert report.key_rate == 0.0
+        assert repeater_rate_qec(params) == 0.0
+
+    def test_optimum_skips_underflowed_levels(self):
+        n_best, report = optimize_over_stations(100000.0, 0.01, 0.99)
+        assert report.p0 > 0.0
+        assert transmission_prob(100000.0 / 2 ** (n_best - 1)) == 0.0
 
     def test_realistic_point_has_key(self):
         n_best, report = optimize_over_stations(600.0, 1 - 0.992, 0.98)
