@@ -11,16 +11,11 @@ threshold searches.
 __version__ = "0.1.0"
 
 from .channels import (
-    NoiseParams,
-    SourceParams,
     concat_first_order,
-    concat_simple,
     depolarizing_gate,
-    one_faulty_mix,
     source_state,
 )
 from .decode import (
-    FinalPair,
     ModelBreakdownError,
     decode_circuit,
     decode_nonideal,
@@ -31,7 +26,6 @@ from .decode import (
     validate_first_order_vs_exact,
 )
 from .encgen import (
-    EncodedPair,
     EncodingCircuit,
     encoded_bell_state,
     encoded_pair,
@@ -50,7 +44,6 @@ from .encswap import (
     enumerate_combos,
     rho_s,
     swap_success_prob,
-    swapped_state_ideal,
     swapped_state_nonideal,
 )
 from .qstate import (
@@ -65,10 +58,7 @@ from .qstate import (
     ghz_state,
     ket,
     maximally_mixed,
-    measure_branch,
     overlap,
-    partial_trace,
-    tensor,
     uhlmann_fidelity,
 )
 from .rates import (
@@ -78,12 +68,10 @@ from .rates import (
     RepeaterParams,
     cost_coefficient,
     error_rates,
-    jiang_rate,
     key_rate,
     min_cost_over_nesting,
     optimize_over_stations,
     repeater_rate_qec,
-    scheme_key_rate,
     secret_fraction_six_state,
     threshold_fidelity,
     threshold_gate_quality,

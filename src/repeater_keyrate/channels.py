@@ -9,8 +9,6 @@ register (worst case).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .qstate import (
@@ -23,32 +21,6 @@ from .qstate import (
     _partial_trace_mat,
     bell_state,
 )
-
-
-@dataclass(frozen=True)
-class NoiseParams:
-    """Two-qubit gate error probability; gate quality is 1 - beta."""
-
-    beta: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.beta <= 1.0:
-            raise ValueError(f"beta must be in [0, 1], got {self.beta}")
-
-    @property
-    def gate_quality(self) -> float:
-        return 1.0 - self.beta
-
-
-@dataclass(frozen=True)
-class SourceParams:
-    """Fidelity of the distributed Bell pairs to phi+."""
-
-    f0: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.f0 <= 1.0:
-            raise ValueError(f"F0 must be in [0, 1], got {self.f0}")
 
 
 def _check_beta(beta: float) -> None:
@@ -110,12 +82,6 @@ def one_faulty_branches(rho: np.ndarray, seq: GateSequence) -> list[np.ndarray]:
     return branches
 
 
-def one_faulty_mix(rho: DensityOperator, seq: GateSequence) -> DensityOperator:
-    """Uniform mixture over which single gate of the sequence failed."""
-    branches = one_faulty_branches(rho.matrix, seq)
-    return DensityOperator(sum(branches) / len(branches))
-
-
 def first_order_weights(n: int, beta: float) -> tuple[float, float, float]:
     """(all-perfect, per-faulty-branch, identity remainder) weights.
 
@@ -157,22 +123,6 @@ def concat_first_order(rho: DensityOperator, seq: GateSequence, beta: float) -> 
     """First-order noisy concatenation of a two-qubit gate sequence."""
     branches = concat_first_order_branches(rho.matrix, seq, beta)
     return DensityOperator(sum(w * b for w, b in branches))
-
-
-def concat_simple(rho: DensityOperator, seq: GateSequence, beta: float) -> DensityOperator:
-    """Cruder alternative: all gates perfect or the whole register mixed."""
-    _check_beta(beta)
-    n = len(seq)
-    if n < 1:
-        raise ValueError("gate sequence must contain at least one gate")
-    for g in seq:
-        _require_two_qubit(g)
-    perfect = rho.matrix
-    for g in seq:
-        perfect = _apply_gate_mat(perfect, g)
-    w = (1.0 - beta) ** n
-    d = perfect.shape[0]
-    return DensityOperator(w * perfect + (1.0 - w) * np.eye(d, dtype=complex) / d)
 
 
 def source_state_mat(f0: float) -> np.ndarray:

@@ -251,25 +251,12 @@ def cmd_keyrate(settings: Settings) -> int:
 
     if optimize:
         n_best, report = optimize_over_stations(
-            distance,
-            common["beta"],
-            common["f0"],
-            _nesting_range(settings),
-            alpha_db_per_km=common["alpha_db_per_km"],
-            speed_km_per_s=common["speed_km_per_s"],
-            t0_mode=common["t0_mode"],
+            distance, n_range=_nesting_range(settings), **common
         )
     else:
-        params = RepeaterParams(
-            beta=common["beta"],
-            f0=common["f0"],
-            distance_km=distance,
-            nesting=nesting,
-            alpha_db_per_km=common["alpha_db_per_km"],
-            speed_km_per_s=common["speed_km_per_s"],
-            t0_mode=common["t0_mode"],
+        n_best, report = nesting, key_rate(
+            RepeaterParams(distance_km=distance, nesting=nesting, **common)
         )
-        n_best, report = params.nesting, key_rate(params)
 
     lines = [
         f"distance_km={_fmt(distance)}",
@@ -347,35 +334,26 @@ def cmd_threshold(settings: Settings) -> int:
     return 0
 
 
-def _sweep_distance_row(task) -> str:
-    (distance, beta, f0, n_values, alpha, speed, t0_mode) = task
-    n_best, rep = optimize_over_stations(
-        distance, beta, f0, n_values,
-        alpha_db_per_km=alpha, speed_km_per_s=speed, t0_mode=t0_mode,
-    )
-    return ",".join(
-        _fmt(v)
-        for v in (
-            distance, n_best, rep.l0_km, rep.p0, rep.z_value, rep.rate_pairs_per_s,
-            rep.e_x, rep.e_y, rep.e_z, rep.secret_fraction, rep.key_rate,
-        )
-    )
+def _optimize_point(task: tuple[float, list[int], dict]) -> tuple[int, RateReport]:
+    distance, n_values, common = task
+    return optimize_over_stations(distance, n_range=n_values, **common)
 
 
-def _sweep_surface_row(task) -> str:
-    (f0, gate_quality, distance, n_values, alpha, speed, t0_mode) = task
-    n_best, rep = optimize_over_stations(
-        distance, 1.0 - gate_quality, f0, n_values,
-        alpha_db_per_km=alpha, speed_km_per_s=speed, t0_mode=t0_mode,
-    )
-    return ",".join(_fmt(v) for v in (f0, gate_quality, rep.key_rate, n_best))
-
-
-def _run_tasks(worker, tasks, jobs: int) -> list[str]:
-    if jobs <= 1:
-        return [worker(t) for t in tasks]
+def _optimize_points(
+    tasks: list[tuple[float, list[int], dict]], jobs: int
+) -> list[tuple[int, RateReport]]:
+    """(N_opt, report) for each (distance, nesting levels, common) task."""
+    if jobs == 1:
+        return [_optimize_point(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, tasks, chunksize=max(1, len(tasks) // (4 * jobs))))
+        return list(pool.map(_optimize_point, tasks, chunksize=max(1, len(tasks) // (4 * jobs))))
+
+
+def _reject_flags(settings: Settings, flags: tuple[str, ...], mode: str) -> None:
+    """Command-line flags that the chosen sweep mode does not use are errors."""
+    for flag in flags:
+        if getattr(settings.args, flag[2:].replace("-", "_")) is not None:
+            raise CliError(f"{flag} does not apply to a {mode} sweep")
 
 
 def cmd_sweep(settings: Settings) -> int:
@@ -383,34 +361,45 @@ def cmd_sweep(settings: Settings) -> int:
     fidelity_range = settings.get("fidelity_range", None, str)
     gate_range = settings.get("gate_quality_range", None, str)
     jobs = settings.get("jobs", 1, int)
+    max_jobs = os.cpu_count() or 1
+    if not 1 <= jobs <= max_jobs:
+        raise CliError(f"--jobs must be between 1 and {max_jobs} (the CPU count), got {jobs}")
     n_values = list(_nesting_range(settings))
 
     if distance_range is not None:
         if fidelity_range is not None or gate_range is not None:
             raise CliError("--distance-range cannot be combined with surface ranges")
+        _reject_flags(settings, ("--distance",), "--distance-range")
         common = _resolve_common(settings)
         distances = _parse_distances(distance_range)
-        tasks = [
-            (d, common["beta"], common["f0"], n_values, common["alpha_db_per_km"],
-             common["speed_km_per_s"], common["t0_mode"])
-            for d in distances
+        results = _optimize_points([(d, n_values, common) for d in distances], jobs)
+        rows = [
+            ",".join(
+                _fmt(v)
+                for v in (
+                    d, n_best, rep.l0_km, rep.p0, rep.z_value, rep.rate_pairs_per_s,
+                    rep.e_x, rep.e_y, rep.e_z, rep.secret_fraction, rep.key_rate,
+                )
+            )
+            for d, (n_best, rep) in zip(distances, results)
         ]
-        rows = _run_tasks(_sweep_distance_row, tasks, jobs)
         header = "L_km,N_opt,L0_km,P0,Z,R_per_s,eX,eY,eZ,r_inf,K_per_mem_per_s"
     elif fidelity_range is not None and gate_range is not None:
+        _reject_flags(settings, ("--fidelity", "--beta", "--gate-quality"), "surface")
         fiber = _resolve_fiber(settings)
         distance = settings.get("distance", None, float)
         if distance is None or distance <= 0:
             raise CliError("--distance (km, positive) is required for a surface sweep")
         f0_values = _parse_unit_range(fidelity_range, "--fidelity-range")
         pg_values = _parse_unit_range(gate_range, "--gate-quality-range")
+        points = [(f0, pg) for f0 in f0_values for pg in pg_values]
         tasks = [
-            (f0, pg, distance, n_values, fiber["alpha_db_per_km"],
-             fiber["speed_km_per_s"], fiber["t0_mode"])
-            for f0 in f0_values
-            for pg in pg_values
+            (distance, n_values, {"beta": 1.0 - pg, "f0": f0, **fiber}) for f0, pg in points
         ]
-        rows = _run_tasks(_sweep_surface_row, tasks, jobs)
+        rows = [
+            ",".join(_fmt(v) for v in (f0, pg, rep.key_rate, n_best))
+            for (f0, pg), (n_best, rep) in zip(points, _optimize_points(tasks, jobs))
+        ]
         header = "F0,pG,K_per_mem_per_s,N_opt"
     else:
         raise CliError(
@@ -547,7 +536,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fidelity-range", dest="fidelity_range", help="start:stop:step for F0")
     p.add_argument("--gate-quality-range", dest="gate_quality_range",
                    help="start:stop:step for p_G")
-    p.add_argument("--jobs", type=int, help="parallel worker processes (default 1)")
+    p.add_argument("--jobs", type=int,
+                   help="parallel worker processes, 1 to the CPU count (default 1)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("cost", help="memory qubits per secret bit, optimized over N")

@@ -10,13 +10,11 @@ as their validator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .channels import depolarizing_gate_mat, one_faulty_branches
 from .encgen import encoded_pair
-from .encswap import chain_success_prob, rho_s_weights, swap_success_prob, swapped_state_nonideal
+from .encswap import _resolve_chain, rho_s_weights, swapped_state_nonideal
 from .qstate import (
     DensityOperator,
     GatePlacement,
@@ -109,12 +107,6 @@ def rho_tilde_prime() -> DensityOperator:
     return DensityOperator(np.diag(diag).astype(complex))
 
 
-def _resolve_chain(beta: float, f0: float, r: int, p_s: float | None) -> float:
-    if p_s is None:
-        p_s = swap_success_prob(encoded_pair(beta, f0))
-    return chain_success_prob(p_s, r)
-
-
 def decode_perfect(
     beta: float, f0: float, r: int, *, p_s: float | None = None
 ) -> DensityOperator:
@@ -127,7 +119,7 @@ def decode_perfect(
     at all: the single encoded pair is decoded through the circuit.
     """
     if r == 0:
-        return decode_circuit(encoded_pair(beta, f0).state)
+        return decode_circuit(encoded_pair(beta, f0))
     p_r = _resolve_chain(beta, f0, r, p_s)
     w_ideal, w_deph, q_r = rho_s_weights(beta, r)
     c_phi = p_r * w_ideal - (1.0 - p_r) / 63.0
@@ -152,7 +144,7 @@ def decode_nonideal(
 ) -> DensityOperator:
     """State after one-faulty decoding of the swapped chain state."""
     if r == 0:
-        return decode_one_faulty(encoded_pair(beta, f0).state)
+        return decode_one_faulty(encoded_pair(beta, f0))
     p_r = _resolve_chain(beta, f0, r, p_s)
     w_ideal, w_deph, _ = rho_s_weights(beta, r)
     kept = w_ideal + w_deph
@@ -164,19 +156,9 @@ def decode_nonideal(
     return DensityOperator(mat)
 
 
-@dataclass(frozen=True)
-class FinalPair:
-    """Bell-diagonal key pair with the parameters that produced it."""
-
-    state: DensityOperator
-    beta: float
-    f0: float
-    r: int
-
-
 def final_state(
     beta: float, f0: float, r: int, *, p_s: float | None = None
-) -> FinalPair:
+) -> DensityOperator:
     """Key pair after first-order-noisy decoding of the swapped state.
 
     The four decode CNOTs contribute an all-perfect term, a one-faulty
@@ -184,8 +166,8 @@ def final_state(
     """
     if r == 0:
         pair = encoded_pair(beta, f0)
-        dec = decode_circuit(pair.state).matrix
-        dec_ni = decode_one_faulty(pair.state).matrix
+        dec = decode_circuit(pair).matrix
+        dec_ni = decode_one_faulty(pair).matrix
     else:
         dec = decode_perfect(beta, f0, r, p_s=p_s).matrix
         dec_ni = decode_nonideal(beta, f0, r, p_s=p_s).matrix
@@ -193,7 +175,7 @@ def final_state(
     w_faulty = 4.0 * beta * (1.0 - beta) ** 3
     w_rest = 1.0 - w_perfect - w_faulty
     mat = w_perfect * dec + w_faulty * dec_ni + w_rest * np.eye(4, dtype=complex) / 4.0
-    return FinalPair(DensityOperator(mat), beta, f0, r)
+    return DensityOperator(mat)
 
 
 def validate_first_order_vs_exact(beta: float, f0: float, r: int) -> float:
@@ -202,9 +184,9 @@ def validate_first_order_vs_exact(beta: float, f0: float, r: int) -> float:
     from .qstate import uhlmann_fidelity
 
     if r == 0:
-        pre = encoded_pair(beta, f0).state.matrix
+        pre = encoded_pair(beta, f0).matrix
     else:
         pre = swapped_state_nonideal(beta, f0, r).matrix
     exact = DensityOperator(decode_exact_noise_mat(pre, beta))
-    first = final_state(beta, f0, r).state
+    first = final_state(beta, f0, r)
     return uhlmann_fidelity(first, exact)

@@ -64,15 +64,6 @@ class EncodingCircuit:
     num_qubits: int = 12
 
 
-@dataclass(frozen=True)
-class EncodedPair:
-    """Noisy encoded Bell pair with the parameters that produced it."""
-
-    state: DensityOperator
-    beta: float
-    f0: float
-
-
 def encoded_bell_state() -> PureState:
     """(|000000> + |111111>)/sqrt(2), the ideal encoded pair."""
     return ghz_state(6)
@@ -218,7 +209,7 @@ def _apply_pair_channel(rho: np.ndarray, superop: np.ndarray, qa: int, qb: int) 
 
 
 @lru_cache(maxsize=512)
-def encoded_pair(beta: float, f0: float) -> EncodedPair:
+def encoded_pair(beta: float, f0: float) -> DensityOperator:
     """Noisy encoded Bell pair on six qubits.
 
     Starts from the GHZ register, the |000> register and three depolarized
@@ -252,7 +243,7 @@ def encoded_pair(beta: float, f0: float) -> EncodedPair:
             total += w_branch * _apply_pair_channel(base, ops["b_faulty"], *pairs[k])
     if p > 0.0:
         total += p * np.eye(64, dtype=complex) / 64.0
-    return EncodedPair(DensityOperator(total), beta, f0)
+    return DensityOperator(total)
 
 
 def encoded_pair_direct(beta: float, f0: float) -> DensityOperator:

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .encgen import EncodedPair, encoded_bell_state, encoded_pair
+from .encgen import encoded_bell_state, encoded_pair
 from .qstate import DensityOperator
 
 ERROR_PAIR_LABELS = ("XX", "YY", "ZZ", "II", "IX", "XI")
@@ -226,9 +226,7 @@ def _correctable_terms() -> tuple[_TwoTermForm, _TwoTermForm]:
     return _TwoTermForm.of(states.left), _TwoTermForm.of(states.right)
 
 
-def swap_success_prob(
-    rho_enc: EncodedPair | DensityOperator, *, phase_trivial_only: bool = False
-) -> float:
+def swap_success_prob(rho_enc: DensityOperator, *, phase_trivial_only: bool = False) -> float:
     """Probability that the joint error pattern of two encoded pairs is
     classically correctable at the swap station.
 
@@ -240,11 +238,10 @@ def swap_success_prob(
     no net phase flip; the threshold searches use that restriction (see the
     chain accounting note in :mod:`repeater_keyrate.rates`).
     """
-    rho = rho_enc.state if isinstance(rho_enc, EncodedPair) else rho_enc
-    if rho.dim != 64:
+    if rho_enc.dim != 64:
         raise ValueError("swap_success_prob needs a 64-dim encoded pair")
     left, right = _correctable_terms()
-    products = left.expectations(rho.matrix) * right.expectations(rho.matrix)
+    products = left.expectations(rho_enc.matrix) * right.expectations(rho_enc.matrix)
     if phase_trivial_only:
         products = products[correctable_states().phase_trivial]
     return float(np.sum(products))
@@ -259,17 +256,15 @@ def chain_success_prob(p_s: float, r: int) -> float:
     return float(min(p_s, 1.0) ** r)
 
 
+def _resolve_chain(beta: float, f0: float, r: int, p_s: float | None) -> float:
+    """P_r = p_s ** r, with p_s computed from the encoded pair when not given."""
+    if p_s is None:
+        p_s = swap_success_prob(encoded_pair(beta, f0))
+    return chain_success_prob(p_s, r)
+
+
 def _ideal_projector() -> np.ndarray:
     return encoded_bell_state().projector().matrix
-
-
-def swapped_state_ideal(p_r: float) -> DensityOperator:
-    """Perfect pair with probability P_r, uniform junk on the complement else."""
-    if not 0.0 <= p_r <= 1.0:
-        raise ValueError(f"P_r must be a probability, got {p_r}")
-    proj = _ideal_projector()
-    comp = (np.eye(64, dtype=complex) - proj) / 63.0
-    return DensityOperator(p_r * proj + (1.0 - p_r) * comp)
 
 
 def rho_s_weights(beta: float, r: int) -> tuple[float, float, float]:
@@ -314,9 +309,7 @@ def swapped_state_nonideal(
     ``p_s`` may be passed in to reuse an already computed encoded pair;
     otherwise the full generation pipeline runs.
     """
-    if p_s is None:
-        p_s = swap_success_prob(encoded_pair(beta, f0))
-    p_r = chain_success_prob(p_s, r)
+    p_r = _resolve_chain(beta, f0, r, p_s)
     proj = _ideal_projector()
     comp = (np.eye(64, dtype=complex) - proj) / 63.0
     return DensityOperator(p_r * rho_s(beta, r).matrix + (1.0 - p_r) * comp)

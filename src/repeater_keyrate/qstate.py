@@ -1,8 +1,8 @@
 """Dense multi-qubit density-operator arithmetic.
 
 Everything downstream (noise channels, encoding, swapping, decoding) is
-built on the handful of exact operations in this module: tensor products,
-partial traces, gate application, measurement branching and fidelities.
+built on the handful of exact operations in this module: partial traces,
+gate application, measurement and fidelities.
 
 Convention used throughout the package: qubits are indexed from 0 and
 qubit 0 is the most significant bit of the computational basis index,
@@ -12,14 +12,11 @@ top-to-bottom map onto ascending qubit indices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
-
-# Largest operator dimension the package will build (rho_enc (x) rho_enc).
-DIM_CAP = 2**12
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -341,51 +338,9 @@ def _measure_correct_mat(
 # public operations
 # ---------------------------------------------------------------------------
 
-def tensor(a: DensityOperator, b: DensityOperator) -> DensityOperator:
-    """Kronecker product; qubits of ``a`` precede qubits of ``b``."""
-    if a.dim * b.dim > DIM_CAP:
-        raise ValueError(
-            f"tensor product dimension {a.dim * b.dim} exceeds cap {DIM_CAP}"
-        )
-    return DensityOperator(np.kron(a.matrix, b.matrix))
-
-
-def partial_trace(rho: DensityOperator, keep: Iterable[int]) -> DensityOperator:
-    """Reduced operator on the kept qubits (order preserved, trace preserved).
-
-    An empty keep set is degenerate: the result is the 1x1 scalar trace.
-    """
-    keep = set(keep)
-    if any(q < 0 or q >= rho.num_qubits for q in keep):
-        raise ValueError(f"keep set {keep} outside register of {rho.num_qubits} qubits")
-    return DensityOperator(_partial_trace_mat(rho.matrix, keep))
-
-
 def apply_gate(rho: DensityOperator, gate: GatePlacement) -> DensityOperator:
     """Conjugate by the unitary of ``gate`` embedded at its qubit indices."""
     return DensityOperator(_apply_gate_mat(rho.matrix, gate))
-
-
-def measure_branch(
-    rho: DensityOperator, qubit: int, basis: str = "z"
-) -> list[tuple[float, int, DensityOperator]]:
-    """Projective single-qubit measurement.
-
-    Returns ``(probability, outcome, collapsed)`` per branch, where the
-    collapsed operator is normalized and lives on the remaining qubits
-    (the measured qubit is removed).  Zero-probability branches are omitted.
-    For the x basis, outcome 0 means |+> and 1 means |->.
-    """
-    n = rho.num_qubits
-    if qubit < 0 or qubit >= n:
-        raise ValueError(f"qubit {qubit} outside register of {n} qubits")
-    branches = []
-    for outcome, block in enumerate(_measured_blocks(rho.matrix, qubit, basis)):
-        p = float(np.trace(block).real)
-        if p < 1e-14:
-            continue
-        branches.append((p, outcome, DensityOperator(block / p)))
-    return branches
 
 
 def overlap(rho: DensityOperator, psi: PureState) -> float:

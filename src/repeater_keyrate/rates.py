@@ -26,7 +26,7 @@ curves).  Both conventions are deliberate; see the README model notes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
@@ -255,7 +255,11 @@ def repeater_rate_qec(params: RepeaterParams) -> float:
     the 3 * 2^N Bell pairs, and each round costs two fundamental times
     (photon transit plus acknowledgement).
     """
-    _, z = _waiting_rounds(params)
+    return _pair_rate(params, _waiting_rounds(params)[1])
+
+
+def _pair_rate(params: RepeaterParams, z: float) -> float:
+    """R = 1 / (2 T0 Z) for Z expected rounds."""
     t0 = 1.0 if params.t0_mode == "normalized" else params.segment_km / params.speed_km_per_s
     return 1.0 / (2.0 * t0 * z)
 
@@ -270,18 +274,6 @@ def _waiting_rounds(params: RepeaterParams) -> tuple[float, float]:
     return p0, (z_n(3 * params.segments, p0) if p0 > 0.0 else math.inf)
 
 
-def jiang_rate(m: int, p0: float, l0_km: float) -> float:
-    """Infinite-memory generation-rate estimate m * P0 / L0, for comparison
-    runs only (time is measured in light-travel units of the segment)."""
-    if m < 0:
-        raise ValueError(f"memory count must be nonnegative, got {m}")
-    if l0_km <= 0:
-        raise ValueError(f"segment length must be positive, got {l0_km}")
-    if not 0.0 <= p0 <= 1.0:
-        raise ValueError(f"P0 must be in [0, 1], got {p0}")
-    return m * p0 / l0_km
-
-
 @lru_cache(maxsize=4096)
 def _swap_prob(beta: float, f0: float, phase_trivial_only: bool = False) -> float:
     return swap_success_prob(
@@ -289,15 +281,20 @@ def _swap_prob(beta: float, f0: float, phase_trivial_only: bool = False) -> floa
     )
 
 
+def _decoded_key_fraction(
+    beta: float, f0: float, swap_count: int, p_s: float | None
+) -> tuple[tuple[float, float, float], float]:
+    """(e_X, e_Y, e_Z) and the unclamped six-state r_inf of the decoded pair
+    after ``swap_count`` compoundings with swap success ``p_s``."""
+    qbers = error_rates(bell_diag_coeffs(final_state(beta, f0, swap_count, p_s=p_s)))
+    return qbers, secret_fraction_six_state(*qbers)
+
+
 def _chain_secret_fraction(
     beta: float, f0: float, swap_count: int, phase_trivial_only: bool
 ) -> float:
-    if swap_count == 0:
-        coeffs = bell_diag_coeffs(final_state(beta, f0, 0).state)
-    else:
-        p_s = _swap_prob(beta, f0, phase_trivial_only)
-        coeffs = bell_diag_coeffs(final_state(beta, f0, swap_count, p_s=p_s).state)
-    return secret_fraction_six_state(*error_rates(coeffs))
+    p_s = _swap_prob(beta, f0, phase_trivial_only) if swap_count else None
+    return _decoded_key_fraction(beta, f0, swap_count, p_s)[1]
 
 
 def secret_fraction_for(beta: float, f0: float, nesting: int) -> float:
@@ -315,13 +312,9 @@ def key_rate(params: RepeaterParams) -> RateReport:
     r = params.stations
     p_s = _swap_prob(params.beta, params.f0)
     p_r = chain_success_prob(p_s, r) if r >= 1 else 1.0
-    coeffs = bell_diag_coeffs(
-        final_state(params.beta, params.f0, r, p_s=p_s if r >= 1 else None).state
-    )
-    e_x, e_y, e_z = error_rates(coeffs)
-    fraction = secret_fraction_six_state(e_x, e_y, e_z)
+    (e_x, e_y, e_z), fraction = _decoded_key_fraction(params.beta, params.f0, r, p_s)
     p0, z = _waiting_rounds(params)
-    rate = repeater_rate_qec(params)
+    rate = _pair_rate(params, z)
     return RateReport(
         p0=p0,
         z_value=z,
@@ -338,11 +331,18 @@ def key_rate(params: RepeaterParams) -> RateReport:
     )
 
 
-def scheme_key_rate(rate: float, secret_fraction: float, memories: int) -> float:
-    """Key rate of an externally supplied scheme (rate, fraction, memories)."""
-    if memories < 1:
-        raise ValueError(f"memories must be positive, got {memories}")
-    return rate * max(secret_fraction, 0.0) / memories
+def _reports_by_nesting(
+    distance_km: float, beta: float, f0: float, n_range: Iterable[int], **fiber
+) -> dict[int, RateReport]:
+    """:func:`key_rate` at each distinct nesting level of ``n_range``, in
+    ascending order; ``fiber`` holds the remaining :class:`RepeaterParams`."""
+    n_values = sorted(set(int(n) for n in n_range))
+    if not n_values:
+        raise ValueError("n_range must be nonempty")
+    return {
+        n: key_rate(RepeaterParams(beta=beta, f0=f0, distance_km=distance_km, nesting=n, **fiber))
+        for n in n_values
+    }
 
 
 def optimize_over_stations(
@@ -357,22 +357,12 @@ def optimize_over_stations(
 ) -> tuple[int, RateReport]:
     """Key rate maximized over the nesting level; ties go to fewer stations,
     except that a level whose P0 underflowed to 0 loses every tie."""
-    n_values = sorted(set(int(n) for n in n_range))
-    if not n_values:
-        raise ValueError("n_range must be nonempty")
+    reports = _reports_by_nesting(
+        distance_km, beta, f0, n_range,
+        alpha_db_per_km=alpha_db_per_km, speed_km_per_s=speed_km_per_s, t0_mode=t0_mode,
+    )
     best: tuple[int, RateReport] | None = None
-    for n in n_values:
-        report = key_rate(
-            RepeaterParams(
-                beta=beta,
-                f0=f0,
-                distance_km=distance_km,
-                nesting=n,
-                alpha_db_per_km=alpha_db_per_km,
-                speed_km_per_s=speed_km_per_s,
-                t0_mode=t0_mode,
-            )
-        )
+    for n, report in reports.items():
         if best is None or (report.key_rate, report.p0 > 0.0) > (
             best[1].key_rate, best[1].p0 > 0.0
         ):
@@ -492,26 +482,11 @@ def cost_coefficient(
 
     2^(N+1) counts two memory qubits per station plus one at each end.
     """
-    n_values = sorted(set(int(n) for n in n_range))
-    if not n_values:
-        raise ValueError("n_range must be nonempty")
-    entries = []
-    reports = {}
-    for n in n_values:
-        report = key_rate(
-            RepeaterParams(
-                beta=beta,
-                f0=f0,
-                distance_km=distance_km,
-                nesting=n,
-                alpha_db_per_km=alpha_db_per_km,
-                speed_km_per_s=speed_km_per_s,
-                t0_mode=t0_mode,
-            )
-        )
-        reports[n] = report
-        entries.append((n, report.key_rate))
-    cost, n_best = min_cost_over_nesting(entries)
+    reports = _reports_by_nesting(
+        distance_km, beta, f0, n_range,
+        alpha_db_per_km=alpha_db_per_km, speed_km_per_s=speed_km_per_s, t0_mode=t0_mode,
+    )
+    cost, n_best = min_cost_over_nesting([(n, rep.key_rate) for n, rep in reports.items()])
     return CostReport(
         cost=cost,
         cost_coefficient=cost / distance_km,

@@ -14,8 +14,7 @@ import numpy as np
 import pytest
 from scipy.optimize import bisect
 
-from repeater_keyrate import decode, encgen, encswap, rates
-from repeater_keyrate.qstate import DensityOperator, bell_state
+from repeater_keyrate import rates, validation
 
 
 def report(criterion, ok, detail):
@@ -89,38 +88,17 @@ def test_c2_key_region_boundary():
 
 
 def test_c3_counting_suite():
-    counts = encswap.enumerate_combos()
-    states = encswap.correctable_states()
-    gram = (states.left.conj() @ states.left.T) * (states.right.conj() @ states.right.T)
-    max_off = float(np.abs(gram - np.eye(len(states))).max())
-    ok = (
-        counts.raw_count == 216
-        and counts.admissible_count == 160
-        and counts.paper_permutation_count == 960
-        and len(states) == 64
-        and max_off < 1e-9
-    )
+    (raw, admissible, permuted, distinct), max_off = validation.counting_deviation()
+    ok = (raw, admissible, permuted, distinct) == (216, 160, 960, 64) and max_off < 1e-9
     report(3, ok,
-           f"counts {counts.raw_count}/{counts.admissible_count}/"
-           f"{counts.paper_permutation_count}, {len(states)} orthogonal states "
+           f"counts {raw}/{admissible}/{permuted}, {distinct} orthogonal states "
            f"(max overlap {max_off:.1e})")
     assert ok
 
 
 def test_c4_closed_forms_match_circuits():
-    worst_dec = 0.0
-    for beta in (0.0, 0.005, 0.01):
-        for f0 in (0.95, 0.99, 1.0):
-            for r in (1, 3):
-                closed = decode.decode_perfect(beta, f0, r).matrix
-                circuit = decode.decode_circuit(
-                    encswap.swapped_state_nonideal(beta, f0, r)
-                ).matrix
-                worst_dec = max(worst_dec, float(np.abs(closed - circuit).max()))
-    worst_ghz = max(
-        float(np.abs(encgen.ghz_prep(b).matrix - encgen.ghz_prep_circuit(b).matrix).max())
-        for b in (0.01, 0.05, 0.1)
-    )
+    worst_dec = validation.perfect_decode_deviation((0.0, 0.005, 0.01), (0.95, 0.99, 1.0), (1, 3))
+    worst_ghz = validation.ghz_prep_deviation((0.01, 0.05, 0.1))
     ok = worst_dec <= 1e-10 and worst_ghz <= 1e-12
     report(4, ok,
            f"decode closed form vs circuit <= {worst_dec:.1e} (1e-10), "
@@ -129,24 +107,8 @@ def test_c4_closed_forms_match_circuits():
 
 
 def test_c5_decoding_map_properties():
-    phi6 = encgen.encoded_bell_state().projector()
-    phi2 = bell_state("phi+").vector
-    dev1 = float(np.abs(decode.decode_circuit(phi6).matrix - np.outer(phi2, phi2.conj())).max())
-    deph = np.zeros((64, 64), dtype=complex)
-    deph[0, 0] = deph[63, 63] = 0.5
-    dev2 = float(
-        np.abs(
-            decode.decode_circuit(DensityOperator(deph)).matrix
-            - 0.5 * np.diag([1.0, 0.0, 0.0, 1.0])
-        ).max()
-    )
-    dev3 = float(
-        np.abs(
-            decode.decode_circuit(DensityOperator(np.eye(64, dtype=complex) / 64)).matrix
-            - np.eye(4) / 4
-        ).max()
-    )
-    worst = max(dev1, dev2, dev3)
+    ideal, dephased, mixed, _ = validation.decoding_map_deviations()
+    worst = max(ideal, dephased, mixed)
     ok = worst <= 1e-12
     report(5, ok, f"decoding-map properties hold to {worst:.1e} (1e-12)")
     assert ok
@@ -159,11 +121,7 @@ def test_c6_waiting_time_monte_carlo():
     details = []
     ok = True
     for num_pairs, p0 in ((3, 0.37), (6, 0.37), (12, 0.2)):
-        waits = rng.geometric(p0, size=(trials, num_pairs)).max(axis=1)
-        mean = float(waits.mean())
-        se = float(waits.std(ddof=1) / math.sqrt(trials))
-        exact = rates.z_n(num_pairs, p0)
-        sigmas = abs(mean - exact) / se
+        sigmas = validation.monte_carlo_z(num_pairs, p0, trials, rng)
         details.append(f"({num_pairs},{p0}): {sigmas:.2f} sigma")
         ok = ok and sigmas <= 3.0
     elapsed = time.time() - start
@@ -173,10 +131,7 @@ def test_c6_waiting_time_monte_carlo():
 
 
 def test_c7_first_order_fidelity():
-    worst = 1.0
-    for beta in (1e-3, 3e-3, 1e-2):
-        for f0 in (0.98, 0.99, 1.0):
-            worst = min(worst, decode.validate_first_order_vs_exact(beta, f0, 1))
+    worst = validation.first_order_fidelity((1e-3, 3e-3, 1e-2), (0.98, 0.99, 1.0))
     ok = worst >= 0.99
     report(7, ok, f"Uhlmann fidelity of first-order decode >= {worst:.6f} (0.99)")
     assert ok

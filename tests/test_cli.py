@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import repeater_keyrate
+from repeater_keyrate import cli
 from repeater_keyrate.cli import main
 
 
@@ -238,6 +239,36 @@ class TestSweep:
         code, _, err = run(capsys, "sweep", "--max-nesting", "2", *argv)
         assert code == 2
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("argv", [
+        ("--distance", "600", "--fidelity-range", "0.99:1:0.01",
+         "--gate-quality-range", "0.99:1:0.01", "--fidelity", "0.99"),
+        ("--distance", "600", "--fidelity-range", "0.99:1:0.01",
+         "--gate-quality-range", "0.99:1:0.01", "--beta", "0.01"),
+        ("--distance", "600", "--fidelity-range", "0.99:1:0.01",
+         "--gate-quality-range", "0.99:1:0.01", "--gate-quality", "0.99"),
+        ("--distance-range", "600:600:100", "--fidelity", "0.99", "--gate-quality", "0.99",
+         "--distance", "600"),
+    ])
+    def test_other_mode_flags_rejected(self, capsys, argv):
+        code, _, err = run(capsys, "sweep", "--max-nesting", "2", *argv)
+        assert code == 2
+        assert err.startswith("error:") and argv[-2] in err
+
+    @pytest.mark.parametrize("jobs", ["0", "-3", "cpu_count+1"])
+    def test_jobs_out_of_range_rejected(self, capsys, monkeypatch, jobs):
+        def no_pool(*args, **kwargs):
+            pytest.fail("a worker pool was started")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        if jobs == "cpu_count+1":
+            jobs = str((os.cpu_count() or 1) + 1)
+        code, _, err = run(
+            capsys, "sweep", "--distance-range", "100:200:100", "--fidelity", "0.99",
+            "--gate-quality", "0.99", "--max-nesting", "2", "--jobs", jobs,
+        )
+        assert code == 2
+        assert err.startswith("error:") and "--jobs" in err
 
     def test_modeless_invocation_rejected(self, capsys):
         code, _, err = run(capsys, "sweep", "--fidelity", "0.98", "--gate-quality", "0.992")

@@ -100,7 +100,7 @@ class TestDecodePerfect:
 
     def test_zero_swap_route_uses_circuit(self):
         direct = decode_perfect(0.01, 0.99, 0).matrix
-        explicit = decode_circuit(encoded_pair(0.01, 0.99).state).matrix
+        explicit = decode_circuit(encoded_pair(0.01, 0.99)).matrix
         assert np.abs(direct - explicit).max() < 1e-14
 
 
@@ -127,25 +127,21 @@ class TestDecodeNonideal:
 class TestFinalState:
     def test_ideal_parameters(self):
         out = final_state(0.0, 1.0, 3)
-        assert np.abs(out.state.matrix - bell_state("phi+").projector().matrix).max() < 1e-12
+        assert np.abs(out.matrix - bell_state("phi+").projector().matrix).max() < 1e-12
 
     def test_bell_diagonal(self):
         out = final_state(0.008, 0.98, 3)
-        assert bell_diag_coeffs(out.state).remainder_norm < 1e-10
+        assert bell_diag_coeffs(out).remainder_norm < 1e-10
 
     def test_bell_weight_decreasing_in_r(self):
         values = [
-            bell_diag_coeffs(final_state(0.005, 0.99, r).state).phi_plus for r in (1, 2, 3, 5)
+            bell_diag_coeffs(final_state(0.005, 0.99, r)).phi_plus for r in (1, 2, 3, 5)
         ]
         assert all(a > b for a, b in zip(values, values[1:]))
 
-    def test_provenance_recorded(self):
-        out = final_state(0.004, 0.97, 2)
-        assert (out.beta, out.f0, out.r) == (0.004, 0.97, 2)
-
     def test_trace_and_positivity(self):
         for args in ((0.005, 0.98, 1), (0.01, 0.99, 7), (0.02, 0.95, 3)):
-            mat = final_state(*args).state.matrix
+            mat = final_state(*args).matrix
             assert np.trace(mat).real == pytest.approx(1.0, abs=1e-12)
             assert np.linalg.eigvalsh(mat)[0] > -1e-12
 

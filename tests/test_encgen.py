@@ -5,13 +5,16 @@ from repeater_keyrate.encgen import (
     _apply_measurement_rules,
     encoded_bell_state,
     encoded_pair,
-    encoded_pair_direct,
     ghz_prep,
     ghz_prep_circuit,
     teleported_cnot_sequence,
 )
 from repeater_keyrate.channels import source_state_mat
 from repeater_keyrate.qstate import _cnot_permutation, bell_state, ghz_state, ket, overlap
+from repeater_keyrate.validation import (
+    encoded_pair_register_deviation,
+    measured_mixed_register_deviation,
+)
 
 
 class TestGhzPrep:
@@ -74,21 +77,21 @@ class TestEncodedPair:
     def test_ideal_pipeline_is_exact(self):
         pair = encoded_pair(0.0, 1.0)
         expected = encoded_bell_state().projector().matrix
-        assert np.abs(pair.state.matrix - expected).max() < 1e-14
-        assert np.array_equal(pair.state.matrix, expected)
+        assert np.abs(pair.matrix - expected).max() < 1e-14
+        assert np.array_equal(pair.matrix, expected)
 
     def test_source_noise_only_bounds(self):
-        ov = overlap(encoded_pair(0.0, 0.98).state, encoded_bell_state())
+        ov = overlap(encoded_pair(0.0, 0.98), encoded_bell_state())
         assert 0.9 < ov < 1.0
 
     def test_overlap_monotone_in_beta(self):
         target = encoded_bell_state()
-        values = [overlap(encoded_pair(b, 1.0).state, target) for b in (0.0, 0.01, 0.02)]
+        values = [overlap(encoded_pair(b, 1.0), target) for b in (0.0, 0.01, 0.02)]
         assert values[0] >= values[1] >= values[2]
 
     def test_trace_and_positivity(self):
         for beta, f0 in ((0.0, 1.0), (0.01, 0.99), (0.05, 0.9)):
-            mat = encoded_pair(beta, f0).state.matrix
+            mat = encoded_pair(beta, f0).matrix
             assert abs(np.trace(mat).real - 1.0) < 1e-10
             assert np.linalg.eigvalsh(mat)[0] > -1e-9
 
@@ -99,15 +102,10 @@ class TestEncodedPair:
             encoded_pair(0.0, -0.1)
 
     def test_factorized_equals_direct_register_simulation(self):
-        fast = encoded_pair(0.01, 0.99).state.matrix
-        direct = encoded_pair_direct(0.01, 0.99).matrix
-        assert np.abs(fast - direct).max() < 1e-12
+        assert encoded_pair_register_deviation(0.01, 0.99) < 1e-12
 
     def test_mixed_remainder_measures_to_mixed_pair(self):
-        circuit = teleported_cnot_sequence()
-        mixed = np.eye(4096, dtype=complex) / 4096.0
-        out = _apply_measurement_rules(mixed, circuit.measurements)
-        assert np.abs(out - np.eye(64) / 64.0).max() < 1e-15
+        assert measured_mixed_register_deviation() < 1e-15
 
     def test_gate_measure_interleaving_invariance(self):
         # measuring each teleported CNOT's Bell halves right after its two

@@ -5,6 +5,8 @@ from repeater_keyrate.channels import source_state_mat
 from repeater_keyrate.qstate import (
     DensityOperator,
     _measure_correct_mat,
+    _measured_blocks,
+    _partial_trace_mat,
     GatePlacement,
     PureState,
     apply_gate,
@@ -13,10 +15,7 @@ from repeater_keyrate.qstate import (
     ghz_state,
     ket,
     maximally_mixed,
-    measure_branch,
     overlap,
-    partial_trace,
-    tensor,
     uhlmann_fidelity,
 )
 
@@ -34,66 +33,36 @@ def random_pure(rng, n_qubits):
     return PureState(v / np.linalg.norm(v))
 
 
-class TestTensor:
-    def test_identity_case(self):
-        out = tensor(maximally_mixed(1), maximally_mixed(1))
-        assert np.allclose(out.matrix, np.eye(4) / 4)
-
-    def test_basis_states(self):
-        out = tensor(ket("0").projector(), ket("1").projector())
-        assert np.allclose(out.matrix, ket("01").projector().matrix)
-
-    def test_bell_product_trace_and_rank(self):
-        phi = bell_state("phi+").projector()
-        out = tensor(phi, phi)
-        assert abs(np.trace(out.matrix) - 1.0) < 1e-12
-        eigs = np.linalg.eigvalsh(out.matrix)
-        assert np.sum(eigs > 1e-12) == 1  # rank one
-
-    def test_dimension_cap(self):
-        big = maximally_mixed(7)
-        with pytest.raises(ValueError, match="cap"):
-            tensor(big, big)  # 2^14 > 2^12
-
-    def test_qubit_order(self):
-        out = tensor(ket("1").projector(), ket("0").projector())
-        assert np.allclose(out.matrix, ket("10").projector().matrix)
-
-
 class TestPartialTrace:
     def test_bell_reduction(self):
-        phi = bell_state("phi+").projector()
+        phi = bell_state("phi+").projector().matrix
         for q in (0, 1):
-            red = partial_trace(phi, {q})
-            assert np.allclose(red.matrix, np.eye(2) / 2)
+            red = _partial_trace_mat(phi, [q])
+            assert np.allclose(red, np.eye(2) / 2)
 
     def test_keep_everything(self):
         rho = random_density(np.random.default_rng(0), 2)
-        out = partial_trace(rho, {0, 1})
-        assert np.allclose(out.matrix, rho.matrix)
+        out = _partial_trace_mat(rho.matrix, [0, 1])
+        assert np.allclose(out, rho.matrix)
 
     def test_product_state(self):
-        rho = ket("01").projector()
-        out = partial_trace(rho, {0})
-        assert np.allclose(out.matrix, ket("0").projector().matrix)
+        rho = ket("01").projector().matrix
+        out = _partial_trace_mat(rho, [0])
+        assert np.allclose(out, ket("0").projector().matrix)
 
     def test_empty_keep_is_degenerate_scalar(self):
-        out = partial_trace(bell_state("phi+").projector(), set())
-        assert out.num_qubits == 0
-        assert np.allclose(out.matrix, [[1.0]])
+        out = _partial_trace_mat(bell_state("phi+").projector().matrix, [])
+        assert out.shape == (1, 1)
+        assert np.allclose(out, [[1.0]])
 
     def test_recovers_tensor_factors(self):
         rng = np.random.default_rng(7)
         for _ in range(5):
-            a = random_density(rng, 1)
-            b = random_density(rng, 2)
-            joint = tensor(a, b)
-            assert np.abs(partial_trace(joint, {0}).matrix - a.matrix).max() < 1e-14
-            assert np.abs(partial_trace(joint, {1, 2}).matrix - b.matrix).max() < 1e-14
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            partial_trace(maximally_mixed(2), {3})
+            a = random_density(rng, 1).matrix
+            b = random_density(rng, 2).matrix
+            joint = np.kron(a, b)
+            assert np.abs(_partial_trace_mat(joint, [0]) - a).max() < 1e-14
+            assert np.abs(_partial_trace_mat(joint, [1, 2]) - b).max() < 1e-14
 
 
 class TestApplyGate:
@@ -125,30 +94,26 @@ class TestApplyGate:
             apply_gate(maximally_mixed(2), GatePlacement("cnot", (0, 5)))
 
 
+def traces(blocks):
+    return [float(np.trace(block).real) for block in blocks]
+
+
 class TestMeasureBranch:
     def test_deterministic_z(self):
-        branches = measure_branch(ket("00").projector(), 0, "z")
-        assert len(branches) == 1
-        p, outcome, collapsed = branches[0]
-        assert p == pytest.approx(1.0)
-        assert outcome == 0
-        assert np.allclose(collapsed.matrix, ket("0").projector().matrix)
+        zero, one = _measured_blocks(ket("00").projector().matrix, 0, "z")
+        assert traces([zero, one]) == pytest.approx([1.0, 0.0])
+        assert np.allclose(zero, ket("0").projector().matrix)
 
     def test_x_basis_plus_state(self):
         plus = PureState(np.array([1, 1]) / np.sqrt(2))
-        branches = measure_branch(plus.projector(), 0, "x")
-        assert len(branches) == 1
-        p, outcome, collapsed = branches[0]
-        assert p == pytest.approx(1.0)
-        assert outcome == 0
-        assert collapsed.num_qubits == 0
+        blocks = _measured_blocks(plus.projector().matrix, 0, "x")
+        assert traces(blocks) == pytest.approx([1.0, 0.0])
+        assert blocks[0].shape == (1, 1)
 
     def test_mixed_state_splits_evenly(self):
-        branches = measure_branch(maximally_mixed(2), 0, "z")
-        assert len(branches) == 2
-        for p, _, collapsed in branches:
-            assert p == pytest.approx(0.5)
-            assert np.allclose(collapsed.matrix, np.eye(2) / 2)
+        for block in _measured_blocks(maximally_mixed(2).matrix, 0, "z"):
+            assert float(np.trace(block).real) == pytest.approx(0.5)
+            assert np.allclose(block / 0.5, np.eye(2) / 2)
 
     def test_x_basis_of_bell_projector_is_exact(self):
         # phi+ measured in X on qubit 0: |+> leaves |+>, |-> leaves |-> and
@@ -156,7 +121,7 @@ class TestMeasureBranch:
         phi = source_state_mat(1.0)
         out = _measure_correct_mat(phi, 0, "x", ("z", 1))
         assert np.array_equal(out, np.full((2, 2), 0.5))
-        plus, minus = (p for p, _, _ in measure_branch(DensityOperator(phi), 0, "x"))
+        plus, minus = traces(_measured_blocks(phi, 0, "x"))
         assert plus == 0.5 and minus == 0.5
 
     def test_probabilities_sum_to_one(self):
@@ -164,7 +129,7 @@ class TestMeasureBranch:
         for _ in range(5):
             rho = random_density(rng, 3)
             for basis in ("z", "x"):
-                total = sum(p for p, _, _ in measure_branch(rho, 1, basis))
+                total = sum(traces(_measured_blocks(rho.matrix, 1, basis)))
                 assert abs(total - 1.0) < 1e-12
 
 

@@ -9,18 +9,17 @@ from scipy.optimize import bisect
 
 from repeater_keyrate import rates
 from repeater_keyrate.qstate import BellDiagCoeffs
+from repeater_keyrate.validation import monte_carlo_z
 from repeater_keyrate.rates import (
     CostReport,
     NoThresholdError,
     RepeaterParams,
     cost_coefficient,
     error_rates,
-    jiang_rate,
     key_rate,
     min_cost_over_nesting,
     optimize_over_stations,
     repeater_rate_qec,
-    scheme_key_rate,
     secret_fraction_for,
     secret_fraction_six_state,
     threshold_fidelity,
@@ -211,10 +210,7 @@ class TestZn:
         rng = np.random.default_rng(42)
         trials = 200_000
         for num_pairs, p0 in ((6, 0.37), (12, 0.2)):
-            waits = rng.geometric(p0, size=(trials, num_pairs)).max(axis=1)
-            mean = waits.mean()
-            se = waits.std(ddof=1) / math.sqrt(trials)
-            assert abs(z_n(num_pairs, p0) - mean) < 3 * se
+            assert monte_carlo_z(num_pairs, p0, trials, rng) < 3
 
     def test_monotone_in_num_pairs(self):
         values = [z_n(n, 0.37) for n in (1, 2, 4, 8, 16, 32)]
@@ -258,26 +254,15 @@ class TestRepeaterRate:
 
 
 class TestJiangRate:
-    def test_unit_case(self):
-        assert jiang_rate(3, 1.0, 1.0) == 3.0
-
-    def test_zero_memories(self):
-        assert jiang_rate(0, 0.5, 10.0) == 0.0
-
     def test_far_above_finite_memory_rate(self):
-        # compare in the same time units: multiply by c/L0 attempt rate
+        # Jiang et al.'s infinite-memory estimate m P0 / L0 with m = 3, in
+        # the same time units: multiply by the c/L0 attempt rate
         l0 = 25.5
         p0 = transmission_prob(l0)
         params = RepeaterParams(beta=0.0, f0=1.0, distance_km=l0, nesting=0)
         finite = repeater_rate_qec(params)
-        infinite = jiang_rate(3, p0, l0) * params.speed_km_per_s
+        infinite = 3 * p0 / l0 * params.speed_km_per_s
         assert infinite / finite > 5
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            jiang_rate(-1, 0.5, 10.0)
-        with pytest.raises(ValueError):
-            jiang_rate(3, 0.5, 0.0)
 
 
 class TestKeyRate:
@@ -343,11 +328,16 @@ class TestKeyRate:
         with pytest.raises(ValueError):
             RepeaterParams(beta=0.0, f0=1.0, distance_km=5.0, nesting=1, t0_mode="bogus")
 
-    def test_scheme_interface(self):
-        assert scheme_key_rate(12.0, 0.5, 6) == pytest.approx(1.0)
-        assert scheme_key_rate(12.0, -0.5, 6) == 0.0
-        with pytest.raises(ValueError):
-            scheme_key_rate(12.0, 0.5, 0)
+    def test_one_waiting_time_lookup_per_call(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return z_n(*args)
+
+        monkeypatch.setattr(rates, "z_n", counted)
+        report = key_rate(RepeaterParams(beta=0.005, f0=0.98, distance_km=400.0, nesting=2))
+        assert calls == [(12, report.p0)]
 
 
 class TestOptimize:
