@@ -21,6 +21,7 @@ from .decode import (
     decode_nonideal,
     decode_one_faulty,
     decode_perfect,
+    final_bell_coeffs,
     final_state,
     rho_tilde_prime,
     validate_first_order_vs_exact,
@@ -43,6 +44,7 @@ from .encswap import (
     correctable_states,
     enumerate_combos,
     rho_s,
+    swap_success_closed_form,
     swap_success_prob,
     swapped_state_nonideal,
 )
@@ -71,7 +73,6 @@ from .rates import (
     key_rate,
     min_cost_over_nesting,
     optimize_over_stations,
-    repeater_rate_qec,
     secret_fraction_six_state,
     threshold_fidelity,
     threshold_gate_quality,

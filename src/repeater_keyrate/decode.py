@@ -12,16 +12,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channels import depolarizing_gate_mat, one_faulty_branches
+from .channels import depolarizing_gate_mat, first_order_weights, one_faulty_branches
 from .encgen import encoded_pair
 from .encswap import _resolve_chain, rho_s_weights, swapped_state_nonideal
 from .qstate import (
+    BellDiagCoeffs,
     DensityOperator,
     GatePlacement,
     GateSequence,
     _apply_gate_mat,
     _num_qubits,
-    bell_state,
 )
 
 # Alice holds qubits 0-2, Bob 3-5.  Per side: CNOT onto the third qubit,
@@ -100,43 +100,67 @@ def decode_exact_noise_mat(mat: np.ndarray, beta: float) -> np.ndarray:
     return _decode_measurements(mat)
 
 
+# sqrt(2) times the Bell states phi+, phi-, psi+, psi-, and the Bell
+# coefficients of rho_tilde_prime in that order
+_BELL_SIGNS = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]])
+_TILDE_BELL = np.array([5.0, 5.0, 3.0, 3.0]) / 16.0
+
+
+def _bell_diagonal_mat(coeffs) -> np.ndarray:
+    """sum_k coeffs[k] |B_k><B_k| over (phi+, phi-, psi+, psi-); exact for
+    dyadic coefficients (no rounded 1/sqrt(2) factors)."""
+    return np.einsum("ki,k,kj->ij", _BELL_SIGNS, coeffs, _BELL_SIGNS) / 2.0
+
+
 def rho_tilde_prime() -> DensityOperator:
     """Two-qubit state produced by one-faulty decoding of either the ideal
     encoded pair or its computational-basis dephasing; a fixed mixture."""
-    diag = np.array([5 / 16, 3 / 16, 3 / 16, 5 / 16])
-    return DensityOperator(np.diag(diag).astype(complex))
+    return DensityOperator(_bell_diagonal_mat(_TILDE_BELL))
+
+
+def _chain_decode_coeffs(beta: float, r: int, p_r: float) -> tuple[np.ndarray, np.ndarray]:
+    """Bell coefficients of the perfect and the one-faulty decode of the
+    swapped state after r stations with chain success P_r.  Decoding sends
+    |Phi6>, D and I/64 to Phi+, (Phi+ + Phi-)/2 and I/4, one-faulty decoding
+    sends |Phi6> and D to rho_tilde_prime, and the rest is linearity.  The
+    perfect decode is Bell diagonal, so a negative coefficient is a negative
+    eigenvalue: a model breakdown, never clamped."""
+    w_ideal, w_deph, q_r = rho_s_weights(beta, r)
+    c_phi = p_r * w_ideal - (1.0 - p_r) / 63.0
+    c_mix = p_r * q_r + (1.0 - p_r) * 64.0 / 63.0
+    phi_minus = p_r * w_deph / 2.0 + c_mix / 4.0
+    perfect = np.array([c_phi + phi_minus, phi_minus, c_mix / 4.0, c_mix / 4.0])
+    if perfect.min() < -1e-9:
+        raise ModelBreakdownError(
+            f"decoded state not positive (min eigenvalue {perfect.min()}) at "
+            f"beta={beta}, r={r}, P_r={p_r}"
+        )
+    kept = w_ideal + w_deph
+    faulty = p_r * (kept * _TILDE_BELL + (1.0 - kept) / 4.0)
+    return perfect, faulty + (1.0 - p_r) * (16.0 - _TILDE_BELL) / 63.0
+
+
+def final_bell_coeffs(beta: float, r: int, p_r: float) -> BellDiagCoeffs:
+    """Closed-form Bell coefficients of :func:`final_state` for r >= 1
+    stations with chain success P_r: the first-order mixture of the perfect
+    decode, the one-faulty decode and I/4 over the four decode CNOTs."""
+    perfect, faulty = _chain_decode_coeffs(beta, r, p_r)
+    w_perfect, w_branch, w_rest = first_order_weights(len(DECODE_GATES), beta)
+    mixture = w_perfect * perfect + len(DECODE_GATES) * w_branch * faulty + w_rest / 4.0
+    return BellDiagCoeffs(*mixture.tolist())
 
 
 def decode_perfect(
     beta: float, f0: float, r: int, *, p_s: float | None = None
 ) -> DensityOperator:
-    """State after perfect decoding of the swapped chain state.
-
-    For r >= 1 this is the closed form implied by the decoding-map
-    properties; its phi+ coefficient may be negative at extreme parameters,
-    in which case the assembled state must still be positive or the point
-    is rejected as a model breakdown (never clamped).  r = 0 means no swap
-    at all: the single encoded pair is decoded through the circuit.
+    """State after perfect decoding of the swapped chain state, in closed
+    form for r >= 1.  r = 0 means no swap at all: the single encoded pair
+    is decoded through the circuit.
     """
     if r == 0:
         return decode_circuit(encoded_pair(beta, f0))
     p_r = _resolve_chain(beta, f0, r, p_s)
-    w_ideal, w_deph, q_r = rho_s_weights(beta, r)
-    c_phi = p_r * w_ideal - (1.0 - p_r) / 63.0
-    c_deph = p_r * w_deph
-    c_mix = p_r * q_r + (1.0 - p_r) * 64.0 / 63.0
-    mat = (
-        c_phi * bell_state("phi+").projector().matrix
-        + c_deph * 0.5 * np.diag([1.0, 0.0, 0.0, 1.0]).astype(complex)
-        + c_mix * np.eye(4, dtype=complex) / 4.0
-    )
-    smallest = np.linalg.eigvalsh(mat)[0]
-    if smallest < -1e-9:
-        raise ModelBreakdownError(
-            f"decoded state not positive (min eigenvalue {smallest}) at "
-            f"beta={beta}, F0={f0}, r={r}"
-        )
-    return DensityOperator(mat)
+    return DensityOperator(_bell_diagonal_mat(_chain_decode_coeffs(beta, r, p_r)[0]))
 
 
 def decode_nonideal(
@@ -146,14 +170,7 @@ def decode_nonideal(
     if r == 0:
         return decode_one_faulty(encoded_pair(beta, f0))
     p_r = _resolve_chain(beta, f0, r, p_s)
-    w_ideal, w_deph, _ = rho_s_weights(beta, r)
-    kept = w_ideal + w_deph
-    tilde = rho_tilde_prime().matrix
-    eye4 = np.eye(4, dtype=complex) / 4.0
-    mat = p_r * (kept * tilde + (1.0 - kept) * eye4) + (1.0 - p_r) / 63.0 * (
-        64.0 * eye4 - tilde
-    )
-    return DensityOperator(mat)
+    return DensityOperator(_bell_diagonal_mat(_chain_decode_coeffs(beta, r, p_r)[1]))
 
 
 def final_state(
@@ -162,19 +179,19 @@ def final_state(
     """Key pair after first-order-noisy decoding of the swapped state.
 
     The four decode CNOTs contribute an all-perfect term, a one-faulty
-    term, and a maximally mixed remainder.
+    term, and a maximally mixed remainder.  For r >= 1 the state is
+    assembled from :func:`final_bell_coeffs`.
     """
-    if r == 0:
-        pair = encoded_pair(beta, f0)
-        dec = decode_circuit(pair).matrix
-        dec_ni = decode_one_faulty(pair).matrix
-    else:
-        dec = decode_perfect(beta, f0, r, p_s=p_s).matrix
-        dec_ni = decode_nonideal(beta, f0, r, p_s=p_s).matrix
-    w_perfect = (1.0 - beta) ** 4
-    w_faulty = 4.0 * beta * (1.0 - beta) ** 3
-    w_rest = 1.0 - w_perfect - w_faulty
-    mat = w_perfect * dec + w_faulty * dec_ni + w_rest * np.eye(4, dtype=complex) / 4.0
+    if r >= 1:
+        coeffs = final_bell_coeffs(beta, r, _resolve_chain(beta, f0, r, p_s))
+        return DensityOperator(_bell_diagonal_mat(coeffs.as_tuple()))
+    pair = encoded_pair(beta, f0)
+    w_perfect, w_branch, w_rest = first_order_weights(len(DECODE_GATES), beta)
+    mat = (
+        w_perfect * decode_circuit(pair).matrix
+        + len(DECODE_GATES) * w_branch * decode_one_faulty(pair).matrix
+        + w_rest * np.eye(4, dtype=complex) / 4.0
+    )
     return DensityOperator(mat)
 
 

@@ -18,6 +18,7 @@ The finished pair lives on qubits 0-5, left station first.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -73,6 +74,16 @@ def encoded_bell_state() -> PureState:
 # GHZ preparation
 # ---------------------------------------------------------------------------
 
+# (x, y) of the ten nonzero entries |x><y| of ghz_prep, one group per weight
+# of _ghz_prep_weights
+_GHZ_TERMS = (
+    ((0b000, 0b000), (0b111, 0b111)),
+    ((0b000, 0b111), (0b111, 0b000)),
+    ((0b010, 0b010), (0b101, 0b101)),
+    ((0b001, 0b001), (0b110, 0b110), (0b100, 0b100), (0b011, 0b011)),
+)
+
+
 def _ghz_prep_weights(beta: float) -> tuple[float, float, float, float]:
     """Closed-form weights: (|000>/|111> diagonal, off-diagonal, |010>/|101>,
     each of the remaining four basis projectors)."""
@@ -91,13 +102,10 @@ def ghz_prep(beta: float) -> DensityOperator:
     """
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must be in [0, 1], got {beta}")
-    w_main, w_off, w_mid, w_rest = _ghz_prep_weights(beta)
     mat = np.zeros((8, 8), dtype=complex)
-    mat[0, 0] = mat[7, 7] = w_main
-    mat[0, 7] = mat[7, 0] = w_off
-    mat[0b010, 0b010] = mat[0b101, 0b101] = w_mid
-    for idx in (0b001, 0b110, 0b100, 0b011):
-        mat[idx, idx] = w_rest
+    for weight, terms in zip(_ghz_prep_weights(beta), _GHZ_TERMS):
+        for x, y in terms:
+            mat[x, y] = weight
     return DensityOperator(mat)
 
 
@@ -145,16 +153,14 @@ def _apply_measurement_rules(mat: np.ndarray, rules: tuple[MeasurementRule, ...]
 
 
 # ---------------------------------------------------------------------------
-# fast path: per-teleported-CNOT two-qubit channels
+# fast path: pair-block factorization
 # ---------------------------------------------------------------------------
 #
-# The six gates act on pairwise disjoint qubits, so every branch of the
-# first-order map factorizes into three independent four-qubit blocks
-# (code control, code target, and the consumed Bell pair).  Each block is a
-# two-qubit -> two-qubit channel; precomputing its 16x16 superoperator makes
-# an encoded-pair evaluation a few 64-dim contractions instead of a
-# 4096-dim simulation.  Equality with the direct register simulation is
-# exact and covered by tests.
+# The six gates act on three disjoint blocks, code qubits (k, 3+k) plus Bell
+# pair k; the GHZ register is ten product terms w |x><y| and each source is
+# F0 P + ((1 - F0)/3)(I - P).  So every entry of the encoded pair is a sum of
+# products of three block outputs: a fixed table contracted with the weights
+# of :func:`_entry_weights`.  Tests compare it with the register simulation.
 
 _PAIR_RULES = (
     MeasurementRule(2, "z", "x", 1),  # local Bell half -> X on code target
@@ -162,50 +168,72 @@ _PAIR_RULES = (
 )
 
 
-def _channel_output(sigma: np.ndarray, variant: str) -> np.ndarray:
-    """One teleported CNOT on the 4-qubit block (c, t, local, remote)."""
-    gate_a = GatePlacement("cnot", (0, 2))
-    gate_b = GatePlacement("cnot", (3, 1))
-    if variant == "perfect":
-        sigma = _apply_gate_mat(sigma, gate_a)
-        sigma = _apply_gate_mat(sigma, gate_b)
-    elif variant == "a_faulty":
-        sigma = _faulty_gate_mat(sigma, gate_a)
-        sigma = _apply_gate_mat(sigma, gate_b)
-    elif variant == "b_faulty":
-        sigma = _apply_gate_mat(sigma, gate_a)
-        sigma = _faulty_gate_mat(sigma, gate_b)
-    else:
-        raise ValueError(variant)
+def _channel_output(sigma: np.ndarray, variant: int) -> np.ndarray:
+    """One teleported CNOT on the 4-qubit block (c, t, local, remote); in
+    variant 1 (2) its first (second) gate is replaced by the mixed pair."""
+    for k, gate in enumerate((GatePlacement("cnot", (0, 2)), GatePlacement("cnot", (3, 1)))):
+        sigma = _faulty_gate_mat(sigma, gate) if variant == k + 1 else _apply_gate_mat(sigma, gate)
     return _apply_measurement_rules(sigma, _PAIR_RULES)
 
 
-@lru_cache(maxsize=64)
-def _teleported_superops(f0: float) -> dict[str, np.ndarray]:
-    """16x16 superoperators (as (4,4,4,4) arrays) of the teleported-CNOT
-    channel for a source pair of fidelity f0, one per noise variant."""
-    rho_dep = source_state_mat(f0)
-    ops = {}
-    for variant in ("perfect", "a_faulty", "b_faulty"):
-        s = np.zeros((4, 4, 4, 4), dtype=complex)
-        for i in range(4):
-            for j in range(4):
-                unit = np.zeros((4, 4), dtype=complex)
-                unit[i, j] = 1.0
-                s[:, :, i, j] = _channel_output(np.kron(unit, rho_dep), variant)
-        ops[variant] = s
-    return ops
+@lru_cache(maxsize=1)
+def _block_outputs() -> np.ndarray:
+    """O[s, v, x, y]: the 4x4 output on (c, t) of variant v applied to
+    |x 0><y 0| (x) source s, with s = 0 the Bell projector P and s = 1 its
+    complement I - P.  Every gate, correction and source here is real."""
+    proj = source_state_mat(1.0)
+    out = np.empty((2, 3, 2, 2, 4, 4), dtype=complex)
+    for s, src in enumerate((proj, np.eye(4, dtype=complex) - proj)):
+        for v, x, y in itertools.product(range(3), (0, 1), (0, 1)):
+            code = np.zeros((4, 4), dtype=complex)
+            code[2 * x, 2 * y] = 1.0
+            out[s, v, x, y] = _channel_output(np.kron(code, src), v)
+    return out.real
 
 
-def _apply_pair_channel(rho: np.ndarray, superop: np.ndarray, qa: int, qb: int) -> np.ndarray:
-    """Apply a two-qubit channel (superop indexed [k,l,i,j]) to qubits (qa, qb)."""
-    n = 6
-    ket_axes = [qa, qb] + [q for q in range(n) if q not in (qa, qb)]
-    axes = ket_axes + [n + q for q in ket_axes]
-    inv = np.argsort(axes)
-    t = rho.reshape([2] * (2 * n)).transpose(axes).reshape(4, 2 ** (n - 2), 4, 2 ** (n - 2))
-    out = np.einsum("klij,irjs->krls", superop, t, optimize=True)
-    return out.reshape([2] * (2 * n)).transpose(inv).reshape(2**n, 2**n)
+def _entry_table(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Entries <row|rho_enc|col> of the encoded pair without its identity
+    remainder, as a (4, 2, 4, len) table over the GHZ weight group, the
+    first-order weight (all perfect, one faulty) and the number m of
+    sources in P, whose coefficient is F0^m ((1 - F0)/3)^(3 - m)."""
+    sources_in_p = 3 - np.array(list(itertools.product((0, 1), repeat=3))).sum(axis=1)
+    by_m = (sources_in_p == np.arange(4)[:, None]).astype(float)
+    # 4-dim index of block k, code qubits (k, 3+k), in a six-qubit index
+    k = np.arange(3)[:, None]
+    row_idx, col_idx = (2 * ((i >> (5 - k)) & 1) + ((i >> (2 - k)) & 1) for i in (rows, cols))
+    # entries[s, v, x, y, j]: the entries of block j for source s and variant v
+    entries = _block_outputs()[..., row_idx, col_idx]
+
+    def product(a, b, c):  # (source, entry) factors -> (m, entry)
+        return by_m @ (a[:, None, None] * b[None, :, None] * c[None, None, :]).reshape(8, -1)
+
+    table = np.zeros((4, 2, 4, len(rows)))
+    for g, terms in enumerate(_GHZ_TERMS):
+        for x, y in terms:
+            e = [entries[:, :, (x >> 2 - j) & 1, (y >> 2 - j) & 1, j] for j in range(3)]
+            perfect = [f[:, 0] for f in e]
+            table[g, 0] += product(*perfect)
+            for j in range(3):
+                table[g, 1] += product(*perfect[:j], e[j][:, 1] + e[j][:, 2], *perfect[j + 1:])
+    return table
+
+
+@lru_cache(maxsize=1)
+def _full_entry_table() -> np.ndarray:
+    return _entry_table(*np.indices((64, 64)).reshape(2, -1)).reshape(4, 2, 4, 64, 64)
+
+
+def _entry_weights(beta: float, f0: float) -> tuple[np.ndarray, float]:
+    """The (4, 2, 4) weights that :func:`_entry_table` is contracted with,
+    and the weight p of the maximally mixed remainder."""
+    if not 0.0 <= beta <= 1.0:
+        raise ValueError(f"beta must be in [0, 1], got {beta}")
+    if not 0.0 <= f0 <= 1.0:
+        raise ValueError(f"F0 must be in [0, 1], got {f0}")
+    w_perfect, w_branch, p = first_order_weights(NUM_TELEPORT_GATES, beta)
+    monomials = [f0**m * ((1.0 - f0) / 3.0) ** (3 - m) for m in range(4)]
+    ghz_and_gates = np.multiply.outer(_ghz_prep_weights(beta), (w_perfect, w_branch))
+    return np.multiply.outer(ghz_and_gates, monomials), p
 
 
 @lru_cache(maxsize=512)
@@ -218,31 +246,10 @@ def encoded_pair(beta: float, f0: float) -> DensityOperator:
     identity remainder of the noise map measures down to the maximally
     mixed 64-dim state exactly.
     """
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"beta must be in [0, 1], got {beta}")
-    if not 0.0 <= f0 <= 1.0:
-        raise ValueError(f"F0 must be in [0, 1], got {f0}")
-    ops = _teleported_superops(f0)
-    zero3 = ket("000").vector
-    rho6 = np.kron(ghz_prep(beta).matrix, np.outer(zero3, zero3.conj()))
-
-    pairs = [(0, 3), (1, 4), (2, 5)]
-    w_perfect, w_branch, p = first_order_weights(NUM_TELEPORT_GATES, beta)
-
-    total = np.zeros((64, 64), dtype=complex)
-    for k in range(3):
-        # all teleported CNOTs except k applied perfectly
-        base = rho6
-        for m in range(3):
-            if m != k:
-                base = _apply_pair_channel(base, ops["perfect"], *pairs[m])
-        if k == 0:
-            total += w_perfect * _apply_pair_channel(base, ops["perfect"], *pairs[k])
-        if w_branch > 0.0:
-            total += w_branch * _apply_pair_channel(base, ops["a_faulty"], *pairs[k])
-            total += w_branch * _apply_pair_channel(base, ops["b_faulty"], *pairs[k])
+    weights, p = _entry_weights(beta, f0)
+    total = np.tensordot(weights, _full_entry_table(), axes=3)
     if p > 0.0:
-        total += p * np.eye(64, dtype=complex) / 64.0
+        total += p * np.eye(64) / 64.0
     return DensityOperator(total)
 
 

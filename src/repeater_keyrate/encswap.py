@@ -20,18 +20,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .encgen import encoded_bell_state, encoded_pair
+from .encgen import _entry_table, _entry_weights, encoded_bell_state
 from .qstate import DensityOperator
 
 ERROR_PAIR_LABELS = ("XX", "YY", "ZZ", "II", "IX", "XI")
 _FLIP_LABELS = frozenset({"IX", "XI"})
 
-_PAULI = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
+# phases (on |0>, on |1>) of each Pauli; X and Y also flip the bit
+_PAULI_PHASES = {"I": (1, 1), "X": (1, 1), "Y": (1j, -1j), "Z": (1, -1)}
 
 
 @dataclass(frozen=True)
@@ -106,15 +102,6 @@ def enumerate_combos() -> ComboCounts:
     )
 
 
-def _apply_pauli_vec(vec: np.ndarray, pauli: str, qubit: int, n: int) -> np.ndarray:
-    if pauli == "I":
-        return vec
-    a, b = 2**qubit, 2 ** (n - 1 - qubit)
-    t = vec.reshape(a, 2, b)
-    out = np.tensordot(_PAULI[pauli], t, axes=([1], [1]))  # i a b
-    return np.moveaxis(out, 0, 1).reshape(-1)
-
-
 @dataclass(frozen=True)
 class CorrectableStateSet:
     """The 64 mutually orthogonal correctable states, factorized per pair.
@@ -137,56 +124,6 @@ class CorrectableStateSet:
         return np.kron(self.left[i], self.right[i])
 
 
-@lru_cache(maxsize=1)
-def correctable_states() -> CorrectableStateSet:
-    """Deduplicated correctable states from the admissible combos.
-
-    Each combo's Paulis act on the left pair's qubits 3-5 (CNOT controls)
-    and the right pair's qubits 0-2 (CNOT targets) of the ideal double
-    pair.  States equal up to global phase collapse to one representative;
-    anything other than exactly 64 distinct states means a register or
-    labeling convention broke, so that is a hard failure.
-    """
-    base = encoded_bell_state().vector
-    lefts, rights, parities = [], [], []
-    for combo in enumerate_combos().admissible:
-        lv, rv = base, base
-        phase_pairs = 0
-        for k, pair in enumerate(combo.pairs):
-            lv = _apply_pauli_vec(lv, pair.control, 3 + k, 6)
-            rv = _apply_pauli_vec(rv, pair.target, k, 6)
-            if pair.label in ("YY", "ZZ"):
-                phase_pairs ^= 1
-        lefts.append(lv)
-        rights.append(rv)
-        parities.append(phase_pairs)
-    lefts = np.array(lefts)
-    rights = np.array(rights)
-
-    kept: list[int] = []
-    for i in range(len(lefts)):
-        duplicate = False
-        for j in kept:
-            ov = np.vdot(lefts[j], lefts[i]) * np.vdot(rights[j], rights[i])
-            if abs(abs(ov) - 1.0) < 1e-9:
-                duplicate = True
-                break
-        if not duplicate:
-            kept.append(i)
-    states = CorrectableStateSet(
-        left=lefts[kept].copy(),
-        right=rights[kept].copy(),
-        phase_trivial=np.array([parities[i] == 0 for i in kept]),
-    )
-    if len(states) != 64 or int(states.phase_trivial.sum()) != 32:
-        raise RuntimeError(
-            f"expected 64 distinct correctable states (32 phase trivial), "
-            f"found {len(states)} ({int(states.phase_trivial.sum())}); "
-            "register or error-labeling convention is inconsistent"
-        )
-    return states
-
-
 @dataclass(frozen=True)
 class _TwoTermForm:
     """Rows written as g (|a> + c|b>) / sqrt(2) with unit phases g and c.
@@ -197,33 +134,84 @@ class _TwoTermForm:
     arithmetic with no rounded 1/sqrt(2) factors.
     """
 
-    a: np.ndarray  # (64,) int
+    a: np.ndarray  # (64,) int, a < b
     b: np.ndarray  # (64,) int
     c: np.ndarray  # (64,) complex, one of +-1, +-i
+    g: np.ndarray  # (64,) complex, one of +-1, +-i
 
-    @classmethod
-    def of(cls, vecs: np.ndarray) -> _TwoTermForm:
-        support = np.abs(vecs) > 1e-12
-        if not (support.sum(axis=1) == 2).all():
-            raise RuntimeError("correctable-state factor is not a two-term superposition")
-        a, b = np.nonzero(support)[1].reshape(-1, 2).T
-        rows = np.arange(len(vecs))
-        ratio = vecs[rows, b] / vecs[rows, a]
-        c = np.round(ratio.real) + 1j * np.round(ratio.imag)
-        if np.abs(c - ratio).max() > 1e-12 or not (np.abs(c) == 1).all():
-            raise RuntimeError("correctable-state factor has a relative phase outside {+-1, +-i}")
-        return cls(a, b, c)
+    def vectors(self) -> np.ndarray:
+        """The rows as dense 64-dim vectors."""
+        amplitude = encoded_bell_state().vector[0]
+        rows = np.arange(len(self.a))
+        out = np.zeros((len(self.a), 64), dtype=complex)
+        out[rows, self.a] = self.g * amplitude
+        out[rows, self.b] = self.g * self.c * amplitude
+        return out
+
+    def combine(self, aa: np.ndarray, bb: np.ndarray, ab: np.ndarray) -> np.ndarray:
+        """Expectations from the entries rho_aa, rho_bb and rho_ab (last axis: row)."""
+        return (aa.real + bb.real + 2.0 * (self.c * ab).real) / 2.0
 
     def expectations(self, mat: np.ndarray) -> np.ndarray:
         a, b = self.a, self.b
-        return (mat[a, a].real + mat[b, b].real + 2.0 * (self.c * mat[a, b]).real) / 2.0
+        return self.combine(mat[a, a], mat[b, b], mat[a, b])
+
+
+def _ghz_image(paulis: list[tuple[str, int]]) -> tuple[int, int, complex, complex]:
+    """(a, b, c, g) with the Pauli string, as (Pauli, qubit) pairs, taking
+    the encoded Bell state to g (|a> + c|b>) / sqrt(2) and a < b."""
+    flips, g0, g1 = 0, 1 + 0j, 1 + 0j
+    for pauli, qubit in paulis:
+        flips |= (pauli in "XY") << (5 - qubit)
+        g0, g1 = g0 * _PAULI_PHASES[pauli][0], g1 * _PAULI_PHASES[pauli][1]
+    # |000000> -> g0 |flips>, |111111> -> g1 |63 ^ flips>
+    if flips > 63 ^ flips:
+        flips, g0, g1 = 63 ^ flips, g1, g0
+    return flips, 63 ^ flips, g1 * g0.conjugate(), g0
 
 
 @lru_cache(maxsize=1)
-def _correctable_terms() -> tuple[_TwoTermForm, _TwoTermForm]:
-    """Two-term forms of the left and right factors of :func:`correctable_states`."""
-    states = correctable_states()
-    return _TwoTermForm.of(states.left), _TwoTermForm.of(states.right)
+def _correctable_terms() -> tuple[_TwoTermForm, _TwoTermForm, np.ndarray]:
+    """Two-term forms of the left and right factors of the 64 correctable
+    states, and the mask of the 32 phase-trivial ones.
+
+    Each admissible combo's Paulis act on the left pair's qubits 3-5 (CNOT
+    controls) and the right pair's qubits 0-2 (CNOT targets) of the ideal
+    double pair.  States equal up to global phase have equal (a, b, c) in
+    both factors and collapse to their first occurrence; anything other
+    than exactly 64 distinct states means a register or labeling convention
+    broke, so that is a hard failure.
+    """
+    distinct: dict[tuple, tuple] = {}
+    for combo in enumerate_combos().admissible:
+        left = _ghz_image([(p.control, 3 + k) for k, p in enumerate(combo.pairs)])
+        right = _ghz_image([(p.target, k) for k, p in enumerate(combo.pairs)])
+        trivial = sum(p.label in ("YY", "ZZ") for p in combo.pairs) % 2 == 0
+        distinct.setdefault((left[:3], right[:3]), (left, right, trivial))
+    lefts, rights, phase_trivial = zip(*distinct.values())
+    phase_trivial = np.array(phase_trivial)
+    if len(phase_trivial) != 64 or int(phase_trivial.sum()) != 32:
+        raise RuntimeError(
+            f"expected 64 distinct correctable states (32 phase trivial), "
+            f"found {len(phase_trivial)} ({int(phase_trivial.sum())}); "
+            "register or error-labeling convention is inconsistent"
+        )
+    left, right = (_TwoTermForm(*map(np.array, zip(*rows))) for rows in (lefts, rights))
+    return left, right, phase_trivial
+
+
+@lru_cache(maxsize=1)
+def correctable_states() -> CorrectableStateSet:
+    """The 64 deduplicated correctable states as dense factors (for the
+    Gram check and the full-register validators)."""
+    left, right, phase_trivial = _correctable_terms()
+    return CorrectableStateSet(left.vectors(), right.vectors(), phase_trivial.copy())
+
+
+def _success_sum(left: np.ndarray, right: np.ndarray, phase_trivial_only: bool) -> float:
+    """Sum of left times right factor expectations over the correctable states."""
+    products = left * right
+    return float(np.sum(products[_correctable_terms()[2]] if phase_trivial_only else products))
 
 
 def swap_success_prob(rho_enc: DensityOperator, *, phase_trivial_only: bool = False) -> float:
@@ -236,15 +224,40 @@ def swap_success_prob(rho_enc: DensityOperator, *, phase_trivial_only: bool = Fa
     :class:`_TwoTermForm`), so the ideal corner gives exactly 1.  With
     ``phase_trivial_only`` the sum is restricted to the 32 states carrying
     no net phase flip; the threshold searches use that restriction (see the
-    chain accounting note in :mod:`repeater_keyrate.rates`).
+    chain accounting note in :mod:`repeater_keyrate.rates`).  The rate
+    path uses :func:`swap_success_closed_form`, which this validates.
     """
     if rho_enc.dim != 64:
         raise ValueError("swap_success_prob needs a 64-dim encoded pair")
-    left, right = _correctable_terms()
-    products = left.expectations(rho_enc.matrix) * right.expectations(rho_enc.matrix)
-    if phase_trivial_only:
-        products = products[correctable_states().phase_trivial]
-    return float(np.sum(products))
+    left, right, _ = _correctable_terms()
+    return _success_sum(
+        left.expectations(rho_enc.matrix), right.expectations(rho_enc.matrix), phase_trivial_only
+    )
+
+
+@lru_cache(maxsize=1)
+def _swap_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Real (32, 64) tables T with <factor_i|rho_enc|factor_i> = w . T[:, i]
+    + p/64 for the weights (w, p) of :func:`encgen._entry_weights`, one
+    table per side."""
+    tables = []
+    for form in _correctable_terms()[:2]:
+        entries = _entry_table(np.r_[form.a, form.b, form.a], np.r_[form.a, form.b, form.b])
+        tables.append(form.combine(*entries.reshape(32, 3, -1).swapaxes(0, 1)))
+    return tables[0], tables[1]
+
+
+@lru_cache(maxsize=4096)
+def swap_success_closed_form(beta: float, f0: float, *, phase_trivial_only: bool = False) -> float:
+    """:func:`swap_success_prob` of ``encoded_pair(beta, f0)`` without the
+    pair: each factor expectation reads three entries of the encoded pair,
+    each a fixed polynomial in the weights (:func:`encgen._entry_table`), so
+    p_s is two 32-term dot products per state.  Exactly 1 at the ideal corner.
+    """
+    weights, p = _entry_weights(beta, f0)
+    left, right = _swap_tables()
+    weights = weights.reshape(-1)
+    return _success_sum(weights @ left + p / 64.0, weights @ right + p / 64.0, phase_trivial_only)
 
 
 def chain_success_prob(p_s: float, r: int) -> float:
@@ -257,9 +270,9 @@ def chain_success_prob(p_s: float, r: int) -> float:
 
 
 def _resolve_chain(beta: float, f0: float, r: int, p_s: float | None) -> float:
-    """P_r = p_s ** r, with p_s computed from the encoded pair when not given."""
+    """P_r = p_s ** r, with p_s computed in closed form when not given."""
     if p_s is None:
-        p_s = swap_success_prob(encoded_pair(beta, f0))
+        p_s = swap_success_closed_form(beta, f0)
     return chain_success_prob(p_s, r)
 
 
@@ -304,11 +317,8 @@ def rho_s(beta: float, r: int) -> DensityOperator:
 def swapped_state_nonideal(
     beta: float, f0: float, r: int, *, p_s: float | None = None
 ) -> DensityOperator:
-    """State after r swaps with noisy Bell-measurement CNOTs.
-
-    ``p_s`` may be passed in to reuse an already computed encoded pair;
-    otherwise the full generation pipeline runs.
-    """
+    """State after r swaps with noisy Bell-measurement CNOTs; p_s defaults
+    to its closed form."""
     p_r = _resolve_chain(beta, f0, r, p_s)
     proj = _ideal_projector()
     comp = (np.eye(64, dtype=complex) - proj) / 63.0

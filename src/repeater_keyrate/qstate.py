@@ -19,7 +19,6 @@ from typing import Sequence
 import numpy as np
 
 HERMITICITY_TOL = 1e-10
-TRACE_TOL = 1e-10
 PSD_TOL = 1e-9
 
 _SINGLE_QUBIT_GATES = {

@@ -32,9 +32,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .decode import final_state
-from .encgen import encoded_pair
-from .encswap import chain_success_prob, swap_success_prob
+from .decode import final_bell_coeffs, final_state
+from .encswap import chain_success_prob, swap_success_closed_form
 from .qstate import BellDiagCoeffs, bell_diag_coeffs
 
 MEMORIES_PER_HALF_NODE = 6
@@ -248,16 +247,6 @@ def z_n(num_pairs: int, p0: float) -> float:
     return _z_tail_sum(num_pairs, x, math.ceil(k_end))
 
 
-def repeater_rate_qec(params: RepeaterParams) -> float:
-    """Entangled pairs per second for the encoded chain.
-
-    Swapping is deterministic in this scheme; the wait is for the slowest of
-    the 3 * 2^N Bell pairs, and each round costs two fundamental times
-    (photon transit plus acknowledgement).
-    """
-    return _pair_rate(params, _waiting_rounds(params)[1])
-
-
 def _pair_rate(params: RepeaterParams, z: float) -> float:
     """R = 1 / (2 T0 Z) for Z expected rounds."""
     t0 = 1.0 if params.t0_mode == "normalized" else params.segment_km / params.speed_km_per_s
@@ -274,27 +263,26 @@ def _waiting_rounds(params: RepeaterParams) -> tuple[float, float]:
     return p0, (z_n(3 * params.segments, p0) if p0 > 0.0 else math.inf)
 
 
-@lru_cache(maxsize=4096)
-def _swap_prob(beta: float, f0: float, phase_trivial_only: bool = False) -> float:
-    return swap_success_prob(
-        encoded_pair(beta, f0), phase_trivial_only=phase_trivial_only
-    )
-
-
 def _decoded_key_fraction(
-    beta: float, f0: float, swap_count: int, p_s: float | None
-) -> tuple[tuple[float, float, float], float]:
-    """(e_X, e_Y, e_Z) and the unclamped six-state r_inf of the decoded pair
-    after ``swap_count`` compoundings with swap success ``p_s``."""
-    qbers = error_rates(bell_diag_coeffs(final_state(beta, f0, swap_count, p_s=p_s)))
-    return qbers, secret_fraction_six_state(*qbers)
+    beta: float, f0: float, swap_count: int, p_s: float
+) -> tuple[float, tuple[float, float, float], float]:
+    """P_r, (e_X, e_Y, e_Z) and the unclamped six-state r_inf of the decoded
+    pair after ``swap_count`` compoundings with swap success ``p_s``; closed
+    form except for the unswapped pair (N = 0)."""
+    if swap_count == 0:
+        p_r, coeffs = 1.0, bell_diag_coeffs(final_state(beta, f0, 0))
+    else:
+        p_r = chain_success_prob(p_s, swap_count)
+        coeffs = final_bell_coeffs(beta, swap_count, p_r)
+    qbers = error_rates(coeffs)
+    return p_r, qbers, secret_fraction_six_state(*qbers)
 
 
 def _chain_secret_fraction(
     beta: float, f0: float, swap_count: int, phase_trivial_only: bool
 ) -> float:
-    p_s = _swap_prob(beta, f0, phase_trivial_only) if swap_count else None
-    return _decoded_key_fraction(beta, f0, swap_count, p_s)[1]
+    p_s = swap_success_closed_form(beta, f0, phase_trivial_only=phase_trivial_only)
+    return _decoded_key_fraction(beta, f0, swap_count, p_s)[2]
 
 
 def secret_fraction_for(beta: float, f0: float, nesting: int) -> float:
@@ -310,9 +298,8 @@ def key_rate(params: RepeaterParams) -> RateReport:
     divided by the six memories per half node.
     """
     r = params.stations
-    p_s = _swap_prob(params.beta, params.f0)
-    p_r = chain_success_prob(p_s, r) if r >= 1 else 1.0
-    (e_x, e_y, e_z), fraction = _decoded_key_fraction(params.beta, params.f0, r, p_s)
+    p_s = swap_success_closed_form(params.beta, params.f0)
+    p_r, (e_x, e_y, e_z), fraction = _decoded_key_fraction(params.beta, params.f0, r, p_s)
     p0, z = _waiting_rounds(params)
     rate = _pair_rate(params, z)
     return RateReport(

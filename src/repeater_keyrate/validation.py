@@ -12,6 +12,7 @@ slow full-register equivalences (minutes, ~1 GB of scratch).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -96,6 +97,18 @@ def perfect_decode_deviation(
     return worst
 
 
+def swap_closed_form_deviation(betas: Sequence[float], f0s: Sequence[float]) -> float:
+    """Largest relative difference of the closed-form p_s the rate path uses
+    from :func:`encswap.swap_success_prob` of the dense encoded pair, in both
+    chain conventions, over the grid."""
+    worst = 0.0
+    for beta, f0, trivial in itertools.product(betas, f0s, (False, True)):
+        dense = encswap.swap_success_prob(encgen.encoded_pair(beta, f0), phase_trivial_only=trivial)
+        closed = encswap.swap_success_closed_form(beta, f0, phase_trivial_only=trivial)
+        worst = max(worst, abs(closed - dense) / dense)
+    return worst
+
+
 def monte_carlo_z(num_pairs: int, p0: float, trials: int, rng: np.random.Generator) -> float:
     """Distance of :func:`rates.z_n` from the mean of ``trials`` sampled
     maxima of ``num_pairs`` geometric waits, in standard errors."""
@@ -177,9 +190,11 @@ def _decode_property_checks() -> list[CheckResult]:
 def _closed_form_checks() -> list[CheckResult]:
     dev_ghz = ghz_prep_deviation((0.0, 0.01, 0.05, 0.1))
     dev_dec = perfect_decode_deviation((0.0, 0.005, 0.01), (0.95, 0.99, 1.0), (1, 3))
+    dev_ps = swap_closed_form_deviation((0.0, 0.005, 0.01, 0.05), (0.9, 0.95, 0.99, 1.0))
     return [
         _check("GHZ preparation closed form vs circuit", "<= 1e-12", dev_ghz, dev_ghz <= 1e-12),
         _check("perfect-decode closed form vs circuit", "<= 1e-10", dev_dec, dev_dec <= 1e-10),
+        _check("closed-form p_s vs dense pair", "<= 1e-13 relative", dev_ps, dev_ps <= 1e-13),
     ]
 
 

@@ -12,11 +12,59 @@ from repeater_keyrate.encswap import (
     enumerate_combos,
     rho_s,
     rho_s_weights,
+    swap_success_closed_form,
     swap_success_prob,
     swapped_state_nonideal,
 )
 from repeater_keyrate.qstate import DensityOperator, overlap
 from repeater_keyrate.validation import swap_register_deviation
+
+_PAULI = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
+def apply_pauli_vec(vec, pauli, qubit, n):
+    if pauli == "I":
+        return vec
+    a, b = 2**qubit, 2 ** (n - 1 - qubit)
+    t = vec.reshape(a, 2, b)
+    out = np.tensordot(_PAULI[pauli], t, axes=([1], [1]))  # i a b
+    return np.moveaxis(out, 0, 1).reshape(-1)
+
+
+def reference_correctable_states():
+    """Dense construction: apply each admissible combo's Paulis to the ideal
+    double pair and drop states equal to an earlier one up to global phase."""
+    base = encoded_bell_state().vector
+    lefts, rights, parities = [], [], []
+    for combo in enumerate_combos().admissible:
+        lv, rv = base, base
+        phase_pairs = 0
+        for k, pair in enumerate(combo.pairs):
+            lv = apply_pauli_vec(lv, pair.control, 3 + k, 6)
+            rv = apply_pauli_vec(rv, pair.target, k, 6)
+            if pair.label in ("YY", "ZZ"):
+                phase_pairs ^= 1
+        lefts.append(lv)
+        rights.append(rv)
+        parities.append(phase_pairs)
+    lefts = np.array(lefts)
+    rights = np.array(rights)
+    kept = []
+    for i in range(len(lefts)):
+        duplicate = False
+        for j in kept:
+            ov = np.vdot(lefts[j], lefts[i]) * np.vdot(rights[j], rights[i])
+            if abs(abs(ov) - 1.0) < 1e-9:
+                duplicate = True
+                break
+        if not duplicate:
+            kept.append(i)
+    return lefts[kept], rights[kept], np.array([parities[i] == 0 for i in kept])
 
 
 class TestEnumeration:
@@ -62,14 +110,19 @@ class TestCorrectableStates:
     def test_xx_combo_state_differs_from_identity(self):
         # whether (XX, II, II) collapses onto the identity-error state is
         # decided numerically: the X pair is not stabilizer equivalent here
-        from repeater_keyrate.encswap import _apply_pauli_vec
-
         phi = encoded_bell_state().vector
-        left_xx = _apply_pauli_vec(phi, "X", 3, 6)
-        right_xx = _apply_pauli_vec(phi, "X", 0, 6)
+        left_xx = apply_pauli_vec(phi, "X", 3, 6)
+        right_xx = apply_pauli_vec(phi, "X", 0, 6)
         inner = np.vdot(left_xx, phi) * np.vdot(right_xx, phi)
         assert abs(abs(inner) - 1.0) > 0.5  # distinct states
         assert abs(inner) < 1e-12  # in fact orthogonal
+
+    def test_index_arithmetic_equals_dense_construction(self):
+        left, right, phase_trivial = reference_correctable_states()
+        states = correctable_states()
+        assert np.array_equal(states.left, left)
+        assert np.array_equal(states.right, right)
+        assert np.array_equal(states.phase_trivial, phase_trivial)
 
     def test_half_of_states_are_phase_trivial(self):
         states = correctable_states()
@@ -83,7 +136,7 @@ class TestCorrectableStates:
         rho = g @ g.conj().T
         rho /= np.trace(rho).real
         states = correctable_states()
-        for vecs, terms in zip((states.left, states.right), _correctable_terms()):
+        for vecs, terms in zip((states.left, states.right), _correctable_terms()[:2]):
             dense = np.einsum("id,de,ie->i", vecs.conj(), rho, vecs).real
             assert np.abs(terms.expectations(rho) - dense).max() < 1e-14
 
@@ -104,6 +157,16 @@ class TestSwapSuccess:
     def test_ideal_pair_is_exact(self):
         assert swap_success_prob(encoded_pair(0.0, 1.0)) == 1.0
         assert swap_success_prob(encoded_pair(0.0, 1.0), phase_trivial_only=True) == 1.0
+
+    def test_closed_form_ideal_corner_is_exact(self):
+        assert swap_success_closed_form(0.0, 1.0) == 1.0
+        assert swap_success_closed_form(0.0, 1.0, phase_trivial_only=True) == 1.0
+
+    def test_closed_form_rejects_bad_parameters(self):
+        with pytest.raises(ValueError):
+            swap_success_closed_form(1.5, 1.0)
+        with pytest.raises(ValueError):
+            swap_success_closed_form(0.0, -0.1)
 
     def test_monotone_in_beta(self):
         values = [swap_success_prob(encoded_pair(b, 1.0)) for b in (0.0, 0.005, 0.01)]

@@ -2,22 +2,34 @@
 
 Every property draws from beta in [0, 0.02], F0 in [0.9, 1], L in [1, 2000]
 km and N in 1..10.  The runs are derandomized, so the suite draws the same
-examples every time.
+examples every time.  Two guards at the end check that the rate and
+threshold paths stay on the closed forms.
 """
 
+import sys
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repeater_keyrate.decode import final_state
-from repeater_keyrate.qstate import bell_diag_coeffs
+from repeater_keyrate import encgen, encswap
+from repeater_keyrate.channels import first_order_weights
+from repeater_keyrate.decode import DECODE_GATES, decode_circuit, decode_one_faulty, final_state
+from repeater_keyrate.encswap import swapped_state_nonideal
+from repeater_keyrate.qstate import DensityOperator, bell_diag_coeffs
 from repeater_keyrate.rates import (
     MEMORIES_PER_HALF_NODE,
     RepeaterParams,
+    error_rates,
     key_rate,
+    optimize_over_stations,
+    threshold_fidelity,
+    threshold_gate_quality,
     transmission_prob,
     z_n,
 )
+from repeater_keyrate.validation import swap_closed_form_deviation
 
 deterministic = settings(derandomize=True, deadline=None, max_examples=50, database=None)
 
@@ -54,3 +66,84 @@ def test_waiting_rounds_lie_between_one_and_all_pairs_in_series(distance, nestin
     z = z_n(num_pairs, p0)
     assert 1.0 / p0 <= z <= num_pairs / p0
     assert z_n(num_pairs + 1, p0) >= z
+
+
+@deterministic
+@given(betas, fidelities)
+def test_closed_form_swap_success_equals_the_dense_pair(beta, f0):
+    # both chain conventions: all 64 and the 32 phase-trivial states
+    assert swap_closed_form_deviation([beta], [f0]) <= 1e-14
+
+
+@deterministic
+@given(betas, fidelities, nestings)
+def test_rate_path_qbers_equal_the_decoding_circuits(beta, f0, nesting):
+    report = key_rate(RepeaterParams(beta=beta, f0=f0, distance_km=100.0, nesting=nesting))
+    swapped = swapped_state_nonideal(beta, f0, 2**nesting - 1)
+    w_perfect, w_branch, w_rest = first_order_weights(len(DECODE_GATES), beta)
+    mat = (
+        w_perfect * decode_circuit(swapped).matrix
+        + len(DECODE_GATES) * w_branch * decode_one_faulty(swapped).matrix
+        + w_rest * np.eye(4) / 4.0
+    )
+    expected = error_rates(bell_diag_coeffs(DensityOperator(mat)))
+    assert np.abs(np.subtract((report.e_x, report.e_y, report.e_z), expected)).max() <= 1e-12
+
+
+@deterministic
+@given(betas, fidelities, fidelities, distances, nestings)
+def test_key_rate_does_not_decrease_in_source_fidelity(beta, f_a, f_b, distance, nesting):
+    low, high = sorted((f_a, f_b))
+    rates_k = [
+        key_rate(RepeaterParams(beta=beta, f0=f0, distance_km=distance, nesting=nesting)).key_rate
+        for f0 in (low, high)
+    ]
+    assert rates_k[1] >= rates_k[0]
+
+
+@deterministic
+@given(betas, betas, fidelities, distances, nestings)
+def test_key_rate_does_not_decrease_in_gate_quality(beta_a, beta_b, f0, distance, nesting):
+    # a larger gate quality p_G is a smaller beta
+    worse, better = sorted((beta_a, beta_b), reverse=True)
+    rates_k = [
+        key_rate(RepeaterParams(beta=beta, f0=f0, distance_km=distance, nesting=nesting)).key_rate
+        for beta in (worse, better)
+    ]
+    assert rates_k[1] >= rates_k[0]
+
+
+def _patch_every_binding(monkeypatch, original, replacement):
+    """Point every package-module global bound to ``original`` at ``replacement``."""
+    for name, module in list(sys.modules.items()):
+        if module is not None and name.startswith("repeater_keyrate"):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
+def test_rate_and_threshold_paths_build_no_encoded_pair(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the rate path built a dense encoded pair")
+
+    _patch_every_binding(monkeypatch, encgen.encoded_pair, forbidden)
+    encswap.swap_success_closed_form.cache_clear()
+    assert key_rate(RepeaterParams(beta=0.004, f0=0.985, distance_km=300.0, nesting=3)).p_s < 1.0
+    assert optimize_over_stations(300.0, 0.004, 0.985)[1].key_rate > 0.0
+    assert 0.95 < threshold_gate_quality(1) < 1.0
+    assert 0.9 < threshold_fidelity(1) < 1.0
+    with pytest.raises(AssertionError):
+        encgen.encoded_pair(0.0, 1.0)
+
+
+def test_one_chain_success_evaluation_per_key_rate(monkeypatch):
+    calls = []
+    original = encswap.chain_success_prob
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    _patch_every_binding(monkeypatch, original, counted)
+    report = key_rate(RepeaterParams(beta=0.005, f0=0.98, distance_km=400.0, nesting=2))
+    assert calls == [(report.p_s, 3)]

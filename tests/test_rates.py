@@ -19,7 +19,6 @@ from repeater_keyrate.rates import (
     key_rate,
     min_cost_over_nesting,
     optimize_over_stations,
-    repeater_rate_qec,
     secret_fraction_for,
     secret_fraction_six_state,
     threshold_fidelity,
@@ -237,17 +236,17 @@ class TestZn:
 class TestRepeaterRate:
     def test_normalized_high_transmission_limit(self):
         params = RepeaterParams(beta=0.0, f0=1.0, distance_km=1e-9, nesting=1, t0_mode="normalized")
-        assert repeater_rate_qec(params) == pytest.approx(0.5)
+        assert key_rate(params).rate_pairs_per_s == pytest.approx(0.5)
 
     def test_direct_link_uses_three_pairs(self):
         params = RepeaterParams(beta=0.0, f0=1.0, distance_km=51.0, nesting=0)
         p0 = transmission_prob(51.0)
         t0 = 51.0 / params.speed_km_per_s
-        assert repeater_rate_qec(params) == pytest.approx(1.0 / (2 * t0 * z_n(3, p0)))
+        assert key_rate(params).rate_pairs_per_s == pytest.approx(1.0 / (2 * t0 * z_n(3, p0)))
 
     def test_decreasing_in_distance(self):
         rates = [
-            repeater_rate_qec(RepeaterParams(beta=0.0, f0=1.0, distance_km=L, nesting=2))
+            key_rate(RepeaterParams(beta=0.0, f0=1.0, distance_km=L, nesting=2)).rate_pairs_per_s
             for L in (100, 200, 400, 800)
         ]
         assert all(b < a for a, b in zip(rates, rates[1:]))
@@ -260,7 +259,7 @@ class TestJiangRate:
         l0 = 25.5
         p0 = transmission_prob(l0)
         params = RepeaterParams(beta=0.0, f0=1.0, distance_km=l0, nesting=0)
-        finite = repeater_rate_qec(params)
+        finite = key_rate(params).rate_pairs_per_s
         infinite = 3 * p0 / l0 * params.speed_km_per_s
         assert infinite / finite > 5
 
@@ -293,7 +292,7 @@ class TestKeyRate:
         assert report.z_value == math.inf
         assert report.rate_pairs_per_s == 0.0
         assert report.key_rate == 0.0
-        assert repeater_rate_qec(params) == 0.0
+        assert key_rate(params).rate_pairs_per_s == 0.0
 
     def test_optimum_skips_underflowed_levels(self):
         n_best, report = optimize_over_stations(100000.0, 0.01, 0.99)
