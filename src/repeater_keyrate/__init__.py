@@ -11,14 +11,11 @@ threshold searches.
 __version__ = "0.1.0"
 
 from .channels import (
-    concat_first_order,
     depolarizing_gate,
     source_state,
 )
 from .decode import (
-    ModelBreakdownError,
     decode_circuit,
-    decode_nonideal,
     decode_one_faulty,
     decode_perfect,
     final_bell_coeffs,

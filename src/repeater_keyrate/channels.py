@@ -119,12 +119,6 @@ def concat_first_order_branches(
     return out
 
 
-def concat_first_order(rho: DensityOperator, seq: GateSequence, beta: float) -> DensityOperator:
-    """First-order noisy concatenation of a two-qubit gate sequence."""
-    branches = concat_first_order_branches(rho.matrix, seq, beta)
-    return DensityOperator(sum(w * b for w, b in branches))
-
-
 def source_state_mat(f0: float) -> np.ndarray:
     proj = bell_state("phi+").projector().matrix
     return f0 * proj + (1.0 - f0) / 3.0 * (np.eye(4, dtype=complex) - proj)

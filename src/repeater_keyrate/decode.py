@@ -14,7 +14,12 @@ import numpy as np
 
 from .channels import depolarizing_gate_mat, first_order_weights, one_faulty_branches
 from .encgen import encoded_pair
-from .encswap import _resolve_chain, rho_s_weights, swapped_state_nonideal
+from .encswap import (
+    chain_success_prob,
+    rho_s_weights,
+    swap_success_closed_form,
+    swapped_state_nonideal,
+)
 from .qstate import (
     BellDiagCoeffs,
     DensityOperator,
@@ -34,10 +39,6 @@ DECODE_GATES = GateSequence(
         GatePlacement("cnot", (3, 4)),
     )
 )
-
-
-class ModelBreakdownError(ValueError):
-    """Raised when a closed-form state leaves the physical regime."""
 
 
 def _measure_syndrome_pair(mat: np.ndarray, q1: int, q2: int, target: int) -> np.ndarray:
@@ -122,19 +123,14 @@ def _chain_decode_coeffs(beta: float, r: int, p_r: float) -> tuple[np.ndarray, n
     """Bell coefficients of the perfect and the one-faulty decode of the
     swapped state after r stations with chain success P_r.  Decoding sends
     |Phi6>, D and I/64 to Phi+, (Phi+ + Phi-)/2 and I/4, one-faulty decoding
-    sends |Phi6> and D to rho_tilde_prime, and the rest is linearity.  The
-    perfect decode is Bell diagonal, so a negative coefficient is a negative
-    eigenvalue: a model breakdown, never clamped."""
+    sends |Phi6> and D to rho_tilde_prime, and the rest is linearity.  For
+    beta and P_r in [0, 1] every coefficient is a sum of nonnegative terms:
+    the Phi+ one is P_r (w_ideal + w_deph/2 + q_r/4) + 15 (1 - P_r)/63."""
     w_ideal, w_deph, q_r = rho_s_weights(beta, r)
     c_phi = p_r * w_ideal - (1.0 - p_r) / 63.0
     c_mix = p_r * q_r + (1.0 - p_r) * 64.0 / 63.0
     phi_minus = p_r * w_deph / 2.0 + c_mix / 4.0
     perfect = np.array([c_phi + phi_minus, phi_minus, c_mix / 4.0, c_mix / 4.0])
-    if perfect.min() < -1e-9:
-        raise ModelBreakdownError(
-            f"decoded state not positive (min eigenvalue {perfect.min()}) at "
-            f"beta={beta}, r={r}, P_r={p_r}"
-        )
     kept = w_ideal + w_deph
     faulty = p_r * (kept * _TILDE_BELL + (1.0 - kept) / 4.0)
     return perfect, faulty + (1.0 - p_r) * (16.0 - _TILDE_BELL) / 63.0
@@ -150,32 +146,18 @@ def final_bell_coeffs(beta: float, r: int, p_r: float) -> BellDiagCoeffs:
     return BellDiagCoeffs(*mixture.tolist())
 
 
-def decode_perfect(
-    beta: float, f0: float, r: int, *, p_s: float | None = None
-) -> DensityOperator:
+def decode_perfect(beta: float, f0: float, r: int) -> DensityOperator:
     """State after perfect decoding of the swapped chain state, in closed
     form for r >= 1.  r = 0 means no swap at all: the single encoded pair
     is decoded through the circuit.
     """
     if r == 0:
         return decode_circuit(encoded_pair(beta, f0))
-    p_r = _resolve_chain(beta, f0, r, p_s)
+    p_r = chain_success_prob(swap_success_closed_form(beta, f0), r)
     return DensityOperator(_bell_diagonal_mat(_chain_decode_coeffs(beta, r, p_r)[0]))
 
 
-def decode_nonideal(
-    beta: float, f0: float, r: int, *, p_s: float | None = None
-) -> DensityOperator:
-    """State after one-faulty decoding of the swapped chain state."""
-    if r == 0:
-        return decode_one_faulty(encoded_pair(beta, f0))
-    p_r = _resolve_chain(beta, f0, r, p_s)
-    return DensityOperator(_bell_diagonal_mat(_chain_decode_coeffs(beta, r, p_r)[1]))
-
-
-def final_state(
-    beta: float, f0: float, r: int, *, p_s: float | None = None
-) -> DensityOperator:
+def final_state(beta: float, f0: float, r: int) -> DensityOperator:
     """Key pair after first-order-noisy decoding of the swapped state.
 
     The four decode CNOTs contribute an all-perfect term, a one-faulty
@@ -183,7 +165,8 @@ def final_state(
     assembled from :func:`final_bell_coeffs`.
     """
     if r >= 1:
-        coeffs = final_bell_coeffs(beta, r, _resolve_chain(beta, f0, r, p_s))
+        p_r = chain_success_prob(swap_success_closed_form(beta, f0), r)
+        coeffs = final_bell_coeffs(beta, r, p_r)
         return DensityOperator(_bell_diagonal_mat(coeffs.as_tuple()))
     pair = encoded_pair(beta, f0)
     w_perfect, w_branch, w_rest = first_order_weights(len(DECODE_GATES), beta)

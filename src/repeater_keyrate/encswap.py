@@ -269,13 +269,6 @@ def chain_success_prob(p_s: float, r: int) -> float:
     return float(min(p_s, 1.0) ** r)
 
 
-def _resolve_chain(beta: float, f0: float, r: int, p_s: float | None) -> float:
-    """P_r = p_s ** r, with p_s computed in closed form when not given."""
-    if p_s is None:
-        p_s = swap_success_closed_form(beta, f0)
-    return chain_success_prob(p_s, r)
-
-
 def _ideal_projector() -> np.ndarray:
     return encoded_bell_state().projector().matrix
 
@@ -314,12 +307,10 @@ def rho_s(beta: float, r: int) -> DensityOperator:
     )
 
 
-def swapped_state_nonideal(
-    beta: float, f0: float, r: int, *, p_s: float | None = None
-) -> DensityOperator:
-    """State after r swaps with noisy Bell-measurement CNOTs; p_s defaults
-    to its closed form."""
-    p_r = _resolve_chain(beta, f0, r, p_s)
+def swapped_state_nonideal(beta: float, f0: float, r: int) -> DensityOperator:
+    """State after r swaps with noisy Bell-measurement CNOTs, with p_s in
+    closed form."""
+    p_r = chain_success_prob(swap_success_closed_form(beta, f0), r)
     proj = _ideal_projector()
     comp = (np.eye(64, dtype=complex) - proj) / 63.0
     return DensityOperator(p_r * rho_s(beta, r).matrix + (1.0 - p_r) * comp)

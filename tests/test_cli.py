@@ -1,4 +1,5 @@
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -15,6 +16,22 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_bounded(*argv):
+    """The CLI in a child process with a 60 s timeout and a 4 GiB address
+    space, so an input that loops or grows without bound fails the test
+    instead of hanging it or exhausting memory."""
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+    src = Path(repeater_keyrate.__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, "-m", "repeater_keyrate.cli", *argv],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+        timeout=60, preexec_fn=limit_memory,
+    )
 
 
 def parse_kv(out):
@@ -127,6 +144,22 @@ class TestKeyrate:
         assert code == 2
         assert err.startswith("error:") and flag in err
 
+    @pytest.mark.parametrize("argv", [
+        ("--nesting", "-1"),
+        ("--nesting", "1", "--distance", "nan"),
+        ("--nesting", "1", "--speed", "nan"),
+        ("--nesting", "1", "--alpha", "inf"),
+        ("--nesting", "1", "--max-nesting", "3"),
+        ("--nesting", "1", "--min-nesting", "0"),
+    ])
+    def test_invalid_values_rejected(self, capsys, argv):
+        code, _, err = run(
+            capsys, "keyrate", "--distance", "600", "--fidelity", "0.99",
+            "--gate-quality", "0.99", *argv,
+        )
+        assert code == 2
+        assert err.startswith("error:") and argv[-2] in err
+
     def test_csv_output(self, capsys, tmp_path):
         path = tmp_path / "row.csv"
         code, _, _ = run(
@@ -157,6 +190,15 @@ class TestThreshold:
     @pytest.mark.parametrize("argv", [
         ("--stations", str(2**21 - 1)),
         ("--stations", "1", "--tolerance", "0"),
+        # flags threshold does not read
+        ("--stations", "1", "--fidelity", "2"),
+        ("--stations", "1", "--gate-quality", "0.99"),
+        ("--stations", "1", "--beta", "7"),
+        ("--stations", "1", "--alpha", "-1"),
+        ("--stations", "1", "--speed", "1"),
+        ("--stations", "1", "--t0", "bogus"),
+        ("--stations", "1", "--min-nesting", "1"),
+        ("--stations", "1", "--max-nesting", "2"),
     ])
     def test_out_of_range_values_rejected(self, capsys, argv):
         code, _, err = run(capsys, "threshold", *argv)
@@ -270,6 +312,18 @@ class TestSweep:
         assert code == 2
         assert err.startswith("error:") and "--jobs" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("--distance-range", "100:nan:1", "--fidelity", "0.99", "--gate-quality", "0.99"),
+        ("--distance-range", "1e308:inf:1e308", "--fidelity", "0.99", "--gate-quality", "0.99"),
+        ("--distance-range", "1:1e12:1", "--fidelity", "0.99", "--gate-quality", "0.99"),
+        # 10001 x 10001 points, each axis within the per-range bound
+        ("--distance", "600", "--fidelity-range", "0:1:1e-4", "--gate-quality-range", "0:1:1e-4"),
+    ])
+    def test_unbounded_ranges_rejected(self, argv):
+        result = run_bounded("sweep", "--max-nesting", "2", *argv)
+        assert result.returncode == 2
+        assert result.stderr.startswith("error:") and "Traceback" not in result.stderr
+
     def test_modeless_invocation_rejected(self, capsys):
         code, _, err = run(capsys, "sweep", "--fidelity", "0.98", "--gate-quality", "0.992")
         assert code == 2
@@ -297,6 +351,14 @@ class TestCost:
         code, _, err = run(capsys, "cost", "--paper-fig8-defaults", "--beta", "3")
         assert code == 2
         assert err.startswith("error:") and "--beta" in err
+
+    def test_distance_with_distance_range_rejected(self, capsys):
+        code, _, err = run(
+            capsys, "cost", "--paper-fig8-defaults", "--distance-range", "500:1500:500",
+            "--distance", "1000",
+        )
+        assert code == 2
+        assert err.startswith("error:") and "--distance" in err
 
     def test_max_nesting_widening_never_increases_cost(self, capsys):
         _, out_narrow, _ = run(
@@ -336,6 +398,16 @@ class TestValidate:
         assert "Monte Carlo" in out
         assert "Uhlmann" in out
 
+    @pytest.mark.parametrize("argv", [
+        ("--trials", "-5"),
+        ("--seed", "0", "--trials", "2"),
+        ("--seed", "-1"),
+    ])
+    def test_invalid_values_rejected(self, capsys, argv):
+        code, _, err = run(capsys, "validate", *argv)
+        assert code == 2
+        assert err.startswith("error:") and argv[-2] in err
+
 
 class TestConfig:
     def test_config_file_supplies_values(self, capsys, tmp_path):
@@ -366,6 +438,13 @@ class TestConfig:
         code, _, err = run(capsys, "keyrate", "--config", "/nonexistent/path.cfg")
         assert code == 2
         assert "config" in err
+
+    def test_config_value_passes_the_flag_check(self, capsys, tmp_path):
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text("fidelity = 0.98\ngate-quality = 0.992\ndistance = nan\nnesting = 1\n")
+        code, _, err = run(capsys, "keyrate", "--config", str(cfg))
+        assert code == 2
+        assert err.startswith("error:") and "config value for distance" in err
 
     def test_malformed_config_line(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"

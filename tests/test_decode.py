@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from repeater_keyrate.decode import (
+    _bell_diagonal_mat,
+    _chain_decode_coeffs,
     decode_circuit,
     decode_exact_noise_mat,
-    decode_nonideal,
     decode_one_faulty,
     decode_perfect,
     final_state,
@@ -12,7 +13,11 @@ from repeater_keyrate.decode import (
     validate_first_order_vs_exact,
 )
 from repeater_keyrate.encgen import encoded_bell_state, encoded_pair
-from repeater_keyrate.encswap import swapped_state_nonideal
+from repeater_keyrate.encswap import (
+    chain_success_prob,
+    swap_success_closed_form,
+    swapped_state_nonideal,
+)
 from repeater_keyrate.qstate import (
     bell_diag_coeffs,
     bell_state,
@@ -89,22 +94,28 @@ class TestDecodePerfect:
         assert np.abs(direct - explicit).max() < 1e-14
 
 
+def one_faulty_decode(beta, f0, r):
+    """Closed-form one-faulty decode of the swapped chain state."""
+    p_r = chain_success_prob(swap_success_closed_form(beta, f0), r)
+    return _bell_diagonal_mat(_chain_decode_coeffs(beta, r, p_r)[1])
+
+
 class TestDecodeNonideal:
     def test_perfect_chain_reduces_to_fixed_mixture(self):
-        out = decode_nonideal(0.0, 1.0, 1)
-        assert np.abs(out.matrix - rho_tilde_prime().matrix).max() < 1e-12
+        out = one_faulty_decode(0.0, 1.0, 1)
+        assert np.abs(out - rho_tilde_prime().matrix).max() < 1e-12
 
     def test_trace_one(self):
-        out = decode_nonideal(0.005, 0.98, 1)
-        assert np.trace(out.matrix).real == pytest.approx(1.0, abs=1e-12)
+        out = one_faulty_decode(0.005, 0.98, 1)
+        assert np.trace(out).real == pytest.approx(1.0, abs=1e-12)
 
     def test_positive_at_deep_chain(self):
-        out = decode_nonideal(0.01, 0.99, 7)
-        assert np.linalg.eigvalsh(out.matrix)[0] > -1e-12
+        out = one_faulty_decode(0.01, 0.99, 7)
+        assert np.linalg.eigvalsh(out)[0] > -1e-12
 
     @pytest.mark.parametrize("beta,f0,r", [(0.005, 0.99, 1), (0.01, 0.95, 3)])
     def test_closed_form_equals_one_faulty_circuit(self, beta, f0, r):
-        closed = decode_nonideal(beta, f0, r).matrix
+        closed = one_faulty_decode(beta, f0, r)
         circuit = decode_one_faulty(swapped_state_nonideal(beta, f0, r)).matrix
         assert np.abs(closed - circuit).max() < 1e-10
 

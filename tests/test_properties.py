@@ -1,9 +1,9 @@
 """Physical invariants of the rate pipeline over random parameters.
 
-Every property draws from beta in [0, 0.02], F0 in [0.9, 1], L in [1, 2000]
-km and N in 1..10.  The runs are derandomized, so the suite draws the same
-examples every time.  Two guards at the end check that the rate and
-threshold paths stay on the closed forms.
+Unless it says otherwise, a property draws from beta in [0, 0.02], F0 in
+[0.9, 1], L in [1, 2000] km and N in 1..10.  The runs are derandomized, so
+the suite draws the same examples every time.  Two guards at the end check
+that the rate and threshold paths stay on the closed forms.
 """
 
 import sys
@@ -15,7 +15,13 @@ from hypothesis import strategies as st
 
 from repeater_keyrate import encgen, encswap
 from repeater_keyrate.channels import first_order_weights
-from repeater_keyrate.decode import DECODE_GATES, decode_circuit, decode_one_faulty, final_state
+from repeater_keyrate.decode import (
+    DECODE_GATES,
+    _chain_decode_coeffs,
+    decode_circuit,
+    decode_one_faulty,
+    final_state,
+)
 from repeater_keyrate.encswap import swapped_state_nonideal
 from repeater_keyrate.qstate import DensityOperator, bell_diag_coeffs
 from repeater_keyrate.rates import (
@@ -47,6 +53,15 @@ def test_final_state_is_a_bell_diagonal_density_matrix(beta, f0, nesting):
     assert abs(np.trace(rho.matrix).real - 1.0) <= 1e-10
     assert np.linalg.eigvalsh(rho.matrix)[0] >= -1e-9
     assert bell_diag_coeffs(rho).remainder_norm <= 1e-10
+
+
+@deterministic
+@given(st.floats(0.0, 1.0), st.integers(1, 2**20 - 1), st.floats(0.0, 1.0))
+def test_decoded_bell_coefficients_are_nonnegative(beta, r, p_r):
+    # over the whole parameter range, up to the CLI's largest chain
+    perfect, faulty = _chain_decode_coeffs(beta, r, p_r)
+    assert perfect.min() >= 0.0
+    assert faulty.min() >= 0.0
 
 
 @deterministic
