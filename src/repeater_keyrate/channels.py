@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .closedform import first_order_weights
 from .qstate import (
     DensityOperator,
     GatePlacement,
@@ -80,18 +81,6 @@ def one_faulty_branches(rho: np.ndarray, seq: GateSequence) -> list[np.ndarray]:
         branches.append(branch)
         prefix = _apply_gate_mat(prefix, gate)
     return branches
-
-
-def first_order_weights(n: int, beta: float) -> tuple[float, float, float]:
-    """(all-perfect, per-faulty-branch, identity remainder) weights.
-
-    The identity remainder is p = 1 - (1-beta)^n - n beta (1-beta)^(n-1),
-    of order beta^2.
-    """
-    w_perfect = (1.0 - beta) ** n
-    w_branch = beta * (1.0 - beta) ** (n - 1)
-    p = 1.0 - w_perfect - n * w_branch
-    return w_perfect, w_branch, max(p, 0.0)
 
 
 def concat_first_order_branches(

@@ -6,6 +6,11 @@ REPEATER_KEYRATE_CONFIG environment variable, ``key = value`` lines) >
 built-in defaults; flag and config values pass the flag's type function.
 All tabular output is CSV with a header row and values printed to 10
 significant digits, so identical inputs give byte-identical files.
+
+The rate commands (keyrate, sweep, cost and threshold for N >= 1) run on the
+stdlib alone; enumerate-errors, validate, N = 0 and ``--jobs`` above 1
+import what they need (numpy, the dense layer, the process pool) when they
+run.
 """
 
 from __future__ import annotations
@@ -14,10 +19,8 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
-from .encswap import enumerate_combos, correctable_states
 from .rates import (
     DEFAULT_ALPHA_DB_PER_KM,
     DEFAULT_MAX_NESTING,
@@ -34,7 +37,6 @@ from .rates import (
     threshold_fidelity,
     threshold_gate_quality,
 )
-from .validation import run_checks
 
 FIG8_FIDELITY = 0.99995
 FIG8_GATE_QUALITY = 0.9999
@@ -223,6 +225,16 @@ def _point(args: argparse.Namespace) -> dict:
     return {"beta": beta, "f0": args.fidelity, **_fiber(args)}
 
 
+def _require_timed(args: argparse.Namespace, distances: list[float], nesting: int) -> None:
+    """Reject, before any rate work, a distance whose segments at the deepest
+    nesting level are too short for T0 = L0/c to give a finite rate."""
+    for distance in distances:
+        try:
+            RepeaterParams(beta=0.0, f0=1.0, distance_km=distance, nesting=nesting, **_fiber(args))
+        except ValueError as exc:
+            raise CliError(f"--distance {_fmt(distance)}: {exc}")
+
+
 def _nesting_range(args: argparse.Namespace) -> range:
     if args.max_nesting < args.min_nesting:
         raise CliError(f"--max-nesting {args.max_nesting} < --min-nesting {args.min_nesting}")
@@ -256,11 +268,12 @@ def cmd_keyrate(args: argparse.Namespace) -> int:
         raise CliError("exactly one of --optimize or --nesting/--stations is required")
 
     if args.optimize:
-        n_best, report = optimize_over_stations(
-            args.distance, n_range=_nesting_range(args), **point
-        )
+        n_range = _nesting_range(args)
+        _require_timed(args, [args.distance], n_range[-1])
+        n_best, report = optimize_over_stations(args.distance, n_range=n_range, **point)
     else:
         _reject(args, "keyrate without --optimize", "min_nesting", "max_nesting")
+        _require_timed(args, [args.distance], nesting)
         n_best, report = nesting, key_rate(
             RepeaterParams(distance_km=args.distance, nesting=nesting, **point)
         )
@@ -330,6 +343,8 @@ def _optimize_points(
     """(N_opt, report) for each (distance, nesting levels, common) task."""
     if jobs == 1:
         return [_optimize_point(t) for t in tasks]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(_optimize_point, tasks, chunksize=max(1, len(tasks) // (4 * jobs))))
 
@@ -343,6 +358,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         _reject(args, "a --distance-range sweep", "distance")
         point = _point(args)
         distances = args.distance_range
+        _require_timed(args, distances, n_values[-1])
         results = _optimize_points([(d, n_values, point) for d in distances], args.jobs)
         rows = [
             _row(
@@ -359,6 +375,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         count = len(args.fidelity_range) * len(args.gate_quality_range)
         if count > MAX_RANGE_POINTS:
             raise CliError(f"a surface sweep has at most {MAX_RANGE_POINTS} points, got {count}")
+        _require_timed(args, [args.distance], n_values[-1])
         fiber = _fiber(args)
         points = [(f0, pg) for f0 in args.fidelity_range for pg in args.gate_quality_range]
         tasks = [
@@ -385,6 +402,7 @@ def cmd_cost(args: argparse.Namespace) -> int:
     distances = args.distance_range or [args.distance]
 
     n_range = _nesting_range(args)
+    _require_timed(args, distances, n_range[-1])
     header = "L_km,C,C_prime,N_opt,L0_km"
     rows = []
     for distance in distances:
@@ -400,6 +418,8 @@ def cmd_cost(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate_errors(args: argparse.Namespace) -> int:
+    from .encswap import correctable_states, enumerate_combos
+
     counts = enumerate_combos()
     states = correctable_states()
     print(f"raw_combinations={counts.raw_count}")
@@ -413,6 +433,8 @@ def cmd_enumerate_errors(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    from .validation import run_checks
+
     results = run_checks(seed=args.seed, trials=args.trials, full=args.full)
     width = max(len(r.name) for r in results)
     failures = 0

@@ -1,0 +1,219 @@
+"""Closed-form scalars of the rate and threshold paths, in the stdlib alone.
+
+Past the encoded pair every stage of the pipeline is a handful of numbers:
+the swap success p_s, the weights of the swapped state, the chain success
+P_r and the Bell coefficients of the decoded pair.  This module holds the
+one implementation of each; the dense modules (:mod:`~repeater_keyrate.qstate`,
+:mod:`~repeater_keyrate.channels`, :mod:`~repeater_keyrate.encswap`,
+:mod:`~repeater_keyrate.decode`) re-export them and validate them against
+the 64- and 4096-dimensional simulation.  Importing it loads no numpy.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from functools import lru_cache
+
+# CNOTs of the decoding circuit (two per side; decode.DECODE_GATES)
+DECODE_GATE_COUNT = 4
+# Bell coefficients (phi+, phi-, psi+, psi-) of rho_tilde_prime, the
+# one-faulty decode of the ideal encoded pair and of its dephasing
+_TILDE_BELL = (5 / 16, 5 / 16, 3 / 16, 3 / 16)
+
+
+@dataclass(frozen=True)
+class BellDiagCoeffs:
+    """Bell-basis diagonal of a two-qubit state, plus the off-diagonal residue."""
+
+    phi_plus: float
+    phi_minus: float
+    psi_plus: float
+    psi_minus: float
+    remainder_norm: float = 0.0
+
+    def as_tuple(self) -> tuple[float, float, float, float]:
+        return (self.phi_plus, self.phi_minus, self.psi_plus, self.psi_minus)
+
+
+def first_order_weights(n: int, beta: float) -> tuple[float, float, float]:
+    """(all-perfect, per-faulty-branch, identity remainder) weights of n
+    first-order-noisy gates.
+
+    The identity remainder is p = 1 - (1-beta)^n - n beta (1-beta)^(n-1),
+    of order beta^2.
+    """
+    w_perfect = (1.0 - beta) ** n
+    w_branch = beta * (1.0 - beta) ** (n - 1)
+    p = 1.0 - w_perfect - n * w_branch
+    return w_perfect, w_branch, max(p, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# swap success
+# ---------------------------------------------------------------------------
+#
+# The swap success p_s is an exact rational polynomial of degree 16 in beta
+# and 6 in eps = 1 - F0 (README decision 15).  Each table holds its Bernstein
+# coefficients on [0, 1]^2 times the binomials C(16, i) C(6, j), as integers
+# over _SUCCESS_DENOMINATOR, so that
+#   p_s = sum_ij table[i][j] beta^i (1 - beta)^(16 - i) eps^j (1 - eps)^(6 - j) / denominator.
+# Every Bernstein coefficient lies in [1/128, 1]: the sum never cancels.  The
+# tests rebuild both tables from the dense swap tables (encswap._swap_tables)
+# in exact rationals.
+
+_SUCCESS_ALL = (
+    (46656, 46656, 155520, 51840, 25920, 12096, 5376),
+    (209952, 812592, 1157328, 851040, 409536, 193392, 57680),
+    (707130, 2967516, 5041926, 4763016, 2936358, 1257948, 280538),
+    (1510488, 7220016, 14658408, 16695072, 11602728, 4762800, 896024),
+    (2840184, 15046560, 33957144, 42177024, 30636072, 12387168, 2175304),
+    (4793904, 27002160, 64276416, 82962144, 61340976, 24653808, 4206816),
+    (7100460, 41358600, 101115540, 132885360, 99041940, 39699720, 6685740),
+    (9027936, 53522208, 132622272, 175825728, 131546592, 52661664, 8812800),
+    (9625716, 57530736, 143416980, 190874880, 143044380, 57232656, 9551196),
+    (8389332, 50291280, 125646228, 167458752, 125571708, 50231664, 8374428),
+    (5842206, 35049348, 87616242, 116815608, 87609762, 35044164, 5840910),
+    (3184272, 19105632, 47764080, 63685440, 47764080, 19105632, 3184272),
+    (1326780, 7960680, 19901700, 26535600, 19901700, 7960680, 1326780),
+    (408240, 2449440, 6123600, 8164800, 6123600, 2449440, 408240),
+    (87480, 524880, 1312200, 1749600, 1312200, 524880, 87480),
+    (11664, 69984, 174960, 233280, 174960, 69984, 11664),
+    (729, 4374, 10935, 14580, 10935, 4374, 729),
+)
+_SUCCESS_PHASE_TRIVIAL = (
+    (93312, 93312, 124416, 41472, 31104, 12672, 5120),
+    (419904, 1053648, 1053648, 766368, 435168, 199824, 55824),
+    (981234, 3383532, 4995918, 4573800, 2951406, 1285356, 275218),
+    (1872072, 7896528, 14732280, 16351200, 11579832, 4831056, 884360),
+    (3248424, 15863040, 34093224, 41753664, 30590712, 12477888, 2160184),
+    (5120496, 27655344, 64385280, 82623456, 61304688, 24726384, 4194720),
+    (7263756, 41685192, 101169972, 132716016, 99023796, 39736008, 6679692),
+    (9074592, 53615520, 132637824, 175777344, 131541408, 52672032, 8811072),
+    (9631548, 57542400, 143418924, 190868832, 143043732, 57233952, 9550980),
+    (8389332, 50291280, 125646228, 167458752, 125571708, 50231664, 8374428),
+    (5842206, 35049348, 87616242, 116815608, 87609762, 35044164, 5840910),
+    (3184272, 19105632, 47764080, 63685440, 47764080, 19105632, 3184272),
+    (1326780, 7960680, 19901700, 26535600, 19901700, 7960680, 1326780),
+    (408240, 2449440, 6123600, 8164800, 6123600, 2449440, 408240),
+    (87480, 524880, 1312200, 1749600, 1312200, 524880, 87480),
+    (11664, 69984, 174960, 233280, 174960, 69984, 11664),
+    (729, 4374, 10935, 14580, 10935, 4374, 729),
+)
+
+_SUCCESS_DENOMINATOR = {False: 46656.0, True: 93312.0}  # by phase_trivial_only
+_SUCCESS_TABLES = {False: _SUCCESS_ALL, True: _SUCCESS_PHASE_TRIVIAL}
+
+
+def _bernstein_ratio(x: float, x_bar: float, degree: int) -> tuple[float, float, bool]:
+    """(scale, ratio, mirrored) with x^k x_bar^(degree - k) = scale * ratio^k,
+    or, when mirrored (x > x_bar), scale * ratio^(degree - k); the ratio
+    is then at most 1 either way."""
+    if x <= x_bar:
+        return x_bar**degree, x / x_bar, False
+    return x**degree, x_bar / x, True
+
+
+def _bernstein_sum(table: tuple, beta: float, f0: float) -> float:
+    """sum_ij table[i][j] beta^i (1 - beta)^(m - i) eps^j (1 - eps)^(n - j),
+    eps = 1 - F0, by Horner in the two ratios."""
+    b_scale, b_ratio, b_mirrored = _bernstein_ratio(beta, 1.0 - beta, len(table) - 1)
+    e_scale, e_ratio, e_mirrored = _bernstein_ratio(1.0 - f0, f0, len(table[0]) - 1)
+    total = 0.0
+    for row in table if b_mirrored else reversed(table):
+        inner = 0.0
+        for c in row if e_mirrored else reversed(row):
+            inner = inner * e_ratio + c
+        total = total * b_ratio + inner
+    return total * b_scale * e_scale
+
+
+@lru_cache(maxsize=4096)
+def swap_success_closed_form(beta: float, f0: float, *, phase_trivial_only: bool = False) -> float:
+    """:func:`~repeater_keyrate.encswap.swap_success_prob` of
+    ``encoded_pair(beta, f0)`` without the pair.
+
+    p_s(beta, 1 - F0) is the exact polynomial behind the dense tables,
+    stored as positive Bernstein coefficients and evaluated by Horner
+    (~13 us, no cancellation).  It matches the dense pair to ~1e-15 relative
+    over [0, 1]^2 and is exactly 1 at the ideal corner.  With
+    ``phase_trivial_only`` the sum runs over the 32 phase-trivial
+    correctable states (the thresholds' accounting).
+    """
+    if not 0.0 <= beta <= 1.0:
+        raise ValueError(f"beta must be in [0, 1], got {beta}")
+    if not 0.0 <= f0 <= 1.0:
+        raise ValueError(f"F0 must be in [0, 1], got {f0}")
+    table = _SUCCESS_TABLES[phase_trivial_only]
+    return _bernstein_sum(table, beta, f0) / _SUCCESS_DENOMINATOR[phase_trivial_only]
+
+
+def chain_success_prob(p_s: float, r: int) -> float:
+    """Success probability over r independent swap stations: p_s ** r."""
+    if r < 1 or int(r) != r:
+        raise ValueError(f"r must be a positive integer, got {r}")
+    if not 0.0 <= p_s <= 1.0 + 1e-12:
+        raise ValueError(f"p_s must be a probability, got {p_s}")
+    return float(min(p_s, 1.0) ** r)
+
+
+# ---------------------------------------------------------------------------
+# swapped and decoded states
+# ---------------------------------------------------------------------------
+
+def rho_s_weights(beta: float, r: int) -> tuple[float, float, float]:
+    """(ideal, dephased, mixed-remainder) weights of the swapped state after
+    r stations, each with three first-order-noisy Bell-measurement CNOTs.
+
+    Evaluated in log space so large r underflows cleanly to zero instead of
+    overflowing intermediate powers.
+    """
+    if r < 1 or int(r) != r:
+        raise ValueError(f"r must be a positive integer, got {r}")
+    if not 0.0 <= beta <= 1.0:
+        raise ValueError(f"beta must be in [0, 1], got {beta}")
+    if beta == 0.0:
+        return 1.0, 0.0, 0.0
+    if beta == 1.0:
+        return 0.0, 0.0, 1.0
+    log1m = math.log1p(-beta)
+    w_ideal = math.exp(3 * r * log1m)
+    w_deph = math.exp(r * (math.log(3.0) + math.log(beta)) + 2 * r * log1m)
+    q_r = 1.0 - w_ideal - w_deph
+    assert q_r >= -1e-12, f"remainder weight {q_r} negative"
+    return w_ideal, w_deph, max(q_r, 0.0)
+
+
+def _chain_decode_coeffs(
+    beta: float, r: int, p_r: float
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Bell coefficients of the perfect and the one-faulty decode of the
+    swapped state after r stations with chain success P_r.  Decoding sends
+    |Phi6>, D and I/64 to Phi+, (Phi+ + Phi-)/2 and I/4, one-faulty decoding
+    sends |Phi6> and D to rho_tilde_prime, and the rest is linearity.  For
+    beta and P_r in [0, 1] every coefficient is a sum of nonnegative terms:
+    the Phi+ one is P_r (w_ideal + w_deph/2 + q_r/4) + 15 (1 - P_r)/63."""
+    w_ideal, w_deph, q_r = rho_s_weights(beta, r)
+    c_phi = p_r * w_ideal - (1.0 - p_r) / 63.0
+    c_mix = p_r * q_r + (1.0 - p_r) * 64.0 / 63.0
+    phi_minus = p_r * w_deph / 2.0 + c_mix / 4.0
+    perfect = (c_phi + phi_minus, phi_minus, c_mix / 4.0, c_mix / 4.0)
+    kept = w_ideal + w_deph
+    faulty = tuple(
+        p_r * (kept * t + (1.0 - kept) / 4.0) + (1.0 - p_r) * (16.0 - t) / 63.0
+        for t in _TILDE_BELL
+    )
+    return perfect, faulty
+
+
+def final_bell_coeffs(beta: float, r: int, p_r: float) -> BellDiagCoeffs:
+    """Closed-form Bell coefficients of :func:`~repeater_keyrate.decode.final_state`
+    for r >= 1 stations with chain success P_r: the first-order mixture of
+    the perfect decode, the one-faulty decode and I/4 over the four decode
+    CNOTs."""
+    perfect, faulty = _chain_decode_coeffs(beta, r, p_r)
+    w_perfect, w_branch, w_rest = first_order_weights(DECODE_GATE_COUNT, beta)
+    return BellDiagCoeffs(*(
+        w_perfect * d + DECODE_GATE_COUNT * w_branch * n + w_rest / 4.0
+        for d, n in zip(perfect, faulty)
+    ))

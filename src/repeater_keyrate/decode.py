@@ -3,9 +3,9 @@
 Each side unwinds its repetition-code block with two CNOTs from the first
 qubit, measures the other two qubits in Z, and bit-flips the first qubit
 only when the syndrome is "11" (the one pattern a single flip on the kept
-qubit produces).  Closed forms for the perfectly and imperfectly decoded
-pipeline states are provided alongside the explicit circuit, which doubles
-as their validator.
+qubit produces).  The closed-form Bell coefficients of the decoded pipeline
+states (:func:`final_bell_coeffs`) live in :mod:`repeater_keyrate.closedform`;
+the explicit circuit here doubles as their validator.
 """
 
 from __future__ import annotations
@@ -13,15 +13,17 @@ from __future__ import annotations
 import numpy as np
 
 from .channels import depolarizing_gate_mat, first_order_weights, one_faulty_branches
-from .encgen import encoded_pair
-from .encswap import (
+from .closedform import (
+    _TILDE_BELL,
+    DECODE_GATE_COUNT,
+    _chain_decode_coeffs,
     chain_success_prob,
-    rho_s_weights,
+    final_bell_coeffs,
     swap_success_closed_form,
-    swapped_state_nonideal,
 )
+from .encgen import encoded_pair
+from .encswap import swapped_state_nonideal
 from .qstate import (
-    BellDiagCoeffs,
     DensityOperator,
     GatePlacement,
     GateSequence,
@@ -39,6 +41,7 @@ DECODE_GATES = GateSequence(
         GatePlacement("cnot", (3, 4)),
     )
 )
+assert len(DECODE_GATES) == DECODE_GATE_COUNT
 
 
 def _measure_syndrome_pair(mat: np.ndarray, q1: int, q2: int, target: int) -> np.ndarray:
@@ -101,10 +104,8 @@ def decode_exact_noise_mat(mat: np.ndarray, beta: float) -> np.ndarray:
     return _decode_measurements(mat)
 
 
-# sqrt(2) times the Bell states phi+, phi-, psi+, psi-, and the Bell
-# coefficients of rho_tilde_prime in that order
+# sqrt(2) times the Bell states phi+, phi-, psi+, psi-
 _BELL_SIGNS = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]])
-_TILDE_BELL = np.array([5.0, 5.0, 3.0, 3.0]) / 16.0
 
 
 def _bell_diagonal_mat(coeffs) -> np.ndarray:
@@ -117,33 +118,6 @@ def rho_tilde_prime() -> DensityOperator:
     """Two-qubit state produced by one-faulty decoding of either the ideal
     encoded pair or its computational-basis dephasing; a fixed mixture."""
     return DensityOperator(_bell_diagonal_mat(_TILDE_BELL))
-
-
-def _chain_decode_coeffs(beta: float, r: int, p_r: float) -> tuple[np.ndarray, np.ndarray]:
-    """Bell coefficients of the perfect and the one-faulty decode of the
-    swapped state after r stations with chain success P_r.  Decoding sends
-    |Phi6>, D and I/64 to Phi+, (Phi+ + Phi-)/2 and I/4, one-faulty decoding
-    sends |Phi6> and D to rho_tilde_prime, and the rest is linearity.  For
-    beta and P_r in [0, 1] every coefficient is a sum of nonnegative terms:
-    the Phi+ one is P_r (w_ideal + w_deph/2 + q_r/4) + 15 (1 - P_r)/63."""
-    w_ideal, w_deph, q_r = rho_s_weights(beta, r)
-    c_phi = p_r * w_ideal - (1.0 - p_r) / 63.0
-    c_mix = p_r * q_r + (1.0 - p_r) * 64.0 / 63.0
-    phi_minus = p_r * w_deph / 2.0 + c_mix / 4.0
-    perfect = np.array([c_phi + phi_minus, phi_minus, c_mix / 4.0, c_mix / 4.0])
-    kept = w_ideal + w_deph
-    faulty = p_r * (kept * _TILDE_BELL + (1.0 - kept) / 4.0)
-    return perfect, faulty + (1.0 - p_r) * (16.0 - _TILDE_BELL) / 63.0
-
-
-def final_bell_coeffs(beta: float, r: int, p_r: float) -> BellDiagCoeffs:
-    """Closed-form Bell coefficients of :func:`final_state` for r >= 1
-    stations with chain success P_r: the first-order mixture of the perfect
-    decode, the one-faulty decode and I/4 over the four decode CNOTs."""
-    perfect, faulty = _chain_decode_coeffs(beta, r, p_r)
-    w_perfect, w_branch, w_rest = first_order_weights(len(DECODE_GATES), beta)
-    mixture = w_perfect * perfect + len(DECODE_GATES) * w_branch * faulty + w_rest / 4.0
-    return BellDiagCoeffs(*mixture.tolist())
 
 
 def decode_perfect(beta: float, f0: float, r: int) -> DensityOperator:

@@ -10,6 +10,11 @@ as at most one CNOT sees an outcome-flipping pair.
 Register conventions: each encoded pair has qubits 0-2 at its left station
 and 3-5 at its right station.  Bell-measurement CNOT k uses the left
 pair's qubit 3+k as control and the right pair's qubit k as target.
+
+The closed forms the rate path uses (:func:`swap_success_closed_form`,
+:func:`chain_success_prob`, :func:`rho_s_weights`) live in
+:mod:`repeater_keyrate.closedform`; this module re-exports them and holds
+the dense states and tables that validate them.
 """
 
 from __future__ import annotations
@@ -20,7 +25,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .encgen import _entry_table, _entry_weights, encoded_bell_state
+from .closedform import chain_success_prob, rho_s_weights, swap_success_closed_form
+from .encgen import _entry_table, encoded_bell_state
 from .qstate import DensityOperator
 
 ERROR_PAIR_LABELS = ("XX", "YY", "ZZ", "II", "IX", "XI")
@@ -239,7 +245,8 @@ def swap_success_prob(rho_enc: DensityOperator, *, phase_trivial_only: bool = Fa
 def _swap_tables() -> tuple[np.ndarray, np.ndarray]:
     """Real (32, 64) tables T with <factor_i|rho_enc|factor_i> = w . T[:, i]
     + p/64 for the weights (w, p) of :func:`encgen._entry_weights`, one
-    table per side."""
+    table per side.  Every entry is a multiple of 1/4; the Bernstein tables
+    of :func:`swap_success_closed_form` are built from them (see the tests)."""
     tables = []
     for form in _correctable_terms()[:2]:
         entries = _entry_table(np.r_[form.a, form.b, form.a], np.r_[form.a, form.b, form.b])
@@ -247,53 +254,8 @@ def _swap_tables() -> tuple[np.ndarray, np.ndarray]:
     return tables[0], tables[1]
 
 
-@lru_cache(maxsize=4096)
-def swap_success_closed_form(beta: float, f0: float, *, phase_trivial_only: bool = False) -> float:
-    """:func:`swap_success_prob` of ``encoded_pair(beta, f0)`` without the
-    pair: each factor expectation reads three entries of the encoded pair,
-    each a fixed polynomial in the weights (:func:`encgen._entry_table`), so
-    p_s is two 32-term dot products per state.  Exactly 1 at the ideal corner.
-    """
-    weights, p = _entry_weights(beta, f0)
-    left, right = _swap_tables()
-    weights = weights.reshape(-1)
-    return _success_sum(weights @ left + p / 64.0, weights @ right + p / 64.0, phase_trivial_only)
-
-
-def chain_success_prob(p_s: float, r: int) -> float:
-    """Success probability over r independent swap stations: p_s ** r."""
-    if r < 1 or int(r) != r:
-        raise ValueError(f"r must be a positive integer, got {r}")
-    if not 0.0 <= p_s <= 1.0 + 1e-12:
-        raise ValueError(f"p_s must be a probability, got {p_s}")
-    return float(min(p_s, 1.0) ** r)
-
-
 def _ideal_projector() -> np.ndarray:
     return encoded_bell_state().projector().matrix
-
-
-def rho_s_weights(beta: float, r: int) -> tuple[float, float, float]:
-    """(ideal, dephased, mixed-remainder) weights of the swapped state after
-    r stations, each with three first-order-noisy Bell-measurement CNOTs.
-
-    Evaluated in log space so large r underflows cleanly to zero instead of
-    overflowing intermediate powers.
-    """
-    if r < 1 or int(r) != r:
-        raise ValueError(f"r must be a positive integer, got {r}")
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"beta must be in [0, 1], got {beta}")
-    if beta == 0.0:
-        return 1.0, 0.0, 0.0
-    if beta == 1.0:
-        return 0.0, 0.0, 1.0
-    log1m = np.log1p(-beta)
-    w_ideal = float(np.exp(3 * r * log1m))
-    w_deph = float(np.exp(r * (np.log(3.0) + np.log(beta)) + 2 * r * log1m))
-    q_r = 1.0 - w_ideal - w_deph
-    assert q_r >= -1e-12, f"remainder weight {q_r} negative"
-    return w_ideal, w_deph, max(q_r, 0.0)
 
 
 def rho_s(beta: float, r: int) -> DensityOperator:

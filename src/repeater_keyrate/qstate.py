@@ -18,6 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .closedform import BellDiagCoeffs
+
 HERMITICITY_TOL = 1e-10
 PSD_TOL = 1e-9
 
@@ -369,20 +371,6 @@ def uhlmann_fidelity(rho: DensityOperator, sigma: DensityOperator) -> float:
     vals = np.clip(np.linalg.eigvalsh(inner), 0.0, None)
     f = float(np.sum(np.sqrt(vals)) ** 2)
     return min(f, 1.0) if f <= 1.0 + 1e-9 else f
-
-
-@dataclass(frozen=True)
-class BellDiagCoeffs:
-    """Bell-basis diagonal of a two-qubit state, plus the off-diagonal residue."""
-
-    phi_plus: float
-    phi_minus: float
-    psi_plus: float
-    psi_minus: float
-    remainder_norm: float = 0.0
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.phi_plus, self.phi_minus, self.psi_plus, self.psi_minus)
 
 
 def bell_diag_coeffs(rho: DensityOperator) -> BellDiagCoeffs:

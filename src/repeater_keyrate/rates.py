@@ -10,10 +10,9 @@ key rate divides by the six memories each half node keeps busy.
 
 Chain accounting.  The rate pipeline (:func:`key_rate`, sweeps, cost)
 compounds swap errors once per station, exactly as the closed-form chain
-states in :mod:`repeater_keyrate.encswap` and
-:mod:`repeater_keyrate.decode` are written: r = 2^N - 1 first-order
-connection applications and success probability p_s ** r over all 64
-correctable states.  The threshold searches
+states in :mod:`repeater_keyrate.closedform` are written: r = 2^N - 1
+first-order connection applications and success probability p_s ** r over
+all 64 correctable states.  The threshold searches
 (:func:`threshold_gate_quality`, :func:`threshold_fidelity`) instead
 compound once per nesting level with the success sum restricted to the 32
 phase-trivial correctable states; that is the accounting under which the
@@ -21,20 +20,25 @@ published minimal-parameter table is reproducible across the whole station
 range (per-station compounding contradicts it beyond a few stations, and
 no single accounting reproduces both the table and the published cost
 curves).  Both conventions are deliberate; see the README model notes.
+
+Everything here is stdlib arithmetic on those closed forms; only N = 0,
+which decodes one dense encoded pair, loads the numpy layer.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
-import numpy as np
-
-from .decode import final_bell_coeffs, final_state
-from .encswap import chain_success_prob, swap_success_closed_form
-from .qstate import BellDiagCoeffs, bell_diag_coeffs
+from .closedform import (
+    BellDiagCoeffs,
+    chain_success_prob,
+    final_bell_coeffs,
+    swap_success_closed_form,
+)
 
 MEMORIES_PER_HALF_NODE = 6
 DEFAULT_ALPHA_DB_PER_KM = 0.17
@@ -78,6 +82,12 @@ class RepeaterParams:
             raise ValueError(f"signal speed must be positive, got {self.speed_km_per_s}")
         if self.t0_mode not in ("physical", "normalized"):
             raise ValueError(f"t0_mode must be 'physical' or 'normalized', got {self.t0_mode!r}")
+        t0 = self.t0_s
+        if t0 == 0.0 or math.isinf(1.0 / (2.0 * t0)):
+            raise ValueError(
+                f"segment of {self.segment_km} km is too short to time: T0 = {t0} s "
+                "leaves no finite rate 1/(2 T0)"
+            )
 
     @property
     def gate_quality(self) -> float:
@@ -94,6 +104,11 @@ class RepeaterParams:
     @property
     def segment_km(self) -> float:
         return self.distance_km / self.segments
+
+    @property
+    def t0_s(self) -> float:
+        """The fundamental time T0: L0/c, or 1 when normalized."""
+        return 1.0 if self.t0_mode == "normalized" else self.segment_km / self.speed_km_per_s
 
 
 @dataclass(frozen=True)
@@ -173,38 +188,68 @@ def transmission_prob(l0_km: float, alpha_db_per_km: float = DEFAULT_ALPHA_DB_PE
 
 # Past this many terms the tail sum gives way to its Euler-Maclaurin limit
 # (:func:`_z_asymptote`).  The cap is what keeps tiny P0 finite in time and
-# memory: at P0 ~ 1e-17 the sum would need ~1e18 terms.
+# memory: at P0 ~ 1e-17 the sum would need ~1e18 terms.  The term count is
+# measured as (ln n + ln 1e20) / x, the length of a sum cut at n q^k < 1e-20.
 _Z_TAIL_CAP = 200_000
-# ln(1e20): the tail is cut where num_pairs * (1 - P0)^k < 1e-20.
 _TAIL_CUTOFF = 46.0
 # Above this many pairs H_n comes from its asymptotic series (next term
 # 1/(252 n^6) < 1e-17) instead of a sum whose cost grows with n.
 _HARMONIC_SUM_MAX = 256
+_EULER_GAMMA = 0.5772156649015329
 _LN2 = math.log(2.0)
+# The alternating remainder series of the tail stops below this term.
+_SERIES_STOP = 2.0**-70
 
 
-def _log1mexp(u: np.ndarray) -> np.ndarray:
+def _log1mexp(u: float) -> float:
     """log(1 - exp(u)) for u < 0, accurate at both ends (Maechler's split)."""
-    out = np.empty_like(u)
-    near = u > -_LN2
-    out[near] = np.log(-np.expm1(u[near]))
-    out[~near] = np.log1p(-np.exp(u[~near]))
-    return out
+    return math.log(-math.expm1(u)) if u > -_LN2 else math.log1p(-math.exp(u))
 
 
 def _harmonic(n: int) -> float:
     if n <= _HARMONIC_SUM_MAX:
         return math.fsum(1.0 / j for j in range(1, n + 1))
     return (
-        math.log(n) + np.euler_gamma + 1.0 / (2 * n) - 1.0 / (12 * n**2) + 1.0 / (120 * n**4)
+        math.log(n) + _EULER_GAMMA + 1.0 / (2 * n) - 1.0 / (12 * n**2) + 1.0 / (120 * n**4)
     )
 
 
-def _z_tail_sum(num_pairs: int, x: float, k_end: int) -> float:
-    """1 + sum_{k=1}^{k_end} [1 - (1 - e^{-k x})^n] in double precision."""
-    k = np.arange(1, k_end + 1, dtype=float)
-    terms = -np.expm1(num_pairs * _log1mexp(-k * x))
-    return 1.0 + math.fsum(terms.tolist())
+def _tail_term(num_pairs: int, x: float, k: int) -> float:
+    """1 - (1 - q^k)^n with q = e^-x, to full relative precision."""
+    return -math.expm1(num_pairs * _log1mexp(-k * x))
+
+
+def _z_tail_sum(num_pairs: int, x: float) -> float:
+    """1 + sum_{k>=1} [1 - (1 - e^{-k x})^n] in double precision.
+
+    The leading terms that round to exactly 1.0 are counted (found by
+    bisection, as the terms fall with k), the next ones are summed below
+    K = ceil(ln(2n) / x), where n q^K <= 1/2, and the rest, from K on, is
+    the exact alternating series sum_j (-1)^(j+1) C(n, j) q^(jK) / (1 - q^j),
+    whose terms shrink at least twofold; everything is added with
+    ``math.fsum``.
+    """
+    ones, above = 0, 1
+    while _tail_term(num_pairs, x, above) == 1.0:
+        ones, above = above, 2 * above
+    while above - ones > 1:
+        mid = (ones + above) // 2
+        if _tail_term(num_pairs, x, mid) == 1.0:
+            ones = mid
+        else:
+            above = mid
+    k_end = math.ceil((math.log(num_pairs) + _LN2) / x)
+    terms = [float(ones)]
+    terms.extend(_tail_term(num_pairs, x, k) for k in range(ones + 1, k_end))
+    q_end = math.exp(-k_end * x)
+    binomial_q = 1.0  # C(n, j) q^(jK), built as a running product
+    for j in range(1, num_pairs + 1):
+        binomial_q *= (num_pairs - j + 1) / j * q_end
+        term = binomial_q / -math.expm1(-j * x)
+        terms.append(term if j % 2 else -term)
+        if term < _SERIES_STOP:
+            break
+    return 1.0 + math.fsum(terms)
 
 
 def _z_asymptote(num_pairs: int, x: float) -> float:
@@ -226,11 +271,13 @@ def z_n(num_pairs: int, p0: float) -> float:
     maximum of n geometric variables; the alternating binomial closed form
     of Bernardes, Praxmeyer & van Loock, PRA 83, 012323 (2011), is the same
     number).  Each term is -expm1(n log(1 - q^k)), which keeps its relative
-    precision where q^k is below machine epsilon, and the terms are added
-    exactly with ``math.fsum``.  The sum stops where n q^k < 1e-20; when
-    that takes more than the cap (200 000) terms (tiny P0) the
-    Euler-Maclaurin limit H_n / (-ln q) + 1/2 replaces it.  n = 1 is the
-    exact 1 / P0.
+    precision where q^k is below machine epsilon.  The terms that round to
+    1.0 are counted, the rest are summed below K = ceil(ln(2n) / -ln q),
+    and the remainder from K on is the binomial series, which converges
+    fast there because n q^K <= 1/2 (:func:`_z_tail_sum`).  When a sum cut at
+    n q^k < 1e-20 would take more than the cap (200 000) terms (tiny P0),
+    the Euler-Maclaurin limit H_n / (-ln q) + 1/2 replaces it.  n = 1 is
+    the exact 1 / P0.
     """
     if num_pairs < 1 or int(num_pairs) != num_pairs:
         raise ValueError(f"num_pairs must be a positive integer, got {num_pairs}")
@@ -241,16 +288,14 @@ def z_n(num_pairs: int, p0: float) -> float:
     if num_pairs == 1:
         return 1.0 / p0
     x = -math.log1p(-p0)
-    k_end = (math.log(num_pairs) + _TAIL_CUTOFF) / x
-    if k_end > _Z_TAIL_CAP:
+    if (math.log(num_pairs) + _TAIL_CUTOFF) / x > _Z_TAIL_CAP:
         return _z_asymptote(num_pairs, x)
-    return _z_tail_sum(num_pairs, x, math.ceil(k_end))
+    return _z_tail_sum(num_pairs, x)
 
 
 def _pair_rate(params: RepeaterParams, z: float) -> float:
     """R = 1 / (2 T0 Z) for Z expected rounds."""
-    t0 = 1.0 if params.t0_mode == "normalized" else params.segment_km / params.speed_km_per_s
-    return 1.0 / (2.0 * t0 * z)
+    return 1.0 / (2.0 * params.t0_s * z)
 
 
 def _waiting_rounds(params: RepeaterParams) -> tuple[float, float]:
@@ -268,8 +313,11 @@ def _decoded_key_fraction(
 ) -> tuple[float, tuple[float, float, float], float]:
     """P_r, (e_X, e_Y, e_Z) and the unclamped six-state r_inf of the decoded
     pair after ``swap_count`` compoundings with swap success ``p_s``; closed
-    form except for the unswapped pair (N = 0)."""
+    form except for the unswapped pair (N = 0), which loads the dense layer."""
     if swap_count == 0:
+        from .decode import final_state
+        from .qstate import bell_diag_coeffs
+
         p_r, coeffs = 1.0, bell_diag_coeffs(final_state(beta, f0, 0))
     else:
         p_r = chain_success_prob(p_s, swap_count)
@@ -366,7 +414,7 @@ def _bisect(f: Callable[[float], float], a: float, b: float, fa: float, xtol: fl
     """
     if xtol <= 0.0:
         raise ValueError(f"bisection tolerance must be positive, got {xtol}")
-    rtol = 4.0 * np.finfo(float).eps
+    rtol = 4.0 * sys.float_info.epsilon
     dm = b - a
     for _ in range(100):
         dm *= 0.5

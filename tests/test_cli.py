@@ -1,3 +1,5 @@
+import concurrent.futures
+import importlib
 import os
 import resource
 import subprocess
@@ -8,7 +10,6 @@ from pathlib import Path
 import pytest
 
 import repeater_keyrate
-from repeater_keyrate import cli
 from repeater_keyrate.cli import main
 
 
@@ -32,6 +33,21 @@ def run_bounded(*argv):
         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
         timeout=60, preexec_fn=limit_memory,
     )
+
+
+def run_child(*argv):
+    """The CLI in a fresh interpreter: (exit code, stdout, whether numpy was loaded)."""
+    src = Path(repeater_keyrate.__file__).resolve().parents[1]
+    probe = (
+        "import sys; from repeater_keyrate.cli import main; code = main(sys.argv[1:]); "
+        "print('numpy loaded:', 'numpy' in sys.modules); sys.exit(code)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe, *argv], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=120,
+    )
+    *out, marker = result.stdout.splitlines() or [""]
+    return result.returncode, "\n".join(out), marker == "numpy loaded: True"
 
 
 def parse_kv(out):
@@ -160,6 +176,17 @@ class TestKeyrate:
         assert code == 2
         assert err.startswith("error:") and argv[-2] in err
 
+    @pytest.mark.parametrize("distance,nesting", [("1e-320", "1"), ("1e-300", "20")])
+    def test_segment_too_short_to_time_rejected(self, capsys, distance, nesting):
+        # T0 = L0/c is 0, or 1/(2 T0) overflows
+        code, out, err = run(
+            capsys, "keyrate", "--distance", distance, "--nesting", nesting,
+            "--fidelity", "0.99", "--gate-quality", "0.99",
+        )
+        assert code == 2
+        assert err.startswith("error:") and "too short" in err
+        assert out == ""
+
     def test_csv_output(self, capsys, tmp_path):
         path = tmp_path / "row.csv"
         code, _, _ = run(
@@ -264,6 +291,15 @@ class TestSweep:
         assert float(row[3]) > 0.0  # P0 of the chosen level
         assert row[-1] == "0"
 
+    def test_segment_too_short_to_time_rejected(self, capsys):
+        code, out, err = run(
+            capsys, "sweep", "--distance-range", "1e-300:1:1", "--fidelity", "0.99",
+            "--gate-quality", "0.99", "--max-nesting", "20",
+        )
+        assert code == 2
+        assert err.startswith("error:") and "too short" in err
+        assert out == ""
+
     @pytest.mark.parametrize("argv", [
         ("--distance-range", "600:600:100", "--fidelity", "2", "--gate-quality", "0.99"),
         ("--distance-range", "600:600:100", "--fidelity", "0.99", "--gate-quality", "0.99",
@@ -302,7 +338,7 @@ class TestSweep:
         def no_pool(*args, **kwargs):
             pytest.fail("a worker pool was started")
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         if jobs == "cpu_count+1":
             jobs = str((os.cpu_count() or 1) + 1)
         code, _, err = run(
@@ -359,6 +395,15 @@ class TestCost:
         )
         assert code == 2
         assert err.startswith("error:") and "--distance" in err
+
+    def test_segment_too_short_to_time_rejected(self, capsys):
+        code, out, err = run(
+            capsys, "cost", "--distance", "1e-300", "--fidelity", "0.99",
+            "--gate-quality", "0.99", "--max-nesting", "20",
+        )
+        assert code == 2
+        assert err.startswith("error:") and "too short" in err
+        assert out == ""
 
     def test_max_nesting_widening_never_increases_cost(self, capsys):
         _, out_narrow, _ = run(
@@ -485,3 +530,37 @@ class TestRuntimeDependencies:
             check=True, timeout=60,
         ).stdout
         assert out.strip() == "[]"
+
+
+class TestImports:
+    @pytest.mark.parametrize("argv", [
+        ("keyrate", "--distance", "600", "--fidelity", "0.99", "--gate-quality", "0.995",
+         "--optimize"),
+        ("sweep", "--distance", "600", "--fidelity-range", "0.99:1:0.005",
+         "--gate-quality-range", "0.99:1:0.005", "--max-nesting", "4"),
+        ("cost", "--paper-fig8-defaults", "--distance-range", "500:1500:500"),
+        ("threshold", "--stations", "1,3"),
+    ])
+    def test_rate_commands_load_no_numpy(self, argv):
+        code, out, numpy_loaded = run_child(*argv)
+        assert code == 0 and out
+        assert not numpy_loaded
+
+    @pytest.mark.parametrize("argv,expected", [
+        (("validate", "--trials", "20000"), "checks passed"),
+        (("enumerate-errors",), "distinct_orthogonal_states=64"),
+        (("keyrate", "--distance", "100", "--fidelity", "0.99", "--gate-quality", "0.99",
+          "--nesting", "0"), "K_per_mem_per_s=0.9336730933"),
+    ])
+    def test_dense_commands_load_numpy(self, argv, expected):
+        code, out, numpy_loaded = run_child(*argv)
+        assert code == 0 and expected in out
+        assert numpy_loaded
+
+    def test_lazy_package_names_resolve(self):
+        for name, module in repeater_keyrate._DENSE.items():
+            value = repeater_keyrate.__getattr__(name)
+            assert value is getattr(importlib.import_module(f"repeater_keyrate.{module}"), name)
+        for name in ("no_such_name", "apply_gate", "maximally_mixed", "EncodingCircuit"):
+            with pytest.raises(AttributeError):
+                repeater_keyrate.__getattr__(name)

@@ -1,8 +1,10 @@
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
 
+from repeater_keyrate import closedform
 from repeater_keyrate.encgen import encoded_bell_state, encoded_pair
 from repeater_keyrate.encswap import (
     ErrorPair,
@@ -15,9 +17,11 @@ from repeater_keyrate.encswap import (
     swap_success_closed_form,
     swap_success_prob,
     swapped_state_nonideal,
+    _correctable_terms,
+    _swap_tables,
 )
 from repeater_keyrate.qstate import DensityOperator, overlap
-from repeater_keyrate.validation import swap_register_deviation
+from repeater_keyrate.validation import swap_closed_form_deviation, swap_register_deviation
 
 _PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -145,6 +149,127 @@ class TestCorrectableStates:
         vec = states.full_vector(5)
         assert vec.shape == (4096,)
         assert np.linalg.norm(vec) == pytest.approx(1.0)
+
+
+class Poly(dict):
+    """Exact polynomial in (beta, eps): {(i, j): coefficient of beta^i eps^j}."""
+
+    def __add__(self, other):
+        out = Poly(self)
+        for key, c in (other if isinstance(other, Poly) else {(0, 0): other}).items():
+            out[key] = out.get(key, 0) + c
+        return out
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        if not isinstance(other, Poly):
+            return Poly({key: c * other for key, c in self.items()})
+        out = Poly()
+        for (i, j), a in self.items():
+            for (k, l), b in other.items():
+                out[i + k, j + l] = out.get((i + k, j + l), 0) + a * b
+        return out
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n):
+        out = Poly({(0, 0): Fraction(1)})
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def __sub__(self, other):
+        return self + other * -1
+
+    def __rsub__(self, other):
+        return self * -1 + other
+
+
+BETA, EPS = Poly({(1, 0): Fraction(1)}), Poly({(0, 1): Fraction(1)})
+
+
+def exact_swap_success(beta, eps, phase_trivial_only):
+    """p_s at (beta, eps = 1 - F0) from the dense swap tables in exact
+    arithmetic: beta and eps are Fractions, or BETA and EPS for the polynomial.
+
+    The weights w and p mirror encgen._entry_weights (GHZ, gate and source
+    weights), and p_s = sum_i (w . L_i + p/64)(w . R_i + p/64) over the
+    correctable states, with (L, R) = encswap._swap_tables().  Every table
+    entry is a multiple of 1/4, so Fraction(entry) is exact."""
+    ghz = (
+        (1 + beta * (beta * Fraction(1, 2) - Fraction(5, 4))) * Fraction(1, 2),
+        (1 - beta) * (1 - beta) * Fraction(1, 2),
+        beta * (Fraction(3, 2) - beta) * Fraction(1, 4),
+        beta * Fraction(1, 8),
+    )
+    gates = ((1 - beta) ** 6, beta * (1 - beta) ** 5)
+    remainder = 1 - gates[0] - 6 * gates[1]
+    sources = [(1 - eps) ** m * (eps * Fraction(1, 3)) ** (3 - m) for m in range(4)]
+    weights = [g * v * m for g in ghz for v in gates for m in sources]
+    total, mixed = 0, remainder * Fraction(1, 64)
+    for i in np.flatnonzero(_correctable_terms()[2] | (not phase_trivial_only)):
+        left, right = (
+            sum((w * Fraction(t) for w, t in zip(weights, table[:, i]) if t), mixed)
+            for table in _swap_tables()
+        )
+        total += left * right
+    return total
+
+
+def stored_swap_success(beta, eps, phase_trivial_only):
+    """The stored Bernstein table of swap_success_closed_form at a rational point."""
+    table = closedform._SUCCESS_TABLES[phase_trivial_only]
+    total = sum(
+        c * beta**i * (1 - beta) ** (16 - i) * eps**j * (1 - eps) ** (6 - j)
+        for i, row in enumerate(table) for j, c in enumerate(row)
+    )
+    return total / Fraction(closedform._SUCCESS_DENOMINATOR[phase_trivial_only])
+
+
+def bernstein_table(phase_trivial_only):
+    """The stored table rebuilt from the dense swap tables: Bernstein
+    coefficients of p_s on [0, 1]^2 of degree (16, 6), times C(16, i) C(6, j)
+    and the denominator."""
+    power = exact_swap_success(BETA, EPS, phase_trivial_only)
+    denominator = int(closedform._SUCCESS_DENOMINATOR[phase_trivial_only])
+    table = []
+    for i in range(17):
+        row = []
+        for j in range(7):
+            b = sum(
+                Fraction(comb(i, k), comb(16, k)) * Fraction(comb(j, l), comb(6, l)) * c
+                for (k, l), c in power.items() if k <= i and l <= j
+            )
+            row.append(b * comb(16, i) * comb(6, j) * denominator)
+        table.append(tuple(row))
+    return tuple(table)
+
+
+class TestStoredSwapSuccess:
+    @pytest.mark.parametrize("phase_trivial_only", [False, True])
+    def test_stored_table_is_the_dense_polynomial(self, phase_trivial_only):
+        # degree 16 in beta and 6 in eps: equality on a 17 x 7 grid of
+        # distinct points makes the two polynomials identical
+        for a in range(17):
+            for b in range(7):
+                beta, eps = Fraction(a, 16), Fraction(b, 6)
+                assert stored_swap_success(beta, eps, phase_trivial_only) == exact_swap_success(
+                    beta, eps, phase_trivial_only
+                ), (beta, eps)
+
+    @pytest.mark.parametrize("phase_trivial_only", [False, True])
+    def test_stored_table_regenerates_exactly(self, phase_trivial_only):
+        table = bernstein_table(phase_trivial_only)
+        assert table == closedform._SUCCESS_TABLES[phase_trivial_only]
+        # positive coefficients: the Horner sum never cancels
+        assert min(min(row) for row in table) > 0
+
+    def test_matches_dense_pair_over_unit_square(self):
+        grid = [k / 20 for k in range(21)]
+        assert swap_closed_form_deviation(grid, grid) <= 1e-14
+        corner = [0.0, 1e-15, 1e-9, 1e-5]
+        assert swap_closed_form_deviation(corner, [1.0 - e for e in corner]) <= 1e-14
 
 
 class TestSwapSuccess:

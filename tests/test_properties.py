@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repeater_keyrate import encgen, encswap
+from repeater_keyrate import closedform, encgen, encswap
 from repeater_keyrate.channels import first_order_weights
 from repeater_keyrate.decode import (
     DECODE_GATES,
@@ -60,8 +60,8 @@ def test_final_state_is_a_bell_diagonal_density_matrix(beta, f0, nesting):
 def test_decoded_bell_coefficients_are_nonnegative(beta, r, p_r):
     # over the whole parameter range, up to the CLI's largest chain
     perfect, faulty = _chain_decode_coeffs(beta, r, p_r)
-    assert perfect.min() >= 0.0
-    assert faulty.min() >= 0.0
+    assert min(perfect) >= 0.0
+    assert min(faulty) >= 0.0
 
 
 @deterministic
@@ -153,7 +153,7 @@ def test_rate_and_threshold_paths_build_no_encoded_pair(monkeypatch):
 
 def test_one_chain_success_evaluation_per_key_rate(monkeypatch):
     calls = []
-    original = encswap.chain_success_prob
+    original = closedform.chain_success_prob
 
     def counted(*args):
         calls.append(args)

@@ -133,6 +133,20 @@ def z_binomial_reference(num_pairs, p0):
         return float(total)
 
 
+def z_numpy_tail_reference(num_pairs, p0):
+    """The earlier numpy evaluation of the tail sum: every term
+    -expm1(n log1mexp(-k x)) up to k = ceil((ln n + 46) / x), where
+    n q^k < 1e-20, added with ``math.fsum``."""
+    x = -math.log1p(-p0)
+    k = np.arange(1, math.ceil((math.log(num_pairs) + 46.0) / x) + 1, dtype=float)
+    u = -k * x
+    log1mexp = np.empty_like(u)
+    near = u > -math.log(2.0)
+    log1mexp[near] = np.log(-np.expm1(u[near]))
+    log1mexp[~near] = np.log1p(-np.exp(u[~near]))
+    return 1.0 + math.fsum((-np.expm1(num_pairs * log1mexp)).tolist())
+
+
 REFERENCE_PAIRS = (1, 2, *(3 * 2**nesting for nesting in range(11)))
 
 
@@ -150,10 +164,17 @@ class TestZnTailSum:
                 z_binomial_reference(num_pairs, p0), rel=1e-14, abs=0.0
             ), p0
 
+    @pytest.mark.parametrize("num_pairs", REFERENCE_PAIRS)
+    def test_matches_numpy_tail_reference(self, num_pairs):
+        p_cap = -math.expm1(-cap_rate(num_pairs))
+        for p0 in np.geomspace(p_cap * 1.001, 0.999, 40):
+            expected = z_numpy_tail_reference(num_pairs, float(p0))
+            assert z_n(num_pairs, float(p0)) == pytest.approx(expected, rel=4.5e-16, abs=0.0), p0
+
     @pytest.mark.parametrize("num_pairs", REFERENCE_PAIRS[1:])
     def test_tail_sum_meets_asymptote_at_cap(self, num_pairs):
         x = cap_rate(num_pairs)
-        tail = rates._z_tail_sum(num_pairs, x, rates._Z_TAIL_CAP)
+        tail = rates._z_tail_sum(num_pairs, x)
         assert rates._z_asymptote(num_pairs, x) == pytest.approx(tail, rel=1e-14, abs=0.0)
 
     def test_exact_cases(self):
