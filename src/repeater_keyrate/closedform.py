@@ -12,7 +12,7 @@ the 64- and 4096-dimensional simulation.  Importing it loads no numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 # CNOTs of the decoding circuit (two per side; decode.DECODE_GATES)
@@ -22,15 +22,12 @@ DECODE_GATE_COUNT = 4
 _TILDE_BELL = (5 / 16, 5 / 16, 3 / 16, 3 / 16)
 
 
-@dataclass(frozen=True)
-class BellDiagCoeffs:
+class BellDiagCoeffs(namedtuple(
+    "BellDiagCoeffs", "phi_plus phi_minus psi_plus psi_minus remainder_norm", defaults=(0.0,)
+)):
     """Bell-basis diagonal of a two-qubit state, plus the off-diagonal residue."""
 
-    phi_plus: float
-    phi_minus: float
-    psi_plus: float
-    psi_minus: float
-    remainder_norm: float = 0.0
+    __slots__ = ()
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.phi_plus, self.phi_minus, self.psi_plus, self.psi_minus)
@@ -199,11 +196,11 @@ def _chain_decode_coeffs(
     phi_minus = p_r * w_deph / 2.0 + c_mix / 4.0
     perfect = (c_phi + phi_minus, phi_minus, c_mix / 4.0, c_mix / 4.0)
     kept = w_ideal + w_deph
-    faulty = tuple(
-        p_r * (kept * t + (1.0 - kept) / 4.0) + (1.0 - p_r) * (16.0 - t) / 63.0
-        for t in _TILDE_BELL
-    )
-    return perfect, faulty
+    spread = (1.0 - kept) / 4.0
+    t_phi, _, t_psi, _ = _TILDE_BELL  # its phi and its psi pair are equal
+    faulty_phi = p_r * (kept * t_phi + spread) + (1.0 - p_r) * (16.0 - t_phi) / 63.0
+    faulty_psi = p_r * (kept * t_psi + spread) + (1.0 - p_r) * (16.0 - t_psi) / 63.0
+    return perfect, (faulty_phi, faulty_phi, faulty_psi, faulty_psi)
 
 
 def final_bell_coeffs(beta: float, r: int, p_r: float) -> BellDiagCoeffs:
@@ -211,9 +208,13 @@ def final_bell_coeffs(beta: float, r: int, p_r: float) -> BellDiagCoeffs:
     for r >= 1 stations with chain success P_r: the first-order mixture of
     the perfect decode, the one-faulty decode and I/4 over the four decode
     CNOTs."""
-    perfect, faulty = _chain_decode_coeffs(beta, r, p_r)
+    (d_0, d_1, d_2, d_3), (n_0, n_1, n_2, n_3) = _chain_decode_coeffs(beta, r, p_r)
     w_perfect, w_branch, w_rest = first_order_weights(DECODE_GATE_COUNT, beta)
-    return BellDiagCoeffs(*(
-        w_perfect * d + DECODE_GATE_COUNT * w_branch * n + w_rest / 4.0
-        for d, n in zip(perfect, faulty)
-    ))
+    w_faulty = DECODE_GATE_COUNT * w_branch
+    mixed = w_rest / 4.0
+    return BellDiagCoeffs(
+        w_perfect * d_0 + w_faulty * n_0 + mixed,
+        w_perfect * d_1 + w_faulty * n_1 + mixed,
+        w_perfect * d_2 + w_faulty * n_2 + mixed,
+        w_perfect * d_3 + w_faulty * n_3 + mixed,
+    )

@@ -21,17 +21,26 @@ range (per-station compounding contradicts it beyond a few stations, and
 no single accounting reproduces both the table and the published cost
 curves).  Both conventions are deliberate; see the README model notes.
 
+Nesting scan.  :func:`optimize_over_stations` and :func:`cost_coefficient`
+evaluate every nesting level of a point in one pass of scalars
+(:func:`_scan_nesting`): p_s once per point, then per level the decoded key
+fraction and the link terms (:func:`_link_terms`), with the operations of
+:func:`key_rate` in its order, so each level's K is :func:`key_rate`'s to the
+last bit.  Only the winning level gets a full :class:`RateReport`.
+
 Everything here is stdlib arithmetic on those closed forms; only N = 0,
-which decodes one dense encoded pair, loads the numpy layer.
+which decodes one dense encoded pair, loads the numpy layer.  The records
+are namedtuples, not dataclasses, which would cost the rate commands the
+import of :mod:`dataclasses` and its dependencies.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .closedform import (
     BellDiagCoeffs,
@@ -55,19 +64,16 @@ class NoThresholdError(ValueError):
     """Raised when a threshold bracket contains no sign change."""
 
 
-@dataclass(frozen=True)
-class RepeaterParams:
-    """Every knob of the rate pipeline."""
+class RepeaterParams(namedtuple("RepeaterParams", (
+    "beta", "f0", "distance_km", "nesting", "alpha_db_per_km", "speed_km_per_s", "t0_mode",
+), defaults=(DEFAULT_ALPHA_DB_PER_KM, DEFAULT_SPEED_KM_PER_S, "physical"))):
+    """Every knob of the rate pipeline; ``t0_mode`` is "physical" (T0 = L0/c)
+    or "normalized" (T0 = 1).  Every way of building one validates it."""
 
-    beta: float
-    f0: float
-    distance_km: float
-    nesting: int
-    alpha_db_per_km: float = DEFAULT_ALPHA_DB_PER_KM
-    speed_km_per_s: float = DEFAULT_SPEED_KM_PER_S
-    t0_mode: str = "physical"  # or "normalized" (T0 = 1)
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError(f"beta must be in [0, 1], got {self.beta}")
         if not 0.0 <= self.f0 <= 1.0:
@@ -82,52 +88,27 @@ class RepeaterParams:
             raise ValueError(f"signal speed must be positive, got {self.speed_km_per_s}")
         if self.t0_mode not in ("physical", "normalized"):
             raise ValueError(f"t0_mode must be 'physical' or 'normalized', got {self.t0_mode!r}")
-        t0 = self.t0_s
+        l0 = self.distance_km / 2**self.nesting
+        t0 = _fundamental_time(l0, self.speed_km_per_s, self.t0_mode)
         if t0 == 0.0 or math.isinf(1.0 / (2.0 * t0)):
             raise ValueError(
-                f"segment of {self.segment_km} km is too short to time: T0 = {t0} s "
+                f"segment of {l0} km is too short to time: T0 = {t0} s "
                 "leaves no finite rate 1/(2 T0)"
             )
+        return self
 
-    @property
-    def gate_quality(self) -> float:
-        return 1.0 - self.beta
-
-    @property
-    def stations(self) -> int:
-        return 2**self.nesting - 1
-
-    @property
-    def segments(self) -> int:
-        return 2**self.nesting
-
-    @property
-    def segment_km(self) -> float:
-        return self.distance_km / self.segments
-
-    @property
-    def t0_s(self) -> float:
-        """The fundamental time T0: L0/c, or 1 when normalized."""
-        return 1.0 if self.t0_mode == "normalized" else self.segment_km / self.speed_km_per_s
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's own _make, which _replace calls too, skips __new__
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class RateReport:
-    """Everything the rate pipeline produces for one parameter point."""
-
-    p0: float
-    z_value: float
-    rate_pairs_per_s: float
-    e_x: float
-    e_y: float
-    e_z: float
-    secret_fraction: float  # unclamped; the key rate uses max(., 0)
-    key_rate: float
-    p_s: float
-    p_r: float
-    nesting: int
-    l0_km: float
-    memories: int = MEMORIES_PER_HALF_NODE
+# Everything the rate pipeline produces for one parameter point.
+# secret_fraction is unclamped; key_rate uses max(secret_fraction, 0).
+RateReport = namedtuple("RateReport", (
+    "p0", "z_value", "rate_pairs_per_s", "e_x", "e_y", "e_z", "secret_fraction", "key_rate",
+    "p_s", "p_r", "nesting", "l0_km", "memories",
+), defaults=(MEMORIES_PER_HALF_NODE,))
 
 
 def error_rates(coeffs: BellDiagCoeffs) -> tuple[float, float, float]:
@@ -293,19 +274,25 @@ def z_n(num_pairs: int, p0: float) -> float:
     return _z_tail_sum(num_pairs, x)
 
 
-def _pair_rate(params: RepeaterParams, z: float) -> float:
-    """R = 1 / (2 T0 Z) for Z expected rounds."""
-    return 1.0 / (2.0 * params.t0_s * z)
+def _fundamental_time(l0_km: float, speed_km_per_s: float, t0_mode: str) -> float:
+    """T0 = L0/c, or 1 when normalized."""
+    return 1.0 if t0_mode == "normalized" else l0_km / speed_km_per_s
 
 
-def _waiting_rounds(params: RepeaterParams) -> tuple[float, float]:
-    """(P0, Z) for the chain's segments.
+def _link_terms(
+    distance_km: float, segments: int, alpha_db_per_km: float, speed_km_per_s: float, t0_mode: str
+) -> tuple[float, float, float, float]:
+    """(L0, P0, Z, R) of a chain of ``segments`` segments: the segment
+    length, its transmittivity, the expected rounds Z until all 3 * segments
+    pairs have arrived, and the pair rate R = 1 / (2 T0 Z).
 
     A segment long enough for P0 to underflow to 0.0 never delivers a pair:
     Z is infinite and the rate 0, where :func:`z_n` itself rejects P0 = 0.
     """
-    p0 = transmission_prob(params.segment_km, params.alpha_db_per_km)
-    return p0, (z_n(3 * params.segments, p0) if p0 > 0.0 else math.inf)
+    l0 = distance_km / segments
+    p0 = transmission_prob(l0, alpha_db_per_km)
+    z = z_n(3 * segments, p0) if p0 > 0.0 else math.inf
+    return l0, p0, z, 1.0 / (2.0 * _fundamental_time(l0, speed_km_per_s, t0_mode) * z)
 
 
 def _decoded_key_fraction(
@@ -345,11 +332,10 @@ def key_rate(params: RepeaterParams) -> RateReport:
     The key rate is pairs per second times the clamped secret fraction,
     divided by the six memories per half node.
     """
-    r = params.stations
-    p_s = swap_success_closed_form(params.beta, params.f0)
-    p_r, (e_x, e_y, e_z), fraction = _decoded_key_fraction(params.beta, params.f0, r, p_s)
-    p0, z = _waiting_rounds(params)
-    rate = _pair_rate(params, z)
+    beta, f0, distance_km, nesting, alpha_db_per_km, speed_km_per_s, t0_mode = params
+    p_s = swap_success_closed_form(beta, f0)
+    p_r, (e_x, e_y, e_z), fraction = _decoded_key_fraction(beta, f0, 2**nesting - 1, p_s)
+    l0, p0, z, rate = _link_terms(distance_km, 2**nesting, alpha_db_per_km, speed_km_per_s, t0_mode)
     return RateReport(
         p0=p0,
         z_value=z,
@@ -361,23 +347,34 @@ def key_rate(params: RepeaterParams) -> RateReport:
         key_rate=rate * max(fraction, 0.0) / MEMORIES_PER_HALF_NODE,
         p_s=p_s,
         p_r=p_r,
-        nesting=params.nesting,
-        l0_km=params.segment_km,
+        nesting=nesting,
+        l0_km=l0,
     )
 
 
-def _reports_by_nesting(
-    distance_km: float, beta: float, f0: float, n_range: Iterable[int], **fiber
-) -> dict[int, RateReport]:
-    """:func:`key_rate` at each distinct nesting level of ``n_range``, in
-    ascending order; ``fiber`` holds the remaining :class:`RepeaterParams`."""
+def _scan_nesting(
+    distance_km: float, beta: float, f0: float, n_range: Iterable[int],
+    alpha_db_per_km: float, speed_km_per_s: float, t0_mode: str,
+) -> Iterator[tuple[int, float, float]]:
+    """(N, K, P0) at each distinct nesting level of ``n_range``, in ascending
+    order, with K the :func:`key_rate` of that level to the last bit.
+
+    The inputs are checked up front by building :class:`RepeaterParams` at
+    the shallowest and the deepest level only: the nesting sign fails first
+    at the shallowest, T0 is shortest (the only level-dependent check) at
+    the deepest, and every other check is the same at every level.
+    """
     n_values = sorted(set(int(n) for n in n_range))
     if not n_values:
         raise ValueError("n_range must be nonempty")
-    return {
-        n: key_rate(RepeaterParams(beta=beta, f0=f0, distance_km=distance_km, nesting=n, **fiber))
-        for n in n_values
-    }
+    fiber = (alpha_db_per_km, speed_km_per_s, t0_mode)
+    for n in (n_values[0], n_values[-1]):
+        RepeaterParams(beta, f0, distance_km, n, *fiber)
+    p_s = swap_success_closed_form(beta, f0)
+    for n in n_values:
+        fraction = _decoded_key_fraction(beta, f0, 2**n - 1, p_s)[2]
+        _, p0, _, rate = _link_terms(distance_km, 2**n, *fiber)
+        yield n, rate * max(fraction, 0.0) / MEMORIES_PER_HALF_NODE, p0
 
 
 def optimize_over_stations(
@@ -391,18 +388,14 @@ def optimize_over_stations(
     t0_mode: str = "physical",
 ) -> tuple[int, RateReport]:
     """Key rate maximized over the nesting level; ties go to fewer stations,
-    except that a level whose P0 underflowed to 0 loses every tie."""
-    reports = _reports_by_nesting(
-        distance_km, beta, f0, n_range,
-        alpha_db_per_km=alpha_db_per_km, speed_km_per_s=speed_km_per_s, t0_mode=t0_mode,
-    )
-    best: tuple[int, RateReport] | None = None
-    for n, report in reports.items():
-        if best is None or (report.key_rate, report.p0 > 0.0) > (
-            best[1].key_rate, best[1].p0 > 0.0
-        ):
-            best = (n, report)
-    return best
+    except that a level whose P0 underflowed to 0 loses every tie.  Only the
+    winning level gets a full :class:`RateReport`."""
+    fiber = (alpha_db_per_km, speed_km_per_s, t0_mode)
+    best = None
+    for n, k, p0 in _scan_nesting(distance_km, beta, f0, n_range, *fiber):
+        if best is None or (k, p0 > 0.0) > best[1:]:
+            best = (n, k, p0 > 0.0)
+    return best[0], key_rate(RepeaterParams(beta, f0, distance_km, best[0], *fiber))
 
 
 def _bisect(f: Callable[[float], float], a: float, b: float, fa: float, xtol: float) -> float:
@@ -478,13 +471,9 @@ def threshold_fidelity(
     return _bisect(f, lo, hi, f_lo, tol)
 
 
-@dataclass(frozen=True)
-class CostReport:
-    cost: float          # memory qubits per secret bit, minimized over N
-    cost_coefficient: float  # cost / total distance
-    nesting: int
-    l0_km: float
-    key_rate: float
+# cost: memory qubits per secret bit, minimized over N;
+# cost_coefficient: cost / total distance
+CostReport = namedtuple("CostReport", ("cost", "cost_coefficient", "nesting", "l0_km", "key_rate"))
 
 
 def min_cost_over_nesting(entries: Sequence[tuple[int, float]]) -> tuple[float, int]:
@@ -517,15 +506,16 @@ def cost_coefficient(
 
     2^(N+1) counts two memory qubits per station plus one at each end.
     """
-    reports = _reports_by_nesting(
-        distance_km, beta, f0, n_range,
-        alpha_db_per_km=alpha_db_per_km, speed_km_per_s=speed_km_per_s, t0_mode=t0_mode,
-    )
-    cost, n_best = min_cost_over_nesting([(n, rep.key_rate) for n, rep in reports.items()])
+    key_rates = {
+        n: k for n, k, _ in _scan_nesting(
+            distance_km, beta, f0, n_range, alpha_db_per_km, speed_km_per_s, t0_mode
+        )
+    }
+    cost, n_best = min_cost_over_nesting(list(key_rates.items()))
     return CostReport(
         cost=cost,
         cost_coefficient=cost / distance_km,
         nesting=n_best,
         l0_km=distance_km / 2**n_best,
-        key_rate=reports[n_best].key_rate,
+        key_rate=key_rates[n_best],
     )

@@ -36,18 +36,20 @@ def run_bounded(*argv):
 
 
 def run_child(*argv):
-    """The CLI in a fresh interpreter: (exit code, stdout, whether numpy was loaded)."""
+    """The CLI in a fresh interpreter: (exit code, stdout, which of numpy and
+    dataclasses it loaded)."""
     src = Path(repeater_keyrate.__file__).resolve().parents[1]
     probe = (
         "import sys; from repeater_keyrate.cli import main; code = main(sys.argv[1:]); "
-        "print('numpy loaded:', 'numpy' in sys.modules); sys.exit(code)"
+        "print('loaded:', *(m for m in ('numpy', 'dataclasses') if m in sys.modules)); "
+        "sys.exit(code)"
     )
     result = subprocess.run(
         [sys.executable, "-c", probe, *argv], env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True, text=True, timeout=120,
     )
     *out, marker = result.stdout.splitlines() or [""]
-    return result.returncode, "\n".join(out), marker == "numpy loaded: True"
+    return result.returncode, "\n".join(out), set(marker.split()[1:])
 
 
 def parse_kv(out):
@@ -542,9 +544,9 @@ class TestImports:
         ("threshold", "--stations", "1,3"),
     ])
     def test_rate_commands_load_no_numpy(self, argv):
-        code, out, numpy_loaded = run_child(*argv)
+        code, out, loaded = run_child(*argv)
         assert code == 0 and out
-        assert not numpy_loaded
+        assert loaded == set()
 
     @pytest.mark.parametrize("argv,expected", [
         (("validate", "--trials", "20000"), "checks passed"),
@@ -553,9 +555,9 @@ class TestImports:
           "--nesting", "0"), "K_per_mem_per_s=0.9336730933"),
     ])
     def test_dense_commands_load_numpy(self, argv, expected):
-        code, out, numpy_loaded = run_child(*argv)
+        code, out, loaded = run_child(*argv)
         assert code == 0 and expected in out
-        assert numpy_loaded
+        assert "numpy" in loaded
 
     def test_lazy_package_names_resolve(self):
         for name, module in repeater_keyrate._DENSE.items():

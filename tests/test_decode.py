@@ -1,6 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repeater_keyrate.closedform import (
+    _TILDE_BELL,
+    DECODE_GATE_COUNT,
+    first_order_weights,
+    rho_s_weights,
+)
 from repeater_keyrate.decode import (
     _bell_diagonal_mat,
     _chain_decode_coeffs,
@@ -8,6 +16,7 @@ from repeater_keyrate.decode import (
     decode_exact_noise_mat,
     decode_one_faulty,
     decode_perfect,
+    final_bell_coeffs,
     final_state,
     rho_tilde_prime,
     validate_first_order_vs_exact,
@@ -118,6 +127,39 @@ class TestDecodeNonideal:
         closed = one_faulty_decode(beta, f0, r)
         circuit = decode_one_faulty(swapped_state_nonideal(beta, f0, r)).matrix
         assert np.abs(closed - circuit).max() < 1e-10
+
+
+def chain_decode_coeffs_reference(beta, r, p_r):
+    """The earlier generator-expression form of ``_chain_decode_coeffs``."""
+    w_ideal, w_deph, q_r = rho_s_weights(beta, r)
+    c_phi = p_r * w_ideal - (1.0 - p_r) / 63.0
+    c_mix = p_r * q_r + (1.0 - p_r) * 64.0 / 63.0
+    phi_minus = p_r * w_deph / 2.0 + c_mix / 4.0
+    perfect = (c_phi + phi_minus, phi_minus, c_mix / 4.0, c_mix / 4.0)
+    kept = w_ideal + w_deph
+    faulty = tuple(
+        p_r * (kept * t + (1.0 - kept) / 4.0) + (1.0 - p_r) * (16.0 - t) / 63.0
+        for t in _TILDE_BELL
+    )
+    return perfect, faulty
+
+
+def final_bell_coeffs_reference(beta, r, p_r):
+    """The earlier generator-expression form of ``final_bell_coeffs``."""
+    perfect, faulty = chain_decode_coeffs_reference(beta, r, p_r)
+    w_perfect, w_branch, w_rest = first_order_weights(DECODE_GATE_COUNT, beta)
+    return tuple(
+        w_perfect * d + DECODE_GATE_COUNT * w_branch * n + w_rest / 4.0
+        for d, n in zip(perfect, faulty)
+    )
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(st.floats(0.0, 1.0), st.integers(1, 2**20 - 1), st.floats(0.0, 1.0))
+def test_written_out_coefficients_keep_every_bit(beta, r, p_r):
+    # the same operations in the same order as the reference, so == holds
+    assert _chain_decode_coeffs(beta, r, p_r) == chain_decode_coeffs_reference(beta, r, p_r)
+    assert final_bell_coeffs(beta, r, p_r).as_tuple() == final_bell_coeffs_reference(beta, r, p_r)
 
 
 class TestFinalState:

@@ -27,8 +27,10 @@ from repeater_keyrate.qstate import DensityOperator, bell_diag_coeffs
 from repeater_keyrate.rates import (
     MEMORIES_PER_HALF_NODE,
     RepeaterParams,
+    cost_coefficient,
     error_rates,
     key_rate,
+    min_cost_over_nesting,
     optimize_over_stations,
     threshold_fidelity,
     threshold_gate_quality,
@@ -126,6 +128,28 @@ def test_key_rate_does_not_decrease_in_gate_quality(beta_a, beta_b, f0, distance
         for beta in (worse, better)
     ]
     assert rates_k[1] >= rates_k[0]
+
+
+@deterministic
+@given(betas, st.floats(0.0, 1.0), st.floats(1.0, 1e5), st.sets(st.integers(0, 10), min_size=1))
+def test_nesting_scan_equals_key_rate_at_every_level(beta, f0, distance, levels):
+    # past ~8000 km the shallow levels' P0 underflows to 0; N = 0 is the dense path
+    def per_level(t0_mode):
+        return {
+            n: key_rate(RepeaterParams(beta, f0, distance, n, t0_mode=t0_mode))
+            for n in sorted(levels)
+        }
+
+    reports = per_level("physical")
+    n_star = max(reports, key=lambda n: (reports[n].key_rate, reports[n].p0 > 0.0))
+    assert optimize_over_stations(distance, beta, f0, levels) == (n_star, reports[n_star])
+
+    reports = per_level("normalized")
+    cost, n_cost = min_cost_over_nesting([(n, rep.key_rate) for n, rep in reports.items()])
+    report = cost_coefficient(distance, beta, f0, n_range=levels)
+    assert (report.nesting, report.key_rate, report.cost) == (
+        n_cost, reports[n_cost].key_rate, cost
+    )
 
 
 def _patch_every_binding(monkeypatch, original, replacement):

@@ -1,4 +1,5 @@
 import math
+import pickle
 import time
 from fractions import Fraction
 
@@ -347,6 +348,30 @@ class TestKeyRate:
             RepeaterParams(beta=0.0, f0=1.0, distance_km=5.0, nesting=-1)
         with pytest.raises(ValueError):
             RepeaterParams(beta=0.0, f0=1.0, distance_km=5.0, nesting=1, t0_mode="bogus")
+        with pytest.raises(ValueError):  # T0 of a 1e-306 km segment has no finite 1/(2 T0)
+            RepeaterParams(beta=0.0, f0=1.0, distance_km=1e-300, nesting=20)
+        # every construction path validates, not only the constructor
+        params = RepeaterParams(beta=0.0, f0=1.0, distance_km=5.0, nesting=1)
+        with pytest.raises(ValueError):
+            params._replace(beta=2.0)
+        with pytest.raises(ValueError):
+            params._replace(distance_km=-5.0)
+        with pytest.raises(ValueError):
+            RepeaterParams._make([0.0, 1.0, -5.0, 1, 0.17, 2e5, "physical"])
+        assert pickle.loads(pickle.dumps(params)) == params
+        assert params._replace(nesting=2) == (0.0, 1.0, 5.0, 2, 0.17, 2e5, "physical")
+        # defaults, and no record can be changed in place
+        report = key_rate(params)
+        assert report.memories == 6
+        assert BellDiagCoeffs(1.0, 0.0, 0.0, 0.0).remainder_norm == 0.0
+        records = (
+            (params, "beta"), (report, "key_rate"),
+            (BellDiagCoeffs(1.0, 0.0, 0.0, 0.0), "phi_plus"),
+            (cost_coefficient(100.0, 0.0, 1.0), "cost"),
+        )
+        for record, field in records:
+            with pytest.raises(AttributeError):
+                setattr(record, field, 0.5)
 
     def test_one_waiting_time_lookup_per_call(self, monkeypatch):
         calls = []
