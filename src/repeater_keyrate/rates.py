@@ -22,11 +22,12 @@ no single accounting reproduces both the table and the published cost
 curves).  Both conventions are deliberate; see the README model notes.
 
 Nesting scan.  :func:`optimize_over_stations` and :func:`cost_coefficient`
-evaluate every nesting level of a point in one pass of scalars
-(:func:`_scan_nesting`): p_s once per point, then per level the decoded key
-fraction and the link terms (:func:`_link_terms`), with the operations of
-:func:`key_rate` in its order, so each level's K is :func:`key_rate`'s to the
-last bit.  Only the winning level gets a full :class:`RateReport`.
+compute p_s once per point and each level's report with :func:`key_rate`'s
+own helper (:func:`_level_report`), so each level's K is :func:`key_rate`'s
+to the last bit.  :func:`cost_coefficient` evaluates every level;
+:func:`optimize_over_stations` takes them in descending order of an upper
+bound on K (:func:`_levels_by_bound`) and stops at the first bound below the
+best K, so levels that cannot win never sum their waiting time.
 
 Everything here is stdlib arithmetic on those closed forms; only N = 0,
 which decodes one dense encoded pair, loads the numpy layer.  The records
@@ -40,7 +41,7 @@ import math
 import sys
 from collections import namedtuple
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .closedform import (
     BellDiagCoeffs,
@@ -78,13 +79,13 @@ class RepeaterParams(namedtuple("RepeaterParams", (
             raise ValueError(f"beta must be in [0, 1], got {self.beta}")
         if not 0.0 <= self.f0 <= 1.0:
             raise ValueError(f"F0 must be in [0, 1], got {self.f0}")
-        if self.distance_km <= 0:
+        if not self.distance_km > 0:
             raise ValueError(f"distance must be positive, got {self.distance_km}")
         if self.nesting < 0 or int(self.nesting) != self.nesting:
             raise ValueError(f"nesting level must be an integer >= 0, got {self.nesting}")
-        if self.alpha_db_per_km <= 0:
+        if not self.alpha_db_per_km > 0:
             raise ValueError(f"alpha must be positive, got {self.alpha_db_per_km}")
-        if self.speed_km_per_s <= 0:
+        if not self.speed_km_per_s > 0:
             raise ValueError(f"signal speed must be positive, got {self.speed_km_per_s}")
         if self.t0_mode not in ("physical", "normalized"):
             raise ValueError(f"t0_mode must be 'physical' or 'normalized', got {self.t0_mode!r}")
@@ -160,9 +161,9 @@ def secret_fraction_six_state(e_x: float, e_y: float, e_z: float) -> float:
 
 def transmission_prob(l0_km: float, alpha_db_per_km: float = DEFAULT_ALPHA_DB_PER_KM) -> float:
     """Fiber transmittivity of one segment: 10^(-alpha L0 / 10)."""
-    if l0_km < 0:
+    if not l0_km >= 0:
         raise ValueError(f"segment length must be nonnegative, got {l0_km}")
-    if alpha_db_per_km <= 0:
+    if not alpha_db_per_km > 0:
         raise ValueError(f"alpha must be positive, got {alpha_db_per_km}")
     return float(10.0 ** (-alpha_db_per_km * l0_km / 10.0))
 
@@ -279,22 +280,6 @@ def _fundamental_time(l0_km: float, speed_km_per_s: float, t0_mode: str) -> floa
     return 1.0 if t0_mode == "normalized" else l0_km / speed_km_per_s
 
 
-def _link_terms(
-    distance_km: float, segments: int, alpha_db_per_km: float, speed_km_per_s: float, t0_mode: str
-) -> tuple[float, float, float, float]:
-    """(L0, P0, Z, R) of a chain of ``segments`` segments: the segment
-    length, its transmittivity, the expected rounds Z until all 3 * segments
-    pairs have arrived, and the pair rate R = 1 / (2 T0 Z).
-
-    A segment long enough for P0 to underflow to 0.0 never delivers a pair:
-    Z is infinite and the rate 0, where :func:`z_n` itself rejects P0 = 0.
-    """
-    l0 = distance_km / segments
-    p0 = transmission_prob(l0, alpha_db_per_km)
-    z = z_n(3 * segments, p0) if p0 > 0.0 else math.inf
-    return l0, p0, z, 1.0 / (2.0 * _fundamental_time(l0, speed_km_per_s, t0_mode) * z)
-
-
 def _decoded_key_fraction(
     beta: float, f0: float, swap_count: int, p_s: float
 ) -> tuple[float, tuple[float, float, float], float]:
@@ -326,55 +311,64 @@ def secret_fraction_for(beta: float, f0: float, nesting: int) -> float:
     return _chain_secret_fraction(beta, f0, 2**nesting - 1, phase_trivial_only=False)
 
 
+def _level_report(
+    beta: float, f0: float, distance_km: float, nesting: int, fiber: Sequence, p_s: float
+) -> RateReport:
+    """The :class:`RateReport` of one nesting level, given the point's p_s.
+    A segment whose P0 underflowed to 0.0 never delivers a pair: Z = inf and
+    R = 0, where :func:`z_n` itself rejects P0 = 0."""
+    alpha_db_per_km, speed_km_per_s, t0_mode = fiber
+    p_r, (e_x, e_y, e_z), fraction = _decoded_key_fraction(beta, f0, 2**nesting - 1, p_s)
+    l0 = distance_km / 2**nesting
+    p0 = transmission_prob(l0, alpha_db_per_km)
+    z = z_n(3 * 2**nesting, p0) if p0 > 0.0 else math.inf
+    rate = 1.0 / (2.0 * _fundamental_time(l0, speed_km_per_s, t0_mode) * z)
+    k = rate * max(fraction, 0.0) / MEMORIES_PER_HALF_NODE
+    return RateReport(p0, z, rate, e_x, e_y, e_z, fraction, k, p_s, p_r, nesting, l0)
+
+
 def key_rate(params: RepeaterParams) -> RateReport:
     """Full pipeline: encoded pair -> swap chain -> decode -> six-state key.
 
     The key rate is pairs per second times the clamped secret fraction,
     divided by the six memories per half node.
     """
-    beta, f0, distance_km, nesting, alpha_db_per_km, speed_km_per_s, t0_mode = params
-    p_s = swap_success_closed_form(beta, f0)
-    p_r, (e_x, e_y, e_z), fraction = _decoded_key_fraction(beta, f0, 2**nesting - 1, p_s)
-    l0, p0, z, rate = _link_terms(distance_km, 2**nesting, alpha_db_per_km, speed_km_per_s, t0_mode)
-    return RateReport(
-        p0=p0,
-        z_value=z,
-        rate_pairs_per_s=rate,
-        e_x=e_x,
-        e_y=e_y,
-        e_z=e_z,
-        secret_fraction=fraction,
-        key_rate=rate * max(fraction, 0.0) / MEMORIES_PER_HALF_NODE,
-        p_s=p_s,
-        p_r=p_r,
-        nesting=nesting,
-        l0_km=l0,
-    )
+    beta, f0, distance_km, nesting, *fiber = params
+    return _level_report(beta, f0, distance_km, nesting, fiber, swap_success_closed_form(beta, f0))
 
 
-def _scan_nesting(
-    distance_km: float, beta: float, f0: float, n_range: Iterable[int],
-    alpha_db_per_km: float, speed_km_per_s: float, t0_mode: str,
-) -> Iterator[tuple[int, float, float]]:
-    """(N, K, P0) at each distinct nesting level of ``n_range``, in ascending
-    order, with K the :func:`key_rate` of that level to the last bit.
+@lru_cache(maxsize=1024)
+def _levels_by_bound(
+    distance_km: float, levels: tuple, alpha_db_per_km: float, speed_km_per_s: float, t0_mode: str
+) -> tuple[tuple[float, int], ...]:
+    """(UB, N) for each of ``levels``, highest first.  UB bounds the level's K
+    without Z or the fraction (README decision 18): r_inf <= 1 and
+    Z >= max(1, 1/P0, H_n/x), n = 3 * 2^N, x = -ln(1 - P0), times 1 + 1e-9
+    for rounding; Z = inf, so UB = 0, when P0 underflowed."""
+    bounds = []
+    for n in levels:
+        l0 = distance_km / 2**n
+        p0 = transmission_prob(l0, alpha_db_per_km)
+        x = -math.log1p(-p0) if p0 < 1.0 else math.inf
+        z_low = max(1.0, 1.0 / p0, _harmonic(3 * 2**n) / x) if p0 > 0.0 else math.inf
+        t0 = _fundamental_time(l0, speed_km_per_s, t0_mode)
+        bounds.append(((1.0 + 1e-9) / (2.0 * t0 * z_low) / MEMORIES_PER_HALF_NODE, n))
+    return tuple(sorted(bounds, reverse=True))
 
-    The inputs are checked up front by building :class:`RepeaterParams` at
-    the shallowest and the deepest level only: the nesting sign fails first
-    at the shallowest, T0 is shortest (the only level-dependent check) at
-    the deepest, and every other check is the same at every level.
-    """
-    n_values = sorted(set(int(n) for n in n_range))
+
+def _nesting_levels(
+    distance_km: float, beta: float, f0: float, n_range: Iterable[int], fiber: Sequence
+) -> tuple[tuple[int, ...], float]:
+    """The distinct levels of ``n_range`` in ascending order, and p_s.  Two
+    :class:`RepeaterParams` check the inputs: the nesting sign fails first at
+    the shallowest level, T0 is shortest (the only level-dependent check) at
+    the deepest, and every other check is the same at every level."""
+    n_values = tuple(sorted(set(map(int, n_range))))
     if not n_values:
         raise ValueError("n_range must be nonempty")
-    fiber = (alpha_db_per_km, speed_km_per_s, t0_mode)
     for n in (n_values[0], n_values[-1]):
         RepeaterParams(beta, f0, distance_km, n, *fiber)
-    p_s = swap_success_closed_form(beta, f0)
-    for n in n_values:
-        fraction = _decoded_key_fraction(beta, f0, 2**n - 1, p_s)[2]
-        _, p0, _, rate = _link_terms(distance_km, 2**n, *fiber)
-        yield n, rate * max(fraction, 0.0) / MEMORIES_PER_HALF_NODE, p0
+    return n_values, swap_success_closed_form(beta, f0)
 
 
 def optimize_over_stations(
@@ -388,14 +382,21 @@ def optimize_over_stations(
     t0_mode: str = "physical",
 ) -> tuple[int, RateReport]:
     """Key rate maximized over the nesting level; ties go to fewer stations,
-    except that a level whose P0 underflowed to 0 loses every tie.  Only the
-    winning level gets a full :class:`RateReport`."""
+    except that a level whose P0 underflowed to 0 loses every tie.  The
+    levels are taken in descending order of their bound UB
+    (:func:`_levels_by_bound`), and the search stops at the first UB below
+    the best K so far: no level left can then win or tie."""
     fiber = (alpha_db_per_km, speed_km_per_s, t0_mode)
-    best = None
-    for n, k, p0 in _scan_nesting(distance_km, beta, f0, n_range, *fiber):
-        if best is None or (k, p0 > 0.0) > best[1:]:
-            best = (n, k, p0 > 0.0)
-    return best[0], key_rate(RepeaterParams(beta, f0, distance_km, best[0], *fiber))
+    levels, p_s = _nesting_levels(distance_km, beta, f0, n_range, fiber)
+    best = (-math.inf,)  # (K, P0 > 0, -N) of the winner so far
+    for bound, n in _levels_by_bound(distance_km, levels, *fiber):
+        if bound < best[0]:
+            break
+        report = _level_report(beta, f0, distance_km, n, fiber, p_s)
+        rank = (report.key_rate, report.p0 > 0.0, -n)
+        if rank > best:
+            best, winner = rank, report
+    return winner.nesting, winner
 
 
 def _bisect(f: Callable[[float], float], a: float, b: float, fa: float, xtol: float) -> float:
@@ -506,11 +507,9 @@ def cost_coefficient(
 
     2^(N+1) counts two memory qubits per station plus one at each end.
     """
-    key_rates = {
-        n: k for n, k, _ in _scan_nesting(
-            distance_km, beta, f0, n_range, alpha_db_per_km, speed_km_per_s, t0_mode
-        )
-    }
+    fiber = (alpha_db_per_km, speed_km_per_s, t0_mode)
+    levels, p_s = _nesting_levels(distance_km, beta, f0, n_range, fiber)
+    key_rates = {n: _level_report(beta, f0, distance_km, n, fiber, p_s).key_rate for n in levels}
     cost, n_best = min_cost_over_nesting(list(key_rates.items()))
     return CostReport(
         cost=cost,

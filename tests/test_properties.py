@@ -27,6 +27,7 @@ from repeater_keyrate.qstate import DensityOperator, bell_diag_coeffs
 from repeater_keyrate.rates import (
     MEMORIES_PER_HALF_NODE,
     RepeaterParams,
+    _levels_by_bound,
     cost_coefficient,
     error_rates,
     key_rate,
@@ -128,6 +129,20 @@ def test_key_rate_does_not_decrease_in_gate_quality(beta_a, beta_b, f0, distance
         for beta in (worse, better)
     ]
     assert rates_k[1] >= rates_k[0]
+
+
+@deterministic
+@given(
+    betas, st.floats(0.0, 1.0), st.floats(1.0, 1e5), st.integers(0, 10),
+    st.sampled_from(["physical", "normalized"]),
+)
+def test_key_rate_bound_holds_at_every_level(beta, f0, distance, nesting, t0_mode):
+    # the bound that lets optimize_over_stations skip a level (README decision 18)
+    params = RepeaterParams(beta, f0, distance, nesting, t0_mode=t0_mode)
+    [(bound, _)] = _levels_by_bound(distance, (nesting,), *params[4:])
+    report = key_rate(params)
+    assert bound >= report.key_rate
+    assert (bound > 0.0) == (report.p0 > 0.0)
 
 
 @deterministic

@@ -104,6 +104,11 @@ class TestTransmission:
         with pytest.raises(ValueError):
             transmission_prob(10.0, 0.0)
 
+    @pytest.mark.parametrize("args", [(math.nan,), (10.0, math.nan)])
+    def test_rejects_nan(self, args):
+        with pytest.raises(ValueError):
+            transmission_prob(*args)
+
 
 def z_series_oracle(num_pairs, p0):
     """Independent evaluation: sum over rounds of P(some pair still waiting)."""
@@ -373,6 +378,16 @@ class TestKeyRate:
             with pytest.raises(AttributeError):
                 setattr(record, field, 0.5)
 
+    @pytest.mark.parametrize("field", ["distance_km", "alpha_db_per_km", "speed_km_per_s"])
+    def test_nan_rejected(self, field):
+        # every check is `not x > 0`, which NaN fails
+        kwargs = {"distance_km": 600.0, "alpha_db_per_km": 0.17, "speed_km_per_s": 2e5}
+        kwargs[field] = math.nan
+        with pytest.raises(ValueError):
+            RepeaterParams(beta=0.0, f0=1.0, nesting=1, **kwargs)
+        with pytest.raises(ValueError):
+            optimize_over_stations(kwargs.pop("distance_km"), 0.0, 1.0, **kwargs)
+
     def test_one_waiting_time_lookup_per_call(self, monkeypatch):
         calls = []
 
@@ -407,6 +422,33 @@ class TestOptimize:
     def test_empty_range_rejected(self):
         with pytest.raises(ValueError):
             optimize_over_stations(100.0, 0.0, 1.0, [])
+
+    def test_levels_that_cannot_win_sum_no_waiting_time(self, monkeypatch):
+        # at 2000 km the shallow levels' K bound lies below the winner's K
+        levels = []
+
+        def counted(num_pairs, p0):
+            levels.append((num_pairs // 3).bit_length() - 1)
+            return z_n(num_pairs, p0)
+
+        z_n.cache_clear()
+        monkeypatch.setattr(rates, "z_n", counted)
+        n_best, report = optimize_over_stations(2000.0, 1e-4, 0.9999)
+        assert n_best == 6 and report.key_rate > 0.0
+        assert sorted(levels) == [6, 7, 8, 9, 10]
+        assert z_n.cache_info().misses == 5
+
+    def test_no_key_anywhere_goes_to_the_shallowest_level(self):
+        for levels in (range(1, 11), [4, 7, 9]):
+            n_best, report = optimize_over_stations(600.0, 0.05, 0.9, levels)
+            assert (n_best, report.key_rate) == (min(levels), 0.0)
+
+    def test_underflowed_levels_lose_ties(self):
+        # at 1e5 km P0 underflows at N = 1, 2; every K is 0 at beta = 0.05, F0 = 0.9
+        n_best, report = optimize_over_stations(100000.0, 0.05, 0.9, range(1, 11))
+        assert (n_best, report.key_rate) == (3, 0.0)
+        assert report.p0 > 0.0
+        assert key_rate(RepeaterParams(0.05, 0.9, 100000.0, 2)).p0 == 0.0
 
 
 class TestThresholds:
