@@ -111,18 +111,19 @@ def _bernstein_ratio(x: float, x_bar: float, degree: int) -> tuple[float, float,
     return x**degree, x_bar / x, True
 
 
-def _bernstein_sum(table: tuple, beta: float, f0: float) -> float:
-    """sum_ij table[i][j] beta^i (1 - beta)^(m - i) eps^j (1 - eps)^(n - j),
-    eps = 1 - F0, by Horner in the two ratios."""
-    b_scale, b_ratio, b_mirrored = _bernstein_ratio(beta, 1.0 - beta, len(table) - 1)
-    e_scale, e_ratio, e_mirrored = _bernstein_ratio(1.0 - f0, f0, len(table[0]) - 1)
-    total = 0.0
-    for row in table if b_mirrored else reversed(table):
+@lru_cache(maxsize=1024)
+def _success_rows(f0: float, phase_trivial_only: bool) -> tuple[float, tuple[float, ...]]:
+    """(scale, rows) at this F0: each table row summed over eps = 1 - F0 by
+    Horner once per F0, not once per point (:func:`swap_success_closed_form`)."""
+    table = _SUCCESS_TABLES[phase_trivial_only]
+    scale, ratio, mirrored = _bernstein_ratio(1.0 - f0, f0, len(table[0]) - 1)
+    rows = []
+    for row in table:
         inner = 0.0
-        for c in row if e_mirrored else reversed(row):
-            inner = inner * e_ratio + c
-        total = total * b_ratio + inner
-    return total * b_scale * e_scale
+        for c in row if mirrored else reversed(row):
+            inner = inner * ratio + c
+        rows.append(inner)
+    return scale, tuple(rows)
 
 
 @lru_cache(maxsize=4096)
@@ -131,9 +132,9 @@ def swap_success_closed_form(beta: float, f0: float, *, phase_trivial_only: bool
     ``encoded_pair(beta, f0)`` without the pair.
 
     p_s(beta, 1 - F0) is the exact polynomial behind the dense tables,
-    stored as positive Bernstein coefficients and evaluated by Horner
-    (~13 us, no cancellation).  It matches the dense pair to ~1e-15 relative
-    over [0, 1]^2 and is exactly 1 at the ideal corner.  With
+    stored as positive Bernstein coefficients and evaluated by Horner, in
+    eps and then in beta (no cancellation).  It matches the dense pair to
+    ~1e-15 relative over [0, 1]^2 and is exactly 1 at the ideal corner.  With
     ``phase_trivial_only`` the sum runs over the 32 phase-trivial
     correctable states (the thresholds' accounting).
     """
@@ -141,14 +142,22 @@ def swap_success_closed_form(beta: float, f0: float, *, phase_trivial_only: bool
         raise ValueError(f"beta must be in [0, 1], got {beta}")
     if not 0.0 <= f0 <= 1.0:
         raise ValueError(f"F0 must be in [0, 1], got {f0}")
-    table = _SUCCESS_TABLES[phase_trivial_only]
-    return _bernstein_sum(table, beta, f0) / _SUCCESS_DENOMINATOR[phase_trivial_only]
+    e_scale, rows = _success_rows(f0, phase_trivial_only)
+    b_scale, b_ratio, b_mirrored = _bernstein_ratio(beta, 1.0 - beta, len(rows) - 1)
+    total = 0.0
+    for inner in rows if b_mirrored else reversed(rows):
+        total = total * b_ratio + inner
+    return total * b_scale * e_scale / _SUCCESS_DENOMINATOR[phase_trivial_only]
+
+
+def _check_stations(r: int) -> None:
+    if r < 1 or int(r) != r:
+        raise ValueError(f"r must be a positive integer, got {r}")
 
 
 def chain_success_prob(p_s: float, r: int) -> float:
     """Success probability over r independent swap stations: p_s ** r."""
-    if r < 1 or int(r) != r:
-        raise ValueError(f"r must be a positive integer, got {r}")
+    _check_stations(r)
     if not 0.0 <= p_s <= 1.0 + 1e-12:
         raise ValueError(f"p_s must be a probability, got {p_s}")
     return float(min(p_s, 1.0) ** r)
@@ -158,63 +167,77 @@ def chain_success_prob(p_s: float, r: int) -> float:
 # swapped and decoded states
 # ---------------------------------------------------------------------------
 
+class ChainState:
+    """The swapped and decoded chain state at one beta, as closed forms in
+    (r, P_r).  log(1 - beta), log 3 + log beta and the decode CNOTs' weights
+    are computed once, and shared by every nesting level of a point; at
+    beta = 0 and 1 a logarithm is -inf, which gives the exact weights."""
+
+    def __init__(self, beta: float):
+        if not 0.0 <= beta <= 1.0:
+            raise ValueError(f"beta must be in [0, 1], got {beta}")
+        self._log1m = math.log1p(-beta) if beta < 1.0 else -math.inf
+        self._log_3beta = math.log(3.0) + math.log(beta) if beta > 0.0 else -math.inf
+        w_perfect, w_branch, w_rest = first_order_weights(DECODE_GATE_COUNT, beta)
+        self._decode_weights = (w_perfect, DECODE_GATE_COUNT * w_branch, w_rest / 4.0)
+
+    def weights(self, r: int) -> tuple[float, float, float]:
+        """:func:`rho_s_weights`, in log space so large r underflows cleanly
+        to zero instead of overflowing intermediate powers."""
+        w_ideal = math.exp(3 * r * self._log1m)
+        w_deph = math.exp(r * self._log_3beta + 2 * r * self._log1m)
+        q_r = 1.0 - w_ideal - w_deph
+        assert q_r >= -1e-12, f"remainder weight {q_r} negative"
+        return w_ideal, w_deph, max(q_r, 0.0)
+
+    def decode_coeffs(self, r: int, p_r: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """Bell coefficients of the perfect and the one-faulty decode of the
+        swapped state after r stations with chain success P_r.  Decoding
+        sends |Phi6>, D and I/64 to Phi+, (Phi+ + Phi-)/2 and I/4, one-faulty
+        decoding sends |Phi6> and D to rho_tilde_prime, and the rest is
+        linearity.  For beta and P_r in [0, 1] every coefficient is a sum of
+        nonnegative terms: the Phi+ one is
+        P_r (w_ideal + w_deph/2 + q_r/4) + 15 (1 - P_r)/63."""
+        w_ideal, w_deph, q_r = self.weights(r)
+        c_phi = p_r * w_ideal - (1.0 - p_r) / 63.0
+        c_mix = p_r * q_r + (1.0 - p_r) * 64.0 / 63.0
+        phi_minus = p_r * w_deph / 2.0 + c_mix / 4.0
+        perfect = (c_phi + phi_minus, phi_minus, c_mix / 4.0, c_mix / 4.0)
+        kept = w_ideal + w_deph
+        spread = (1.0 - kept) / 4.0
+        t_phi, _, t_psi, _ = _TILDE_BELL  # its phi and its psi pair are equal
+        faulty_phi = p_r * (kept * t_phi + spread) + (1.0 - p_r) * (16.0 - t_phi) / 63.0
+        faulty_psi = p_r * (kept * t_psi + spread) + (1.0 - p_r) * (16.0 - t_psi) / 63.0
+        return perfect, (faulty_phi, faulty_phi, faulty_psi, faulty_psi)
+
+    def bell_coeffs(self, r: int, p_r: float) -> BellDiagCoeffs:
+        """:func:`final_bell_coeffs`: the first-order mixture of the perfect
+        decode, the one-faulty decode and I/4 over the four decode CNOTs."""
+        (d_0, d_1, d_2, d_3), (n_0, n_1, n_2, n_3) = self.decode_coeffs(r, p_r)
+        w_perfect, w_faulty, mixed = self._decode_weights
+        return BellDiagCoeffs(
+            w_perfect * d_0 + w_faulty * n_0 + mixed,
+            w_perfect * d_1 + w_faulty * n_1 + mixed,
+            w_perfect * d_2 + w_faulty * n_2 + mixed,
+            w_perfect * d_3 + w_faulty * n_3 + mixed,
+        )
+
+
 def rho_s_weights(beta: float, r: int) -> tuple[float, float, float]:
     """(ideal, dephased, mixed-remainder) weights of the swapped state after
-    r stations, each with three first-order-noisy Bell-measurement CNOTs.
-
-    Evaluated in log space so large r underflows cleanly to zero instead of
-    overflowing intermediate powers.
-    """
-    if r < 1 or int(r) != r:
-        raise ValueError(f"r must be a positive integer, got {r}")
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"beta must be in [0, 1], got {beta}")
-    if beta == 0.0:
-        return 1.0, 0.0, 0.0
-    if beta == 1.0:
-        return 0.0, 0.0, 1.0
-    log1m = math.log1p(-beta)
-    w_ideal = math.exp(3 * r * log1m)
-    w_deph = math.exp(r * (math.log(3.0) + math.log(beta)) + 2 * r * log1m)
-    q_r = 1.0 - w_ideal - w_deph
-    assert q_r >= -1e-12, f"remainder weight {q_r} negative"
-    return w_ideal, w_deph, max(q_r, 0.0)
+    r stations, each with three first-order-noisy Bell-measurement CNOTs."""
+    _check_stations(r)
+    return ChainState(beta).weights(r)
 
 
-def _chain_decode_coeffs(
-    beta: float, r: int, p_r: float
-) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Bell coefficients of the perfect and the one-faulty decode of the
-    swapped state after r stations with chain success P_r.  Decoding sends
-    |Phi6>, D and I/64 to Phi+, (Phi+ + Phi-)/2 and I/4, one-faulty decoding
-    sends |Phi6> and D to rho_tilde_prime, and the rest is linearity.  For
-    beta and P_r in [0, 1] every coefficient is a sum of nonnegative terms:
-    the Phi+ one is P_r (w_ideal + w_deph/2 + q_r/4) + 15 (1 - P_r)/63."""
-    w_ideal, w_deph, q_r = rho_s_weights(beta, r)
-    c_phi = p_r * w_ideal - (1.0 - p_r) / 63.0
-    c_mix = p_r * q_r + (1.0 - p_r) * 64.0 / 63.0
-    phi_minus = p_r * w_deph / 2.0 + c_mix / 4.0
-    perfect = (c_phi + phi_minus, phi_minus, c_mix / 4.0, c_mix / 4.0)
-    kept = w_ideal + w_deph
-    spread = (1.0 - kept) / 4.0
-    t_phi, _, t_psi, _ = _TILDE_BELL  # its phi and its psi pair are equal
-    faulty_phi = p_r * (kept * t_phi + spread) + (1.0 - p_r) * (16.0 - t_phi) / 63.0
-    faulty_psi = p_r * (kept * t_psi + spread) + (1.0 - p_r) * (16.0 - t_psi) / 63.0
-    return perfect, (faulty_phi, faulty_phi, faulty_psi, faulty_psi)
+def _chain_decode_coeffs(beta: float, r: int, p_r: float) -> tuple[tuple[float, ...], ...]:
+    """:meth:`ChainState.decode_coeffs` at one beta."""
+    _check_stations(r)
+    return ChainState(beta).decode_coeffs(r, p_r)
 
 
 def final_bell_coeffs(beta: float, r: int, p_r: float) -> BellDiagCoeffs:
     """Closed-form Bell coefficients of :func:`~repeater_keyrate.decode.final_state`
-    for r >= 1 stations with chain success P_r: the first-order mixture of
-    the perfect decode, the one-faulty decode and I/4 over the four decode
-    CNOTs."""
-    (d_0, d_1, d_2, d_3), (n_0, n_1, n_2, n_3) = _chain_decode_coeffs(beta, r, p_r)
-    w_perfect, w_branch, w_rest = first_order_weights(DECODE_GATE_COUNT, beta)
-    w_faulty = DECODE_GATE_COUNT * w_branch
-    mixed = w_rest / 4.0
-    return BellDiagCoeffs(
-        w_perfect * d_0 + w_faulty * n_0 + mixed,
-        w_perfect * d_1 + w_faulty * n_1 + mixed,
-        w_perfect * d_2 + w_faulty * n_2 + mixed,
-        w_perfect * d_3 + w_faulty * n_3 + mixed,
-    )
+    for r >= 1 stations with chain success P_r (:meth:`ChainState.bell_coeffs`)."""
+    _check_stations(r)
+    return ChainState(beta).bell_coeffs(r, p_r)

@@ -21,13 +21,13 @@ range (per-station compounding contradicts it beyond a few stations, and
 no single accounting reproduces both the table and the published cost
 curves).  Both conventions are deliberate; see the README model notes.
 
-Nesting scan.  :func:`optimize_over_stations` and :func:`cost_coefficient`
-compute p_s once per point and each level's report with :func:`key_rate`'s
-own helper (:func:`_level_report`), so each level's K is :func:`key_rate`'s
-to the last bit.  :func:`cost_coefficient` evaluates every level;
-:func:`optimize_over_stations` takes them in descending order of an upper
-bound on K (:func:`_levels_by_bound`) and stops at the first bound below the
-best K, so levels that cannot win never sum their waiting time.
+Nesting scan.  Each quantity is computed where it is constant: the levels'
+checks and K bounds per (L, levels, fiber) (:func:`_levels_by_bound`), the
+rows of p_s per F0, and p_s and the beta terms per point (:class:`_Point`,
+whose level report :func:`key_rate` uses too, so K agrees to the last bit).
+:func:`cost_coefficient` evaluates every level; :func:`optimize_over_stations`
+takes them by descending bound and stops at the first bound below the best
+K, so levels that cannot win never sum their waiting time.
 
 Everything here is stdlib arithmetic on those closed forms; only N = 0,
 which decodes one dense encoded pair, loads the numpy layer.  The records
@@ -43,12 +43,7 @@ from collections import namedtuple
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
-from .closedform import (
-    BellDiagCoeffs,
-    chain_success_prob,
-    final_bell_coeffs,
-    swap_success_closed_form,
-)
+from .closedform import BellDiagCoeffs, ChainState, chain_success_prob, swap_success_closed_form
 
 MEMORIES_PER_HALF_NODE = 6
 DEFAULT_ALPHA_DB_PER_KM = 0.17
@@ -280,51 +275,46 @@ def _fundamental_time(l0_km: float, speed_km_per_s: float, t0_mode: str) -> floa
     return 1.0 if t0_mode == "normalized" else l0_km / speed_km_per_s
 
 
-def _decoded_key_fraction(
-    beta: float, f0: float, swap_count: int, p_s: float
-) -> tuple[float, tuple[float, float, float], float]:
-    """P_r, (e_X, e_Y, e_Z) and the unclamped six-state r_inf of the decoded
-    pair after ``swap_count`` compoundings with swap success ``p_s``; closed
-    form except for the unswapped pair (N = 0), which loads the dense layer."""
-    if swap_count == 0:
-        from .decode import final_state
-        from .qstate import bell_diag_coeffs
+class _Point:
+    """The rate pipeline at one (beta, F0): p_s and the beta terms of the
+    chain state (:class:`~repeater_keyrate.closedform.ChainState`), once."""
 
-        p_r, coeffs = 1.0, bell_diag_coeffs(final_state(beta, f0, 0))
-    else:
-        p_r = chain_success_prob(p_s, swap_count)
-        coeffs = final_bell_coeffs(beta, swap_count, p_r)
-    qbers = error_rates(coeffs)
-    return p_r, qbers, secret_fraction_six_state(*qbers)
+    def __init__(self, beta: float, f0: float, phase_trivial_only: bool = False):
+        self.beta, self.f0 = beta, f0
+        self.p_s = swap_success_closed_form(beta, f0, phase_trivial_only=phase_trivial_only)
+        self.chain = ChainState(beta)
 
+    def decoded(self, swap_count: int) -> tuple[float, tuple[float, float, float], float]:
+        """P_r, (e_X, e_Y, e_Z) and the unclamped six-state r_inf after
+        ``swap_count`` compoundings; N = 0 decodes the dense encoded pair."""
+        if swap_count == 0:
+            from .decode import final_state
+            from .qstate import bell_diag_coeffs
 
-def _chain_secret_fraction(
-    beta: float, f0: float, swap_count: int, phase_trivial_only: bool
-) -> float:
-    p_s = swap_success_closed_form(beta, f0, phase_trivial_only=phase_trivial_only)
-    return _decoded_key_fraction(beta, f0, swap_count, p_s)[2]
+            p_r, coeffs = 1.0, bell_diag_coeffs(final_state(self.beta, self.f0, 0))
+        else:
+            p_r = chain_success_prob(self.p_s, swap_count)
+            coeffs = self.chain.bell_coeffs(swap_count, p_r)
+        qbers = error_rates(coeffs)
+        return p_r, qbers, secret_fraction_six_state(*qbers)
+
+    def report(self, distance_km: float, nesting: int, fiber: Sequence) -> RateReport:
+        """The :class:`RateReport` of one nesting level.  If P0 underflowed to
+        0.0, Z = inf and R = 0 (:func:`z_n` itself rejects P0 = 0)."""
+        alpha_db_per_km, speed_km_per_s, t0_mode = fiber
+        p_r, (e_x, e_y, e_z), fraction = self.decoded(2**nesting - 1)
+        l0 = distance_km / 2**nesting
+        p0 = transmission_prob(l0, alpha_db_per_km)
+        z = z_n(3 * 2**nesting, p0) if p0 > 0.0 else math.inf
+        rate = 1.0 / (2.0 * _fundamental_time(l0, speed_km_per_s, t0_mode) * z)
+        k = rate * max(fraction, 0.0) / MEMORIES_PER_HALF_NODE
+        return RateReport(p0, z, rate, e_x, e_y, e_z, fraction, k, self.p_s, p_r, nesting, l0)
 
 
 def secret_fraction_for(beta: float, f0: float, nesting: int) -> float:
     """Unclamped six-state secret fraction of the decoded chain state,
     with the rate pipeline's per-station error compounding."""
-    return _chain_secret_fraction(beta, f0, 2**nesting - 1, phase_trivial_only=False)
-
-
-def _level_report(
-    beta: float, f0: float, distance_km: float, nesting: int, fiber: Sequence, p_s: float
-) -> RateReport:
-    """The :class:`RateReport` of one nesting level, given the point's p_s.
-    A segment whose P0 underflowed to 0.0 never delivers a pair: Z = inf and
-    R = 0, where :func:`z_n` itself rejects P0 = 0."""
-    alpha_db_per_km, speed_km_per_s, t0_mode = fiber
-    p_r, (e_x, e_y, e_z), fraction = _decoded_key_fraction(beta, f0, 2**nesting - 1, p_s)
-    l0 = distance_km / 2**nesting
-    p0 = transmission_prob(l0, alpha_db_per_km)
-    z = z_n(3 * 2**nesting, p0) if p0 > 0.0 else math.inf
-    rate = 1.0 / (2.0 * _fundamental_time(l0, speed_km_per_s, t0_mode) * z)
-    k = rate * max(fraction, 0.0) / MEMORIES_PER_HALF_NODE
-    return RateReport(p0, z, rate, e_x, e_y, e_z, fraction, k, p_s, p_r, nesting, l0)
+    return _Point(beta, f0).decoded(2**nesting - 1)[2]
 
 
 def key_rate(params: RepeaterParams) -> RateReport:
@@ -334,19 +324,33 @@ def key_rate(params: RepeaterParams) -> RateReport:
     divided by the six memories per half node.
     """
     beta, f0, distance_km, nesting, *fiber = params
-    return _level_report(beta, f0, distance_km, nesting, fiber, swap_success_closed_form(beta, f0))
+    return _Point(beta, f0).report(distance_km, nesting, fiber)
 
 
 @lru_cache(maxsize=1024)
 def _levels_by_bound(
-    distance_km: float, levels: tuple, alpha_db_per_km: float, speed_km_per_s: float, t0_mode: str
+    distance_km: float, n_range: tuple, alpha_db_per_km: float, speed_km_per_s: float, t0_mode: str
 ) -> tuple[tuple[float, int], ...]:
-    """(UB, N) for each of ``levels``, highest first.  UB bounds the level's K
-    without Z or the fraction (README decision 18): r_inf <= 1 and
-    Z >= max(1, 1/P0, H_n/x), n = 3 * 2^N, x = -ln(1 - P0), times 1 + 1e-9
-    for rounding; Z = inf, so UB = 0, when P0 underflowed."""
+    """(UB, N) for each distinct level of ``n_range``, highest UB first.
+
+    The inputs are checked once per (L, levels, fiber), not per point (the
+    point checks beta and F0), by two :class:`RepeaterParams`: the nesting
+    sign fails first at the shallowest level, T0 is shortest (the only
+    level-dependent check) at the deepest, and the other checks are the same
+    at every level.  UB bounds the level's K without Z or the fraction
+    (README decision 18): r_inf <= 1 and Z >= max(1, 1/P0, H_n/x),
+    n = 3 * 2^N, x = -ln(1 - P0), times 1 + 1e-9 for rounding; Z = inf, so
+    UB = 0, when P0 underflowed."""
+    levels = set(n_range)
+    n_values = sorted(set(map(int, levels)))
+    if not n_values:
+        raise ValueError("n_range must be nonempty")
+    if set(n_values) != levels:
+        raise ValueError(f"nesting levels must be integers, got {sorted(levels)}")
+    for n in (n_values[0], n_values[-1]):
+        RepeaterParams(0.0, 1.0, distance_km, n, alpha_db_per_km, speed_km_per_s, t0_mode)
     bounds = []
-    for n in levels:
+    for n in n_values:
         l0 = distance_km / 2**n
         p0 = transmission_prob(l0, alpha_db_per_km)
         x = -math.log1p(-p0) if p0 < 1.0 else math.inf
@@ -354,21 +358,6 @@ def _levels_by_bound(
         t0 = _fundamental_time(l0, speed_km_per_s, t0_mode)
         bounds.append(((1.0 + 1e-9) / (2.0 * t0 * z_low) / MEMORIES_PER_HALF_NODE, n))
     return tuple(sorted(bounds, reverse=True))
-
-
-def _nesting_levels(
-    distance_km: float, beta: float, f0: float, n_range: Iterable[int], fiber: Sequence
-) -> tuple[tuple[int, ...], float]:
-    """The distinct levels of ``n_range`` in ascending order, and p_s.  Two
-    :class:`RepeaterParams` check the inputs: the nesting sign fails first at
-    the shallowest level, T0 is shortest (the only level-dependent check) at
-    the deepest, and every other check is the same at every level."""
-    n_values = tuple(sorted(set(map(int, n_range))))
-    if not n_values:
-        raise ValueError("n_range must be nonempty")
-    for n in (n_values[0], n_values[-1]):
-        RepeaterParams(beta, f0, distance_km, n, *fiber)
-    return n_values, swap_success_closed_form(beta, f0)
 
 
 def optimize_over_stations(
@@ -387,12 +376,12 @@ def optimize_over_stations(
     (:func:`_levels_by_bound`), and the search stops at the first UB below
     the best K so far: no level left can then win or tie."""
     fiber = (alpha_db_per_km, speed_km_per_s, t0_mode)
-    levels, p_s = _nesting_levels(distance_km, beta, f0, n_range, fiber)
+    point = _Point(beta, f0)
     best = (-math.inf,)  # (K, P0 > 0, -N) of the winner so far
-    for bound, n in _levels_by_bound(distance_km, levels, *fiber):
+    for bound, n in _levels_by_bound(distance_km, tuple(n_range), *fiber):
         if bound < best[0]:
             break
-        report = _level_report(beta, f0, distance_km, n, fiber, p_s)
+        report = point.report(distance_km, n, fiber)
         rank = (report.key_rate, report.p0 > 0.0, -n)
         if rank > best:
             best, winner = rank, report
@@ -406,7 +395,7 @@ def _bisect(f: Callable[[float], float], a: float, b: float, fa: float, xtol: fl
     Follows ``scipy.optimize.bisect`` (rtol = 4 eps, 100 iterations) midpoint
     for midpoint, so it returns the same float.
     """
-    if xtol <= 0.0:
+    if not xtol > 0.0:
         raise ValueError(f"bisection tolerance must be positive, got {xtol}")
     rtol = 4.0 * sys.float_info.epsilon
     dm = b - a
@@ -421,34 +410,32 @@ def _bisect(f: Callable[[float], float], a: float, b: float, fa: float, xtol: fl
     raise RuntimeError(f"bisection did not converge in 100 iterations (xtol={xtol})")
 
 
-def _require_chain_stations(r: int) -> None:
+def _threshold(r: int, bracket: tuple[float, float], tol: float, over_f0: bool) -> float:
+    """Root in ``bracket`` of the unclamped secret fraction over beta at
+    F0 = 1, where it falls, or over F0 at beta = 0, where it rises, with the
+    per-nesting-level compounding that reproduces the published table (see
+    the module docstring)."""
     if r < 1 or (r + 1) & r != 0:
         raise ValueError(f"station count must be 2^N - 1 with N >= 1, got {r}")
+    nesting = (r + 1).bit_length() - 1
+    lo, hi = bracket
+
+    def f(x: float) -> float:
+        point = _Point(0.0, x, True) if over_f0 else _Point(x, 1.0, True)
+        return point.decoded(nesting)[2]
+
+    f_lo, f_hi = f(lo), f(hi)
+    if not (f_hi > 0.0 > f_lo if over_f0 else f_lo > 0.0 > f_hi):
+        name = "F0" if over_f0 else "beta"
+        raise NoThresholdError(f"no sign change for r={r} in {name} bracket [{lo}, {hi}]")
+    return _bisect(f, lo, hi, f_lo, tol)
 
 
 def threshold_gate_quality(
     r: int, *, bracket: tuple[float, float] = (0.0, 0.05), tol: float = 1e-4
 ) -> float:
-    """Minimal gate quality for a nonzero key with r stations and F0 = 1.
-
-    Bisects the sign of the unclamped secret fraction over beta, using the
-    per-nesting-level compounding that reproduces the published table (see
-    the module docstring).
-    """
-    _require_chain_stations(r)
-    nesting = (r + 1).bit_length() - 1
-    lo, hi = bracket
-
-    def f(beta: float) -> float:
-        return _chain_secret_fraction(beta, 1.0, nesting, phase_trivial_only=True)
-
-    f_lo, f_hi = f(lo), f(hi)
-    if f_lo <= 0.0 or f_hi >= 0.0:
-        raise NoThresholdError(
-            f"no sign change for r={r} in beta bracket [{lo}, {hi}]"
-        )
-    beta_star = _bisect(f, lo, hi, f_lo, tol)
-    return 1.0 - beta_star
+    """Minimal gate quality for a nonzero key with r stations and F0 = 1."""
+    return 1.0 - _threshold(r, bracket, tol, over_f0=False)
 
 
 def threshold_fidelity(
@@ -457,19 +444,7 @@ def threshold_fidelity(
     """Minimal source fidelity for a nonzero key with r stations and
     perfect gates, with the same compounding as
     :func:`threshold_gate_quality`."""
-    _require_chain_stations(r)
-    nesting = (r + 1).bit_length() - 1
-    lo, hi = bracket
-
-    def f(f0: float) -> float:
-        return _chain_secret_fraction(0.0, f0, nesting, phase_trivial_only=True)
-
-    f_lo, f_hi = f(lo), f(hi)
-    if f_lo >= 0.0 or f_hi <= 0.0:
-        raise NoThresholdError(
-            f"no sign change for r={r} in F0 bracket [{lo}, {hi}]"
-        )
-    return _bisect(f, lo, hi, f_lo, tol)
+    return _threshold(r, bracket, tol, over_f0=True)
 
 
 # cost: memory qubits per secret bit, minimized over N;
@@ -508,8 +483,10 @@ def cost_coefficient(
     2^(N+1) counts two memory qubits per station plus one at each end.
     """
     fiber = (alpha_db_per_km, speed_km_per_s, t0_mode)
-    levels, p_s = _nesting_levels(distance_km, beta, f0, n_range, fiber)
-    key_rates = {n: _level_report(beta, f0, distance_km, n, fiber, p_s).key_rate for n in levels}
+    point = _Point(beta, f0)
+    # every level, in the bound's order: min_cost_over_nesting sorts them
+    levels = [n for _, n in _levels_by_bound(distance_km, tuple(n_range), *fiber)]
+    key_rates = {n: point.report(distance_km, n, fiber).key_rate for n in levels}
     cost, n_best = min_cost_over_nesting(list(key_rates.items()))
     return CostReport(
         cost=cost,

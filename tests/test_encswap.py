@@ -3,6 +3,8 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repeater_keyrate import closedform
 from repeater_keyrate.encgen import encoded_bell_state, encoded_pair
@@ -246,6 +248,39 @@ def bernstein_table(phase_trivial_only):
     return tuple(table)
 
 
+def bernstein_sum_reference(table, beta, f0):
+    """p_s times the denominator by the two-dimensional Horner, with the
+    inner sum over eps redone for every beta: the reference for the rows
+    that swap_success_closed_form caches per F0."""
+    b_scale, b_ratio, b_mirrored = closedform._bernstein_ratio(beta, 1.0 - beta, len(table) - 1)
+    e_scale, e_ratio, e_mirrored = closedform._bernstein_ratio(1.0 - f0, f0, len(table[0]) - 1)
+    total = 0.0
+    for row in table if b_mirrored else reversed(table):
+        inner = 0.0
+        for c in row if e_mirrored else reversed(row):
+            inner = inner * e_ratio + c
+        total = total * b_ratio + inner
+    return total * b_scale * e_scale
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.booleans())
+@example(0.0, 1.0, False)
+@example(0.0, 1.0, True)
+@example(0.7, 0.2, False)  # both ratios mirrored
+@example(0.7, 0.2, True)
+@example(0.3, 0.8, False)  # neither mirrored
+@example(1e-300, 1.0 - 1e-16, True)
+def test_cached_rows_keep_every_bit(beta, f0, phase_trivial_only):
+    # the same operations in the same order as the reference, so == holds
+    table = closedform._SUCCESS_TABLES[phase_trivial_only]
+    expected = bernstein_sum_reference(table, beta, f0) / closedform._SUCCESS_DENOMINATOR[
+        phase_trivial_only
+    ]
+    evaluate = swap_success_closed_form.__wrapped__
+    assert evaluate(beta, f0, phase_trivial_only=phase_trivial_only) == expected
+
+
 class TestStoredSwapSuccess:
     @pytest.mark.parametrize("phase_trivial_only", [False, True])
     def test_stored_table_is_the_dense_polynomial(self, phase_trivial_only):
@@ -355,6 +390,12 @@ class TestSwappedStates:
         assert 0.0 <= w_deph < 1e-200
         assert w_ideal == pytest.approx(np.exp(3 * 127 * np.log1p(-0.003)))
         assert q == pytest.approx(1.0 - w_ideal, abs=1e-12)
+
+    @pytest.mark.parametrize("r", [1, 3, 127, 2**20 - 1])
+    def test_rho_s_weights_exact_at_beta_zero_and_one(self, r):
+        # a logarithm is -inf there, and exp(-inf) = 0 gives the weights exactly
+        assert rho_s_weights(0.0, r) == (1.0, 0.0, 0.0)
+        assert rho_s_weights(1.0, r) == (0.0, 0.0, 1.0)
 
     def test_rho_s_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

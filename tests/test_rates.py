@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.optimize import bisect
 
-from repeater_keyrate import rates
+from repeater_keyrate import closedform, rates
 from repeater_keyrate.qstate import BellDiagCoeffs
 from repeater_keyrate.validation import monte_carlo_z
 from repeater_keyrate.rates import (
@@ -206,10 +206,10 @@ class TestBisection:
             nesting = (r + 1).bit_length() - 1
 
             def f_beta(beta):
-                return rates._chain_secret_fraction(beta, 1.0, nesting, phase_trivial_only=True)
+                return rates._Point(beta, 1.0, phase_trivial_only=True).decoded(nesting)[2]
 
             def f_f0(f0):
-                return rates._chain_secret_fraction(0.0, f0, nesting, phase_trivial_only=True)
+                return rates._Point(0.0, f0, phase_trivial_only=True).decoded(nesting)[2]
 
             assert threshold_gate_quality(r, tol=tol) == 1.0 - bisect(f_beta, 0.0, 0.05, xtol=tol)
             assert threshold_fidelity(r, tol=tol) == bisect(f_f0, 0.9, 1.0, xtol=tol)
@@ -217,6 +217,12 @@ class TestBisection:
     def test_rejects_nonpositive_tolerance(self):
         with pytest.raises(ValueError):
             threshold_gate_quality(1, tol=0.0)
+
+    @pytest.mark.parametrize("threshold", [threshold_gate_quality, threshold_fidelity])
+    def test_rejects_nan_tolerance_before_bisecting(self, threshold):
+        # NaN fails every comparison: a `xtol <= 0` check would let it run 100 midpoints
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            threshold(1, tol=float("nan"))
 
 
 class TestZn:
@@ -423,6 +429,28 @@ class TestOptimize:
         with pytest.raises(ValueError):
             optimize_over_stations(100.0, 0.0, 1.0, [])
 
+    @pytest.mark.parametrize("levels", [[1.5, 2.7], [2.9], [1, 2, 2.5]])
+    def test_non_integral_levels_rejected(self, levels):
+        # int() alone would truncate them: [1.5, 2.7] would scan N = 1, 2
+        with pytest.raises(ValueError, match="nesting levels must be integers"):
+            optimize_over_stations(600.0, 0.0, 1.0, levels)
+
+    def test_integral_float_levels_accepted(self):
+        assert optimize_over_stations(600.0, 0.0, 1.0, [1.0, 2.0, 2]) == (
+            optimize_over_stations(600.0, 0.0, 1.0, [1, 2])
+        )
+
+    def test_surface_grid_builds_the_swap_rows_once_per_f0(self):
+        # p_s's rows over eps depend on F0 alone; each point adds only its beta
+        f0s, gate_qualities = (0.99, 0.995, 0.999, 1.0), (0.99, 0.995, 1.0)
+        rates.swap_success_closed_form.cache_clear()
+        closedform._success_rows.cache_clear()
+        for f0 in f0s:
+            for pg in gate_qualities:
+                optimize_over_stations(600.0, 1.0 - pg, f0, range(1, 5))
+        assert closedform._success_rows.cache_info().misses == len(f0s)
+        assert rates.swap_success_closed_form.cache_info().misses == len(f0s) * len(gate_qualities)
+
     def test_levels_that_cannot_win_sum_no_waiting_time(self, monkeypatch):
         # at 2000 km the shallow levels' K bound lies below the winner's K
         levels = []
@@ -501,6 +529,12 @@ class TestCost:
     def test_no_key_gives_infinite_cost(self):
         report = cost_coefficient(600.0, 0.05, 0.9)
         assert report.cost == float("inf")
+
+    @pytest.mark.parametrize("levels", [[2.9], [1.5, 2.7]])
+    def test_non_integral_levels_rejected(self, levels):
+        # int() alone would truncate them: [2.9] would scan N = 2
+        with pytest.raises(ValueError, match="nesting levels must be integers"):
+            cost_coefficient(600.0, 1e-4, 0.99995, n_range=levels)
 
 
 class TestSecretFractionFor:
