@@ -7,10 +7,9 @@ built-in defaults; flag and config values pass the flag's type function.
 All tabular output is CSV with a header row and values printed to 10
 significant digits, so identical inputs give byte-identical files.
 
-The rate commands (keyrate, sweep, cost and threshold for N >= 1) run on the
-stdlib alone; enumerate-errors, validate, N = 0 and ``--jobs`` above 1
-import what they need (numpy, the dense layer, the process pool) when they
-run.
+The rate commands (keyrate, sweep, cost and threshold, N = 0 included) run
+on the stdlib alone; enumerate-errors, validate and ``--jobs`` above 1 import
+what they need (numpy, the dense layer, the process pool) when they run.
 """
 
 from __future__ import annotations

@@ -5,20 +5,24 @@ qubit, measures the other two qubits in Z, and bit-flips the first qubit
 only when the syndrome is "11" (the one pattern a single flip on the kept
 qubit produces).  The closed-form Bell coefficients of the decoded pipeline
 states (:func:`final_bell_coeffs`) live in :mod:`repeater_keyrate.closedform`;
-the explicit circuit here doubles as their validator.
+the explicit circuit here doubles as their validator.  With no swap
+(r = 0) the decoded coefficients come from the encoded pair's Pauli frames
+and the frame-to-Bell decode tables (:func:`pair_decode_coeffs`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .channels import depolarizing_gate_mat, first_order_weights, one_faulty_branches
+from .channels import depolarizing_gate_mat, one_faulty_branches
 from .closedform import (
+    _DECODE_GATES,
     _TILDE_BELL,
-    DECODE_GATE_COUNT,
+    ChainState,
     _chain_decode_coeffs,
     chain_success_prob,
     final_bell_coeffs,
+    pair_decode_coeffs,
     swap_success_closed_form,
 )
 from .encgen import encoded_pair
@@ -29,19 +33,12 @@ from .qstate import (
     GateSequence,
     _apply_gate_mat,
     _num_qubits,
+    uhlmann_fidelity,
 )
 
 # Alice holds qubits 0-2, Bob 3-5.  Per side: CNOT onto the third qubit,
 # then onto the second, both controlled by the kept qubit.
-DECODE_GATES = GateSequence(
-    (
-        GatePlacement("cnot", (0, 2)),
-        GatePlacement("cnot", (0, 1)),
-        GatePlacement("cnot", (3, 5)),
-        GatePlacement("cnot", (3, 4)),
-    )
-)
-assert len(DECODE_GATES) == DECODE_GATE_COUNT
+DECODE_GATES = GateSequence(tuple(GatePlacement("cnot", gate) for gate in _DECODE_GATES))
 
 
 def _measure_syndrome_pair(mat: np.ndarray, q1: int, q2: int, target: int) -> np.ndarray:
@@ -122,11 +119,11 @@ def rho_tilde_prime() -> DensityOperator:
 
 def decode_perfect(beta: float, f0: float, r: int) -> DensityOperator:
     """State after perfect decoding of the swapped chain state, in closed
-    form for r >= 1.  r = 0 means no swap at all: the single encoded pair
-    is decoded through the circuit.
+    form.  r = 0 means no swap at all: the single encoded pair is decoded
+    frame by frame (:func:`pair_decode_coeffs`).
     """
     if r == 0:
-        return decode_circuit(encoded_pair(beta, f0))
+        return DensityOperator(_bell_diagonal_mat(pair_decode_coeffs(beta, f0)[0]))
     p_r = chain_success_prob(swap_success_closed_form(beta, f0), r)
     return DensityOperator(_bell_diagonal_mat(_chain_decode_coeffs(beta, r, p_r)[0]))
 
@@ -135,28 +132,21 @@ def final_state(beta: float, f0: float, r: int) -> DensityOperator:
     """Key pair after first-order-noisy decoding of the swapped state.
 
     The four decode CNOTs contribute an all-perfect term, a one-faulty
-    term, and a maximally mixed remainder.  For r >= 1 the state is
-    assembled from :func:`final_bell_coeffs`.
+    term, and a maximally mixed remainder.  The state is assembled from
+    :func:`final_bell_coeffs` for r >= 1, and from the encoded pair's
+    frames (:func:`pair_decode_coeffs`) for r = 0.
     """
     if r >= 1:
         p_r = chain_success_prob(swap_success_closed_form(beta, f0), r)
         coeffs = final_bell_coeffs(beta, r, p_r)
-        return DensityOperator(_bell_diagonal_mat(coeffs.as_tuple()))
-    pair = encoded_pair(beta, f0)
-    w_perfect, w_branch, w_rest = first_order_weights(len(DECODE_GATES), beta)
-    mat = (
-        w_perfect * decode_circuit(pair).matrix
-        + len(DECODE_GATES) * w_branch * decode_one_faulty(pair).matrix
-        + w_rest * np.eye(4, dtype=complex) / 4.0
-    )
-    return DensityOperator(mat)
+    else:
+        coeffs = ChainState(beta).mix(*pair_decode_coeffs(beta, f0))
+    return DensityOperator(_bell_diagonal_mat(coeffs.as_tuple()))
 
 
 def validate_first_order_vs_exact(beta: float, f0: float, r: int) -> float:
     """Uhlmann fidelity between the first-order final state and a decode in
     which every CNOT carries the exact depolarizing map."""
-    from .qstate import uhlmann_fidelity
-
     if r == 0:
         pre = encoded_pair(beta, f0).matrix
     else:

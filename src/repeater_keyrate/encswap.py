@@ -11,29 +11,31 @@ Register conventions: each encoded pair has qubits 0-2 at its left station
 and 3-5 at its right station.  Bell-measurement CNOT k uses the left
 pair's qubit 3+k as control and the right pair's qubit k as target.
 
-The closed forms the rate path uses (:func:`swap_success_closed_form`,
-:func:`chain_success_prob`, :func:`rho_s_weights`) live in
-:mod:`repeater_keyrate.closedform`; this module re-exports them and holds
-the dense states and tables that validate them.
+Each correctable state is one GHZ frame on each pair, so p_s sums
+w_left w_right over 64 frame pairs.  The closed forms the rate path uses
+(:func:`swap_success_closed_form`, :func:`chain_success_prob`,
+:func:`rho_s_weights`) live in :mod:`repeater_keyrate.closedform`; this
+module re-exports them and holds the dense states that validate them.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
-from .closedform import chain_success_prob, rho_s_weights, swap_success_closed_form
-from .encgen import _entry_table, encoded_bell_state
-from .qstate import DensityOperator
-
-ERROR_PAIR_LABELS = ("XX", "YY", "ZZ", "II", "IX", "XI")
-_FLIP_LABELS = frozenset({"IX", "XI"})
-
-# phases (on |0>, on |1>) of each Pauli; X and Y also flip the bit
-_PAULI_PHASES = {"I": (1, 1), "X": (1, 1), "Y": (1j, -1j), "Z": (1, -1)}
+from .closedform import (
+    ERROR_PAIR_LABELS,
+    _admissible,
+    _correctable_frames,
+    chain_success_prob,
+    rho_s_weights,
+    swap_success_closed_form,
+)
+from .encgen import encoded_bell_state
+from .qstate import _SINGLE_QUBIT_GATES, DensityOperator
 
 
 @dataclass(frozen=True)
@@ -54,11 +56,6 @@ class ErrorPair:
     def target(self) -> str:
         return self.label[1]
 
-    @property
-    def flips_outcome(self) -> bool:
-        """True if the pair flips one majority-voted Z measurement outcome."""
-        return self.label in _FLIP_LABELS
-
 
 @dataclass(frozen=True)
 class PauliCombo:
@@ -74,7 +71,7 @@ class PauliCombo:
     @property
     def is_admissible(self) -> bool:
         """Correctable iff at most one pair flips a majority-vote outcome."""
-        return sum(p.flips_outcome for p in self.pairs) <= 1
+        return _admissible(self.labels())
 
     def labels(self) -> tuple[str, str, str]:
         return tuple(p.label for p in self.pairs)
@@ -130,128 +127,55 @@ class CorrectableStateSet:
         return np.kron(self.left[i], self.right[i])
 
 
-@dataclass(frozen=True)
-class _TwoTermForm:
-    """Rows written as g (|a> + c|b>) / sqrt(2) with unit phases g and c.
-
-    Every correctable-state factor has this form (a Pauli string maps
-    |000000> and |111111> to basis states up to a phase), so its
-    expectation in rho is (rho_aa + rho_bb + 2 Re(c rho_ab)) / 2: index
-    arithmetic with no rounded 1/sqrt(2) factors.
-    """
-
-    a: np.ndarray  # (64,) int, a < b
-    b: np.ndarray  # (64,) int
-    c: np.ndarray  # (64,) complex, one of +-1, +-i
-    g: np.ndarray  # (64,) complex, one of +-1, +-i
-
-    def vectors(self) -> np.ndarray:
-        """The rows as dense 64-dim vectors."""
-        amplitude = encoded_bell_state().vector[0]
-        rows = np.arange(len(self.a))
-        out = np.zeros((len(self.a), 64), dtype=complex)
-        out[rows, self.a] = self.g * amplitude
-        out[rows, self.b] = self.g * self.c * amplitude
-        return out
-
-    def combine(self, aa: np.ndarray, bb: np.ndarray, ab: np.ndarray) -> np.ndarray:
-        """Expectations from the entries rho_aa, rho_bb and rho_ab (last axis: row)."""
-        return (aa.real + bb.real + 2.0 * (self.c * ab).real) / 2.0
-
-    def expectations(self, mat: np.ndarray) -> np.ndarray:
-        a, b = self.a, self.b
-        return self.combine(mat[a, a], mat[b, b], mat[a, b])
-
-
-def _ghz_image(paulis: list[tuple[str, int]]) -> tuple[int, int, complex, complex]:
-    """(a, b, c, g) with the Pauli string, as (Pauli, qubit) pairs, taking
-    the encoded Bell state to g (|a> + c|b>) / sqrt(2) and a < b."""
-    flips, g0, g1 = 0, 1 + 0j, 1 + 0j
+def _pauli_image(paulis) -> np.ndarray:
+    """The Pauli string, as (Pauli, qubit) pairs, applied to the encoded Bell
+    state as a dense 64-dim vector, global phase included."""
+    factors = [np.eye(2)] * 6
     for pauli, qubit in paulis:
-        flips |= (pauli in "XY") << (5 - qubit)
-        g0, g1 = g0 * _PAULI_PHASES[pauli][0], g1 * _PAULI_PHASES[pauli][1]
-    # |000000> -> g0 |flips>, |111111> -> g1 |63 ^ flips>
-    if flips > 63 ^ flips:
-        flips, g0, g1 = 63 ^ flips, g1, g0
-    return flips, 63 ^ flips, g1 * g0.conjugate(), g0
-
-
-@lru_cache(maxsize=1)
-def _correctable_terms() -> tuple[_TwoTermForm, _TwoTermForm, np.ndarray]:
-    """Two-term forms of the left and right factors of the 64 correctable
-    states, and the mask of the 32 phase-trivial ones.
-
-    Each admissible combo's Paulis act on the left pair's qubits 3-5 (CNOT
-    controls) and the right pair's qubits 0-2 (CNOT targets) of the ideal
-    double pair.  States equal up to global phase have equal (a, b, c) in
-    both factors and collapse to their first occurrence; anything other
-    than exactly 64 distinct states means a register or labeling convention
-    broke, so that is a hard failure.
-    """
-    distinct: dict[tuple, tuple] = {}
-    for combo in enumerate_combos().admissible:
-        left = _ghz_image([(p.control, 3 + k) for k, p in enumerate(combo.pairs)])
-        right = _ghz_image([(p.target, k) for k, p in enumerate(combo.pairs)])
-        trivial = sum(p.label in ("YY", "ZZ") for p in combo.pairs) % 2 == 0
-        distinct.setdefault((left[:3], right[:3]), (left, right, trivial))
-    lefts, rights, phase_trivial = zip(*distinct.values())
-    phase_trivial = np.array(phase_trivial)
-    if len(phase_trivial) != 64 or int(phase_trivial.sum()) != 32:
-        raise RuntimeError(
-            f"expected 64 distinct correctable states (32 phase trivial), "
-            f"found {len(phase_trivial)} ({int(phase_trivial.sum())}); "
-            "register or error-labeling convention is inconsistent"
-        )
-    left, right = (_TwoTermForm(*map(np.array, zip(*rows))) for rows in (lefts, rights))
-    return left, right, phase_trivial
+        if pauli != "I":
+            factors[qubit] = _SINGLE_QUBIT_GATES[pauli.lower()]
+    return reduce(np.kron, factors) @ encoded_bell_state().vector
 
 
 @lru_cache(maxsize=1)
 def correctable_states() -> CorrectableStateSet:
     """The 64 deduplicated correctable states as dense factors (for the
-    Gram check and the full-register validators)."""
-    left, right, phase_trivial = _correctable_terms()
-    return CorrectableStateSet(left.vectors(), right.vectors(), phase_trivial.copy())
+    Gram check and the full-register validators): the first admissible
+    combo of each frame pair, applied to the ideal double pair."""
+    combos, _, _, phase_trivial = zip(*_correctable_frames())
+    left = [_pauli_image((labels[0], 3 + k) for k, labels in enumerate(combo)) for combo in combos]
+    right = [_pauli_image((labels[1], k) for k, labels in enumerate(combo)) for combo in combos]
+    return CorrectableStateSet(np.array(left), np.array(right), np.array(phase_trivial))
 
 
-def _success_sum(left: np.ndarray, right: np.ndarray, phase_trivial_only: bool) -> float:
-    """Sum of left times right factor expectations over the correctable states."""
-    products = left * right
-    return float(np.sum(products[_correctable_terms()[2]] if phase_trivial_only else products))
+def _frame_expectations(mat: np.ndarray) -> np.ndarray:
+    """<x, +-|rho|x, +-> of the 64 frames, frame 2x + (sign < 0), each read
+    off three entries as (rho_xx + rho_yy +- 2 Re rho_xy)/2 with y = 63 - x:
+    no rounded 1/sqrt(2) factors, so the ideal pair gives exactly 1."""
+    x = np.arange(32)
+    diag = mat[x, x].real + mat[63 - x, 63 - x].real
+    coherence = 2.0 * mat[x, 63 - x].real
+    return np.column_stack(((diag + coherence) / 2.0, (diag - coherence) / 2.0)).reshape(64)
 
 
 def swap_success_prob(rho_enc: DensityOperator, *, phase_trivial_only: bool = False) -> float:
     """Probability that the joint error pattern of two encoded pairs is
     classically correctable at the swap station.
 
-    Computed in factorized form: the expectation of each 4096-dim
-    correctable state against rho_enc (x) rho_enc is the product of two
-    64-dim expectations, each read off three matrix entries (see
-    :class:`_TwoTermForm`), so the ideal corner gives exactly 1.  With
-    ``phase_trivial_only`` the sum is restricted to the 32 states carrying
-    no net phase flip; the threshold searches use that restriction (see the
-    chain accounting note in :mod:`repeater_keyrate.rates`).  The rate
-    path uses :func:`swap_success_closed_form`, which this validates.
+    Each correctable state is one GHZ frame on each pair, so its expectation
+    against rho_enc (x) rho_enc is a product of two frame expectations of
+    rho_enc (:func:`_frame_expectations`).  With ``phase_trivial_only``
+    the sum is restricted to the 32 states carrying no net phase flip; the
+    threshold searches use that restriction (see the chain accounting note
+    in :mod:`repeater_keyrate.rates`).  The rate path uses
+    :func:`swap_success_closed_form`, which this validates.
     """
     if rho_enc.dim != 64:
         raise ValueError("swap_success_prob needs a 64-dim encoded pair")
-    left, right, _ = _correctable_terms()
-    return _success_sum(
-        left.expectations(rho_enc.matrix), right.expectations(rho_enc.matrix), phase_trivial_only
-    )
-
-
-@lru_cache(maxsize=1)
-def _swap_tables() -> tuple[np.ndarray, np.ndarray]:
-    """Real (32, 64) tables T with <factor_i|rho_enc|factor_i> = w . T[:, i]
-    + p/64 for the weights (w, p) of :func:`encgen._entry_weights`, one
-    table per side.  Every entry is a multiple of 1/4; the Bernstein tables
-    of :func:`swap_success_closed_form` are built from them (see the tests)."""
-    tables = []
-    for form in _correctable_terms()[:2]:
-        entries = _entry_table(np.r_[form.a, form.b, form.a], np.r_[form.a, form.b, form.b])
-        tables.append(form.combine(*entries.reshape(32, 3, -1).swapaxes(0, 1)))
-    return tables[0], tables[1]
+    _, left, right, phase_trivial = zip(*_correctable_frames())
+    frames = _frame_expectations(rho_enc.matrix)
+    products = frames[list(left)] * frames[list(right)]
+    return float(np.sum(products[np.array(phase_trivial)] if phase_trivial_only else products))
 
 
 def _ideal_projector() -> np.ndarray:

@@ -29,10 +29,12 @@ whose level report :func:`key_rate` uses too, so K agrees to the last bit).
 takes them by descending bound and stops at the first bound below the best
 K, so levels that cannot win never sum their waiting time.
 
-Everything here is stdlib arithmetic on those closed forms; only N = 0,
-which decodes one dense encoded pair, loads the numpy layer.  The records
-are namedtuples, not dataclasses, which would cost the rate commands the
-import of :mod:`dataclasses` and its dependencies.
+Everything here is stdlib arithmetic on those closed forms, N = 0
+included: with no swap the key pair is decoded from the encoded pair's
+Pauli frames (:func:`~repeater_keyrate.closedform.pair_decode_coeffs`), so
+no rate command loads numpy.  The records are namedtuples, not
+dataclasses, which would cost the rate commands the import of
+:mod:`dataclasses` and its dependencies.
 """
 
 from __future__ import annotations
@@ -43,7 +45,13 @@ from collections import namedtuple
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
-from .closedform import BellDiagCoeffs, ChainState, chain_success_prob, swap_success_closed_form
+from .closedform import (
+    BellDiagCoeffs,
+    ChainState,
+    chain_success_prob,
+    pair_decode_coeffs,
+    swap_success_closed_form,
+)
 
 MEMORIES_PER_HALF_NODE = 6
 DEFAULT_ALPHA_DB_PER_KM = 0.17
@@ -116,15 +124,14 @@ def error_rates(coeffs: BellDiagCoeffs) -> tuple[float, float, float]:
 
 
 def binary_entropy(p: float) -> float:
-    if p < 0.0:
-        p = 0.0 if p > -1e-12 else p
-    if p > 1.0:
-        p = 1.0 if p < 1.0 + 1e-12 else p
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"entropy argument {p} outside [0, 1]")
+    """h(p) for p in [0, 1]; the caller clamps its argument."""
     if p == 0.0 or p == 1.0:
         return 0.0
-    return float(-p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p))
+    return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
+
+
+# [0, 1] widened by 1e-9 for rounding: the range of each QBER and entropy argument
+_LOW, _HIGH = -1e-9, 1.0 + 1e-9
 
 
 def secret_fraction_six_state(e_x: float, e_y: float, e_z: float) -> float:
@@ -132,25 +139,28 @@ def secret_fraction_six_state(e_x: float, e_y: float, e_z: float) -> float:
 
     Returns -inf when an entropy argument leaves [0, 1] (no key regardless);
     callers extracting a rate clamp at zero, threshold searches use the sign.
+    Each entropy argument is clamped to [0, 1] once, here.
     """
-    tol = 1e-9
-    for name, e in (("e_x", e_x), ("e_y", e_y), ("e_z", e_z)):
-        if not -tol <= e <= 1.0 + tol:
-            raise ValueError(f"{name} must be in [0, 1], got {e}")
+    if not (_LOW <= e_x <= _HIGH and _LOW <= e_y <= _HIGH and _LOW <= e_z <= _HIGH):
+        for name, e in (("e_x", e_x), ("e_y", e_y), ("e_z", e_z)):
+            if not _LOW <= e <= _HIGH:
+                raise ValueError(f"{name} must be in [0, 1], got {e}")
     if e_z <= 0.0:
         term_cond_phase = 0.0
     else:
         arg = (1.0 + (e_x - e_y) / e_z) / 2.0
-        if arg < -tol or arg > 1.0 + tol:
+        if arg < _LOW or arg > _HIGH:
             return float("-inf")
         term_cond_phase = e_z * binary_entropy(min(max(arg, 0.0), 1.0))
     if e_z >= 1.0:
-        term_no_error = 0.0
-    else:
-        arg = (1.0 - (e_x + e_y + e_z) / 2.0) / (1.0 - e_z)
-        if arg < -tol or arg > 1.0 + tol:
-            return float("-inf")
-        term_no_error = (1.0 - e_z) * binary_entropy(min(max(arg, 0.0), 1.0))
+        # no term without a Z error, and h(e_z) = h(1) = 0 up to 1e-12
+        if e_z >= 1.0 + 1e-12:
+            raise ValueError(f"entropy argument {e_z} outside [0, 1]")
+        return 1.0 - term_cond_phase
+    arg = (1.0 - (e_x + e_y + e_z) / 2.0) / (1.0 - e_z)
+    if arg < _LOW or arg > _HIGH:
+        return float("-inf")
+    term_no_error = (1.0 - e_z) * binary_entropy(min(max(arg, 0.0), 1.0))
     return 1.0 - term_cond_phase - term_no_error - binary_entropy(max(e_z, 0.0))
 
 
@@ -286,12 +296,9 @@ class _Point:
 
     def decoded(self, swap_count: int) -> tuple[float, tuple[float, float, float], float]:
         """P_r, (e_X, e_Y, e_Z) and the unclamped six-state r_inf after
-        ``swap_count`` compoundings; N = 0 decodes the dense encoded pair."""
+        ``swap_count`` compoundings; N = 0 decodes the encoded pair's frames."""
         if swap_count == 0:
-            from .decode import final_state
-            from .qstate import bell_diag_coeffs
-
-            p_r, coeffs = 1.0, bell_diag_coeffs(final_state(self.beta, self.f0, 0))
+            p_r, coeffs = 1.0, self.chain.mix(*pair_decode_coeffs(self.beta, self.f0))
         else:
             p_r = chain_success_prob(self.p_s, swap_count)
             coeffs = self.chain.bell_coeffs(swap_count, p_r)

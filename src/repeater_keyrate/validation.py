@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import decode, encgen, encswap, rates
-from .qstate import DensityOperator, bell_state
+from .qstate import DensityOperator, bell_diag_coeffs, bell_state
 
 
 @dataclass(frozen=True)
@@ -129,11 +129,11 @@ def first_order_fidelity(betas: Sequence[float], f0s: Sequence[float]) -> float:
 
 
 def encoded_pair_register_deviation(beta: float, f0: float) -> float:
-    """Largest entry deviation of the factorized encoded pair from the
-    full 12-qubit register simulation."""
-    fast = encgen.encoded_pair(beta, f0).matrix
+    """Largest entry deviation of the encoded pair built from its Pauli
+    frames from the full 12-qubit register simulation."""
+    frames = encgen.encoded_pair(beta, f0).matrix
     direct = encgen.encoded_pair_direct(beta, f0).matrix
-    return float(np.abs(fast - direct).max())
+    return float(np.abs(frames - direct).max())
 
 
 def swap_register_deviation(beta: float, f0: float) -> float:
@@ -241,8 +241,6 @@ def _pipeline_sanity_checks() -> list[CheckResult]:
         for op in (pair, fin):
             worst_trace = max(worst_trace, abs(float(np.trace(op.matrix).real) - 1.0))
             worst_eig = max(worst_eig, max(0.0, -float(np.linalg.eigvalsh(op.matrix)[0])))
-        from .qstate import bell_diag_coeffs
-
         worst_offbell = max(worst_offbell, bell_diag_coeffs(fin).remainder_norm)
     out.extend(
         [
@@ -260,7 +258,7 @@ def _full_register_checks() -> list[CheckResult]:
     dev_mix = measured_mixed_register_deviation()
     return [
         _check(
-            "encoded pair: factorized vs full-register simulation",
+            "encoded pair: Pauli frames vs full-register simulation",
             "<= 1e-12",
             dev,
             dev <= 1e-12,

@@ -1,5 +1,4 @@
 import concurrent.futures
-import importlib
 import os
 import resource
 import subprocess
@@ -535,34 +534,29 @@ class TestRuntimeDependencies:
 
 
 class TestImports:
-    @pytest.mark.parametrize("argv", [
-        ("keyrate", "--distance", "600", "--fidelity", "0.99", "--gate-quality", "0.995",
-         "--optimize"),
-        ("sweep", "--distance", "600", "--fidelity-range", "0.99:1:0.005",
-         "--gate-quality-range", "0.99:1:0.005", "--max-nesting", "4"),
-        ("cost", "--paper-fig8-defaults", "--distance-range", "500:1500:500"),
-        ("threshold", "--stations", "1,3"),
-    ])
-    def test_rate_commands_load_no_numpy(self, argv):
+    @pytest.mark.parametrize("argv,expected", [
+        (("keyrate", "--distance", "600", "--fidelity", "0.99", "--gate-quality", "0.995",
+          "--optimize"), "K_per_mem_per_s="),
+        (("sweep", "--distance", "600", "--fidelity-range", "0.99:1:0.005",
+          "--gate-quality-range", "0.99:1:0.005", "--max-nesting", "4"),
+         "F0,pG,K_per_mem_per_s,N_opt"),
+        (("cost", "--paper-fig8-defaults", "--distance-range", "500:1500:500"),
+         "memory-qubits/secret-bit"),
+        (("threshold", "--stations", "1,3"), "p_G,min"),
+        # N = 0 decodes the encoded pair from its Pauli frames
+        (("keyrate", "--distance", "100", "--fidelity", "0.99", "--gate-quality", "0.99",
+          "--nesting", "0"), "K_per_mem_per_s=0.9336730933"),
+    ], ids=[f"argv{i}" for i in range(5)])
+    def test_rate_commands_load_no_numpy(self, argv, expected):
         code, out, loaded = run_child(*argv)
-        assert code == 0 and out
+        assert code == 0 and expected in out
         assert loaded == set()
 
     @pytest.mark.parametrize("argv,expected", [
         (("validate", "--trials", "20000"), "checks passed"),
         (("enumerate-errors",), "distinct_orthogonal_states=64"),
-        (("keyrate", "--distance", "100", "--fidelity", "0.99", "--gate-quality", "0.99",
-          "--nesting", "0"), "K_per_mem_per_s=0.9336730933"),
     ])
     def test_dense_commands_load_numpy(self, argv, expected):
         code, out, loaded = run_child(*argv)
         assert code == 0 and expected in out
         assert "numpy" in loaded
-
-    def test_lazy_package_names_resolve(self):
-        for name, module in repeater_keyrate._DENSE.items():
-            value = repeater_keyrate.__getattr__(name)
-            assert value is getattr(importlib.import_module(f"repeater_keyrate.{module}"), name)
-        for name in ("no_such_name", "apply_gate", "maximally_mixed", "EncodingCircuit"):
-            with pytest.raises(AttributeError):
-                repeater_keyrate.__getattr__(name)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from repeater_keyrate.closedform import (
     _TILDE_BELL,
     DECODE_GATE_COUNT,
+    _decode_tables,
     first_order_weights,
     rho_s_weights,
 )
@@ -28,6 +31,7 @@ from repeater_keyrate.encswap import (
     swapped_state_nonideal,
 )
 from repeater_keyrate.qstate import (
+    DensityOperator,
     bell_diag_coeffs,
     bell_state,
     maximally_mixed,
@@ -98,9 +102,47 @@ class TestDecodePerfect:
         assert np.abs(closed - circuit).max() < 1e-10
 
     def test_zero_swap_route_uses_circuit(self):
+        # r = 0 decodes the pair's frames; the circuit decodes its matrix
         direct = decode_perfect(0.01, 0.99, 0).matrix
         explicit = decode_circuit(encoded_pair(0.01, 0.99)).matrix
         assert np.abs(direct - explicit).max() < 1e-14
+
+
+def frame_state(i):
+    """The GHZ basis state of frame i, (|x> +- |63 - x>)/sqrt(2) with x = i >> 1."""
+    mat = np.zeros((64, 64))
+    x, sign = i >> 1, -1.0 if i & 1 else 1.0
+    mat[x, x] = mat[63 - x, 63 - x] = 0.5
+    mat[x, 63 - x] = mat[63 - x, x] = sign / 2
+    return DensityOperator(mat)
+
+
+class TestDecodeTables:
+    def test_each_frame_matches_the_decoding_circuits(self):
+        # perfect decoding gives one Bell state, one-faulty decoding
+        # multiples of 1/64 of each
+        perfect, one_faulty = _decode_tables()
+        for i in range(64):
+            state = frame_state(i)
+            expected = np.eye(4)[perfect[i]]
+            assert np.abs(bell_diag_coeffs(decode_circuit(state)).as_tuple() - expected).max() < 1e-14
+            faulty = np.array(one_faulty[i]) / 64
+            assert np.abs(bell_diag_coeffs(decode_one_faulty(state)).as_tuple() - faulty).max() < 1e-14
+
+    def test_tilde_bell_is_the_trivial_frames_one_faulty_decode(self):
+        row = _decode_tables()[1][0]
+        assert tuple(Fraction(c, 64) for c in row) == tuple(map(Fraction, _TILDE_BELL))
+
+    @pytest.mark.parametrize("beta,f0", [(0.0, 1.0), (0.01, 0.99), (0.3, 0.6), (1.0, 0.0)])
+    def test_zero_swap_final_state_equals_the_circuits(self, beta, f0):
+        pair = encoded_pair(beta, f0)
+        w_perfect, w_branch, w_rest = first_order_weights(DECODE_GATE_COUNT, beta)
+        circuits = (
+            w_perfect * decode_circuit(pair).matrix
+            + DECODE_GATE_COUNT * w_branch * decode_one_faulty(pair).matrix
+            + w_rest * np.eye(4) / 4.0
+        )
+        assert np.abs(final_state(beta, f0, 0).matrix - circuits).max() < 1e-14
 
 
 def one_faulty_decode(beta, f0, r):

@@ -1,6 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from repeater_keyrate.closedform import frame_weights
 from repeater_keyrate.encgen import (
     _apply_measurement_rules,
     encoded_bell_state,
@@ -11,6 +14,7 @@ from repeater_keyrate.encgen import (
 )
 from repeater_keyrate.channels import source_state_mat
 from repeater_keyrate.qstate import _cnot_permutation, bell_state, ghz_state, ket, overlap
+from repeater_keyrate.rates import RepeaterParams, key_rate
 from repeater_keyrate.validation import (
     encoded_pair_register_deviation,
     measured_mixed_register_deviation,
@@ -71,6 +75,19 @@ class TestTeleportedCnotSequence:
         out = _apply_measurement_rules(rho, circuit.measurements)
         expected = encoded_bell_state().projector().matrix
         assert np.abs(out - expected).max() < 1e-14
+
+
+class TestPauliFrames:
+    def test_ideal_corner_is_one_hot(self):
+        assert frame_weights(0.0, 1.0) == (1.0,) + (0.0,) * 63
+        exact = frame_weights(Fraction(0), Fraction(1))
+        assert exact == (1,) + (0,) * 63
+        assert all(isinstance(w, Fraction) for w in exact)
+
+    def test_ideal_corner_without_swap_gives_an_exact_key(self):
+        report = key_rate(RepeaterParams(0.0, 1.0, 100.0, 0))
+        assert (report.e_x, report.e_y, report.e_z) == (0.0, 0.0, 0.0)
+        assert report.secret_fraction == 1.0
 
 
 class TestEncodedPair:

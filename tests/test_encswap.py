@@ -19,8 +19,7 @@ from repeater_keyrate.encswap import (
     swap_success_closed_form,
     swap_success_prob,
     swapped_state_nonideal,
-    _correctable_terms,
-    _swap_tables,
+    _frame_expectations,
 )
 from repeater_keyrate.qstate import DensityOperator, overlap
 from repeater_keyrate.validation import swap_closed_form_deviation, swap_register_deviation
@@ -135,16 +134,17 @@ class TestCorrectableStates:
         assert int(states.phase_trivial.sum()) == 32
 
     def test_two_term_form_matches_dense_factors(self):
-        from repeater_keyrate.encswap import _correctable_terms
-
+        # each factor is one frame (|x> +- |63 - x>)/sqrt(2), whose expectation
+        # _frame_expectations reads off three entries of rho
         rng = np.random.default_rng(3)
         g = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
         rho = g @ g.conj().T
         rho /= np.trace(rho).real
         states = correctable_states()
-        for vecs, terms in zip((states.left, states.right), _correctable_terms()[:2]):
+        _, left, right, _ = zip(*closedform._correctable_frames())
+        for vecs, frames in zip((states.left, states.right), (left, right)):
             dense = np.einsum("id,de,ie->i", vecs.conj(), rho, vecs).real
-            assert np.abs(terms.expectations(rho) - dense).max() < 1e-14
+            assert np.abs(_frame_expectations(rho)[list(frames)] - dense).max() < 1e-14
 
     def test_full_vector_factorization(self):
         states = correctable_states()
@@ -191,14 +191,15 @@ class Poly(dict):
 BETA, EPS = Poly({(1, 0): Fraction(1)}), Poly({(0, 1): Fraction(1)})
 
 
-def exact_swap_success(beta, eps, phase_trivial_only):
-    """p_s at (beta, eps = 1 - F0) from the dense swap tables in exact
-    arithmetic: beta and eps are Fractions, or BETA and EPS for the polynomial.
+def exact_frame_weights(beta, eps):
+    """The 64 frame weights of the encoded pair at (beta, eps = 1 - F0) in
+    exact arithmetic: beta and eps are Fractions, or BETA and EPS for the
+    polynomial.
 
-    The weights w and p mirror encgen._entry_weights (GHZ, gate and source
-    weights), and p_s = sum_i (w . L_i + p/64)(w . R_i + p/64) over the
-    correctable states, with (L, R) = encswap._swap_tables().  Every table
-    entry is a multiple of 1/4, so Fraction(entry) is exact."""
+    The weights w and p mirror closedform.frame_weights (GHZ, gate and
+    source weights), and frame i weighs w . columns[i] / denominator + p/64
+    with (columns, denominator) = closedform._frame_table(), whose entries
+    are integers."""
     ghz = (
         (1 + beta * (beta * Fraction(1, 2) - Fraction(5, 4))) * Fraction(1, 2),
         (1 - beta) * (1 - beta) * Fraction(1, 2),
@@ -209,14 +210,24 @@ def exact_swap_success(beta, eps, phase_trivial_only):
     remainder = 1 - gates[0] - 6 * gates[1]
     sources = [(1 - eps) ** m * (eps * Fraction(1, 3)) ** (3 - m) for m in range(4)]
     weights = [g * v * m for g in ghz for v in gates for m in sources]
-    total, mixed = 0, remainder * Fraction(1, 64)
-    for i in np.flatnonzero(_correctable_terms()[2] | (not phase_trivial_only)):
-        left, right = (
-            sum((w * Fraction(t) for w, t in zip(weights, table[:, i]) if t), mixed)
-            for table in _swap_tables()
-        )
-        total += left * right
-    return total
+    columns, denominator = closedform._frame_table()
+    mixed = remainder * Fraction(1, 64)
+    return [
+        sum((w * Fraction(c, denominator) for w, c in zip(weights, column) if c), mixed)
+        for column in columns
+    ]
+
+
+def exact_swap_success(beta, eps, phase_trivial_only):
+    """p_s at (beta, eps = 1 - F0) from the frame weights in exact
+    arithmetic: the sum of w_left w_right over the correctable frame pairs,
+    all 64 or the 32 phase-trivial ones."""
+    frames = exact_frame_weights(beta, eps)
+    return sum(
+        frames[left] * frames[right]
+        for _, left, right, trivial in closedform._correctable_frames()
+        if trivial or not phase_trivial_only
+    )
 
 
 def stored_swap_success(beta, eps, phase_trivial_only):
@@ -230,7 +241,7 @@ def stored_swap_success(beta, eps, phase_trivial_only):
 
 
 def bernstein_table(phase_trivial_only):
-    """The stored table rebuilt from the dense swap tables: Bernstein
+    """The stored table rebuilt from the frame weights: Bernstein
     coefficients of p_s on [0, 1]^2 of degree (16, 6), times C(16, i) C(6, j)
     and the denominator."""
     power = exact_swap_success(BETA, EPS, phase_trivial_only)
@@ -292,6 +303,14 @@ class TestStoredSwapSuccess:
                 assert stored_swap_success(beta, eps, phase_trivial_only) == exact_swap_success(
                     beta, eps, phase_trivial_only
                 ), (beta, eps)
+
+    def test_frame_weights_are_the_exact_contraction(self):
+        # the Fractions of closedform.frame_weights on the grid of the test above
+        for a in range(17):
+            for b in range(7):
+                beta, eps = Fraction(a, 16), Fraction(b, 6)
+                expected = tuple(exact_frame_weights(beta, eps))
+                assert closedform.frame_weights(beta, 1 - eps) == expected, (beta, eps)
 
     @pytest.mark.parametrize("phase_trivial_only", [False, True])
     def test_stored_table_regenerates_exactly(self, phase_trivial_only):

@@ -7,6 +7,7 @@ that the rate and threshold paths stay on the closed forms.
 """
 
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -91,6 +92,16 @@ def test_waiting_rounds_lie_between_one_and_all_pairs_in_series(distance, nestin
 def test_closed_form_swap_success_equals_the_dense_pair(beta, f0):
     # both chain conventions: all 64 and the 32 phase-trivial states
     assert swap_closed_form_deviation([beta], [f0]) <= 1e-14
+
+
+@deterministic
+@given(st.fractions(0, 1, max_denominator=10**6), st.fractions(0, 1, max_denominator=10**6))
+def test_frame_weights_are_a_distribution_in_exact_rationals(beta, f0):
+    # over the whole unit square, corners included
+    weights = closedform.frame_weights(beta, f0)
+    assert all(isinstance(w, Fraction) for w in weights)
+    assert min(weights) >= 0
+    assert sum(weights) == 1
 
 
 @deterministic

@@ -46,7 +46,7 @@ class TestErrorRates:
 
 class TestSecretFraction:
     def test_perfect(self):
-        assert secret_fraction_six_state(0, 0, 0) == pytest.approx(1.0)
+        assert secret_fraction_six_state(0, 0, 0) == 1.0
 
     def test_symmetric_threshold_location(self):
         # independent root search on an inline copy of the formula
