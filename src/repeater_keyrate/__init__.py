@@ -10,7 +10,9 @@ dense density-operator simulation that validates the closed forms.
 The rate pipeline and its closed forms need the stdlib alone and are
 imported here.  The dense simulation, which needs numpy and validates the
 closed forms, is imported from its own modules (``repeater_keyrate.qstate``,
-``channels``, ``encgen``, ``encswap``, ``decode`` and ``validation``).
+``channels``, ``encgen``, ``encswap``, ``decode`` and ``validation``).  So is
+the stdlib Pauli-frame core of the encoded pair (``repeater_keyrate.frames``),
+which the rate path needs only at N = 0.
 """
 
 __version__ = "0.1.0"

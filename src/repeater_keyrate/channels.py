@@ -13,9 +13,7 @@ import numpy as np
 
 from .closedform import first_order_weights
 from .qstate import (
-    DensityOperator,
     GatePlacement,
-    GateSequence,
     _apply_gate_mat,
     _insert_mixed_pair_mat,
     _num_qubits,
@@ -44,13 +42,6 @@ def _faulty_gate_mat(rho: np.ndarray, gate: GatePlacement) -> np.ndarray:
 
 
 def depolarizing_gate_mat(rho: np.ndarray, gate: GatePlacement, beta: float) -> np.ndarray:
-    perfect = _apply_gate_mat(rho, gate)
-    if beta == 0.0:
-        return perfect
-    return (1.0 - beta) * perfect + beta * _faulty_gate_mat(rho, gate)
-
-
-def depolarizing_gate(rho: DensityOperator, gate: GatePlacement, beta: float) -> DensityOperator:
     """Single depolarized two-qubit gate.
 
     With probability 1-beta the gate acts perfectly; with probability beta
@@ -58,10 +49,13 @@ def depolarizing_gate(rho: DensityOperator, gate: GatePlacement, beta: float) ->
     """
     _check_beta(beta)
     _require_two_qubit(gate)
-    return DensityOperator(depolarizing_gate_mat(rho.matrix, gate, beta))
+    perfect = _apply_gate_mat(rho, gate)
+    if beta == 0.0:
+        return perfect
+    return (1.0 - beta) * perfect + beta * _faulty_gate_mat(rho, gate)
 
 
-def one_faulty_branches(rho: np.ndarray, seq: GateSequence) -> list[np.ndarray]:
+def one_faulty_branches(rho: np.ndarray, seq: tuple[GatePlacement, ...]) -> list[np.ndarray]:
     """The n equally weighted branches of the one-faulty-gate mixture.
 
     Branch a applies gates 0..a-1 perfectly, replaces gate a by the mixed
@@ -84,7 +78,7 @@ def one_faulty_branches(rho: np.ndarray, seq: GateSequence) -> list[np.ndarray]:
 
 
 def concat_first_order_branches(
-    rho: np.ndarray, seq: GateSequence, beta: float
+    rho: np.ndarray, seq: tuple[GatePlacement, ...], beta: float
 ) -> list[tuple[float, np.ndarray]]:
     """Weighted branch list of the first-order concatenated map.
 
@@ -109,12 +103,6 @@ def concat_first_order_branches(
 
 
 def source_state_mat(f0: float) -> np.ndarray:
+    """Bell pair depolarized by the source: fidelity f0 to phi+, isotropic rest."""
     proj = bell_state("phi+").projector().matrix
     return f0 * proj + (1.0 - f0) / 3.0 * (np.eye(4, dtype=complex) - proj)
-
-
-def source_state(f0: float) -> DensityOperator:
-    """Bell pair depolarized by the source: fidelity f0 to phi+, isotropic rest."""
-    if not 0.0 <= f0 <= 1.0:
-        raise ValueError(f"F0 must be in [0, 1], got {f0}")
-    return DensityOperator(source_state_mat(f0))

@@ -7,9 +7,11 @@ built-in defaults; flag and config values pass the flag's type function.
 All tabular output is CSV with a header row and values printed to 10
 significant digits, so identical inputs give byte-identical files.
 
-The rate commands (keyrate, sweep, cost and threshold, N = 0 included) run
-on the stdlib alone; enumerate-errors, validate and ``--jobs`` above 1 import
-what they need (numpy, the dense layer, the process pool) when they run.
+The rate commands (keyrate, sweep, cost and threshold, N = 0 included) and
+enumerate-errors run on the stdlib alone; N = 0 and enumerate-errors import
+the Pauli-frame core (:mod:`repeater_keyrate.frames`), and validate and
+``--jobs`` above 1 import what they need (numpy, the dense layer, the
+process pool) when they run.
 """
 
 from __future__ import annotations
@@ -417,17 +419,22 @@ def cmd_cost(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate_errors(args: argparse.Namespace) -> int:
-    from .encswap import correctable_states, enumerate_combos
+    """The 6^3 error-pair combos, the 160 correctable ones and the 64
+    distinct states they give.  The 160 x 6 = 960 count treats position
+    permutations apart and is printed only for parity with that convention."""
+    from itertools import product
 
-    counts = enumerate_combos()
-    states = correctable_states()
-    print(f"raw_combinations={counts.raw_count}")
-    print(f"admissible_combinations={counts.admissible_count}")
-    print(f"position_permutation_count={counts.paper_permutation_count}")
-    print(f"distinct_orthogonal_states={len(states)}")
+    from .frames import ERROR_PAIR_LABELS, _admissible, _correctable_frames
+
+    combos = list(product(ERROR_PAIR_LABELS, repeat=3))
+    admissible = [labels for labels in combos if _admissible(labels)]
+    print(f"raw_combinations={len(combos)}")
+    print(f"admissible_combinations={len(admissible)}")
+    print(f"position_permutation_count={6 * len(admissible)}")
+    print(f"distinct_orthogonal_states={len(_correctable_frames())}")
     if args.list:
-        for combo in counts.admissible:
-            print(" ".join(combo.labels()))
+        for labels in admissible:
+            print(" ".join(labels))
     return 0
 
 

@@ -5,9 +5,9 @@ qubit, measures the other two qubits in Z, and bit-flips the first qubit
 only when the syndrome is "11" (the one pattern a single flip on the kept
 qubit produces).  The closed-form Bell coefficients of the decoded pipeline
 states (:func:`final_bell_coeffs`) live in :mod:`repeater_keyrate.closedform`;
-the explicit circuit here doubles as their validator.  With no swap
-(r = 0) the decoded coefficients come from the encoded pair's Pauli frames
-and the frame-to-Bell decode tables (:func:`pair_decode_coeffs`).
+the explicit circuits here validate them.  With no swap (r = 0) the decoded
+coefficients come from the encoded pair's Pauli frames and the
+frame-to-Bell decode tables (:func:`~repeater_keyrate.frames.pair_decode_coeffs`).
 """
 
 from __future__ import annotations
@@ -22,15 +22,14 @@ from .closedform import (
     _chain_decode_coeffs,
     chain_success_prob,
     final_bell_coeffs,
-    pair_decode_coeffs,
     swap_success_closed_form,
 )
 from .encgen import encoded_pair
 from .encswap import swapped_state_nonideal
+from .frames import pair_decode_coeffs
 from .qstate import (
     DensityOperator,
     GatePlacement,
-    GateSequence,
     _apply_gate_mat,
     _num_qubits,
     uhlmann_fidelity,
@@ -38,7 +37,7 @@ from .qstate import (
 
 # Alice holds qubits 0-2, Bob 3-5.  Per side: CNOT onto the third qubit,
 # then onto the second, both controlled by the kept qubit.
-DECODE_GATES = GateSequence(tuple(GatePlacement("cnot", gate) for gate in _DECODE_GATES))
+DECODE_GATES = tuple(GatePlacement("cnot", gate) for gate in _DECODE_GATES)
 
 
 def _measure_syndrome_pair(mat: np.ndarray, q1: int, q2: int, target: int) -> np.ndarray:
@@ -66,25 +65,14 @@ def _decode_measurements(mat: np.ndarray) -> np.ndarray:
     return mat
 
 
-def decode_circuit_mat(mat: np.ndarray) -> np.ndarray:
-    for gate in DECODE_GATES:
-        mat = _apply_gate_mat(mat, gate)
-    return _decode_measurements(mat)
-
-
 def decode_circuit(rho64: DensityOperator) -> DensityOperator:
     """Explicit perfect-gate decoding circuit: 64-dim in, two-qubit pair out."""
     if rho64.dim != 64:
         raise ValueError("decode_circuit expects a six-qubit state")
-    return DensityOperator(decode_circuit_mat(rho64.matrix))
-
-
-def decode_one_faulty_mat(mat: np.ndarray) -> np.ndarray:
-    branches = one_faulty_branches(mat, DECODE_GATES)
-    out = np.zeros((4, 4), dtype=complex)
-    for branch in branches:
-        out += _decode_measurements(branch)
-    return out / len(branches)
+    mat = rho64.matrix
+    for gate in DECODE_GATES:
+        mat = _apply_gate_mat(mat, gate)
+    return DensityOperator(_decode_measurements(mat))
 
 
 def decode_one_faulty(rho64: DensityOperator) -> DensityOperator:
@@ -92,7 +80,11 @@ def decode_one_faulty(rho64: DensityOperator) -> DensityOperator:
     pair (uniformly averaged), then measured and corrected as usual."""
     if rho64.dim != 64:
         raise ValueError("decode_one_faulty expects a six-qubit state")
-    return DensityOperator(decode_one_faulty_mat(rho64.matrix))
+    branches = one_faulty_branches(rho64.matrix, DECODE_GATES)
+    out = np.zeros((4, 4), dtype=complex)
+    for branch in branches:
+        out += _decode_measurements(branch)
+    return DensityOperator(out / len(branches))
 
 
 def decode_exact_noise_mat(mat: np.ndarray, beta: float) -> np.ndarray:

@@ -7,7 +7,7 @@ Paulis) fan the entanglement across.  Gate noise on the six physical CNOTs
 is treated to first order; measurement corrections are error free and are
 applied branch by branch before averaging.  :func:`encoded_pair` builds the
 pair from its 64 Pauli-frame weights
-(:func:`~repeater_keyrate.closedform.frame_weights`);
+(:func:`~repeater_keyrate.frames.frame_weights`);
 :func:`encoded_pair_direct` simulates the 12-qubit register and validates it.
 
 Register layout (0-based, 12 qubits during generation):
@@ -21,42 +21,34 @@ The finished pair lives on qubits 0-5, left station first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .channels import concat_first_order_branches, depolarizing_gate, source_state_mat
-from .closedform import _GHZ_TERMS, _ghz_prep_weights, frame_weights
+from .channels import concat_first_order_branches, depolarizing_gate_mat, source_state_mat
+from .frames import _GHZ_TERMS, _ghz_prep_weights, frame_weights
 from .qstate import (
     DensityOperator,
     GatePlacement,
-    GateSequence,
     PureState,
     _measure_correct_mat,
     ghz_state,
     ket,
 )
 
-
-@dataclass(frozen=True)
-class MeasurementRule:
-    """Measure ``qubit`` in ``basis``; on outcome 1 apply the Pauli correction."""
-
-    qubit: int
-    basis: str  # 'z' or 'x'
-    correction_kind: str
-    correction_qubit: int
-
-
-@dataclass(frozen=True)
-class EncodingCircuit:
-    """The six physical CNOTs of the three teleported CNOTs plus their
-    measurement/correction rules, in execution order."""
-
-    gates: GateSequence
-    measurements: tuple[MeasurementRule, ...]
-    num_qubits: int = 12
+# The three teleported CNOTs in execution order.  Teleported CNOT k
+# entangles code qubit k into code qubit 3+k through Bell pair (6+2k, 7+2k):
+# a local CNOT onto the near Bell half and a remote CNOT from the far half,
+# then a Z measurement of the near half steering an X correction on the
+# target and an X measurement of the far half steering a Z correction on
+# the control.  A measurement is (qubit, basis, Pauli correction applied
+# on outcome 1), the arguments of qstate._measure_correct_mat.
+ENCODING_GATES = tuple(
+    GatePlacement("cnot", gate) for k in range(3) for gate in ((k, 6 + 2 * k), (7 + 2 * k, 3 + k))
+)
+ENCODING_MEASUREMENTS = tuple(
+    rule for k in range(3) for rule in ((6 + 2 * k, "z", ("x", 3 + k)), (7 + 2 * k, "x", ("z", k)))
+)
 
 
 def encoded_bell_state() -> PureState:
@@ -87,42 +79,18 @@ def ghz_prep_circuit(beta: float) -> DensityOperator:
     """Same state by explicit simulation of the two faulty CNOTs."""
     plus = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
     vec = np.kron(plus, ket("00").vector)
-    rho = DensityOperator(np.outer(vec, vec.conj()))
-    rho = depolarizing_gate(rho, GatePlacement("cnot", (0, 1)), beta)
-    rho = depolarizing_gate(rho, GatePlacement("cnot", (0, 2)), beta)
-    return rho
+    rho = np.outer(vec, vec.conj())
+    rho = depolarizing_gate_mat(rho, GatePlacement("cnot", (0, 1)), beta)
+    rho = depolarizing_gate_mat(rho, GatePlacement("cnot", (0, 2)), beta)
+    return DensityOperator(rho)
 
 
-# ---------------------------------------------------------------------------
-# teleported-CNOT circuit description
-# ---------------------------------------------------------------------------
-
-def teleported_cnot_sequence() -> EncodingCircuit:
-    """Execution-order gate and measurement plan for the three teleported CNOTs.
-
-    Teleported CNOT k entangles code qubit k into code qubit 3+k through
-    Bell pair (6+2k, 7+2k): a local CNOT onto the near Bell half, a remote
-    CNOT from the far half, a Z measurement steering an X correction on the
-    target and an X measurement steering a Z correction on the control.
-    """
-    gates: list[GatePlacement] = []
-    rules: list[MeasurementRule] = []
-    for k in range(3):
-        local, remote = 6 + 2 * k, 7 + 2 * k
-        gates.append(GatePlacement("cnot", (k, local)))
-        gates.append(GatePlacement("cnot", (remote, 3 + k)))
-        rules.append(MeasurementRule(local, "z", "x", 3 + k))
-        rules.append(MeasurementRule(remote, "x", "z", k))
-    return EncodingCircuit(GateSequence(tuple(gates)), tuple(rules))
-
-
-def _apply_measurement_rules(mat: np.ndarray, rules: tuple[MeasurementRule, ...]) -> np.ndarray:
-    """Measure, correct and discard per rule; highest qubit first so the
-    remaining indices (and the sub-6 correction targets) never shift."""
-    for rule in sorted(rules, key=lambda r: -r.qubit):
-        mat = _measure_correct_mat(
-            mat, rule.qubit, rule.basis, (rule.correction_kind, rule.correction_qubit)
-        )
+def _apply_measurement_rules(mat: np.ndarray) -> np.ndarray:
+    """Measure, correct and discard per :data:`ENCODING_MEASUREMENTS`;
+    highest qubit first so the remaining indices (and the sub-6 correction
+    targets) never shift."""
+    for rule in sorted(ENCODING_MEASUREMENTS, reverse=True):
+        mat = _measure_correct_mat(mat, *rule)
     return mat
 
 
@@ -154,14 +122,13 @@ def encoded_pair_direct(beta: float, f0: float) -> DensityOperator:
     first-order map runs on the 4096-dim state and every branch is measured
     and corrected explicitly.  Slow; used to validate the frames.
     """
-    circuit = teleported_cnot_sequence()
     src = source_state_mat(f0)
     zero3 = ket("000").vector
     rho = np.kron(ghz_prep(beta).matrix, np.outer(zero3, zero3.conj()))
     for _ in range(3):
         rho = np.kron(rho, src)
-    branches = concat_first_order_branches(rho, circuit.gates, beta)
+    branches = concat_first_order_branches(rho, ENCODING_GATES, beta)
     total = np.zeros((64, 64), dtype=complex)
     for weight, branch in branches:
-        total += weight * _apply_measurement_rules(branch, circuit.measurements)
+        total += weight * _apply_measurement_rules(branch)
     return DensityOperator(total)

@@ -1,4 +1,4 @@
-"""Encoded connection: correctable-error counting and the swapped states.
+"""Encoded connection: the correctable states, p_s and the swapped states.
 
 Two encoded pairs meet at a middle station where three Bell-measurement
 CNOTs join them.  Correlated two-qubit Pauli errors at a CNOT commute into
@@ -12,119 +12,23 @@ and 3-5 at its right station.  Bell-measurement CNOT k uses the left
 pair's qubit 3+k as control and the right pair's qubit k as target.
 
 Each correctable state is one GHZ frame on each pair, so p_s sums
-w_left w_right over 64 frame pairs.  The closed forms the rate path uses
-(:func:`swap_success_closed_form`, :func:`chain_success_prob`,
-:func:`rho_s_weights`) live in :mod:`repeater_keyrate.closedform`; this
-module re-exports them and holds the dense states that validate them.
+w_left w_right over 64 frame pairs (:mod:`repeater_keyrate.frames`).  The
+closed forms the rate path uses (:func:`swap_success_closed_form`,
+:func:`chain_success_prob`, :func:`rho_s_weights`) live in
+:mod:`repeater_keyrate.closedform`; this module holds the dense states that
+validate them.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
 
-from .closedform import (
-    ERROR_PAIR_LABELS,
-    _admissible,
-    _correctable_frames,
-    chain_success_prob,
-    rho_s_weights,
-    swap_success_closed_form,
-)
+from .closedform import chain_success_prob, rho_s_weights, swap_success_closed_form
 from .encgen import encoded_bell_state
+from .frames import _correctable_frames
 from .qstate import _SINGLE_QUBIT_GATES, DensityOperator
-
-
-@dataclass(frozen=True)
-class ErrorPair:
-    """(control Pauli, target Pauli) at one Bell-measurement CNOT."""
-
-    label: str
-
-    def __post_init__(self):
-        if self.label not in ERROR_PAIR_LABELS:
-            raise ValueError(f"label must be one of {ERROR_PAIR_LABELS}, got {self.label!r}")
-
-    @property
-    def control(self) -> str:
-        return self.label[0]
-
-    @property
-    def target(self) -> str:
-        return self.label[1]
-
-
-@dataclass(frozen=True)
-class PauliCombo:
-    """One error pair per Bell-measurement CNOT."""
-
-    pairs: tuple[ErrorPair, ErrorPair, ErrorPair]
-
-    def __post_init__(self):
-        object.__setattr__(self, "pairs", tuple(self.pairs))
-        if len(self.pairs) != 3:
-            raise ValueError("a combo assigns exactly three error pairs")
-
-    @property
-    def is_admissible(self) -> bool:
-        """Correctable iff at most one pair flips a majority-vote outcome."""
-        return _admissible(self.labels())
-
-    def labels(self) -> tuple[str, str, str]:
-        return tuple(p.label for p in self.pairs)
-
-
-@dataclass(frozen=True)
-class ComboCounts:
-    raw_count: int
-    admissible_count: int
-    paper_permutation_count: int
-    admissible: tuple[PauliCombo, ...]
-
-
-def enumerate_combos() -> ComboCounts:
-    """All 6^3 error-pair assignments and the 160 correctable ones.
-
-    The 160 x 6 = 960 figure counts position permutations separately and is
-    reported only for parity with that convention; the physics below uses
-    the 64 deduplicated states.
-    """
-    all_combos = [
-        PauliCombo(tuple(ErrorPair(lbl) for lbl in labels))
-        for labels in itertools.product(ERROR_PAIR_LABELS, repeat=3)
-    ]
-    admissible = tuple(c for c in all_combos if c.is_admissible)
-    return ComboCounts(
-        raw_count=len(all_combos),
-        admissible_count=len(admissible),
-        paper_permutation_count=len(admissible) * 6,
-        admissible=admissible,
-    )
-
-
-@dataclass(frozen=True)
-class CorrectableStateSet:
-    """The 64 mutually orthogonal correctable states, factorized per pair.
-
-    Row i of ``left`` (``right``) holds the 64-dim factor acting on the
-    left (right) encoded pair; the full 4096-dim state is their Kronecker
-    product.  ``phase_trivial`` marks the 32 states whose generating error
-    applies no net phase flip (an even number of correlated YY/ZZ pairs);
-    the other 32 are their phase-flipped partners.
-    """
-
-    left: np.ndarray   # (64, 64)
-    right: np.ndarray  # (64, 64)
-    phase_trivial: np.ndarray  # (64,) bool
-
-    def __len__(self) -> int:
-        return self.left.shape[0]
-
-    def full_vector(self, i: int) -> np.ndarray:
-        return np.kron(self.left[i], self.right[i])
 
 
 def _pauli_image(paulis) -> np.ndarray:
@@ -138,14 +42,21 @@ def _pauli_image(paulis) -> np.ndarray:
 
 
 @lru_cache(maxsize=1)
-def correctable_states() -> CorrectableStateSet:
-    """The 64 deduplicated correctable states as dense factors (for the
-    Gram check and the full-register validators): the first admissible
-    combo of each frame pair, applied to the ideal double pair."""
+def correctable_states() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 64 mutually orthogonal correctable states as dense factors, for
+    the Gram check and the full-register validators: (left, right,
+    phase_trivial).
+
+    Row i of ``left`` (``right``) is the 64-dim factor on the left (right)
+    encoded pair, the first admissible combo of frame pair i applied to the
+    ideal pair; the 4096-dim state is their Kronecker product.
+    ``phase_trivial`` marks the 32 states whose error applies no net phase
+    flip (an even number of correlated YY/ZZ pairs).
+    """
     combos, _, _, phase_trivial = zip(*_correctable_frames())
     left = [_pauli_image((labels[0], 3 + k) for k, labels in enumerate(combo)) for combo in combos]
     right = [_pauli_image((labels[1], k) for k, labels in enumerate(combo)) for combo in combos]
-    return CorrectableStateSet(np.array(left), np.array(right), np.array(phase_trivial))
+    return np.array(left), np.array(right), np.array(phase_trivial)
 
 
 def _frame_expectations(mat: np.ndarray) -> np.ndarray:

@@ -21,7 +21,6 @@ import numpy as np
 from .closedform import BellDiagCoeffs
 
 HERMITICITY_TOL = 1e-10
-PSD_TOL = 1e-9
 
 _SINGLE_QUBIT_GATES = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -40,11 +39,11 @@ def _num_qubits(dim: int) -> int:
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """Hermitian, trace-one, positive-semidefinite matrix on a qubit register.
+    """Hermitian, trace-one matrix on a qubit register.
 
     Hermiticity and trace are asserted at construction (debug builds only);
-    positivity is an O(dim^3) eigenvalue check and is exposed separately via
-    :meth:`validate` so hot paths stay cheap.
+    positivity is an O(dim^3) eigenvalue check, which the validators that
+    need it run themselves.
     """
 
     matrix: np.ndarray
@@ -68,20 +67,6 @@ class DensityOperator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @property
-    def num_qubits(self) -> int:
-        return _num_qubits(self.dim)
-
-    def validate(self, psd_tol: float = PSD_TOL) -> None:
-        """Full invariant check: Hermitian, trace one, eigenvalues >= -tol."""
-        mat = self.matrix
-        if np.abs(mat - mat.conj().T).max() >= HERMITICITY_TOL * max(1.0, np.abs(mat).max()):
-            raise ValueError("not Hermitian within tolerance")
-        if abs(np.trace(mat).real - 1.0) >= 1e-9:
-            raise ValueError(f"trace is {np.trace(mat).real}, not 1")
-        smallest = np.linalg.eigvalsh(mat)[0]
-        if smallest < -psd_tol:
-            raise ValueError(f"smallest eigenvalue {smallest} below -{psd_tol}")
 
 
 @dataclass(frozen=True)
@@ -96,14 +81,6 @@ class PureState:
         _num_qubits(vec.shape[0])
         if __debug__:
             assert abs(np.linalg.norm(vec) - 1.0) < 1e-12, "state vector not normalized"
-
-    @property
-    def dim(self) -> int:
-        return self.vector.shape[0]
-
-    @property
-    def num_qubits(self) -> int:
-        return _num_qubits(self.dim)
 
     def projector(self) -> DensityOperator:
         """|psi><psi|, built as |u><u| / <u|u> with u = psi / max_i |psi_i|.
@@ -148,25 +125,6 @@ class GatePlacement:
         return len(self.qubits) == 2
 
 
-@dataclass(frozen=True)
-class GateSequence:
-    """Ordered list of gate placements, applied first-to-last."""
-
-    gates: tuple[GatePlacement, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "gates", tuple(self.gates))
-
-    def __len__(self) -> int:
-        return len(self.gates)
-
-    def __iter__(self):
-        return iter(self.gates)
-
-    def __getitem__(self, idx):
-        return self.gates[idx]
-
-
 # ---------------------------------------------------------------------------
 # construction helpers
 # ---------------------------------------------------------------------------
@@ -204,11 +162,6 @@ def ghz_state(n: int) -> PureState:
     vec = np.zeros(2**n, dtype=complex)
     vec[0] = vec[-1] = 1.0 / np.sqrt(2)
     return PureState(vec)
-
-
-def maximally_mixed(num_qubits: int) -> DensityOperator:
-    dim = 2**num_qubits
-    return DensityOperator(np.eye(dim, dtype=complex) / dim)
 
 
 # ---------------------------------------------------------------------------
@@ -338,18 +291,6 @@ def _measure_correct_mat(
 # ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
-
-def apply_gate(rho: DensityOperator, gate: GatePlacement) -> DensityOperator:
-    """Conjugate by the unitary of ``gate`` embedded at its qubit indices."""
-    return DensityOperator(_apply_gate_mat(rho.matrix, gate))
-
-
-def overlap(rho: DensityOperator, psi: PureState) -> float:
-    """Expectation <psi|rho|psi>."""
-    if rho.dim != psi.dim:
-        raise ValueError("dimension mismatch")
-    return float(np.vdot(psi.vector, rho.matrix @ psi.vector).real)
-
 
 def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(mat)

@@ -31,10 +31,10 @@ K, so levels that cannot win never sum their waiting time.
 
 Everything here is stdlib arithmetic on those closed forms, N = 0
 included: with no swap the key pair is decoded from the encoded pair's
-Pauli frames (:func:`~repeater_keyrate.closedform.pair_decode_coeffs`), so
-no rate command loads numpy.  The records are namedtuples, not
-dataclasses, which would cost the rate commands the import of
-:mod:`dataclasses` and its dependencies.
+Pauli frames (:func:`~repeater_keyrate.frames.pair_decode_coeffs`), so
+no rate command loads numpy, and only N = 0 imports the frame core.  The
+records are namedtuples, not dataclasses, which would cost the rate
+commands the import of :mod:`dataclasses` and its dependencies.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from .closedform import (
     BellDiagCoeffs,
     ChainState,
     chain_success_prob,
-    pair_decode_coeffs,
     swap_success_closed_form,
 )
 
@@ -99,7 +98,8 @@ class RepeaterParams(namedtuple("RepeaterParams", (
                 f"segment of {l0} km is too short to time: T0 = {t0} s "
                 "leaves no finite rate 1/(2 T0)"
             )
-        return self
+        # an integral float level, say 2.0, is stored as the int it equals
+        return self if type(self.nesting) is int else self._replace(nesting=int(self.nesting))
 
     @classmethod
     def _make(cls, iterable):
@@ -268,6 +268,7 @@ def z_n(num_pairs: int, p0: float) -> float:
     """
     if num_pairs < 1 or int(num_pairs) != num_pairs:
         raise ValueError(f"num_pairs must be a positive integer, got {num_pairs}")
+    num_pairs = int(num_pairs)
     if not 0.0 < p0 <= 1.0:
         raise ValueError(f"P0 must be in (0, 1], got {p0} (P0 = 0 diverges)")
     if p0 == 1.0:
@@ -298,6 +299,8 @@ class _Point:
         """P_r, (e_X, e_Y, e_Z) and the unclamped six-state r_inf after
         ``swap_count`` compoundings; N = 0 decodes the encoded pair's frames."""
         if swap_count == 0:
+            from .frames import pair_decode_coeffs
+
             p_r, coeffs = 1.0, self.chain.mix(*pair_decode_coeffs(self.beta, self.f0))
         else:
             p_r = chain_success_prob(self.p_s, swap_count)
@@ -422,8 +425,9 @@ def _threshold(r: int, bracket: tuple[float, float], tol: float, over_f0: bool) 
     F0 = 1, where it falls, or over F0 at beta = 0, where it rises, with the
     per-nesting-level compounding that reproduces the published table (see
     the module docstring)."""
-    if r < 1 or (r + 1) & r != 0:
+    if r < 1 or int(r) != r or (int(r) + 1) & int(r) != 0:
         raise ValueError(f"station count must be 2^N - 1 with N >= 1, got {r}")
+    r = int(r)
     nesting = (r + 1).bit_length() - 1
     lo, hi = bracket
 

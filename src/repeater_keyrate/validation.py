@@ -18,7 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from . import decode, encgen, encswap, rates
+from . import closedform, decode, encgen, encswap, rates
+from .frames import ERROR_PAIR_LABELS, _admissible
 from .qstate import DensityOperator, bell_diag_coeffs, bell_state
 
 
@@ -33,14 +34,12 @@ class CheckResult:
 def counting_deviation() -> tuple[tuple[int, int, int, int], float]:
     """Error-pattern counts (raw, admissible, permuted, distinct) and the
     largest deviation of the correctable states' Gram matrix from 1."""
-    counts = encswap.enumerate_combos()
-    states = encswap.correctable_states()
-    gram = (states.left.conj() @ states.left.T) * (states.right.conj() @ states.right.T)
-    off = float(np.abs(gram - np.eye(len(states))).max())
-    return (
-        (counts.raw_count, counts.admissible_count, counts.paper_permutation_count, len(states)),
-        off,
-    )
+    combos = list(itertools.product(ERROR_PAIR_LABELS, repeat=3))
+    admissible = sum(map(_admissible, combos))
+    left, right, _ = encswap.correctable_states()
+    gram = (left.conj() @ left.T) * (right.conj() @ right.T)
+    off = float(np.abs(gram - np.eye(len(left))).max())
+    return (len(combos), admissible, 6 * admissible, len(left)), off
 
 
 def decoding_map_deviations() -> tuple[float, float, float, float]:
@@ -104,7 +103,7 @@ def swap_closed_form_deviation(betas: Sequence[float], f0s: Sequence[float]) -> 
     worst = 0.0
     for beta, f0, trivial in itertools.product(betas, f0s, (False, True)):
         dense = encswap.swap_success_prob(encgen.encoded_pair(beta, f0), phase_trivial_only=trivial)
-        closed = encswap.swap_success_closed_form(beta, f0, phase_trivial_only=trivial)
+        closed = closedform.swap_success_closed_form(beta, f0, phase_trivial_only=trivial)
         worst = max(worst, abs(closed - dense) / dense)
     return worst
 
@@ -140,11 +139,10 @@ def swap_register_deviation(beta: float, f0: float) -> float:
     """Absolute difference between :func:`encswap.swap_success_prob` and the
     sum of the 64 correctable-state overlaps with the 4096-dim rho (x) rho."""
     pair = encgen.encoded_pair(beta, f0)
-    states = encswap.correctable_states()
     big = np.kron(pair.matrix, pair.matrix)
     direct_ps = 0.0
-    for i in range(len(states)):
-        vec = states.full_vector(i)
+    for left, right in zip(*encswap.correctable_states()[:2]):
+        vec = np.kron(left, right)
         direct_ps += float(np.vdot(vec, big @ vec).real)
     return abs(direct_ps - encswap.swap_success_prob(pair))
 
@@ -152,9 +150,8 @@ def swap_register_deviation(beta: float, f0: float) -> float:
 def measured_mixed_register_deviation() -> float:
     """Largest entry deviation from I/64 of the maximally mixed 12-qubit
     register after the encoding circuit's measurements and corrections."""
-    circuit = encgen.teleported_cnot_sequence()
     mixed = np.eye(4096, dtype=complex) / 4096.0
-    measured = encgen._apply_measurement_rules(mixed, circuit.measurements)
+    measured = encgen._apply_measurement_rules(mixed)
     return float(np.abs(measured - np.eye(64) / 64.0).max())
 
 

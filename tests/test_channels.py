@@ -5,22 +5,18 @@ import pytest
 
 from repeater_keyrate.channels import (
     concat_first_order_branches,
-    depolarizing_gate,
-    first_order_weights,
+    depolarizing_gate_mat,
     one_faulty_branches,
-    source_state,
     source_state_mat,
 )
+from repeater_keyrate.closedform import first_order_weights
 from repeater_keyrate.qstate import (
     DensityOperator,
     GatePlacement,
-    GateSequence,
-    apply_gate,
+    _apply_gate_mat,
     bell_diag_coeffs,
     bell_state,
     ket,
-    maximally_mixed,
-    overlap,
 )
 
 CNOT01 = GatePlacement("cnot", (0, 1))
@@ -28,56 +24,56 @@ CNOT01 = GatePlacement("cnot", (0, 1))
 
 class TestDepolarizingGate:
     def test_beta_zero_is_perfect_gate(self):
-        rho = bell_state("phi+").projector()
-        noisy = depolarizing_gate(rho, CNOT01, 0.0)
-        perfect = apply_gate(rho, CNOT01)
-        assert np.allclose(noisy.matrix, perfect.matrix)
+        rho = bell_state("phi+").projector().matrix
+        noisy = depolarizing_gate_mat(rho, CNOT01, 0.0)
+        perfect = _apply_gate_mat(rho, CNOT01)
+        assert np.allclose(noisy, perfect)
 
     def test_beta_one_fully_mixes_pair(self):
-        rho = ket("10").projector()
-        out = depolarizing_gate(rho, CNOT01, 1.0)
-        assert np.allclose(out.matrix, np.eye(4) / 4)
+        rho = ket("10").projector().matrix
+        out = depolarizing_gate_mat(rho, CNOT01, 1.0)
+        assert np.allclose(out, np.eye(4) / 4)
 
     def test_overlap_with_ideal_output(self):
         # (1 - beta) + beta/4 against the perfectly rotated state
-        rho = bell_state("phi+").projector()
-        out = depolarizing_gate(rho, CNOT01, 0.1)
-        ideal = apply_gate(rho, CNOT01)
-        vec = np.linalg.eigh(ideal.matrix)[1][:, -1]
-        got = float(np.vdot(vec, out.matrix @ vec).real)
+        rho = bell_state("phi+").projector().matrix
+        out = depolarizing_gate_mat(rho, CNOT01, 0.1)
+        ideal = _apply_gate_mat(rho, CNOT01)
+        vec = np.linalg.eigh(ideal)[1][:, -1]
+        got = float(np.vdot(vec, out @ vec).real)
         assert got == pytest.approx(0.9 + 0.1 / 4)
 
     def test_trace_preserving_on_embedded_pair(self):
         rng = np.random.default_rng(2)
         a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         rho = DensityOperator((a @ a.conj().T) / np.trace(a @ a.conj().T).real)
-        out = depolarizing_gate(rho, GatePlacement("cnot", (2, 0)), 0.3)
-        assert abs(np.trace(out.matrix) - 1.0) < 1e-10
-        assert np.linalg.eigvalsh(out.matrix)[0] > -1e-10
+        out = depolarizing_gate_mat(rho.matrix, GatePlacement("cnot", (2, 0)), 0.3)
+        assert abs(np.trace(out) - 1.0) < 1e-10
+        assert np.linalg.eigvalsh(out)[0] > -1e-10
 
     def test_rejects_bad_beta_and_single_qubit_gate(self):
-        rho = maximally_mixed(2)
+        rho = np.eye(4) / 4
         with pytest.raises(ValueError):
-            depolarizing_gate(rho, CNOT01, 1.2)
+            depolarizing_gate_mat(rho, CNOT01, 1.2)
         with pytest.raises(ValueError):
-            depolarizing_gate(rho, GatePlacement("x", (0,)), 0.1)
+            depolarizing_gate_mat(rho, GatePlacement("x", (0,)), 0.1)
 
 
 class TestOneFaultyMix:
     def test_single_gate_fully_replaced(self):
-        [branch] = one_faulty_branches(ket("00").projector().matrix, GateSequence((CNOT01,)))
+        [branch] = one_faulty_branches(ket("00").projector().matrix, (CNOT01,))
         assert np.allclose(branch, np.eye(4) / 4)
 
     def test_two_identical_cnots(self):
         # replacing either of two CNOTs on |00><00| leaves I/4 both times
-        seq = GateSequence((CNOT01, CNOT01))
+        seq = (CNOT01, CNOT01)
         branches = one_faulty_branches(ket("00").projector().matrix, seq)
         assert len(branches) == 2
         for branch in branches:
             assert np.allclose(branch, np.eye(4) / 4)
 
     def test_branches_have_unit_trace(self):
-        seq = GateSequence((CNOT01, GatePlacement("cnot", (1, 2)), GatePlacement("cnot", (0, 2))))
+        seq = (CNOT01, GatePlacement("cnot", (1, 2)), GatePlacement("cnot", (0, 2)))
         for branch in one_faulty_branches(ket("000").projector().matrix, seq):
             assert abs(np.trace(branch) - 1.0) < 1e-12
             assert np.linalg.eigvalsh(branch)[0] > -1e-12
@@ -85,24 +81,24 @@ class TestOneFaultyMix:
 
 def first_order_mix(rho, seq, beta):
     """State of the first-order concatenated map: its weighted branch sum."""
-    return sum(w * b for w, b in concat_first_order_branches(rho.matrix, seq, beta))
+    return sum(w * b for w, b in concat_first_order_branches(rho, seq, beta))
 
 
 class TestConcatFirstOrder:
     def test_beta_zero_is_perfect_concatenation(self):
-        seq = GateSequence((CNOT01, GatePlacement("cnot", (1, 0))))
-        rho = ket("10").projector()
+        seq = (CNOT01, GatePlacement("cnot", (1, 0)))
+        rho = ket("10").projector().matrix
         out = first_order_mix(rho, seq, 0.0)
-        expected = apply_gate(apply_gate(rho, seq[0]), seq[1])
-        assert np.allclose(out, expected.matrix)
+        expected = _apply_gate_mat(_apply_gate_mat(rho, seq[0]), seq[1])
+        assert np.allclose(out, expected)
 
     def test_single_gate_matches_depolarizing_gate_on_pair_register(self):
         # with the register equal to the gate pair, 1_d/d and the mixed pair agree
-        rho = bell_state("phi+").projector()
-        seq = GateSequence((CNOT01,))
+        rho = bell_state("phi+").projector().matrix
+        seq = (CNOT01,)
         a = first_order_mix(rho, seq, 0.07)
-        b = depolarizing_gate(rho, CNOT01, 0.07)
-        assert np.abs(a - b.matrix).max() < 1e-14
+        b = depolarizing_gate_mat(rho, CNOT01, 0.07)
+        assert np.abs(a - b).max() < 1e-14
 
     def test_remainder_weight_arithmetic(self):
         # exact rational evaluation of 1 - (1-b)^6 - 6 b (1-b)^5 at b = 1/100
@@ -124,7 +120,7 @@ class TestConcatFirstOrder:
         assert p <= 1.5e-3
 
     def test_branch_weights_exposed(self):
-        seq = GateSequence((CNOT01, GatePlacement("cnot", (1, 0))))
+        seq = (CNOT01, GatePlacement("cnot", (1, 0)))
         branches = concat_first_order_branches(ket("00").projector().matrix, seq, 0.02)
         weights = [w for w, _ in branches]
         assert len(branches) == 4  # perfect + 2 faulty + identity
@@ -133,10 +129,10 @@ class TestConcatFirstOrder:
         assert abs(np.trace(total) - 1.0) < 1e-12
 
     def test_monotone_in_beta_on_two_gates(self):
-        seq = GateSequence((CNOT01, GatePlacement("cnot", (1, 0))))
-        rho = bell_state("phi+").projector()
-        ideal = apply_gate(apply_gate(rho, seq[0]), seq[1])
-        vec = np.linalg.eigh(ideal.matrix)[1][:, -1]
+        seq = (CNOT01, GatePlacement("cnot", (1, 0)))
+        rho = bell_state("phi+").projector().matrix
+        ideal = _apply_gate_mat(_apply_gate_mat(rho, seq[0]), seq[1])
+        vec = np.linalg.eigh(ideal)[1][:, -1]
         overlaps = []
         for beta in np.arange(0.0, 0.051, 0.005):
             out = first_order_mix(rho, seq, float(beta))
@@ -146,7 +142,7 @@ class TestConcatFirstOrder:
 
 class TestSourceState:
     def test_perfect_source(self):
-        assert np.allclose(source_state(1.0).matrix, bell_state("phi+").projector().matrix)
+        assert np.allclose(source_state_mat(1.0), bell_state("phi+").projector().matrix)
 
     def test_perfect_source_is_exact(self):
         # entries of exactly 1/2, not the rounded square of 1/sqrt(2)
@@ -155,14 +151,16 @@ class TestSourceState:
         assert np.array_equal(source_state_mat(1.0), expected)
 
     def test_quarter_fidelity_is_maximally_mixed(self):
-        assert np.allclose(source_state(0.25).matrix, np.eye(4) / 4)
+        assert np.allclose(source_state_mat(0.25), np.eye(4) / 4)
 
     def test_bell_coefficients(self):
-        c = bell_diag_coeffs(source_state(0.98))
+        c = bell_diag_coeffs(DensityOperator(source_state_mat(0.98)))
         assert c.phi_plus == pytest.approx(0.98)
         assert c.phi_minus == pytest.approx(0.02 / 3)
         assert c.psi_plus == pytest.approx(0.02 / 3)
         assert c.psi_minus == pytest.approx(0.02 / 3)
 
     def test_overlap_matches_fidelity(self):
-        assert overlap(source_state(0.9), bell_state("phi+")) == pytest.approx(0.9)
+        # <phi+|rho|phi+> is the phi+ coefficient of bell_diag_coeffs
+        source = DensityOperator(source_state_mat(0.9))
+        assert bell_diag_coeffs(source).phi_plus == pytest.approx(0.9)

@@ -35,13 +35,13 @@ def run_bounded(*argv):
 
 
 def run_child(*argv):
-    """The CLI in a fresh interpreter: (exit code, stdout, which of numpy and
-    dataclasses it loaded)."""
+    """The CLI in a fresh interpreter: (exit code, stdout, which of numpy,
+    dataclasses and the Pauli-frame core it loaded)."""
     src = Path(repeater_keyrate.__file__).resolve().parents[1]
     probe = (
         "import sys; from repeater_keyrate.cli import main; code = main(sys.argv[1:]); "
-        "print('loaded:', *(m for m in ('numpy', 'dataclasses') if m in sys.modules)); "
-        "sys.exit(code)"
+        "print('loaded:', *(m for m in ('numpy', 'dataclasses', 'repeater_keyrate.frames') "
+        "if m in sys.modules)); sys.exit(code)"
     )
     result = subprocess.run(
         [sys.executable, "-c", probe, *argv], env={**os.environ, "PYTHONPATH": str(src)},
@@ -534,27 +534,28 @@ class TestRuntimeDependencies:
 
 
 class TestImports:
-    @pytest.mark.parametrize("argv,expected", [
+    @pytest.mark.parametrize("argv,expected,loaded_frames", [
         (("keyrate", "--distance", "600", "--fidelity", "0.99", "--gate-quality", "0.995",
-          "--optimize"), "K_per_mem_per_s="),
+          "--optimize"), "K_per_mem_per_s=", False),
         (("sweep", "--distance", "600", "--fidelity-range", "0.99:1:0.005",
           "--gate-quality-range", "0.99:1:0.005", "--max-nesting", "4"),
-         "F0,pG,K_per_mem_per_s,N_opt"),
+         "F0,pG,K_per_mem_per_s,N_opt", False),
         (("cost", "--paper-fig8-defaults", "--distance-range", "500:1500:500"),
-         "memory-qubits/secret-bit"),
-        (("threshold", "--stations", "1,3"), "p_G,min"),
+         "memory-qubits/secret-bit", False),
+        (("threshold", "--stations", "1,3"), "p_G,min", False),
         # N = 0 decodes the encoded pair from its Pauli frames
         (("keyrate", "--distance", "100", "--fidelity", "0.99", "--gate-quality", "0.99",
-          "--nesting", "0"), "K_per_mem_per_s=0.9336730933"),
-    ], ids=[f"argv{i}" for i in range(5)])
-    def test_rate_commands_load_no_numpy(self, argv, expected):
+          "--nesting", "0"), "K_per_mem_per_s=0.9336730933", True),
+        # the error counts come from the frame core's correctable frames
+        (("enumerate-errors",), "distinct_orthogonal_states=64", True),
+    ], ids=[f"argv{i}" for i in range(6)])
+    def test_rate_commands_load_no_numpy(self, argv, expected, loaded_frames):
         code, out, loaded = run_child(*argv)
         assert code == 0 and expected in out
-        assert loaded == set()
+        assert loaded == ({"repeater_keyrate.frames"} if loaded_frames else set())
 
     @pytest.mark.parametrize("argv,expected", [
         (("validate", "--trials", "20000"), "checks passed"),
-        (("enumerate-errors",), "distinct_orthogonal_states=64"),
     ])
     def test_dense_commands_load_numpy(self, argv, expected):
         code, out, loaded = run_child(*argv)

@@ -8,33 +8,32 @@ from hypothesis import strategies as st
 from repeater_keyrate.closedform import (
     _TILDE_BELL,
     DECODE_GATE_COUNT,
-    _decode_tables,
+    _chain_decode_coeffs,
+    chain_success_prob,
+    final_bell_coeffs,
     first_order_weights,
     rho_s_weights,
+    swap_success_closed_form,
 )
 from repeater_keyrate.decode import (
     _bell_diagonal_mat,
-    _chain_decode_coeffs,
     decode_circuit,
     decode_exact_noise_mat,
     decode_one_faulty,
     decode_perfect,
-    final_bell_coeffs,
     final_state,
     rho_tilde_prime,
     validate_first_order_vs_exact,
 )
 from repeater_keyrate.encgen import encoded_bell_state, encoded_pair
-from repeater_keyrate.encswap import (
-    chain_success_prob,
-    swap_success_closed_form,
-    swapped_state_nonideal,
-)
+from repeater_keyrate.encswap import swapped_state_nonideal
+from repeater_keyrate.frames import _decode_tables
 from repeater_keyrate.qstate import (
     DensityOperator,
+    GatePlacement,
+    _apply_gate_mat,
     bell_diag_coeffs,
     bell_state,
-    maximally_mixed,
 )
 from repeater_keyrate.validation import decoding_map_deviations
 
@@ -51,18 +50,16 @@ class TestDecodeCircuitProperties:
 
     def test_single_bit_flip_is_corrected(self):
         # a flip on any one qubit of either block must not reach the pair
-        from repeater_keyrate.qstate import GatePlacement, apply_gate
-
-        ideal = encoded_bell_state().projector()
+        ideal = encoded_bell_state().projector().matrix
         expected = bell_state("phi+").projector().matrix
         for qubit in range(6):
-            flipped = apply_gate(ideal, GatePlacement("x", (qubit,)))
+            flipped = DensityOperator(_apply_gate_mat(ideal, GatePlacement("x", (qubit,))))
             out = decode_circuit(flipped)
             assert np.abs(out.matrix - expected).max() < 1e-12
 
     def test_rejects_wrong_dimension(self):
         with pytest.raises(ValueError):
-            decode_circuit(maximally_mixed(2))
+            decode_circuit(DensityOperator(np.eye(4) / 4))
 
 
 class TestRhoTildePrime:
@@ -80,7 +77,7 @@ class TestRhoTildePrime:
         assert decoding_map_deviations()[3] < 1e-12
 
     def test_one_faulty_preserves_maximally_mixed(self):
-        out = decode_one_faulty(maximally_mixed(6))
+        out = decode_one_faulty(DensityOperator(np.eye(64) / 64))
         assert np.abs(out.matrix - np.eye(4) / 4).max() < 1e-13
 
 

@@ -3,17 +3,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from repeater_keyrate.closedform import frame_weights
 from repeater_keyrate.encgen import (
+    ENCODING_GATES,
+    ENCODING_MEASUREMENTS,
     _apply_measurement_rules,
     encoded_bell_state,
     encoded_pair,
     ghz_prep,
     ghz_prep_circuit,
-    teleported_cnot_sequence,
 )
 from repeater_keyrate.channels import source_state_mat
-from repeater_keyrate.qstate import _cnot_permutation, bell_state, ghz_state, ket, overlap
+from repeater_keyrate.encswap import _frame_expectations
+from repeater_keyrate.frames import frame_weights
+from repeater_keyrate.qstate import _cnot_permutation, bell_state, ghz_state, ket
 from repeater_keyrate.rates import RepeaterParams, key_rate
 from repeater_keyrate.validation import (
     encoded_pair_register_deviation,
@@ -49,30 +51,27 @@ class TestGhzPrep:
 
 class TestTeleportedCnotSequence:
     def test_six_gates(self):
-        assert len(teleported_cnot_sequence().gates) == 6
+        assert len(ENCODING_GATES) == 6
 
     def test_six_measurements(self):
-        circuit = teleported_cnot_sequence()
-        assert len(circuit.measurements) == 6
-        bases = sorted(rule.basis for rule in circuit.measurements)
+        assert len(ENCODING_MEASUREMENTS) == 6
+        bases = sorted(basis for _, basis, _ in ENCODING_MEASUREMENTS)
         assert bases == ["x", "x", "x", "z", "z", "z"]
 
     def test_gates_act_on_disjoint_pairs(self):
-        circuit = teleported_cnot_sequence()
-        used = [q for g in circuit.gates for q in g.qubits]
+        used = [q for g in ENCODING_GATES for q in g.qubits]
         assert sorted(used) == list(range(12))
 
     def test_perfect_run_produces_encoded_bell_state(self):
         # pure-state propagation of the whole circuit with ideal resources
-        circuit = teleported_cnot_sequence()
         phi = bell_state("phi+").vector
         vec = np.kron(ghz_state(3).vector, ket("000").vector)
         for _ in range(3):
             vec = np.kron(vec, phi)
-        for g in circuit.gates:
+        for g in ENCODING_GATES:
             vec = vec[_cnot_permutation(12, *g.qubits)]
         rho = np.outer(vec, vec.conj())
-        out = _apply_measurement_rules(rho, circuit.measurements)
+        out = _apply_measurement_rules(rho)
         expected = encoded_bell_state().projector().matrix
         assert np.abs(out - expected).max() < 1e-14
 
@@ -98,12 +97,12 @@ class TestEncodedPair:
         assert np.array_equal(pair.matrix, expected)
 
     def test_source_noise_only_bounds(self):
-        ov = overlap(encoded_pair(0.0, 0.98), encoded_bell_state())
+        # <Phi6|rho|Phi6>, rho's weight on the ideal pair, is the expectation of frame 0
+        ov = _frame_expectations(encoded_pair(0.0, 0.98).matrix)[0]
         assert 0.9 < ov < 1.0
 
     def test_overlap_monotone_in_beta(self):
-        target = encoded_bell_state()
-        values = [overlap(encoded_pair(b, 1.0), target) for b in (0.0, 0.01, 0.02)]
+        values = [_frame_expectations(encoded_pair(b, 1.0).matrix)[0] for b in (0.0, 0.01, 0.02)]
         assert values[0] >= values[1] >= values[2]
 
     def test_trace_and_positivity(self):
@@ -131,34 +130,28 @@ class TestEncodedPair:
         from repeater_keyrate.encgen import ghz_prep
 
         beta, f0 = 0.02, 0.97
-        circuit = teleported_cnot_sequence()
         zeros = ket("000").projector().matrix
         rho0 = np.kron(ghz_prep(beta).matrix, zeros)
         src = source_state_mat(f0)
         for _ in range(3):
             rho0 = np.kron(rho0, src)
 
-        branches = concat_first_order_branches(rho0, circuit.gates, beta)
+        branches = concat_first_order_branches(rho0, ENCODING_GATES, beta)
         all_then_measure = np.zeros((64, 64), dtype=complex)
         for w, b in branches:
-            all_then_measure += w * _apply_measurement_rules(b, circuit.measurements)
+            all_then_measure += w * _apply_measurement_rules(b)
 
         # interleaved: gates are already applied inside each branch, so
         # interleaving reduces to measuring in a different qubit order
         interleaved = np.zeros((64, 64), dtype=complex)
-        reordered = sorted(circuit.measurements, key=lambda r: r.qubit)
+        reordered = sorted(ENCODING_MEASUREMENTS)
         for w, b in branches:
             state = b
-            for rule in reordered:
+            for i, (qubit, basis, correction) in enumerate(reordered):
                 # measure lowest-index Bell half first; adjust indices on the fly
-                shift = sum(1 for done in reordered[: reordered.index(rule)] if done.qubit < rule.qubit)
+                shift = sum(1 for done in reordered[:i] if done[0] < qubit)
                 from repeater_keyrate.qstate import _measure_correct_mat
 
-                state = _measure_correct_mat(
-                    state,
-                    rule.qubit - shift,
-                    rule.basis,
-                    (rule.correction_kind, rule.correction_qubit),
-                )
+                state = _measure_correct_mat(state, qubit - shift, basis, correction)
             interleaved += w * state
         assert np.abs(all_then_measure - interleaved).max() < 1e-10

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 import numpy as np
@@ -6,22 +7,22 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repeater_keyrate import closedform
-from repeater_keyrate.encgen import encoded_bell_state, encoded_pair
-from repeater_keyrate.encswap import (
-    ErrorPair,
-    PauliCombo,
+from repeater_keyrate import closedform, frames
+from repeater_keyrate.closedform import (
     chain_success_prob,
-    correctable_states,
-    enumerate_combos,
-    rho_s,
     rho_s_weights,
     swap_success_closed_form,
+)
+from repeater_keyrate.encgen import encoded_bell_state, encoded_pair
+from repeater_keyrate.encswap import (
+    correctable_states,
+    rho_s,
     swap_success_prob,
     swapped_state_nonideal,
     _frame_expectations,
 )
-from repeater_keyrate.qstate import DensityOperator, overlap
+from repeater_keyrate.frames import ERROR_PAIR_LABELS, _admissible
+from repeater_keyrate.qstate import DensityOperator
 from repeater_keyrate.validation import swap_closed_form_deviation, swap_register_deviation
 
 _PAULI = {
@@ -41,18 +42,23 @@ def apply_pauli_vec(vec, pauli, qubit, n):
     return np.moveaxis(out, 0, 1).reshape(-1)
 
 
+def admissible_combos():
+    """The error-pair labels of the 160 correctable combos, in product order."""
+    return [labels for labels in product(ERROR_PAIR_LABELS, repeat=3) if _admissible(labels)]
+
+
 def reference_correctable_states():
     """Dense construction: apply each admissible combo's Paulis to the ideal
     double pair and drop states equal to an earlier one up to global phase."""
     base = encoded_bell_state().vector
     lefts, rights, parities = [], [], []
-    for combo in enumerate_combos().admissible:
+    for combo in admissible_combos():
         lv, rv = base, base
         phase_pairs = 0
-        for k, pair in enumerate(combo.pairs):
-            lv = apply_pauli_vec(lv, pair.control, 3 + k, 6)
-            rv = apply_pauli_vec(rv, pair.target, k, 6)
-            if pair.label in ("YY", "ZZ"):
+        for k, (control, target) in enumerate(combo):
+            lv = apply_pauli_vec(lv, control, 3 + k, 6)
+            rv = apply_pauli_vec(rv, target, k, 6)
+            if control + target in ("YY", "ZZ"):
                 phase_pairs ^= 1
         lefts.append(lv)
         rights.append(rv)
@@ -74,42 +80,39 @@ def reference_correctable_states():
 
 class TestEnumeration:
     def test_counts(self):
-        counts = enumerate_combos()
-        assert counts.raw_count == 216
-        assert counts.admissible_count == 160
-        assert counts.paper_permutation_count == 960
-        assert len(counts.admissible) == 160
+        admissible = admissible_combos()
+        assert len(list(product(ERROR_PAIR_LABELS, repeat=3))) == 216
+        assert len(admissible) == 160
+        assert 6 * len(admissible) == 960
+        assert len(set(admissible)) == 160
 
     def test_double_flip_combo_excluded(self):
-        combo = PauliCombo((ErrorPair("IX"), ErrorPair("IX"), ErrorPair("II")))
-        assert not combo.is_admissible
-        assert combo.labels() not in {c.labels() for c in enumerate_combos().admissible}
+        combo = ("IX", "IX", "II")
+        assert not _admissible(combo)
+        assert combo not in admissible_combos()
 
     def test_single_flip_allowed(self):
-        assert PauliCombo((ErrorPair("IX"), ErrorPair("ZZ"), ErrorPair("II"))).is_admissible
+        assert _admissible(("IX", "ZZ", "II"))
 
     def test_admissible_count_formula(self):
         # 4^3 pure non-flip choices plus 3 positions x 2 flips x 4^2 others
         assert 4**3 + 3 * 2 * 4**2 == 160
 
-    def test_bad_label_rejected(self):
-        with pytest.raises(ValueError):
-            ErrorPair("XY")
-
 
 class TestCorrectableStates:
     def test_cardinality(self):
-        assert len(correctable_states()) == 64
+        left, right, phase_trivial = correctable_states()
+        assert len(left) == len(right) == len(phase_trivial) == 64
 
     def test_pairwise_orthogonality(self):
-        states = correctable_states()
-        gram = (states.left.conj() @ states.left.T) * (states.right.conj() @ states.right.T)
+        left, right, _ = correctable_states()
+        gram = (left.conj() @ left.T) * (right.conj() @ right.T)
         assert np.abs(gram - np.eye(64)).max() < 1e-9
 
     def test_contains_identity_state(self):
-        states = correctable_states()
+        left, right, _ = correctable_states()
         phi = encoded_bell_state().vector
-        ovs = np.abs(states.left @ phi.conj()) * np.abs(states.right @ phi.conj())
+        ovs = np.abs(left @ phi.conj()) * np.abs(right @ phi.conj())
         assert np.isclose(ovs.max(), 1.0)
 
     def test_xx_combo_state_differs_from_identity(self):
@@ -125,13 +128,13 @@ class TestCorrectableStates:
     def test_index_arithmetic_equals_dense_construction(self):
         left, right, phase_trivial = reference_correctable_states()
         states = correctable_states()
-        assert np.array_equal(states.left, left)
-        assert np.array_equal(states.right, right)
-        assert np.array_equal(states.phase_trivial, phase_trivial)
+        assert np.array_equal(states[0], left)
+        assert np.array_equal(states[1], right)
+        assert np.array_equal(states[2], phase_trivial)
 
     def test_half_of_states_are_phase_trivial(self):
-        states = correctable_states()
-        assert int(states.phase_trivial.sum()) == 32
+        phase_trivial = correctable_states()[2]
+        assert int(phase_trivial.sum()) == 32
 
     def test_two_term_form_matches_dense_factors(self):
         # each factor is one frame (|x> +- |63 - x>)/sqrt(2), whose expectation
@@ -141,14 +144,14 @@ class TestCorrectableStates:
         rho = g @ g.conj().T
         rho /= np.trace(rho).real
         states = correctable_states()
-        _, left, right, _ = zip(*closedform._correctable_frames())
-        for vecs, frames in zip((states.left, states.right), (left, right)):
+        _, left, right, _ = zip(*frames._correctable_frames())
+        for vecs, indices in zip(states[:2], (left, right)):
             dense = np.einsum("id,de,ie->i", vecs.conj(), rho, vecs).real
-            assert np.abs(_frame_expectations(rho)[list(frames)] - dense).max() < 1e-14
+            assert np.abs(_frame_expectations(rho)[list(indices)] - dense).max() < 1e-14
 
     def test_full_vector_factorization(self):
-        states = correctable_states()
-        vec = states.full_vector(5)
+        left, right, _ = correctable_states()
+        vec = np.kron(left[5], right[5])
         assert vec.shape == (4096,)
         assert np.linalg.norm(vec) == pytest.approx(1.0)
 
@@ -196,9 +199,9 @@ def exact_frame_weights(beta, eps):
     exact arithmetic: beta and eps are Fractions, or BETA and EPS for the
     polynomial.
 
-    The weights w and p mirror closedform.frame_weights (GHZ, gate and
+    The weights w and p mirror frames.frame_weights (GHZ, gate and
     source weights), and frame i weighs w . columns[i] / denominator + p/64
-    with (columns, denominator) = closedform._frame_table(), whose entries
+    with (columns, denominator) = frames._frame_table(), whose entries
     are integers."""
     ghz = (
         (1 + beta * (beta * Fraction(1, 2) - Fraction(5, 4))) * Fraction(1, 2),
@@ -210,7 +213,7 @@ def exact_frame_weights(beta, eps):
     remainder = 1 - gates[0] - 6 * gates[1]
     sources = [(1 - eps) ** m * (eps * Fraction(1, 3)) ** (3 - m) for m in range(4)]
     weights = [g * v * m for g in ghz for v in gates for m in sources]
-    columns, denominator = closedform._frame_table()
+    columns, denominator = frames._frame_table()
     mixed = remainder * Fraction(1, 64)
     return [
         sum((w * Fraction(c, denominator) for w, c in zip(weights, column) if c), mixed)
@@ -222,10 +225,10 @@ def exact_swap_success(beta, eps, phase_trivial_only):
     """p_s at (beta, eps = 1 - F0) from the frame weights in exact
     arithmetic: the sum of w_left w_right over the correctable frame pairs,
     all 64 or the 32 phase-trivial ones."""
-    frames = exact_frame_weights(beta, eps)
+    weights = exact_frame_weights(beta, eps)
     return sum(
-        frames[left] * frames[right]
-        for _, left, right, trivial in closedform._correctable_frames()
+        weights[left] * weights[right]
+        for _, left, right, trivial in frames._correctable_frames()
         if trivial or not phase_trivial_only
     )
 
@@ -305,12 +308,12 @@ class TestStoredSwapSuccess:
                 ), (beta, eps)
 
     def test_frame_weights_are_the_exact_contraction(self):
-        # the Fractions of closedform.frame_weights on the grid of the test above
+        # the Fractions of frames.frame_weights on the grid of the test above
         for a in range(17):
             for b in range(7):
                 beta, eps = Fraction(a, 16), Fraction(b, 6)
                 expected = tuple(exact_frame_weights(beta, eps))
-                assert closedform.frame_weights(beta, 1 - eps) == expected, (beta, eps)
+                assert frames.frame_weights(beta, 1 - eps) == expected, (beta, eps)
 
     @pytest.mark.parametrize("phase_trivial_only", [False, True])
     def test_stored_table_regenerates_exactly(self, phase_trivial_only):
@@ -433,8 +436,9 @@ class TestSwappedStates:
         assert np.linalg.eigvalsh(out.matrix)[0] > -1e-10
 
     def test_nonideal_overlap_decreasing_in_r(self):
-        target = encoded_bell_state()
+        # <Phi6|rho|Phi6>, rho's weight on the ideal pair, is the expectation of frame 0
         values = [
-            overlap(swapped_state_nonideal(0.005, 0.99, r), target) for r in (1, 2, 3, 5)
+            _frame_expectations(swapped_state_nonideal(0.005, 0.99, r).matrix)[0]
+            for r in (1, 2, 3, 5)
         ]
         assert all(a > b for a, b in zip(values, values[1:]))

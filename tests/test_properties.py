@@ -14,11 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repeater_keyrate import closedform, encgen, encswap
-from repeater_keyrate.channels import first_order_weights
+from repeater_keyrate import closedform, encgen, frames
+from repeater_keyrate.closedform import _chain_decode_coeffs, first_order_weights
 from repeater_keyrate.decode import (
     DECODE_GATES,
-    _chain_decode_coeffs,
     decode_circuit,
     decode_one_faulty,
     final_state,
@@ -98,7 +97,7 @@ def test_closed_form_swap_success_equals_the_dense_pair(beta, f0):
 @given(st.fractions(0, 1, max_denominator=10**6), st.fractions(0, 1, max_denominator=10**6))
 def test_frame_weights_are_a_distribution_in_exact_rationals(beta, f0):
     # over the whole unit square, corners included
-    weights = closedform.frame_weights(beta, f0)
+    weights = frames.frame_weights(beta, f0)
     assert all(isinstance(w, Fraction) for w in weights)
     assert min(weights) >= 0
     assert sum(weights) == 1
@@ -192,7 +191,7 @@ def test_rate_and_threshold_paths_build_no_encoded_pair(monkeypatch):
         raise AssertionError("the rate path built a dense encoded pair")
 
     _patch_every_binding(monkeypatch, encgen.encoded_pair, forbidden)
-    encswap.swap_success_closed_form.cache_clear()
+    closedform.swap_success_closed_form.cache_clear()
     assert key_rate(RepeaterParams(beta=0.004, f0=0.985, distance_km=300.0, nesting=3)).p_s < 1.0
     assert optimize_over_stations(300.0, 0.004, 0.985)[1].key_rate > 0.0
     assert 0.95 < threshold_gate_quality(1) < 1.0

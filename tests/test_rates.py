@@ -9,7 +9,7 @@ import pytest
 from scipy.optimize import bisect
 
 from repeater_keyrate import closedform, rates
-from repeater_keyrate.qstate import BellDiagCoeffs
+from repeater_keyrate.closedform import BellDiagCoeffs
 from repeater_keyrate.validation import monte_carlo_z
 from repeater_keyrate.rates import (
     CostReport,
@@ -265,6 +265,10 @@ class TestZn:
         with pytest.raises(ValueError):
             z_n(3, 0.0)
 
+    def test_integral_float_num_pairs_accepted(self):
+        # past the cache, which would hand 3.0 the entry of 3
+        assert z_n.__wrapped__(3.0, 0.5) == z_n.__wrapped__(3, 0.5)
+
 
 class TestRepeaterRate:
     def test_normalized_high_transmission_limit(self):
@@ -405,6 +409,11 @@ class TestKeyRate:
         report = key_rate(RepeaterParams(beta=0.005, f0=0.98, distance_km=400.0, nesting=2))
         assert calls == [(12, report.p0)]
 
+    def test_integral_float_nesting_accepted(self):
+        report = key_rate(RepeaterParams(0.0, 1.0, 600.0, 2.0))
+        assert type(report.nesting) is int
+        assert report == key_rate(RepeaterParams(0.0, 1.0, 600.0, 2))
+
 
 class TestOptimize:
     def test_argmax_property(self):
@@ -502,6 +511,11 @@ class TestThresholds:
     def test_no_threshold_in_bracket(self):
         with pytest.raises(NoThresholdError):
             threshold_gate_quality(1, bracket=(0.0, 0.001))
+
+    def test_integral_float_station_count_accepted(self):
+        assert threshold_fidelity(7.0) == threshold_fidelity(7)
+        with pytest.raises(ValueError):
+            threshold_fidelity(6.5)
 
 
 class TestCost:
