@@ -1,11 +1,12 @@
 """Command-line front end.
 
-Subcommands: keyrate, threshold, sweep, cost, enumerate-errors, validate.
-Parameter precedence is CLI flag > config file (``--config`` or the
-REPEATER_KEYRATE_CONFIG environment variable, ``key = value`` lines) >
-built-in defaults; flag and config values pass the flag's type function.
-All tabular output is CSV with a header row and values printed to 10
-significant digits, so identical inputs give byte-identical files.
+Subcommands: keyrate, threshold, sweep, cost, enumerate-errors, validate, each
+with one flag table (``_COMMANDS``) that the parser, the config file and the
+help text read.  Parameter precedence is CLI flag > config file (``--config``
+or the REPEATER_KEYRATE_CONFIG environment variable, ``key = value`` lines) >
+built-in defaults; flag and config values pass the flag's type function.  All
+tabular output is CSV with a header row and values printed to 10 significant
+digits, so identical inputs give byte-identical files.
 
 The rate commands (keyrate, sweep, cost and threshold, N = 0 included) and
 enumerate-errors run on the stdlib alone; N = 0 and enumerate-errors import
@@ -16,10 +17,10 @@ process pool) when they run.
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
 import sys
+from types import SimpleNamespace
 
 from . import __version__
 from .rates import (
@@ -54,15 +55,9 @@ MIN_TRIALS, MAX_TRIALS = 100, 10**7
 
 # Built-in values of the flags that have one; a flag or config value wins.
 _DEFAULTS = {
-    "alpha": DEFAULT_ALPHA_DB_PER_KM,
-    "speed": DEFAULT_SPEED_KM_PER_S,
-    "t0": "physical",
-    "min_nesting": DEFAULT_MIN_NESTING,
-    "max_nesting": DEFAULT_MAX_NESTING,
-    "tolerance": 1e-4,
-    "jobs": 1,
-    "seed": 42,
-    "trials": 10**6,
+    "alpha": DEFAULT_ALPHA_DB_PER_KM, "speed": DEFAULT_SPEED_KM_PER_S, "t0": "physical",
+    "min_nesting": DEFAULT_MIN_NESTING, "max_nesting": DEFAULT_MAX_NESTING,
+    "tolerance": 1e-4, "jobs": 1, "seed": 42, "trials": 10**6,
 }
 
 
@@ -70,17 +65,9 @@ class CliError(Exception):
     """A rejected input; :func:`main` prints it as ``error: ...`` and returns 2."""
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse's own errors (bad value, unknown flag, missing subcommand)
-    are reported like every other rejected input."""
-
-    def error(self, message: str):
-        raise CliError(message)
-
-
 def _number(cast, ok, valid: str):
-    """Type function: ``cast(text)``, finite and accepted by ``ok``; ``valid``
-    names the valid set in the error."""
+    """Type function: ``cast(text)``, accepted by ``ok`` and finite if a float;
+    ``valid`` names the valid set in the error."""
 
     def parse(text: str):
         try:
@@ -88,7 +75,7 @@ def _number(cast, ok, valid: str):
         except ValueError:
             value = None
         if value is None or (cast is float and not math.isfinite(value)) or not ok(value):
-            raise argparse.ArgumentTypeError(f"expected {valid}, got {text!r}")
+            raise ValueError(f"expected {valid}, got {text!r}")
         return value
 
     return parse
@@ -107,13 +94,17 @@ _UNIT = _number(float, lambda v: 0 <= v <= 1, "a number in [0, 1]")
 _POSITIVE = _number(float, lambda v: v > 0, "a positive number")
 _NESTING = _number(int, lambda n: 0 <= n <= MAX_NESTING_LEVEL, f"0...{MAX_NESTING_LEVEL}")
 _STATIONS = _number(int, _is_chain, f"2^N - 1 stations with N in 0...{MAX_NESTING_LEVEL}")
+_T0 = _number(str, ("physical", "1", "normalized").__contains__, "physical, 1 or normalized")
+_MAX_JOBS = os.cpu_count() or 1
+_JOBS = _number(int, lambda n: 1 <= n <= _MAX_JOBS, f"1...{_MAX_JOBS}")
+_TRIALS = _number(int, lambda n: MIN_TRIALS <= n <= MAX_TRIALS, f"{MIN_TRIALS}...{MAX_TRIALS}")
 
 
 def _station_list(text: str) -> list[int]:
     """Comma list of station counts 2^N - 1 with N >= 1."""
     counts = [_STATIONS(s) for s in text.split(",") if s.strip()]
     if not counts or 0 in counts:
-        raise argparse.ArgumentTypeError(f"expected a comma list of 2^N - 1, N >= 1, got {text!r}")
+        raise ValueError(f"expected a comma list of 2^N - 1, N >= 1, got {text!r}")
     return counts
 
 
@@ -128,9 +119,9 @@ def _range(ok, valid: str):
         except ValueError:
             start = stop = step = math.nan
         if not all(map(math.isfinite, (start, stop, step))) or step <= 0:
-            raise argparse.ArgumentTypeError(f"expected finite start:stop:step, step > 0: {text!r}")
+            raise ValueError(f"expected finite start:stop:step, step > 0: {text!r}")
         if stop < start:
-            raise argparse.ArgumentTypeError(f"range is empty: {text!r}")
+            raise ValueError(f"range is empty: {text!r}")
         values: list[float] = []
         while len(values) <= MAX_RANGE_POINTS:
             value = start + len(values) * step
@@ -138,9 +129,9 @@ def _range(ok, valid: str):
                 break
             values.append(value)
         else:
-            raise argparse.ArgumentTypeError(f"more than {MAX_RANGE_POINTS} points in {text!r}")
+            raise ValueError(f"more than {MAX_RANGE_POINTS} points in {text!r}")
         if not all(map(ok, values)):
-            raise argparse.ArgumentTypeError(f"range values must be {valid}, got {text!r}")
+            raise ValueError(f"range values must be {valid}, got {text!r}")
         return values
 
     return parse
@@ -169,53 +160,51 @@ def _load_config(path: str | None) -> dict[str, str]:
                 if "=" not in line:
                     raise CliError(f"{path}:{lineno}: expected key = value, got {raw.strip()!r}")
                 key, value = line.split("=", 1)
-                values[key.strip().replace("-", "_")] = value.strip()
+                key = key.strip().replace("-", "_")
+                if not any(key in table for _, _, table in _COMMANDS.values()):
+                    raise CliError(f"{path}:{lineno}: unknown config key {key!r}")
+                values[key] = value.strip()
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read config file {path}: {exc}")
     return values
 
 
-def _resolve(argv: list[str] | None) -> argparse.Namespace:
+def _resolve(argv: list[str] | None) -> SimpleNamespace:
     """Parse ``argv`` and resolve each value flag of its subcommand once: the
-    command-line value, else the config value run through the flag's own
-    type function, else the built-in default.  ``given`` holds the dests that
-    parsing left not None: the flags given, and every store_true flag."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    args.given = {dest for dest, value in vars(args).items() if value is not None}
-    for key, raw in _load_config(args.config).items():
-        if getattr(args, key, False) is None:  # a value flag of this subcommand, not given
+    command-line value, else the config value run through the flag's own type
+    function, else the built-in default.  ``given``: the dests on the command line."""
+    command, given = _parse(sys.argv[1:] if argv is None else argv)
+    table = _COMMANDS[command][2]
+    values = {dest: False if kind is None else None for dest, (kind, _) in table.items()} | given
+    for key, raw in _load_config(values["config"]).items():
+        if values.get(key, False) is None:  # a value flag of this subcommand, not given
             try:
-                parsed = parser.parse_args([args.command, f"--{key.replace('_', '-')}={raw}"])
-            except CliError as exc:
+                values[key] = table[key][0](raw)
+            except ValueError as exc:
                 raise CliError(f"config value for {key} is not valid: {raw!r} ({exc})")
-            setattr(args, key, getattr(parsed, key))
     defaults = dict(_DEFAULTS)
-    if getattr(args, "paper_fig8_defaults", False):
-        defaults.update(fidelity=FIG8_FIDELITY, t0="1")
-        if args.beta is None:
-            defaults["gate_quality"] = FIG8_GATE_QUALITY
-    for dest, value in defaults.items():
-        if getattr(args, dest, False) is None:
-            setattr(args, dest, value)
-    return args
+    if values.get("paper_fig8_defaults"):  # --beta, if given, names p_G instead
+        gate_quality = FIG8_GATE_QUALITY if values["beta"] is None else None
+        defaults.update(fidelity=FIG8_FIDELITY, t0="1", gate_quality=gate_quality)
+    values.update((d, v) for d, v in defaults.items() if values.get(d, False) is None)
+    return SimpleNamespace(command=command, given=set(given), **values)
 
 
-def _reject(args: argparse.Namespace, mode: str, *dests: str) -> None:
+def _reject(args: SimpleNamespace, mode: str, *dests: str) -> None:
     """Flags the chosen mode does not read are errors when given on the
     command line; config keys are not, as one config file serves every
     subcommand."""
     for dest in dests:
         if dest in args.given:
-            raise CliError(f"--{dest.replace('_', '-')} does not apply to {mode}")
+            raise CliError(f"{_flag(dest)} does not apply to {mode}")
 
 
-def _fiber(args: argparse.Namespace) -> dict:
+def _fiber(args: SimpleNamespace) -> dict:
     t0_mode = "physical" if args.t0 == "physical" else "normalized"
     return {"alpha_db_per_km": args.alpha, "speed_km_per_s": args.speed, "t0_mode": t0_mode}
 
 
-def _point(args: argparse.Namespace) -> dict:
+def _point(args: SimpleNamespace) -> dict:
     """F0, beta and the fiber keywords of the rate functions; --beta and
     --gate-quality = 1 - beta name the same value."""
     if args.beta is not None and args.gate_quality is not None:
@@ -226,7 +215,7 @@ def _point(args: argparse.Namespace) -> dict:
     return {"beta": beta, "f0": args.fidelity, **_fiber(args)}
 
 
-def _require_timed(args: argparse.Namespace, distances: list[float], nesting: int) -> None:
+def _require_timed(args: SimpleNamespace, distances: list[float], nesting: int) -> None:
     """Reject, before any rate work, a distance whose segments at the deepest
     nesting level are too short for T0 = L0/c to give a finite rate."""
     for distance in distances:
@@ -236,7 +225,7 @@ def _require_timed(args: argparse.Namespace, distances: list[float], nesting: in
             raise CliError(f"--distance {_fmt(distance)}: {exc}")
 
 
-def _nesting_range(args: argparse.Namespace) -> range:
+def _nesting_range(args: SimpleNamespace) -> range:
     if args.max_nesting < args.min_nesting:
         raise CliError(f"--max-nesting {args.max_nesting} < --min-nesting {args.min_nesting}")
     return range(args.min_nesting, args.max_nesting + 1)
@@ -254,11 +243,7 @@ def _write_rows(path: str | None, header: str, rows: list[str]) -> None:
         raise CliError(f"cannot write --output {path}: {exc}")
 
 
-# ---------------------------------------------------------------------------
-# subcommands
-# ---------------------------------------------------------------------------
-
-def cmd_keyrate(args: argparse.Namespace) -> int:
+def cmd_keyrate(args: SimpleNamespace) -> int:
     point = _point(args)
     if args.distance is None:
         raise CliError("--distance (km, positive) is required")
@@ -313,7 +298,7 @@ def cmd_keyrate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_threshold(args: argparse.Namespace) -> int:
+def cmd_threshold(args: SimpleNamespace) -> int:
     station_list = list(TABLE_STATION_COUNTS) if args.stations is None else args.stations
     header = "r,N,p_G_min,F_0_min,p_G_min_full,F_0_min_full"
     rows = []
@@ -350,7 +335,7 @@ def _optimize_points(
         return list(pool.map(_optimize_point, tasks, chunksize=max(1, len(tasks) // (4 * jobs))))
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args: SimpleNamespace) -> int:
     n_values = list(_nesting_range(args))
 
     if args.distance_range is not None:
@@ -394,7 +379,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_cost(args: argparse.Namespace) -> int:
+def cmd_cost(args: SimpleNamespace) -> int:
     point = _point(args)
     if args.distance_range is not None:
         _reject(args, "a --distance-range cost", "distance")
@@ -418,7 +403,7 @@ def cmd_cost(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_enumerate_errors(args: argparse.Namespace) -> int:
+def cmd_enumerate_errors(args: SimpleNamespace) -> int:
     """The 6^3 error-pair combos, the 160 correctable ones and the 64
     distinct states they give.  The 160 x 6 = 960 count treats position
     permutations apart and is printed only for parity with that convention."""
@@ -438,7 +423,7 @@ def cmd_enumerate_errors(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
+def cmd_validate(args: SimpleNamespace) -> int:
     from .validation import run_checks
 
     results = run_checks(seed=args.seed, trials=args.trials, full=args.full)
@@ -452,103 +437,118 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 0 if failures == 0 else 1
 
 
-# ---------------------------------------------------------------------------
-# parser
-# ---------------------------------------------------------------------------
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
 
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI parser.  Each subcommand declares only the flags it reads, and
-    every value flag defaults to None, so that :func:`_resolve` can tell a
-    flag left out from one given."""
-    parser = _Parser(
-        prog="repeater-keyrate",
-        description=(
-            "Secret key rates, thresholds and resource costs for a quantum "
-            f"repeater encoded with the three-qubit repetition code "
-            f"(M = {MEMORIES_PER_HALF_NODE} memories per half node)."
-        ),
-    )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    ranges = f"start:stop:step, at most {MAX_RANGE_POINTS} points"
-    km_range = _range(lambda v: v > 0, "positive")
-    unit_range = _range(lambda v: 0 <= v <= 1, "in [0, 1]")
 
-    config = _Parser(add_help=False)
-    config.add_argument("--config", help="key = value config file (or set REPEATER_KEYRATE_CONFIG)")
-    output = _Parser(add_help=False, parents=[config])
-    output.add_argument("--output", help="write CSV to this path ('-' for stdout)")
-    rate = _Parser(add_help=False, parents=[output])
-    rate.add_argument("--fidelity", type=_UNIT, help="source Bell fidelity F0 in [0, 1]")
-    rate.add_argument("--gate-quality", type=_UNIT, help="gate quality p_G = 1 - beta in [0, 1]")
-    rate.add_argument("--beta", type=_UNIT, help="two-qubit gate error parameter in [0, 1]")
-    rate.add_argument("--alpha", type=_POSITIVE,
-                      help=f"fiber attenuation, dB/km, > 0 (default {DEFAULT_ALPHA_DB_PER_KM})")
-    rate.add_argument("--speed", type=_POSITIVE,
-                      help=f"signal speed in fiber, km/s, > 0 (default {DEFAULT_SPEED_KM_PER_S:g})")
-    rate.add_argument("--t0", choices=("physical", "1", "normalized"),
-                      help="fundamental time: 'physical' (L0/c, default) or '1' (normalized)")
-    rate.add_argument("--min-nesting", type=_NESTING, help=f"smallest nesting level scanned, >= 0 "
-                      f"(default {DEFAULT_MIN_NESTING}; 0 enables the repeaterless extension)")
-    rate.add_argument("--max-nesting", type=_NESTING, help=f"largest nesting level scanned, "
-                      f"up to {MAX_NESTING_LEVEL} (default {DEFAULT_MAX_NESTING})")
+def _parse(argv: list[str]) -> tuple[str, dict]:
+    """(command, {dest: value} of the flags given).  A flag is ``--name
+    value`` or ``--name=value``, ``name`` a flag of the scope or a unique
+    prefix of one; a switch takes no value, and no value starts with ``--``."""
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    flags = _COMMANDS[command][2] if command else _TOP
+    given = {}
+    tokens = iter(argv[1:] if command else argv)
+    for token in tokens:
+        name, has_value, value = ("--help" if token == "-h" else token).partition("=")
+        dests = [d for d in flags if _flag(d) == name] or [
+            d for d in flags if _flag(d).startswith(name)]
+        if len(name) < 3 or not dests:
+            raise CliError(f"unrecognized argument {token!r}")
+        if len(dests) > 1:
+            raise CliError(f"ambiguous option: {name} could match {', '.join(map(_flag, dests))}")
+        dest = dests[0]
+        name, kind = _flag(dest), flags[dest][0]
+        if kind is None and has_value:
+            raise CliError(f"argument {name}: ignored explicit argument {value!r}")
+        if dest in _TOP:
+            print(_help(command, flags) if dest == "help" else f"repeater-keyrate {__version__}")
+            raise SystemExit(0)
+        if kind is not None and not has_value:
+            value = next(tokens, "--")
+            if value.startswith("--"):
+                raise CliError(f"argument {name}: expected one argument")
+        try:
+            given[dest] = True if kind is None else kind(value)
+        except ValueError as exc:
+            raise CliError(f"argument {name}: {exc}")
+    if command is None:
+        raise CliError(f"expected a command: {', '.join(_COMMANDS)}")
+    return command, given
 
-    p = sub.add_parser("keyrate", parents=[rate], help="secret key rate for one parameter point")
-    p.add_argument("--distance", type=_POSITIVE, help="total distance L in km, > 0")
-    p.add_argument("--nesting", type=_NESTING, help=f"nesting level N, 0...{MAX_NESTING_LEVEL}")
-    p.add_argument("--stations", type=_STATIONS, help="station count r = 2^N - 1, N as above")
-    p.add_argument("--optimize", action="store_true", help="maximize the key rate over N")
-    p.set_defaults(func=cmd_keyrate)
 
-    p = sub.add_parser("threshold", parents=[output],
-                       help="minimal gate quality / fidelity per station count")
-    p.add_argument("--stations", type=_station_list,
-                   help=f"comma list of 2^N - 1, N in 1...{MAX_NESTING_LEVEL} (default 1,...,127)")
-    p.add_argument("--tolerance", type=_POSITIVE, help="bisection tolerance, > 0 (default 1e-4)")
-    p.set_defaults(func=cmd_threshold)
+def _help(command: str | None, flags: dict) -> str:
+    lines = [f"usage: repeater-keyrate {command or 'COMMAND'} [FLAGS]", "",
+             _COMMANDS[command][1] if command else _ABOUT, ""]
+    if command is None:
+        lines += [f"  {name:<28}{text}" for name, (_, text, _) in _COMMANDS.items()]
+    for dest, (kind, text) in flags.items():
+        default = f" (default {_DEFAULTS[dest]})" if dest in _DEFAULTS else ""
+        lines.append(f"  {_flag(dest) + ('' if kind is None else ' VALUE'):<28}{text}{default}")
+    return "\n".join(lines)
 
-    p = sub.add_parser("sweep", parents=[rate],
-                       help="CSV sweep over distance or the (F0, p_G) surface")
-    p.add_argument("--distance", type=_POSITIVE, help="total distance L in km, > 0 (surface sweep)")
-    p.add_argument("--distance-range", type=km_range, help=f"{ranges}, in km (distance sweep)")
-    p.add_argument("--fidelity-range", type=unit_range, help=f"{ranges}, for F0")
-    p.add_argument("--gate-quality-range", type=unit_range,
-                   help=f"{ranges}, for p_G; at most {MAX_RANGE_POINTS} surface points in all")
-    max_jobs = os.cpu_count() or 1
-    p.add_argument("--jobs", type=_number(int, lambda n: 1 <= n <= max_jobs, f"1...{max_jobs}"),
-                   help="parallel worker processes, 1 to the CPU count (default 1)")
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("cost", parents=[rate],
-                       help="memory qubits per secret bit, optimized over N")
-    p.add_argument("--distance", type=_POSITIVE, help="total distance L in km, > 0")
-    p.add_argument("--distance-range", type=km_range, help=f"{ranges}, in km")
-    p.add_argument("--paper-fig8-defaults", action="store_true",
-                   help=f"default to F0={FIG8_FIDELITY}, p_G={FIG8_GATE_QUALITY}, normalized T0")
-    p.set_defaults(func=cmd_cost)
-
-    p = sub.add_parser("enumerate-errors", parents=[config],
-                       help="correctable error-pattern counts")
-    p.add_argument("--list", action="store_true", help="also print the admissible combinations")
-    p.set_defaults(func=cmd_enumerate_errors)
-
-    p = sub.add_parser("validate", parents=[config], help="run the numerical self-check suite")
-    p.add_argument("--seed", type=_number(int, lambda n: n >= 0, "an integer >= 0"),
-                   help="Monte Carlo seed, >= 0 (default 42)")
-    p.add_argument("--trials", type=_number(int, lambda n: MIN_TRIALS <= n <= MAX_TRIALS,
-                                            f"{MIN_TRIALS}...{MAX_TRIALS}"),
-                   help=f"Monte Carlo trials, {MIN_TRIALS}...{MAX_TRIALS} (default 1000000)")
-    p.add_argument("--full", action="store_true",
-                   help="include the slow full-register equivalence checks")
-    p.set_defaults(func=cmd_validate)
-
-    return parser
+_ABOUT = ("Secret key rates, thresholds and resource costs for a quantum repeater encoded with "
+          f"the three-qubit repetition code (M = {MEMORIES_PER_HALF_NODE} memories per half node).")
+_RANGE = f"start:stop:step, at most {MAX_RANGE_POINTS} points"
+_KM_RANGE = _range(lambda v: v > 0, "positive")
+_UNIT_RANGE = _range(lambda v: 0 <= v <= 1, "in [0, 1]")
+# A command reads only its table's flags, {dest: (type function or None for a switch, help)}.
+_TOP = {"help": (None, "show this help and exit"), "version": (None, "print the version and exit")}
+_CONFIG = {"help": _TOP["help"],
+           "config": (str, "key = value config file (or set REPEATER_KEYRATE_CONFIG)")}
+_OUTPUT = {**_CONFIG, "output": (str, "write CSV to this path ('-' for stdout)")}
+_RATE = {
+    **_OUTPUT,
+    "fidelity": (_UNIT, "source Bell fidelity F0 in [0, 1]"),
+    "gate_quality": (_UNIT, "gate quality p_G = 1 - beta in [0, 1]"),
+    "beta": (_UNIT, "two-qubit gate error parameter in [0, 1]"),
+    "alpha": (_POSITIVE, "fiber attenuation, dB/km, > 0"),
+    "speed": (_POSITIVE, "signal speed in fiber, km/s, > 0"),
+    "t0": (_T0, "fundamental time: 'physical' (L0/c) or '1' (normalized)"),
+    "min_nesting": (_NESTING, "smallest nesting level scanned, >= 0; 0 adds the repeaterless link"),
+    "max_nesting": (_NESTING, f"largest nesting level scanned, up to {MAX_NESTING_LEVEL}"),
+}
+_COMMANDS = {
+    "keyrate": (cmd_keyrate, "secret key rate for one parameter point", {
+        **_RATE,
+        "distance": (_POSITIVE, "total distance L in km, > 0"),
+        "nesting": (_NESTING, f"nesting level N, 0...{MAX_NESTING_LEVEL}"),
+        "stations": (_STATIONS, "station count r = 2^N - 1, N as above"),
+        "optimize": (None, "maximize the key rate over N")}),
+    "threshold": (cmd_threshold, "minimal gate quality / fidelity per station count", {
+        **_OUTPUT,
+        "stations": (_station_list, f"comma list of 2^N - 1, N in 1...{MAX_NESTING_LEVEL} "
+                     "(default 1,...,127)"),
+        "tolerance": (_POSITIVE, "bisection tolerance, > 0")}),
+    "sweep": (cmd_sweep, "CSV sweep over distance or the (F0, p_G) surface", {
+        **_RATE,
+        "distance": (_POSITIVE, "total distance L in km, > 0 (surface sweep)"),
+        "distance_range": (_KM_RANGE, f"{_RANGE}, in km (distance sweep)"),
+        "fidelity_range": (_UNIT_RANGE, f"{_RANGE}, for F0"),
+        "gate_quality_range": (_UNIT_RANGE, f"{_RANGE}, for p_G; at most {MAX_RANGE_POINTS} "
+                               "surface points in all"),
+        "jobs": (_JOBS, "parallel worker processes, 1 to the CPU count")}),
+    "cost": (cmd_cost, "memory qubits per secret bit, optimized over N", {
+        **_RATE,
+        "distance": (_POSITIVE, "total distance L in km, > 0"),
+        "distance_range": (_KM_RANGE, f"{_RANGE}, in km"),
+        "paper_fig8_defaults": (None, f"default to F0={FIG8_FIDELITY}, p_G={FIG8_GATE_QUALITY} "
+                                "and normalized T0")}),
+    "enumerate-errors": (cmd_enumerate_errors, "correctable error-pattern counts", {
+        **_CONFIG, "list": (None, "also print the admissible combinations")}),
+    "validate": (cmd_validate, "run the numerical self-check suite", {
+        **_CONFIG,
+        "seed": (_number(int, lambda n: n >= 0, "an integer >= 0"), "Monte Carlo seed, >= 0"),
+        "trials": (_TRIALS, f"Monte Carlo trials, {MIN_TRIALS}...{MAX_TRIALS}"),
+        "full": (None, "include the slow full-register equivalence checks")}),
+}
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _resolve(argv)
-        return args.func(args)
+        return _COMMANDS[args.command][0](args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,5 +1,6 @@
 import concurrent.futures
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -7,8 +8,11 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import repeater_keyrate
+from repeater_keyrate import cli
 from repeater_keyrate.cli import main
 
 
@@ -36,12 +40,12 @@ def run_bounded(*argv):
 
 def run_child(*argv):
     """The CLI in a fresh interpreter: (exit code, stdout, which of numpy,
-    dataclasses and the Pauli-frame core it loaded)."""
+    dataclasses, argparse, gettext and the Pauli-frame core it loaded)."""
     src = Path(repeater_keyrate.__file__).resolve().parents[1]
     probe = (
         "import sys; from repeater_keyrate.cli import main; code = main(sys.argv[1:]); "
-        "print('loaded:', *(m for m in ('numpy', 'dataclasses', 'repeater_keyrate.frames') "
-        "if m in sys.modules)); sys.exit(code)"
+        "print('loaded:', *(m for m in ('numpy', 'dataclasses', 'argparse', 'gettext', "
+        "'repeater_keyrate.frames') if m in sys.modules)); sys.exit(code)"
     )
     result = subprocess.run(
         [sys.executable, "-c", probe, *argv], env={**os.environ, "PYTHONPATH": str(src)},
@@ -499,6 +503,18 @@ class TestConfig:
         assert code == 2
         assert "key = value" in err
 
+    def test_unknown_key_rejected_other_commands_keys_ignored(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        # trials and list are read by validate and enumerate-errors, not keyrate
+        body = "fidelity = 0.98\ngate-quality = 0.992\ndistance = 600\nnesting = 1\n"
+        cfg.write_text(body + "trials = 1000\nlist = 1\n")
+        code, _, err = run(capsys, "keyrate", "--config", str(cfg))
+        assert code == 0, err
+        cfg.write_text(body + "trials = 1000\nfidelty = 0.5\n")
+        code, out, err = run(capsys, "keyrate", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {cfg}:6: unknown config key 'fidelty'")
+
 
 class TestHelp:
     def test_help_lists_defaults(self, capsys):
@@ -516,6 +532,148 @@ class TestHelp:
         for name in ("keyrate", "threshold", "sweep", "cost", "enumerate-errors", "validate"):
             assert name in out
         assert "M = 6" in out or "6 memories" in out
+
+
+# Every flag of every subcommand, as the command line spells it.
+_RATE_FLAGS = (
+    "--config", "--output", "--fidelity", "--gate-quality", "--beta", "--alpha", "--speed",
+    "--t0", "--min-nesting", "--max-nesting",
+)
+FLAGS = {
+    "keyrate": (*_RATE_FLAGS, "--distance", "--nesting", "--stations", "--optimize"),
+    "threshold": ("--config", "--output", "--stations", "--tolerance"),
+    "sweep": (*_RATE_FLAGS, "--distance", "--distance-range", "--fidelity-range",
+              "--gate-quality-range", "--jobs"),
+    "cost": (*_RATE_FLAGS, "--distance", "--distance-range", "--paper-fig8-defaults"),
+    "enumerate-errors": ("--config", "--list"),
+    "validate": ("--config", "--seed", "--trials", "--full"),
+}
+
+
+def rejected(capsys, *argv):
+    """Run an input the CLI must reject (exit 2, no stdout, an ``error:`` line);
+    return its stderr."""
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    return err
+
+
+class TestParserContract:
+    """What the command line accepts and rejects, independent of how it is parsed."""
+
+    @pytest.mark.parametrize("argv", [
+        ("keyrate", "--distance", "600", "--nesting", "2"),
+        ("sweep", "--distance-range", "100:300:100", "--t0", "1", "--jobs", "1"),
+        ("threshold", "--stations", "1,3", "--tolerance", "0.01", "--output", "-"),
+        ("validate", "--seed", "7", "--trials", "1000", "--full"),
+        ("cost", "--paper-fig8-defaults", "--distance", "600", "--min-nesting", "0"),
+    ])
+    def test_equals_form_gives_same_namespace(self, argv, monkeypatch):
+        monkeypatch.delenv("REPEATER_KEYRATE_CONFIG", raising=False)
+        joined, tokens = [argv[0]], list(argv[1:])
+        while tokens:
+            flag = tokens.pop(0)
+            if tokens and not tokens[0].startswith("--"):
+                flag = f"{flag}={tokens.pop(0)}"
+            joined.append(flag)
+        assert vars(cli._resolve(list(argv))) == vars(cli._resolve(joined))
+
+    def test_unique_prefix_accepted(self, capsys):
+        code, out, err = run(capsys, "keyrate", "--dist", "600", "--fid=0.99",
+                             "--gate-q", "0.99", "--nest", "1")
+        assert code == 0, err
+        assert parse_kv(out)["distance_km"] == "600"
+
+    def test_ambiguous_prefix_rejected(self, capsys):
+        err = rejected(capsys, "sweep", "--dist", "600", "--fidelity", "0.99")
+        assert "ambiguous" in err and "--dist" in err
+
+    def test_switch_takes_no_value(self, capsys):
+        assert "--list" in rejected(capsys, "enumerate-errors", "--list=1")
+
+    def test_last_repeated_value_wins(self, capsys):
+        code, out, err = run(capsys, "keyrate", "--distance", "600", "--fidelity", "0.99",
+                             "--gate-quality", "0.99", "--nesting", "3", "--nesting", "1",
+                             "--distance=300")
+        assert code == 0, err
+        kv = parse_kv(out)
+        assert (kv["N"], kv["distance_km"]) == ("1", "300")
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    def test_command_help_lists_every_flag(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([command, flag])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert set(re.findall(r"--[a-z0-9][a-z0-9-]*", out)) - {"--help"} == set(FLAGS[command])
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_top_level_help(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([flag])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert all(name in out for name in FLAGS) and "M = 6" in out
+
+    def test_version(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == f"repeater-keyrate {repeater_keyrate.__version__}\n"
+
+    @pytest.mark.parametrize("argv,named", [
+        ((), "command"),
+        (("bogus",), "bogus"),
+        (("--bogus", "keyrate"), "--bogus"),
+        (("keyrate", "--bogus", "1"), "--bogus"),
+        (("keyrate", "-x"), "-x"),
+        (("keyrate", "junk"), "junk"),
+        (("keyrate", "--"), "--"),
+        (("keyrate", "--distance"), "--distance"),
+        (("sweep", "--output", "--fidelity", "0.9"), "--output"),
+        (("keyrate", "--fidelity", "2"), "argument --fidelity: expected"),
+        (("keyrate", "--fidelity="), "argument --fidelity: expected"),
+        (("keyrate", "--t0", "bogus"), "--t0"),
+        (("threshold", "--stations", "5"), "--stations"),
+        (("validate", "--full=yes"), "--full"),
+        (("threshold", "--fidelity", "0.9"), "--fidelity"),
+        (("enumerate-errors", "--output", "x.csv"), "--output"),
+    ])
+    def test_rejected_inputs_name_the_argument(self, capsys, argv, named):
+        assert named in rejected(capsys, *argv)
+
+
+_VALUES = ["nan", "inf", "-inf", "-1", "", "0", "0.5", "1", "3", "600", "1,3", "0:1:0.5",
+           "physical", "junk"]
+_FLAG_NAMES = sorted({flag for flags in FLAGS.values() for flag in flags})
+_FLAG_TOKENS = st.one_of(
+    st.sampled_from([*_FLAG_NAMES, "-h", "--help", "--version", "--bogus", "-x", "--", "-"]),
+    st.builds(lambda flag, cut: flag[:max(3, len(flag) - cut)],
+              st.sampled_from(_FLAG_NAMES), st.integers(1, 12)),
+    st.builds(lambda flag, value: f"{flag}={value}",
+              st.sampled_from(_FLAG_NAMES), st.sampled_from(_VALUES)),
+)
+_TOKENS = st.one_of(_FLAG_TOKENS, st.sampled_from(_VALUES))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(st.sampled_from([*FLAGS, "bogus"]), _FLAG_TOKENS), st.lists(_TOKENS, max_size=8))
+def test_resolve_answers_or_rejects(capsys, monkeypatch, tmp_path, first, rest):
+    """Any token list resolves, or raises CliError or SystemExit(0) (help,
+    version); no other exception escapes.  The working directory is empty, so
+    no drawn --config value names a file."""
+    monkeypatch.delenv("REPEATER_KEYRATE_CONFIG", raising=False)
+    monkeypatch.chdir(tmp_path)
+    try:
+        cli._resolve([first, *rest])
+    except cli.CliError:
+        pass
+    except SystemExit as exc:
+        assert exc.code == 0
+    capsys.readouterr()
 
 
 class TestRuntimeDependencies:
