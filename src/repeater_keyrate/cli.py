@@ -98,6 +98,10 @@ _T0 = _number(str, ("physical", "1", "normalized").__contains__, "physical, 1 or
 _MAX_JOBS = os.cpu_count() or 1
 _JOBS = _number(int, lambda n: 1 <= n <= _MAX_JOBS, f"1...{_MAX_JOBS}")
 _TRIALS = _number(int, lambda n: MIN_TRIALS <= n <= MAX_TRIALS, f"{MIN_TRIALS}...{MAX_TRIALS}")
+# The values a config file may give a switch, in any case, and whether each turns it on.
+_SWITCH = {word: i > 3 for i, word in enumerate("0 false no off 1 true yes on".split())}
+# Flags of one choice: one on the command line drops the config values of all.
+_CHOICES = ({"optimize", "nesting", "stations"}, {"beta", "gate_quality"})
 
 
 def _station_list(text: str) -> list[int]:
@@ -170,16 +174,22 @@ def _load_config(path: str | None) -> dict[str, str]:
 
 
 def _resolve(argv: list[str] | None) -> SimpleNamespace:
-    """Parse ``argv`` and resolve each value flag of its subcommand once: the
-    command-line value, else the config value run through the flag's own type
-    function, else the built-in default.  ``given``: the dests on the command line."""
+    """Parse ``argv`` and resolve each flag of its subcommand once: the
+    command-line value, else the config value (run through the flag's own type
+    function, or looked up in :data:`_SWITCH`) unless the command line gives
+    a flag of its :data:`_CHOICES`, else the built-in default.
+    ``given``: the dests on the command line."""
     command, given = _parse(sys.argv[1:] if argv is None else argv)
     table = _COMMANDS[command][2]
     values = {dest: False if kind is None else None for dest, (kind, _) in table.items()} | given
+    overridden = set(given).union(*(c for c in _CHOICES if c & given.keys()))
     for key, raw in _load_config(values["config"]).items():
-        if values.get(key, False) is None:  # a value flag of this subcommand, not given
+        if key in table and key not in overridden:
+            kind = table[key][0]
             try:
-                values[key] = table[key][0](raw)
+                if kind is None and raw.lower() not in _SWITCH:
+                    raise ValueError(f"expected {', '.join(_SWITCH)}, in any case")
+                values[key] = _SWITCH[raw.lower()] if kind is None else kind(raw)
             except ValueError as exc:
                 raise CliError(f"config value for {key} is not valid: {raw!r} ({exc})")
     defaults = dict(_DEFAULTS)

@@ -25,9 +25,9 @@ Nesting scan.  Each quantity is computed where it is constant: the levels'
 checks and K bounds per (L, levels, fiber) (:func:`_levels_by_bound`), the
 rows of p_s per F0, and p_s and the beta terms per point (:class:`_Point`,
 whose level report :func:`key_rate` uses too, so K agrees to the last bit).
-:func:`cost_coefficient` evaluates every level; :func:`optimize_over_stations`
-takes them by descending bound and stops at the first bound below the best
-K, so levels that cannot win never sum their waiting time.
+A level whose chain success rules out a key skips the decode, the entropies
+and Z (:meth:`_Point.level`); :func:`optimize_over_stations` takes the levels
+by descending bound and stops at the first bound below the best K.
 
 Everything here is stdlib arithmetic on those closed forms, N = 0
 included: with no swap the key pair is decoded from the encoded pair's
@@ -61,6 +61,10 @@ DEFAULT_SPEED_KM_PER_S = 2e5
 DEFAULT_MIN_NESTING = 1
 DEFAULT_MAX_NESTING = 10
 TABLE_STATION_COUNTS = (1, 3, 7, 15, 31, 63, 127)
+# Below this P_r every decoded Bell coefficient is <= P_r + (1 - P_r) 16/63 < 1/2,
+# so r_inf <= 0 (README decision 22); the 8.7e-5 margin under 31/94, where the
+# bound is 1/2, keeps r_inf below -1.8e-4, far past any rounding.
+KEYLESS_P_R = 0.3297
 
 
 class NoThresholdError(ValueError):
@@ -295,30 +299,40 @@ class _Point:
         self.p_s = swap_success_closed_form(beta, f0, phase_trivial_only=phase_trivial_only)
         self.chain = ChainState(beta)
 
-    def decoded(self, swap_count: int) -> tuple[float, tuple[float, float, float], float]:
-        """P_r, (e_X, e_Y, e_Z) and the unclamped six-state r_inf after
-        ``swap_count`` compoundings; N = 0 decodes the encoded pair's frames."""
+    def decoded(
+        self, swap_count: int, p_r: float | None = None
+    ) -> tuple[float, tuple[float, float, float], float]:
+        """P_r (unless given), (e_X, e_Y, e_Z) and the unclamped six-state r_inf
+        after ``swap_count`` compoundings; N = 0 decodes the encoded pair's frames."""
         if swap_count == 0:
             from .frames import pair_decode_coeffs
 
             p_r, coeffs = 1.0, self.chain.mix(*pair_decode_coeffs(self.beta, self.f0))
         else:
-            p_r = chain_success_prob(self.p_s, swap_count)
+            p_r = chain_success_prob(self.p_s, swap_count) if p_r is None else p_r
             coeffs = self.chain.bell_coeffs(swap_count, p_r)
         qbers = error_rates(coeffs)
         return p_r, qbers, secret_fraction_six_state(*qbers)
 
-    def report(self, distance_km: float, nesting: int, fiber: Sequence) -> RateReport:
+    def report(
+        self, distance_km: float, nesting: int, fiber: Sequence, p_r: float | None = None
+    ) -> RateReport:
         """The :class:`RateReport` of one nesting level.  If P0 underflowed to
         0.0, Z = inf and R = 0 (:func:`z_n` itself rejects P0 = 0)."""
         alpha_db_per_km, speed_km_per_s, t0_mode = fiber
-        p_r, (e_x, e_y, e_z), fraction = self.decoded(2**nesting - 1)
+        p_r, (e_x, e_y, e_z), fraction = self.decoded(2**nesting - 1, p_r)
         l0 = distance_km / 2**nesting
         p0 = transmission_prob(l0, alpha_db_per_km)
         z = z_n(3 * 2**nesting, p0) if p0 > 0.0 else math.inf
         rate = 1.0 / (2.0 * _fundamental_time(l0, speed_km_per_s, t0_mode) * z)
         k = rate * max(fraction, 0.0) / MEMORIES_PER_HALF_NODE
         return RateReport(p0, z, rate, e_x, e_y, e_z, fraction, k, self.p_s, p_r, nesting, l0)
+
+    def level(self, distance_km: float, nesting: int, fiber: Sequence) -> RateReport | None:
+        """:meth:`report` of a level of a nesting scan, or None when its chain
+        success rules out a key (P_r < ``KEYLESS_P_R``, so K = 0)."""
+        p_r = chain_success_prob(self.p_s, 2**nesting - 1) if nesting else 1.0
+        return None if p_r < KEYLESS_P_R else self.report(distance_km, nesting, fiber, p_r)
 
 
 def secret_fraction_for(beta: float, f0: float, nesting: int) -> float:
@@ -349,8 +363,10 @@ def _levels_by_bound(
     level-dependent check) at the deepest, and the other checks are the same
     at every level.  UB bounds the level's K without Z or the fraction
     (README decision 18): r_inf <= 1 and Z >= max(1, 1/P0, H_n/x),
-    n = 3 * 2^N, x = -ln(1 - P0), times 1 + 1e-9 for rounding; Z = inf, so
-    UB = 0, when P0 underflowed."""
+    n = 3 * 2^N, x = -ln(1 - P0), times 1 + 1e-9 for rounding.  UB = 0
+    exactly when P0 underflowed to 0: 1/Z <= min(1, P0, x/H_n) does not
+    overflow at a subnormal P0, and a positive UB that rounds to 0 is
+    rounded up to the smallest float."""
     levels = set(n_range)
     n_values = sorted(set(map(int, levels)))
     if not n_values:
@@ -364,9 +380,10 @@ def _levels_by_bound(
         l0 = distance_km / 2**n
         p0 = transmission_prob(l0, alpha_db_per_km)
         x = -math.log1p(-p0) if p0 < 1.0 else math.inf
-        z_low = max(1.0, 1.0 / p0, _harmonic(3 * 2**n) / x) if p0 > 0.0 else math.inf
         t0 = _fundamental_time(l0, speed_km_per_s, t0_mode)
-        bounds.append(((1.0 + 1e-9) / (2.0 * t0 * z_low) / MEMORIES_PER_HALF_NODE, n))
+        bound = (1.0 + 1e-9) * min(1.0, p0, x / _harmonic(3 * 2**n)) / (2.0 * t0)
+        bound /= MEMORIES_PER_HALF_NODE
+        bounds.append((bound if bound > 0.0 or p0 == 0.0 else math.ulp(0.0), n))
     return tuple(sorted(bounds, reverse=True))
 
 
@@ -384,17 +401,23 @@ def optimize_over_stations(
     except that a level whose P0 underflowed to 0 loses every tie.  The
     levels are taken in descending order of their bound UB
     (:func:`_levels_by_bound`), and the search stops at the first UB below
-    the best K so far: no level left can then win or tie."""
+    the best K so far: no level left can then win or tie.  A keyless level
+    (:meth:`_Point.level`) ranks as K = 0 with its own P0."""
     fiber = (alpha_db_per_km, speed_km_per_s, t0_mode)
     point = _Point(beta, f0)
     best = (-math.inf,)  # (K, P0 > 0, -N) of the winner so far
     for bound, n in _levels_by_bound(distance_km, tuple(n_range), *fiber):
         if bound < best[0]:
             break
-        report = point.report(distance_km, n, fiber)
-        rank = (report.key_rate, report.p0 > 0.0, -n)
+        report = point.level(distance_km, n, fiber)
+        if report is None:  # K = 0, and P0 as report would compute it
+            rank = (0.0, transmission_prob(distance_km / 2**n, alpha_db_per_km) > 0.0, -n)
+        else:
+            rank = (report.key_rate, report.p0 > 0.0, -n)
         if rank > best:
             best, winner = rank, report
+    if winner is None:  # the winner is keyless: its one full report
+        winner = point.report(distance_km, -best[2], fiber)
     return winner.nesting, winner
 
 
@@ -497,7 +520,10 @@ def cost_coefficient(
     point = _Point(beta, f0)
     # every level, in the bound's order: min_cost_over_nesting sorts them
     levels = [n for _, n in _levels_by_bound(distance_km, tuple(n_range), *fiber)]
-    key_rates = {n: point.report(distance_km, n, fiber).key_rate for n in levels}
+    key_rates = {
+        n: 0.0 if (rep := point.level(distance_km, n, fiber)) is None else rep.key_rate
+        for n in levels
+    }
     cost, n_best = min_cost_over_nesting(list(key_rates.items()))
     return CostReport(
         cost=cost,

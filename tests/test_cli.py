@@ -476,6 +476,26 @@ class TestConfig:
         assert code == 0
         assert parse_kv(out)["F0"] == "0.95"
 
+    @pytest.mark.parametrize("config,flags,alone", [
+        ("optimize = 1", "--nesting 2", "--beta 0.01 --nesting 2"),
+        ("optimize = on", "--stations 3", "--beta 0.01 --stations 3"),
+        ("nesting = 2", "--optimize", "--beta 0.01 --optimize"),
+        ("stations = 3", "--nesting 1", "--beta 0.01 --nesting 1"),
+        ("gate-quality = 0.99", "--beta 0.02 --nesting 2", "--beta 0.02 --nesting 2"),
+    ])
+    def test_flag_overrides_the_config_values_of_its_choice(
+        self, capsys, tmp_path, monkeypatch, config, flags, alone
+    ):
+        # a flag of one choice (how N, or the gate error, is given) drops the
+        # config values of the others, as it does its own
+        monkeypatch.delenv("REPEATER_KEYRATE_CONFIG", raising=False)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"fidelity = 0.99\ndistance = 600\nbeta = 0.01\n{config}\n")
+        code, out, err = run(capsys, "keyrate", "--config", str(cfg), *flags.split())
+        assert code == 0, err
+        point = ["--fidelity", "0.99", "--distance", "600", *alone.split()]
+        assert run(capsys, "keyrate", *point) == (0, out, "")
+
     def test_environment_variable(self, capsys, tmp_path, monkeypatch):
         cfg = tmp_path / "env.cfg"
         cfg.write_text("fidelity = 0.97\ngate-quality = 1\ndistance = 100\nnesting = 1\n")
@@ -643,6 +663,31 @@ class TestParserContract:
     ])
     def test_rejected_inputs_name_the_argument(self, capsys, argv, named):
         assert named in rejected(capsys, *argv)
+
+    _POINT = "fidelity = 0.99\ngate-quality = 0.99\ndistance = 600\n"
+
+    @pytest.mark.parametrize("word,on", [
+        ("1", True), ("true", True), ("Yes", True), ("ON", True),
+        ("0", False), ("False", False), ("no", False), ("off", False),
+    ])
+    def test_config_file_sets_a_switch(self, capsys, tmp_path, monkeypatch, word, on):
+        monkeypatch.delenv("REPEATER_KEYRATE_CONFIG", raising=False)
+        cfg = tmp_path / "switch.cfg"
+        cfg.write_text(self._POINT + f"optimize = {word}\n" + ("" if on else "nesting = 2\n"))
+        assert cli._resolve(["keyrate", "--config", str(cfg)]).optimize is on
+        code, out, err = run(capsys, "keyrate", "--config", str(cfg))
+        assert code == 0, err
+        flags = ["--optimize"] if on else ["--nesting", "2"]
+        assert run(capsys, "keyrate", "--distance", "600", "--fidelity", "0.99",
+                   "--gate-quality", "0.99", *flags) == (0, out, "")
+
+    @pytest.mark.parametrize("word", ["2", "maybe", "", "y", "truee"])
+    def test_config_switch_rejects_other_words(self, capsys, tmp_path, monkeypatch, word):
+        monkeypatch.delenv("REPEATER_KEYRATE_CONFIG", raising=False)
+        cfg = tmp_path / "switch.cfg"
+        cfg.write_text(self._POINT + f"optimize = {word}\n")
+        err = rejected(capsys, "keyrate", "--config", str(cfg))
+        assert err.startswith("error: config value for optimize is not valid")
 
 
 _VALUES = ["nan", "inf", "-inf", "-1", "", "0", "0.5", "1", "3", "600", "1,3", "0:1:0.5",

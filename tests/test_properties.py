@@ -11,11 +11,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repeater_keyrate import closedform, encgen, frames
-from repeater_keyrate.closedform import _chain_decode_coeffs, first_order_weights
+from repeater_keyrate.closedform import (
+    _chain_decode_coeffs,
+    chain_success_prob,
+    first_order_weights,
+)
 from repeater_keyrate.decode import (
     DECODE_GATES,
     decode_circuit,
@@ -25,14 +29,17 @@ from repeater_keyrate.decode import (
 from repeater_keyrate.encswap import swapped_state_nonideal
 from repeater_keyrate.qstate import DensityOperator, bell_diag_coeffs
 from repeater_keyrate.rates import (
+    KEYLESS_P_R,
     MEMORIES_PER_HALF_NODE,
     RepeaterParams,
     _levels_by_bound,
+    _Point,
     cost_coefficient,
     error_rates,
     key_rate,
     min_cost_over_nesting,
     optimize_over_stations,
+    secret_fraction_six_state,
     threshold_fidelity,
     threshold_gate_quality,
     transmission_prob,
@@ -146,6 +153,9 @@ def test_key_rate_does_not_decrease_in_gate_quality(beta_a, beta_b, f0, distance
     betas, st.floats(0.0, 1.0), st.floats(1.0, 1e5), st.integers(0, 10),
     st.sampled_from(["physical", "normalized"]),
 )
+# subnormal P0: ~3e-315, where 1/P0 overflows, and 5e-324, the smallest float
+@example(0.01, 0.9, 37000.0, 1, "physical")
+@example(0.01, 0.9, 19020.0, 0, "normalized")
 def test_key_rate_bound_holds_at_every_level(beta, f0, distance, nesting, t0_mode):
     # the bound that lets optimize_over_stations skip a level (README decision 18)
     params = RepeaterParams(beta, f0, distance, nesting, t0_mode=t0_mode)
@@ -175,6 +185,19 @@ def test_nesting_scan_equals_key_rate_at_every_level(beta, f0, distance, levels)
     assert (report.nesting, report.key_rate, report.cost) == (
         n_cost, reports[n_cost].key_rate, cost
     )
+
+
+@deterministic
+@given(betas, st.floats(0.0, 1.0), st.integers(1, 20))
+def test_keyless_gate_is_sound(beta, f0, nesting):
+    # below KEYLESS_P_R every Bell coefficient is <= 1/2, so r_inf <= 0 (README decision 22)
+    assert Fraction(KEYLESS_P_R) < Fraction(31, 94)
+    point, r = _Point(beta, f0), 2**nesting - 1
+    p_r = chain_success_prob(point.p_s, r)
+    if p_r < KEYLESS_P_R:
+        perfect, faulty = point.chain.decode_coeffs(r, p_r)
+        assert max(*perfect, *faulty, *point.chain.bell_coeffs(r, p_r).as_tuple()) <= 0.5
+        assert point.decoded(r)[2] <= 0.0
 
 
 def _patch_every_binding(monkeypatch, original, replacement):
@@ -211,3 +234,34 @@ def test_one_chain_success_evaluation_per_key_rate(monkeypatch):
     _patch_every_binding(monkeypatch, original, counted)
     report = key_rate(RepeaterParams(beta=0.005, f0=0.98, distance_km=400.0, nesting=2))
     assert calls == [(report.p_s, 3)]
+
+
+def test_keyless_levels_do_no_entropy_or_waiting_time_work(monkeypatch):
+    # at 600 km, beta = 0.01, F0 = 0.99 the levels N >= 3 have P_r below the gate
+    beta, f0, levels = 0.01, 0.99, range(1, 11)
+    point = _Point(beta, f0)
+    keyless = [n for n in levels if chain_success_prob(point.p_s, 2**n - 1) < KEYLESS_P_R]
+    assert keyless == list(range(3, 11))
+    keyless_qbers = {point.decoded(2**n - 1)[1] for n in keyless}
+    fractions, waits = [], []
+
+    def recorded(calls, original):
+        def wrapper(*args):
+            calls.append(args)
+            return original(*args)
+
+        return wrapper
+
+    _patch_every_binding(monkeypatch, secret_fraction_six_state,
+                         recorded(fractions, secret_fraction_six_state))
+    _patch_every_binding(monkeypatch, z_n, recorded(waits, z_n))
+    for scan in (
+        lambda: optimize_over_stations(600.0, beta, f0, levels),
+        lambda: cost_coefficient(600.0, beta, f0, n_range=levels),
+    ):
+        fractions.clear()
+        waits.clear()
+        scan()
+        assert fractions and waits
+        assert not keyless_qbers & set(fractions)
+        assert not {3 * 2**n for n in keyless} & {num_pairs for num_pairs, _ in waits}

@@ -1,5 +1,6 @@
 import math
 import pickle
+import sys
 import time
 from fractions import Fraction
 
@@ -461,7 +462,8 @@ class TestOptimize:
         assert rates.swap_success_closed_form.cache_info().misses == len(f0s) * len(gate_qualities)
 
     def test_levels_that_cannot_win_sum_no_waiting_time(self, monkeypatch):
-        # at 2000 km the shallow levels' K bound lies below the winner's K
+        # at 2000 km the shallow levels' K bound lies below the winner's K, and
+        # N = 10's chain success P_r = 0.18 is below KEYLESS_P_R, which rules out a key
         levels = []
 
         def counted(num_pairs, p0):
@@ -472,13 +474,24 @@ class TestOptimize:
         monkeypatch.setattr(rates, "z_n", counted)
         n_best, report = optimize_over_stations(2000.0, 1e-4, 0.9999)
         assert n_best == 6 and report.key_rate > 0.0
-        assert sorted(levels) == [6, 7, 8, 9, 10]
-        assert z_n.cache_info().misses == 5
+        assert sorted(levels) == [6, 7, 8, 9]
+        assert z_n.cache_info().misses == 4
 
     def test_no_key_anywhere_goes_to_the_shallowest_level(self):
         for levels in (range(1, 11), [4, 7, 9]):
             n_best, report = optimize_over_stations(600.0, 0.05, 0.9, levels)
             assert (n_best, report.key_rate) == (min(levels), 0.0)
+
+    def test_all_keyless_levels_report_the_shallowest_in_full(self):
+        # at F0 = p_G = 0.9 every level's chain success rules out a key, so
+        # no level is decoded in the scan and the winner's report comes after it
+        beta = 1.0 - 0.9
+        p_s = rates._Point(beta, 0.9).p_s
+        assert all(p_s ** (2**n - 1) < rates.KEYLESS_P_R for n in range(1, 11))
+        n_best, report = optimize_over_stations(600.0, beta, 0.9)
+        assert (n_best, report) == (1, key_rate(RepeaterParams(beta, 0.9, 600.0, 1)))
+        assert report.secret_fraction < 0.0 and report.key_rate == 0.0
+        assert cost_coefficient(600.0, beta, 0.9).cost == math.inf
 
     def test_underflowed_levels_lose_ties(self):
         # at 1e5 km P0 underflows at N = 1, 2; every K is 0 at beta = 0.05, F0 = 0.9
@@ -486,6 +499,15 @@ class TestOptimize:
         assert (n_best, report.key_rate) == (3, 0.0)
         assert report.p0 > 0.0
         assert key_rate(RepeaterParams(0.05, 0.9, 100000.0, 2)).p0 == 0.0
+
+    def test_a_subnormal_p0_wins_ties_over_deeper_keyless_levels(self):
+        # at 37000 km, F0 = p_G = 0.9 every level is keyless and N = 1 has a
+        # subnormal P0 ~ 3e-315, where 1/P0 overflows: a positive P0 still wins
+        reports = {n: key_rate(RepeaterParams(0.1, 0.9, 37000.0, n)) for n in range(1, 11)}
+        assert 0.0 < reports[1].p0 < sys.float_info.min
+        n_star = max(reports, key=lambda n: (reports[n].key_rate, reports[n].p0 > 0.0))
+        assert n_star == 1
+        assert optimize_over_stations(37000.0, 0.1, 0.9) == (n_star, reports[n_star])
 
 
 class TestThresholds:
