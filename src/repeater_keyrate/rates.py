@@ -25,9 +25,10 @@ Nesting scan.  Each quantity is computed where it is constant: the levels'
 checks and K bounds per (L, levels, fiber) (:func:`_levels_by_bound`), the
 rows of p_s per F0, and p_s and the beta terms per point (:class:`_Point`,
 whose level report :func:`key_rate` uses too, so K agrees to the last bit).
-A level whose chain success rules out a key skips the decode, the entropies
-and Z (:meth:`_Point.level`); :func:`optimize_over_stations` takes the levels
-by descending bound and stops at the first bound below the best K.
+:meth:`_Point.level` scores a level cheapest test first (P_r, then the decoded
+r_inf, then the link terms P0, Z and R); :func:`optimize_over_stations` takes
+the levels by descending bound, stops at the first bound below the best K,
+and reports only the winner.
 
 Everything here is stdlib arithmetic on those closed forms, N = 0
 included: with no swap the key pair is decoded from the encoded pair's
@@ -192,11 +193,6 @@ _LN2 = math.log(2.0)
 _SERIES_STOP = 2.0**-70
 
 
-def _log1mexp(u: float) -> float:
-    """log(1 - exp(u)) for u < 0, accurate at both ends (Maechler's split)."""
-    return math.log(-math.expm1(u)) if u > -_LN2 else math.log1p(-math.exp(u))
-
-
 def _harmonic(n: int) -> float:
     if n <= _HARMONIC_SUM_MAX:
         return math.fsum(1.0 / j for j in range(1, n + 1))
@@ -205,9 +201,12 @@ def _harmonic(n: int) -> float:
     )
 
 
-def _tail_term(num_pairs: int, x: float, k: int) -> float:
-    """1 - (1 - q^k)^n with q = e^-x, to full relative precision."""
-    return -math.expm1(num_pairs * _log1mexp(-k * x))
+def _tail_terms(num_pairs: int, x: float, ks: Iterable[int]) -> list[float]:
+    """1 - (1 - q^k)^n with q = e^-x for each k, to full relative precision:
+    log(1 - q^k) is split at q^k = 1/2 (Maechler), accurate at both ends."""
+    return [-math.expm1(num_pairs * (
+        math.log(-math.expm1(-k * x)) if k * x < _LN2 else math.log1p(-math.exp(-k * x))
+    )) for k in ks]
 
 
 def _z_tail_sum(num_pairs: int, x: float) -> float:
@@ -221,17 +220,17 @@ def _z_tail_sum(num_pairs: int, x: float) -> float:
     ``math.fsum``.
     """
     ones, above = 0, 1
-    while _tail_term(num_pairs, x, above) == 1.0:
+    while _tail_terms(num_pairs, x, (above,)) == [1.0]:
         ones, above = above, 2 * above
     while above - ones > 1:
         mid = (ones + above) // 2
-        if _tail_term(num_pairs, x, mid) == 1.0:
+        if _tail_terms(num_pairs, x, (mid,)) == [1.0]:
             ones = mid
         else:
             above = mid
     k_end = math.ceil((math.log(num_pairs) + _LN2) / x)
     terms = [float(ones)]
-    terms.extend(_tail_term(num_pairs, x, k) for k in range(ones + 1, k_end))
+    terms.extend(_tail_terms(num_pairs, x, range(ones + 1, k_end)))
     q_end = math.exp(-k_end * x)
     binomial_q = 1.0  # C(n, j) q^(jK), built as a running product
     for j in range(1, num_pairs + 1):
@@ -290,6 +289,16 @@ def _fundamental_time(l0_km: float, speed_km_per_s: float, t0_mode: str) -> floa
     return 1.0 if t0_mode == "normalized" else l0_km / speed_km_per_s
 
 
+def _link_terms(distance_km: float, nesting: int, fiber: Sequence) -> tuple[float, ...]:
+    """L0, P0, Z and R = 1/(2 T0 Z) of a nesting level.  If P0 underflowed
+    to 0.0, Z = inf and R = 0 (:func:`z_n` itself rejects P0 = 0)."""
+    alpha_db_per_km, speed_km_per_s, t0_mode = fiber
+    l0 = distance_km / 2**nesting
+    p0 = transmission_prob(l0, alpha_db_per_km)
+    z = z_n(3 * 2**nesting, p0) if p0 > 0.0 else math.inf
+    return l0, p0, z, 1.0 / (2.0 * _fundamental_time(l0, speed_km_per_s, t0_mode) * z)
+
+
 class _Point:
     """The rate pipeline at one (beta, F0): p_s and the beta terms of the
     chain state (:class:`~repeater_keyrate.closedform.ChainState`), once."""
@@ -315,24 +324,33 @@ class _Point:
         return p_r, qbers, secret_fraction_six_state(*qbers)
 
     def report(
-        self, distance_km: float, nesting: int, fiber: Sequence, p_r: float | None = None
+        self, distance_km: float, nesting: int, fiber: Sequence, decoded: tuple | None = None
     ) -> RateReport:
-        """The :class:`RateReport` of one nesting level.  If P0 underflowed to
-        0.0, Z = inf and R = 0 (:func:`z_n` itself rejects P0 = 0)."""
-        alpha_db_per_km, speed_km_per_s, t0_mode = fiber
-        p_r, (e_x, e_y, e_z), fraction = self.decoded(2**nesting - 1, p_r)
-        l0 = distance_km / 2**nesting
-        p0 = transmission_prob(l0, alpha_db_per_km)
-        z = z_n(3 * 2**nesting, p0) if p0 > 0.0 else math.inf
-        rate = 1.0 / (2.0 * _fundamental_time(l0, speed_km_per_s, t0_mode) * z)
+        """The :class:`RateReport` of one nesting level, from its :meth:`decoded`
+        tuple when the caller has it."""
+        p_r, (e_x, e_y, e_z), fraction = decoded or self.decoded(2**nesting - 1)
+        l0, p0, z, rate = _link_terms(distance_km, nesting, fiber)
         k = rate * max(fraction, 0.0) / MEMORIES_PER_HALF_NODE
         return RateReport(p0, z, rate, e_x, e_y, e_z, fraction, k, self.p_s, p_r, nesting, l0)
 
-    def level(self, distance_km: float, nesting: int, fiber: Sequence) -> RateReport | None:
-        """:meth:`report` of a level of a nesting scan, or None when its chain
-        success rules out a key (P_r < ``KEYLESS_P_R``, so K = 0)."""
+    def level(
+        self, distance_km: float, nesting: int, fiber: Sequence
+    ) -> tuple[float, tuple | None]:
+        """K and the :meth:`decoded` tuple of a scan level: (0.0, None) below the
+        gate (P_r < ``KEYLESS_P_R``), (0.0, decoded) without the link terms when
+        r_inf <= 0 (R is finite), else K = R r_inf / 6 as :meth:`report` has it."""
         p_r = chain_success_prob(self.p_s, 2**nesting - 1) if nesting else 1.0
-        return None if p_r < KEYLESS_P_R else self.report(distance_km, nesting, fiber, p_r)
+        if p_r < KEYLESS_P_R:
+            return 0.0, None
+        decoded = self.decoded(2**nesting - 1, p_r)
+        if decoded[2] <= 0.0:
+            return 0.0, decoded
+        rate = _link_terms(distance_km, nesting, fiber)[3]
+        return rate * decoded[2] / MEMORIES_PER_HALF_NODE, decoded
+
+
+# the threshold bisections over the station counts share their first midpoints
+_shared_point = lru_cache(maxsize=1024)(_Point)
 
 
 def secret_fraction_for(beta: float, f0: float, nesting: int) -> float:
@@ -401,24 +419,20 @@ def optimize_over_stations(
     except that a level whose P0 underflowed to 0 loses every tie.  The
     levels are taken in descending order of their bound UB
     (:func:`_levels_by_bound`), and the search stops at the first UB below
-    the best K so far: no level left can then win or tie.  A keyless level
-    (:meth:`_Point.level`) ranks as K = 0 with its own P0."""
+    the best K so far: no level left can then win or tie.  A level ranks as
+    (K, UB > 0, -N) from :meth:`_Point.level`, since UB > 0 exactly when
+    P0 > 0, and the winner alone gets a report, from its decoded tuple."""
     fiber = (alpha_db_per_km, speed_km_per_s, t0_mode)
     point = _Point(beta, f0)
-    best = (-math.inf,)  # (K, P0 > 0, -N) of the winner so far
+    best = (-math.inf,)  # (K, UB > 0, -N) of the winner so far
     for bound, n in _levels_by_bound(distance_km, tuple(n_range), *fiber):
         if bound < best[0]:
             break
-        report = point.level(distance_km, n, fiber)
-        if report is None:  # K = 0, and P0 as report would compute it
-            rank = (0.0, transmission_prob(distance_km / 2**n, alpha_db_per_km) > 0.0, -n)
-        else:
-            rank = (report.key_rate, report.p0 > 0.0, -n)
+        key, decoded = point.level(distance_km, n, fiber)
+        rank = (key, bound > 0.0, -n)
         if rank > best:
-            best, winner = rank, report
-    if winner is None:  # the winner is keyless: its one full report
-        winner = point.report(distance_km, -best[2], fiber)
-    return winner.nesting, winner
+            best, winner = rank, decoded
+    return -best[2], point.report(distance_km, -best[2], fiber, winner)
 
 
 def _bisect(f: Callable[[float], float], a: float, b: float, fa: float, xtol: float) -> float:
@@ -455,7 +469,7 @@ def _threshold(r: int, bracket: tuple[float, float], tol: float, over_f0: bool) 
     lo, hi = bracket
 
     def f(x: float) -> float:
-        point = _Point(0.0, x, True) if over_f0 else _Point(x, 1.0, True)
+        point = _shared_point(0.0, x, True) if over_f0 else _shared_point(x, 1.0, True)
         return point.decoded(nesting)[2]
 
     f_lo, f_hi = f(lo), f(hi)
@@ -520,10 +534,7 @@ def cost_coefficient(
     point = _Point(beta, f0)
     # every level, in the bound's order: min_cost_over_nesting sorts them
     levels = [n for _, n in _levels_by_bound(distance_km, tuple(n_range), *fiber)]
-    key_rates = {
-        n: 0.0 if (rep := point.level(distance_km, n, fiber)) is None else rep.key_rate
-        for n in levels
-    }
+    key_rates = {n: point.level(distance_km, n, fiber)[0] for n in levels}
     cost, n_best = min_cost_over_nesting(list(key_rates.items()))
     return CostReport(
         cost=cost,

@@ -237,11 +237,13 @@ def test_one_chain_success_evaluation_per_key_rate(monkeypatch):
 
 
 def test_keyless_levels_do_no_entropy_or_waiting_time_work(monkeypatch):
-    # at 600 km, beta = 0.01, F0 = 0.99 the levels N >= 3 have P_r below the gate
+    # at 600 km, beta = 0.01, F0 = 0.99 the levels N >= 3 have P_r below the
+    # gate, and N = 2 passes it (P_r = 0.61) but decodes to r_inf = -0.49
     beta, f0, levels = 0.01, 0.99, range(1, 11)
     point = _Point(beta, f0)
     keyless = [n for n in levels if chain_success_prob(point.p_s, 2**n - 1) < KEYLESS_P_R]
     assert keyless == list(range(3, 11))
+    assert point.decoded(3)[0] > KEYLESS_P_R and point.decoded(3)[2] < 0.0
     keyless_qbers = {point.decoded(2**n - 1)[1] for n in keyless}
     fractions, waits = [], []
 
@@ -265,3 +267,4 @@ def test_keyless_levels_do_no_entropy_or_waiting_time_work(monkeypatch):
         assert fractions and waits
         assert not keyless_qbers & set(fractions)
         assert not {3 * 2**n for n in keyless} & {num_pairs for num_pairs, _ in waits}
+        assert 12 not in {num_pairs for num_pairs, _ in waits}

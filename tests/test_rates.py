@@ -184,6 +184,25 @@ class TestZnTailSum:
         tail = rates._z_tail_sum(num_pairs, x)
         assert rates._z_asymptote(num_pairs, x) == pytest.approx(tail, rel=1e-14, abs=0.0)
 
+    def test_tail_terms_equal_the_two_branch_formula(self):
+        # log(1 - q^k), q = e^-x, written out with its two branches split at k x = ln 2
+        def two_branch(num_pairs, x, k):
+            u = -k * x
+            log1mexp = math.log(-math.expm1(u)) if u > -math.log(2.0) else math.log1p(-math.exp(u))
+            return -math.expm1(num_pairs * log1mexp)
+
+        for num_pairs in (2, 3, 12, 3072):
+            for k in (1, 2, 7, 1000):
+                split = math.log(2.0) / k
+                near = (math.nextafter(split, 0.0), split, math.nextafter(split, 1.0))
+                for x in (*near, split / 3, split * 3, 1e-6, 40.0):
+                    assert rates._tail_terms(num_pairs, x, (k,)) == [two_branch(num_pairs, x, k)]
+            for x in (0.05, 0.3, 1e-4):  # one list whose k x crosses ln 2
+                ks = range(1, math.ceil(3 * math.log(2.0) / x))
+                assert rates._tail_terms(num_pairs, x, ks) == [
+                    two_branch(num_pairs, x, k) for k in ks
+                ]
+
     def test_exact_cases(self):
         assert z_n(1, 0.3) == 1.0 / 0.3
         assert z_n(3072, 1.0) == 1.0
@@ -462,8 +481,10 @@ class TestOptimize:
         assert rates.swap_success_closed_form.cache_info().misses == len(f0s) * len(gate_qualities)
 
     def test_levels_that_cannot_win_sum_no_waiting_time(self, monkeypatch):
-        # at 2000 km the shallow levels' K bound lies below the winner's K, and
-        # N = 10's chain success P_r = 0.18 is below KEYLESS_P_R, which rules out a key
+        # at 2000 km the shallow levels' K bound lies below the winner's K,
+        # N = 10's chain success P_r = 0.18 is below KEYLESS_P_R, which rules out
+        # a key, and N = 8, 9 decode to r_inf < 0; only N = 6, 7 sum Z, and the
+        # winner's report looks its Z up again, a cache hit
         levels = []
 
         def counted(num_pairs, p0):
@@ -474,8 +495,24 @@ class TestOptimize:
         monkeypatch.setattr(rates, "z_n", counted)
         n_best, report = optimize_over_stations(2000.0, 1e-4, 0.9999)
         assert n_best == 6 and report.key_rate > 0.0
-        assert sorted(levels) == [6, 7, 8, 9]
-        assert z_n.cache_info().misses == 4
+        assert sorted(levels) == [6, 6, 7]
+        assert z_n.cache_info().misses == 2
+
+    @pytest.mark.parametrize("distance, beta, f0", [
+        (2000.0, 1e-4, 0.9999), (600.0, 0.01, 0.99), (600.0, 0.1, 0.9), (37000.0, 0.1, 0.9),
+    ])
+    def test_one_report_per_scan(self, monkeypatch, distance, beta, f0):
+        # the scan scores levels by K alone and reports only the winner
+        calls = []
+        original = rates._Point.report
+
+        def counted(self, *args):
+            calls.append(args)
+            return original(self, *args)
+
+        monkeypatch.setattr(rates._Point, "report", counted)
+        n_best, report = optimize_over_stations(distance, beta, f0)
+        assert len(calls) == 1 and calls[0][1] == n_best == report.nesting
 
     def test_no_key_anywhere_goes_to_the_shallowest_level(self):
         for levels in (range(1, 11), [4, 7, 9]):
