@@ -7,12 +7,14 @@ decoding, six-state secret fractions, waiting-time statistics and the
 memory-cost function, a CLI for sweeps and threshold searches, and the
 dense density-operator simulation that validates the closed forms.
 
-The rate pipeline and its closed forms need the stdlib alone and are
-imported here.  The dense simulation, which needs numpy and validates the
-closed forms, is imported from its own modules (``repeater_keyrate.qstate``,
-``channels``, ``encgen``, ``encswap``, ``decode`` and ``validation``).  So is
-the stdlib Pauli-frame core of the encoded pair (``repeater_keyrate.frames``),
-which the rate path needs only at N = 0.
+The rate pipeline and the closed forms of p_s and P_r need the stdlib
+alone and are imported here; the swapped and decoded chain state
+(``closedform.ChainState``) is imported from its module.  The dense
+simulation, which needs numpy and validates the closed forms, is imported
+from its own modules (``repeater_keyrate.qstate``, ``channels``,
+``encgen``, ``encswap``, ``decode`` and ``validation``).  So is the stdlib
+Pauli-frame core of the encoded pair (``repeater_keyrate.frames``), which
+the rate path needs only at N = 0.
 """
 
 __version__ = "0.1.0"
@@ -20,7 +22,6 @@ __version__ = "0.1.0"
 from .closedform import (
     BellDiagCoeffs,
     chain_success_prob,
-    final_bell_coeffs,
     swap_success_closed_form,
 )
 from .rates import (

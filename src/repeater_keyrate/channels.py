@@ -1,10 +1,10 @@
 """Depolarizing gate noise and the first-order concatenated error model.
 
-A faulty two-qubit gate discards its qubit pair and replaces it with the
-maximally mixed pair.  A sequence of n gates is approximated to first order
-in the gate error: either all gates work, or exactly one is replaced, with
-the leftover probability assigned to the maximally mixed state of the whole
-register (worst case).
+Every gate is a CNOT, given as (control, target).  A faulty gate discards
+its qubit pair and replaces it with the maximally mixed pair.  A sequence
+of n gates is approximated to first order in the gate error: either all
+gates work, or exactly one is replaced, with the leftover probability
+assigned to the maximally mixed state of the whole register (worst case).
 """
 
 from __future__ import annotations
@@ -12,14 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .closedform import first_order_weights
-from .qstate import (
-    GatePlacement,
-    _apply_gate_mat,
-    _insert_mixed_pair_mat,
-    _num_qubits,
-    _partial_trace_mat,
-    bell_state,
-)
+from .qstate import _apply_cnot_mat, _depolarize_mat, bell_state
 
 
 def _check_beta(beta: float) -> None:
@@ -27,35 +20,29 @@ def _check_beta(beta: float) -> None:
         raise ValueError(f"beta must be in [0, 1], got {beta}")
 
 
-def _require_two_qubit(gate: GatePlacement) -> None:
-    if not gate.is_two_qubit:
-        raise ValueError(f"noise maps act on two-qubit gates only, got {gate.kind}")
+def _faulty_gate_mat(rho: np.ndarray, gate: tuple[int, int]) -> np.ndarray:
+    """Replace the gate by the maximally mixed pair on its qubits: both
+    depolarized, the lower one first.  That is the twirl over the 16 Pauli
+    pairs that :func:`repeater_keyrate.frames._branches` models."""
+    low, high = sorted(gate)
+    return _depolarize_mat(_depolarize_mat(rho, low), high)
 
 
-def _faulty_gate_mat(rho: np.ndarray, gate: GatePlacement) -> np.ndarray:
-    """Replace the gate by discarding its qubit pair and inserting 1/4."""
-    n = _num_qubits(rho.shape[0])
-    i, j = gate.qubits
-    keep = [q for q in range(n) if q not in (i, j)]
-    reduced = _partial_trace_mat(rho, keep)
-    return _insert_mixed_pair_mat(reduced, i, j, n)
-
-
-def depolarizing_gate_mat(rho: np.ndarray, gate: GatePlacement, beta: float) -> np.ndarray:
-    """Single depolarized two-qubit gate.
+def depolarizing_gate_mat(rho: np.ndarray, gate: tuple[int, int], beta: float) -> np.ndarray:
+    """Single depolarized CNOT, given as (control, target).
 
     With probability 1-beta the gate acts perfectly; with probability beta
-    its qubit pair is traced out and replaced by the maximally mixed pair.
+    its qubit pair is replaced by the maximally mixed pair.
     """
     _check_beta(beta)
-    _require_two_qubit(gate)
-    perfect = _apply_gate_mat(rho, gate)
+    control, target = gate
+    perfect = _apply_cnot_mat(rho, control, target)
     if beta == 0.0:
         return perfect
     return (1.0 - beta) * perfect + beta * _faulty_gate_mat(rho, gate)
 
 
-def one_faulty_branches(rho: np.ndarray, seq: tuple[GatePlacement, ...]) -> list[np.ndarray]:
+def one_faulty_branches(rho: np.ndarray, seq: tuple[tuple[int, int], ...]) -> list[np.ndarray]:
     """The n equally weighted branches of the one-faulty-gate mixture.
 
     Branch a applies gates 0..a-1 perfectly, replaces gate a by the mixed
@@ -64,21 +51,19 @@ def one_faulty_branches(rho: np.ndarray, seq: tuple[GatePlacement, ...]) -> list
     n = len(seq)
     if n < 1:
         raise ValueError("gate sequence must contain at least one gate")
-    for g in seq:
-        _require_two_qubit(g)
     branches = []
     prefix = rho
     for a, gate in enumerate(seq):
         branch = _faulty_gate_mat(prefix, gate)
         for later in seq[a + 1:]:
-            branch = _apply_gate_mat(branch, later)
+            branch = _apply_cnot_mat(branch, *later)
         branches.append(branch)
-        prefix = _apply_gate_mat(prefix, gate)
+        prefix = _apply_cnot_mat(prefix, *gate)
     return branches
 
 
 def concat_first_order_branches(
-    rho: np.ndarray, seq: tuple[GatePlacement, ...], beta: float
+    rho: np.ndarray, seq: tuple[tuple[int, int], ...], beta: float
 ) -> list[tuple[float, np.ndarray]]:
     """Weighted branch list of the first-order concatenated map.
 
@@ -91,8 +76,8 @@ def concat_first_order_branches(
         raise ValueError("gate sequence must contain at least one gate")
     w_perfect, w_branch, p = first_order_weights(n, beta)
     perfect = rho
-    for g in seq:
-        perfect = _apply_gate_mat(perfect, g)
+    for control, target in seq:
+        perfect = _apply_cnot_mat(perfect, control, target)
     out = [(w_perfect, perfect)]
     if w_branch > 0.0:
         out.extend((w_branch, b) for b in one_faulty_branches(rho, seq))

@@ -154,7 +154,7 @@ def swap_success_closed_form(beta: float, f0: float, *, phase_trivial_only: bool
 
 
 def _check_stations(r: int) -> None:
-    if r < 1 or int(r) != r:
+    if r < 1 or r % 1 != 0:  # inf and NaN leave a NaN remainder
         raise ValueError(f"r must be a positive integer, got {r}")
 
 
@@ -185,8 +185,10 @@ class ChainState:
         self._decode_weights = (w_perfect, DECODE_GATE_COUNT * w_branch, w_rest / 4.0)
 
     def weights(self, r: int) -> tuple[float, float, float]:
-        """:func:`rho_s_weights`, in log space so large r underflows cleanly
-        to zero instead of overflowing intermediate powers."""
+        """(ideal, dephased, mixed-remainder) weights of the swapped state
+        after r stations, each with three first-order-noisy Bell-measurement
+        CNOTs.  In log space, so large r underflows cleanly to zero instead
+        of overflowing intermediate powers."""
         w_ideal = math.exp(3 * r * self._log1m)
         w_deph = math.exp(r * self._log_3beta + 2 * r * self._log1m)
         q_r = 1.0 - w_ideal - w_deph
@@ -214,7 +216,9 @@ class ChainState:
         return perfect, (faulty_phi, faulty_phi, faulty_psi, faulty_psi)
 
     def bell_coeffs(self, r: int, p_r: float) -> BellDiagCoeffs:
-        """:func:`final_bell_coeffs`: :meth:`mix` of the chain's two decodes."""
+        """Closed-form Bell coefficients of :func:`~repeater_keyrate.decode.final_state`
+        for r >= 1 stations with chain success P_r: :meth:`mix` of the
+        chain's two decodes."""
         return self.mix(*self.decode_coeffs(r, p_r))
 
     def mix(self, perfect: tuple[float, ...], faulty: tuple[float, ...]) -> BellDiagCoeffs:
@@ -229,22 +233,3 @@ class ChainState:
             w_perfect * d_3 + w_faulty * n_3 + mixed,
         )
 
-
-def rho_s_weights(beta: float, r: int) -> tuple[float, float, float]:
-    """(ideal, dephased, mixed-remainder) weights of the swapped state after
-    r stations, each with three first-order-noisy Bell-measurement CNOTs."""
-    _check_stations(r)
-    return ChainState(beta).weights(r)
-
-
-def _chain_decode_coeffs(beta: float, r: int, p_r: float) -> tuple[tuple[float, ...], ...]:
-    """:meth:`ChainState.decode_coeffs` at one beta."""
-    _check_stations(r)
-    return ChainState(beta).decode_coeffs(r, p_r)
-
-
-def final_bell_coeffs(beta: float, r: int, p_r: float) -> BellDiagCoeffs:
-    """Closed-form Bell coefficients of :func:`~repeater_keyrate.decode.final_state`
-    for r >= 1 stations with chain success P_r (:meth:`ChainState.bell_coeffs`)."""
-    _check_stations(r)
-    return ChainState(beta).bell_coeffs(r, p_r)

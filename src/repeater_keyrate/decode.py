@@ -3,11 +3,13 @@
 Each side unwinds its repetition-code block with two CNOTs from the first
 qubit, measures the other two qubits in Z, and bit-flips the first qubit
 only when the syndrome is "11" (the one pattern a single flip on the kept
-qubit produces).  The closed-form Bell coefficients of the decoded pipeline
-states (:func:`final_bell_coeffs`) live in :mod:`repeater_keyrate.closedform`;
-the explicit circuits here validate them.  With no swap (r = 0) the decoded
-coefficients come from the encoded pair's Pauli frames and the
-frame-to-Bell decode tables (:func:`~repeater_keyrate.frames.pair_decode_coeffs`).
+qubit produces).  The CNOTs are the (control, target) tuples of
+``closedform._DECODE_GATES``.  The closed-form Bell coefficients of the
+decoded pipeline states (:class:`~repeater_keyrate.closedform.ChainState`)
+live in :mod:`repeater_keyrate.closedform`; the explicit circuits here
+validate them.  With no swap (r = 0) the decoded coefficients come from
+the encoded pair's Pauli frames and the frame-to-Bell decode tables
+(:func:`~repeater_keyrate.frames.pair_decode_coeffs`).
 """
 
 from __future__ import annotations
@@ -19,9 +21,7 @@ from .closedform import (
     _DECODE_GATES,
     _TILDE_BELL,
     ChainState,
-    _chain_decode_coeffs,
     chain_success_prob,
-    final_bell_coeffs,
     swap_success_closed_form,
 )
 from .encgen import encoded_pair
@@ -29,34 +29,20 @@ from .encswap import swapped_state_nonideal
 from .frames import pair_decode_coeffs
 from .qstate import (
     DensityOperator,
-    GatePlacement,
-    _apply_gate_mat,
-    _num_qubits,
+    _apply_cnot_mat,
+    _apply_pauli_mat,
+    _measured_blocks,
     uhlmann_fidelity,
 )
 
-# Alice holds qubits 0-2, Bob 3-5.  Per side: CNOT onto the third qubit,
-# then onto the second, both controlled by the kept qubit.
-DECODE_GATES = tuple(GatePlacement("cnot", gate) for gate in _DECODE_GATES)
-
 
 def _measure_syndrome_pair(mat: np.ndarray, q1: int, q2: int, target: int) -> np.ndarray:
-    """Z-measure qubits (q1, q2), X the target iff the outcome is (1, 1),
-    discard the measured qubits, and average the corrected branches."""
-    n = _num_qubits(mat.shape[0])
-    rest = [q for q in range(n) if q not in (q1, q2)]
-    ket_axes = [q1, q2] + rest
-    axes = ket_axes + [n + q for q in ket_axes]
-    r = 2 ** (n - 2)
-    t = mat.reshape([2] * (2 * n)).transpose(axes).reshape(4, r, 4, r)
-    target_pos = rest.index(target)
-    out = np.zeros((r, r), dtype=complex)
-    for m in range(4):
-        block = t[m, :, m, :]
-        if m == 3:
-            block = _apply_gate_mat(block, GatePlacement("x", (target_pos,)))
-        out += block
-    return out
+    """Z-measure qubits q1 < q2, X the target (below q1) iff the outcome is
+    (1, 1), discard the measured qubits, and sum the corrected branches."""
+    b0, b1 = _measured_blocks(mat, q1, "z")
+    b00, b01 = _measured_blocks(b0, q2 - 1, "z")
+    b10, b11 = _measured_blocks(b1, q2 - 1, "z")
+    return b00 + b01 + b10 + _apply_pauli_mat(b11, "x", target)
 
 
 def _decode_measurements(mat: np.ndarray) -> np.ndarray:
@@ -70,8 +56,8 @@ def decode_circuit(rho64: DensityOperator) -> DensityOperator:
     if rho64.dim != 64:
         raise ValueError("decode_circuit expects a six-qubit state")
     mat = rho64.matrix
-    for gate in DECODE_GATES:
-        mat = _apply_gate_mat(mat, gate)
+    for control, target in _DECODE_GATES:
+        mat = _apply_cnot_mat(mat, control, target)
     return DensityOperator(_decode_measurements(mat))
 
 
@@ -80,7 +66,7 @@ def decode_one_faulty(rho64: DensityOperator) -> DensityOperator:
     pair (uniformly averaged), then measured and corrected as usual."""
     if rho64.dim != 64:
         raise ValueError("decode_one_faulty expects a six-qubit state")
-    branches = one_faulty_branches(rho64.matrix, DECODE_GATES)
+    branches = one_faulty_branches(rho64.matrix, _DECODE_GATES)
     out = np.zeros((4, 4), dtype=complex)
     for branch in branches:
         out += _decode_measurements(branch)
@@ -88,7 +74,7 @@ def decode_one_faulty(rho64: DensityOperator) -> DensityOperator:
 
 
 def decode_exact_noise_mat(mat: np.ndarray, beta: float) -> np.ndarray:
-    for gate in DECODE_GATES:
+    for gate in _DECODE_GATES:
         mat = depolarizing_gate_mat(mat, gate, beta)
     return _decode_measurements(mat)
 
@@ -117,7 +103,7 @@ def decode_perfect(beta: float, f0: float, r: int) -> DensityOperator:
     if r == 0:
         return DensityOperator(_bell_diagonal_mat(pair_decode_coeffs(beta, f0)[0]))
     p_r = chain_success_prob(swap_success_closed_form(beta, f0), r)
-    return DensityOperator(_bell_diagonal_mat(_chain_decode_coeffs(beta, r, p_r)[0]))
+    return DensityOperator(_bell_diagonal_mat(ChainState(beta).decode_coeffs(r, p_r)[0]))
 
 
 def final_state(beta: float, f0: float, r: int) -> DensityOperator:
@@ -125,12 +111,12 @@ def final_state(beta: float, f0: float, r: int) -> DensityOperator:
 
     The four decode CNOTs contribute an all-perfect term, a one-faulty
     term, and a maximally mixed remainder.  The state is assembled from
-    :func:`final_bell_coeffs` for r >= 1, and from the encoded pair's
+    :meth:`ChainState.bell_coeffs` for r >= 1, and from the encoded pair's
     frames (:func:`pair_decode_coeffs`) for r = 0.
     """
     if r >= 1:
         p_r = chain_success_prob(swap_success_closed_form(beta, f0), r)
-        coeffs = final_bell_coeffs(beta, r, p_r)
+        coeffs = ChainState(beta).bell_coeffs(r, p_r)
     else:
         coeffs = ChainState(beta).mix(*pair_decode_coeffs(beta, f0))
     return DensityOperator(_bell_diagonal_mat(coeffs.as_tuple()))

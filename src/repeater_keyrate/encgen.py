@@ -27,14 +27,7 @@ import numpy as np
 
 from .channels import concat_first_order_branches, depolarizing_gate_mat, source_state_mat
 from .frames import _GHZ_TERMS, _ghz_prep_weights, frame_weights
-from .qstate import (
-    DensityOperator,
-    GatePlacement,
-    PureState,
-    _measure_correct_mat,
-    ghz_state,
-    ket,
-)
+from .qstate import DensityOperator, PureState, _measure_correct_mat, ghz_state, ket
 
 # The three teleported CNOTs in execution order.  Teleported CNOT k
 # entangles code qubit k into code qubit 3+k through Bell pair (6+2k, 7+2k):
@@ -43,9 +36,7 @@ from .qstate import (
 # target and an X measurement of the far half steering a Z correction on
 # the control.  A measurement is (qubit, basis, Pauli correction applied
 # on outcome 1), the arguments of qstate._measure_correct_mat.
-ENCODING_GATES = tuple(
-    GatePlacement("cnot", gate) for k in range(3) for gate in ((k, 6 + 2 * k), (7 + 2 * k, 3 + k))
-)
+ENCODING_GATES = tuple(gate for k in range(3) for gate in ((k, 6 + 2 * k), (7 + 2 * k, 3 + k)))
 ENCODING_MEASUREMENTS = tuple(
     rule for k in range(3) for rule in ((6 + 2 * k, "z", ("x", 3 + k)), (7 + 2 * k, "x", ("z", k)))
 )
@@ -80,8 +71,8 @@ def ghz_prep_circuit(beta: float) -> DensityOperator:
     plus = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
     vec = np.kron(plus, ket("00").vector)
     rho = np.outer(vec, vec.conj())
-    rho = depolarizing_gate_mat(rho, GatePlacement("cnot", (0, 1)), beta)
-    rho = depolarizing_gate_mat(rho, GatePlacement("cnot", (0, 2)), beta)
+    rho = depolarizing_gate_mat(rho, (0, 1), beta)
+    rho = depolarizing_gate_mat(rho, (0, 2), beta)
     return DensityOperator(rho)
 
 

@@ -14,7 +14,7 @@ pair's qubit 3+k as control and the right pair's qubit k as target.
 Each correctable state is one GHZ frame on each pair, so p_s sums
 w_left w_right over 64 frame pairs (:mod:`repeater_keyrate.frames`).  The
 closed forms the rate path uses (:func:`swap_success_closed_form`,
-:func:`chain_success_prob`, :func:`rho_s_weights`) live in
+:func:`chain_success_prob`, :meth:`ChainState.weights`) live in
 :mod:`repeater_keyrate.closedform`; this module holds the dense states that
 validate them.
 """
@@ -25,10 +25,16 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .closedform import chain_success_prob, rho_s_weights, swap_success_closed_form
+from .closedform import ChainState, _check_stations, chain_success_prob, swap_success_closed_form
 from .encgen import encoded_bell_state
 from .frames import _correctable_frames
-from .qstate import _SINGLE_QUBIT_GATES, DensityOperator
+from .qstate import DensityOperator
+
+_PAULIS = {
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
 
 
 def _pauli_image(paulis) -> np.ndarray:
@@ -37,7 +43,7 @@ def _pauli_image(paulis) -> np.ndarray:
     factors = [np.eye(2)] * 6
     for pauli, qubit in paulis:
         if pauli != "I":
-            factors[qubit] = _SINGLE_QUBIT_GATES[pauli.lower()]
+            factors[qubit] = _PAULIS[pauli]
     return reduce(np.kron, factors) @ encoded_bell_state().vector
 
 
@@ -95,7 +101,8 @@ def _ideal_projector() -> np.ndarray:
 
 def rho_s(beta: float, r: int) -> DensityOperator:
     """Swapped state conditioned on correctable errors, r stations deep."""
-    w_ideal, w_deph, q_r = rho_s_weights(beta, r)
+    _check_stations(r)
+    w_ideal, w_deph, q_r = ChainState(beta).weights(r)
     proj = _ideal_projector()
     deph = np.zeros((64, 64), dtype=complex)
     deph[0, 0] = deph[63, 63] = 0.5

@@ -1,8 +1,10 @@
 """Dense multi-qubit density-operator arithmetic.
 
 Everything downstream (noise channels, encoding, swapping, decoding) is
-built on the handful of exact operations in this module: partial traces,
-gate application, measurement and fidelities.
+built on the exact operations in this module.  Every register operation is
+one of four kernels on the (a, 2, b, a, 2, b) view of the matrix: a CNOT,
+an X or Z Pauli, a depolarized qubit and the measured blocks of a qubit.
+Gates are (control, target) tuples, as in :mod:`repeater_keyrate.frames`.
 
 Convention used throughout the package: qubits are indexed from 0 and
 qubit 0 is the most significant bit of the computational basis index,
@@ -21,13 +23,6 @@ import numpy as np
 from .closedform import BellDiagCoeffs
 
 HERMITICITY_TOL = 1e-10
-
-_SINGLE_QUBIT_GATES = {
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "z": np.array([[1, 0], [0, -1]], dtype=complex),
-    "h": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
-}
 
 
 def _num_qubits(dim: int) -> int:
@@ -49,7 +44,7 @@ class DensityOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
+        mat = np.array(self.matrix, dtype=complex)  # a private copy, frozen below
         object.__setattr__(self, "matrix", mat)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"density matrix must be square, got {mat.shape}")
@@ -92,37 +87,6 @@ class PureState:
         """
         u = self.vector / np.abs(self.vector).max()
         return DensityOperator(np.outer(u, u.conj()) / np.vdot(u, u).real)
-
-
-@dataclass(frozen=True)
-class GatePlacement:
-    """A named gate acting on specific register qubits.
-
-    ``kind`` is one of ``cnot``, ``x``, ``y``, ``z``, ``h``.  For ``cnot``
-    the qubits are (control, target); single-qubit kinds take one index.
-    """
-
-    kind: str
-    qubits: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "qubits", tuple(self.qubits))
-        if self.kind == "cnot":
-            if len(self.qubits) != 2:
-                raise ValueError("cnot takes (control, target)")
-        elif self.kind in _SINGLE_QUBIT_GATES:
-            if len(self.qubits) != 1:
-                raise ValueError(f"{self.kind} takes a single qubit index")
-        else:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-        if len(set(self.qubits)) != len(self.qubits):
-            raise ValueError("gate qubits must be distinct")
-        if any(q < 0 for q in self.qubits):
-            raise ValueError("gate qubits must be nonnegative")
-
-    @property
-    def is_two_qubit(self) -> bool:
-        return len(self.qubits) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -176,72 +140,43 @@ def _cnot_permutation(n: int, control: int, target: int) -> np.ndarray:
     return idx ^ (ctrl_bit << (n - 1 - target))
 
 
+def _register_view(rho: np.ndarray, qubit: int) -> np.ndarray:
+    """The (a, 2, b, a, 2, b) view of rho in which axes 1 and 4 are ``qubit``."""
+    n = _num_qubits(rho.shape[0])
+    if not 0 <= qubit < n:
+        raise ValueError(f"qubit {qubit} out of range for {n}-qubit register")
+    a, b = 2**qubit, 2 ** (n - 1 - qubit)
+    return rho.reshape(a, 2, b, a, 2, b)
+
+
 def _apply_cnot_mat(rho: np.ndarray, control: int, target: int) -> np.ndarray:
     n = _num_qubits(rho.shape[0])
+    if control == target or not (0 <= control < n and 0 <= target < n):
+        raise ValueError(f"CNOT ({control}, {target}) needs two distinct qubits of {n}")
     perm = _cnot_permutation(n, control, target)
     return rho[np.ix_(perm, perm)]
 
 
-def _apply_single_mat_fast(rho: np.ndarray, u: np.ndarray, qubit: int) -> np.ndarray:
-    """Apply a single-qubit unitary at the given position of a register."""
-    n = _num_qubits(rho.shape[0])
-    a, b = 2**qubit, 2 ** (n - 1 - qubit)
-    t = rho.reshape(a, 2, b, a, 2, b)
-    t = np.tensordot(u, t, axes=([1], [1]))          # i a b c k d
-    t = np.moveaxis(t, 0, 1)                          # a i b c k d
-    t = np.tensordot(t, u.conj(), axes=([4], [1]))    # a i b c d k
-    t = np.moveaxis(t, 5, 4)                          # a i b c k d
+def _apply_pauli_mat(rho: np.ndarray, pauli: str, qubit: int) -> np.ndarray:
+    """X (an index flip) or Z (a sign on the coherences) on one qubit."""
+    if pauli not in ("x", "z"):
+        raise ValueError(f"Pauli must be 'x' or 'z', got {pauli!r}")
+    t = _register_view(rho, qubit)
+    if pauli == "x":
+        return t[:, ::-1, :, :, ::-1, :].reshape(rho.shape)
+    t = t.copy()
+    t[:, 0, :, :, 1, :] *= -1
+    t[:, 1, :, :, 0, :] *= -1
     return t.reshape(rho.shape)
 
 
-def _apply_gate_mat(rho: np.ndarray, gate: GatePlacement) -> np.ndarray:
-    n = _num_qubits(rho.shape[0])
-    if any(q >= n for q in gate.qubits):
-        raise ValueError(f"gate {gate} out of range for {n}-qubit register")
-    if gate.kind == "cnot":
-        return _apply_cnot_mat(rho, *gate.qubits)
-    return _apply_single_mat_fast(rho, _SINGLE_QUBIT_GATES[gate.kind], gate.qubits[0])
-
-
-def _partial_trace_mat(rho: np.ndarray, keep: Sequence[int]) -> np.ndarray:
-    """Trace out every qubit not in ``keep``; kept qubits retain their order."""
-    n = _num_qubits(rho.shape[0])
-    keep = sorted(keep)
-    out = rho
-    removed = 0
-    for q in range(n):
-        if q in keep:
-            continue
-        pos = q - removed
-        m = _num_qubits(out.shape[0])
-        a, b = 2**pos, 2 ** (m - 1 - pos)
-        t = out.reshape(a, 2, b, a, 2, b)
-        out = (t[:, 0, :, :, 0, :] + t[:, 1, :, :, 1, :]).reshape(a * b, a * b)
-        removed += 1
-    return out
-
-
-def _insert_mixed_pair_mat(reduced: np.ndarray, i: int, j: int, n: int) -> np.ndarray:
-    """Tensor 1/4 identity back in at qubit positions i < j of an n-qubit register.
-
-    ``reduced`` lives on the other n-2 qubits in their original order.
-    """
-    if i > j:
-        i, j = j, i
-    m = _num_qubits(reduced.shape[0])
-    assert m == n - 2
-    out = np.kron(reduced, np.eye(4, dtype=complex) / 4)
-    # qubits of `out` are (kept..., i, j); permute back to register order
-    order = [q for q in range(n) if q not in (i, j)] + [i, j]
-    return _permute_qubits_mat(out, order, n)
-
-
-def _permute_qubits_mat(rho: np.ndarray, current_order: Sequence[int], n: int) -> np.ndarray:
-    """Reorder register qubits: axis k of ``rho`` currently holds qubit current_order[k]."""
-    inv = np.argsort(current_order)  # axis to pull for final position q
-    t = rho.reshape([2] * (2 * n))
-    axes = list(inv) + [n + k for k in inv]
-    return t.transpose(axes).reshape(2**n, 2**n)
+def _depolarize_mat(rho: np.ndarray, qubit: int) -> np.ndarray:
+    """One qubit replaced by I/2: its diagonal blocks averaged, its
+    coherences dropped."""
+    t = _register_view(rho, qubit)
+    out = np.zeros_like(t)
+    out[:, 0, :, :, 0, :] = out[:, 1, :, :, 1, :] = (t[:, 0, :, :, 0, :] + t[:, 1, :, :, 1, :]) / 2
+    return out.reshape(rho.shape)
 
 
 def _measured_blocks(rho: np.ndarray, qubit: int, basis: str) -> tuple[np.ndarray, np.ndarray]:
@@ -256,10 +191,8 @@ def _measured_blocks(rho: np.ndarray, qubit: int, basis: str) -> tuple[np.ndarra
     """
     if basis not in ("x", "z"):
         raise ValueError("basis must be 'x' or 'z'")
-    n = _num_qubits(rho.shape[0])
-    a, b = 2**qubit, 2 ** (n - 1 - qubit)
-    m = a * b
-    t = rho.reshape(a, 2, b, a, 2, b)
+    t = _register_view(rho, qubit)
+    m = rho.shape[0] // 2
     if basis == "z":
         return t[:, 0, :, :, 0, :].reshape(m, m), t[:, 1, :, :, 1, :].reshape(m, m)
     diag = t[:, 0, :, :, 0, :] + t[:, 1, :, :, 1, :]
@@ -282,9 +215,8 @@ def _measure_correct_mat(
     """
     branch0, branch1 = _measured_blocks(rho, qubit, basis)
     if correction is not None:
-        kind, target = correction
-        target_new = target if target < qubit else target - 1
-        branch1 = _apply_gate_mat(branch1, GatePlacement(kind, (target_new,)))
+        pauli, target = correction
+        branch1 = _apply_pauli_mat(branch1, pauli, target if target < qubit else target - 1)
     return branch0 + branch1
 
 

@@ -88,7 +88,7 @@ class RepeaterParams(namedtuple("RepeaterParams", (
             raise ValueError(f"F0 must be in [0, 1], got {self.f0}")
         if not self.distance_km > 0:
             raise ValueError(f"distance must be positive, got {self.distance_km}")
-        if self.nesting < 0 or int(self.nesting) != self.nesting:
+        if self.nesting < 0 or self.nesting % 1 != 0:
             raise ValueError(f"nesting level must be an integer >= 0, got {self.nesting}")
         if not self.alpha_db_per_km > 0:
             raise ValueError(f"alpha must be positive, got {self.alpha_db_per_km}")
@@ -269,7 +269,7 @@ def z_n(num_pairs: int, p0: float) -> float:
     the Euler-Maclaurin limit H_n / (-ln q) + 1/2 replaces it.  n = 1 is
     the exact 1 / P0.
     """
-    if num_pairs < 1 or int(num_pairs) != num_pairs:
+    if num_pairs < 1 or num_pairs % 1 != 0:
         raise ValueError(f"num_pairs must be a positive integer, got {num_pairs}")
     num_pairs = int(num_pairs)
     if not 0.0 < p0 <= 1.0:
@@ -386,11 +386,11 @@ def _levels_by_bound(
     overflow at a subnormal P0, and a positive UB that rounds to 0 is
     rounded up to the smallest float."""
     levels = set(n_range)
-    n_values = sorted(set(map(int, levels)))
-    if not n_values:
+    if not levels:
         raise ValueError("n_range must be nonempty")
-    if set(n_values) != levels:
+    if any(n % 1 != 0 for n in levels):
         raise ValueError(f"nesting levels must be integers, got {sorted(levels)}")
+    n_values = sorted(set(map(int, levels)))
     for n in (n_values[0], n_values[-1]):
         RepeaterParams(0.0, 1.0, distance_km, n, alpha_db_per_km, speed_km_per_s, t0_mode)
     bounds = []
@@ -462,7 +462,7 @@ def _threshold(r: int, bracket: tuple[float, float], tol: float, over_f0: bool) 
     F0 = 1, where it falls, or over F0 at beta = 0, where it rises, with the
     per-nesting-level compounding that reproduces the published table (see
     the module docstring)."""
-    if r < 1 or int(r) != r or (int(r) + 1) & int(r) != 0:
+    if r < 1 or r % 1 != 0 or (int(r) + 1) & int(r) != 0:
         raise ValueError(f"station count must be 2^N - 1 with N >= 1, got {r}")
     r = int(r)
     nesting = (r + 1).bit_length() - 1

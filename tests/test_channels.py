@@ -12,21 +12,20 @@ from repeater_keyrate.channels import (
 from repeater_keyrate.closedform import first_order_weights
 from repeater_keyrate.qstate import (
     DensityOperator,
-    GatePlacement,
-    _apply_gate_mat,
+    _apply_cnot_mat,
     bell_diag_coeffs,
     bell_state,
     ket,
 )
 
-CNOT01 = GatePlacement("cnot", (0, 1))
+CNOT01 = (0, 1)
 
 
 class TestDepolarizingGate:
     def test_beta_zero_is_perfect_gate(self):
         rho = bell_state("phi+").projector().matrix
         noisy = depolarizing_gate_mat(rho, CNOT01, 0.0)
-        perfect = _apply_gate_mat(rho, CNOT01)
+        perfect = _apply_cnot_mat(rho, *CNOT01)
         assert np.allclose(noisy, perfect)
 
     def test_beta_one_fully_mixes_pair(self):
@@ -38,7 +37,7 @@ class TestDepolarizingGate:
         # (1 - beta) + beta/4 against the perfectly rotated state
         rho = bell_state("phi+").projector().matrix
         out = depolarizing_gate_mat(rho, CNOT01, 0.1)
-        ideal = _apply_gate_mat(rho, CNOT01)
+        ideal = _apply_cnot_mat(rho, *CNOT01)
         vec = np.linalg.eigh(ideal)[1][:, -1]
         got = float(np.vdot(vec, out @ vec).real)
         assert got == pytest.approx(0.9 + 0.1 / 4)
@@ -47,7 +46,7 @@ class TestDepolarizingGate:
         rng = np.random.default_rng(2)
         a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         rho = DensityOperator((a @ a.conj().T) / np.trace(a @ a.conj().T).real)
-        out = depolarizing_gate_mat(rho.matrix, GatePlacement("cnot", (2, 0)), 0.3)
+        out = depolarizing_gate_mat(rho.matrix, (2, 0), 0.3)
         assert abs(np.trace(out) - 1.0) < 1e-10
         assert np.linalg.eigvalsh(out)[0] > -1e-10
 
@@ -56,7 +55,7 @@ class TestDepolarizingGate:
         with pytest.raises(ValueError):
             depolarizing_gate_mat(rho, CNOT01, 1.2)
         with pytest.raises(ValueError):
-            depolarizing_gate_mat(rho, GatePlacement("x", (0,)), 0.1)
+            depolarizing_gate_mat(rho, (0,), 0.1)
 
 
 class TestOneFaultyMix:
@@ -73,7 +72,7 @@ class TestOneFaultyMix:
             assert np.allclose(branch, np.eye(4) / 4)
 
     def test_branches_have_unit_trace(self):
-        seq = (CNOT01, GatePlacement("cnot", (1, 2)), GatePlacement("cnot", (0, 2)))
+        seq = (CNOT01, (1, 2), (0, 2))
         for branch in one_faulty_branches(ket("000").projector().matrix, seq):
             assert abs(np.trace(branch) - 1.0) < 1e-12
             assert np.linalg.eigvalsh(branch)[0] > -1e-12
@@ -86,10 +85,10 @@ def first_order_mix(rho, seq, beta):
 
 class TestConcatFirstOrder:
     def test_beta_zero_is_perfect_concatenation(self):
-        seq = (CNOT01, GatePlacement("cnot", (1, 0)))
+        seq = (CNOT01, (1, 0))
         rho = ket("10").projector().matrix
         out = first_order_mix(rho, seq, 0.0)
-        expected = _apply_gate_mat(_apply_gate_mat(rho, seq[0]), seq[1])
+        expected = _apply_cnot_mat(_apply_cnot_mat(rho, *seq[0]), *seq[1])
         assert np.allclose(out, expected)
 
     def test_single_gate_matches_depolarizing_gate_on_pair_register(self):
@@ -120,7 +119,7 @@ class TestConcatFirstOrder:
         assert p <= 1.5e-3
 
     def test_branch_weights_exposed(self):
-        seq = (CNOT01, GatePlacement("cnot", (1, 0)))
+        seq = (CNOT01, (1, 0))
         branches = concat_first_order_branches(ket("00").projector().matrix, seq, 0.02)
         weights = [w for w, _ in branches]
         assert len(branches) == 4  # perfect + 2 faulty + identity
@@ -129,9 +128,9 @@ class TestConcatFirstOrder:
         assert abs(np.trace(total) - 1.0) < 1e-12
 
     def test_monotone_in_beta_on_two_gates(self):
-        seq = (CNOT01, GatePlacement("cnot", (1, 0)))
+        seq = (CNOT01, (1, 0))
         rho = bell_state("phi+").projector().matrix
-        ideal = _apply_gate_mat(_apply_gate_mat(rho, seq[0]), seq[1])
+        ideal = _apply_cnot_mat(_apply_cnot_mat(rho, *seq[0]), *seq[1])
         vec = np.linalg.eigh(ideal)[1][:, -1]
         overlaps = []
         for beta in np.arange(0.0, 0.051, 0.005):

@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 from repeater_keyrate.closedform import (
     _TILDE_BELL,
     DECODE_GATE_COUNT,
-    _chain_decode_coeffs,
+    ChainState,
     chain_success_prob,
-    final_bell_coeffs,
     first_order_weights,
-    rho_s_weights,
     swap_success_closed_form,
 )
 from repeater_keyrate.decode import (
@@ -30,8 +28,7 @@ from repeater_keyrate.encswap import swapped_state_nonideal
 from repeater_keyrate.frames import _decode_tables
 from repeater_keyrate.qstate import (
     DensityOperator,
-    GatePlacement,
-    _apply_gate_mat,
+    _apply_pauli_mat,
     bell_diag_coeffs,
     bell_state,
 )
@@ -53,7 +50,7 @@ class TestDecodeCircuitProperties:
         ideal = encoded_bell_state().projector().matrix
         expected = bell_state("phi+").projector().matrix
         for qubit in range(6):
-            flipped = DensityOperator(_apply_gate_mat(ideal, GatePlacement("x", (qubit,))))
+            flipped = DensityOperator(_apply_pauli_mat(ideal, "x", qubit))
             out = decode_circuit(flipped)
             assert np.abs(out.matrix - expected).max() < 1e-12
 
@@ -145,7 +142,7 @@ class TestDecodeTables:
 def one_faulty_decode(beta, f0, r):
     """Closed-form one-faulty decode of the swapped chain state."""
     p_r = chain_success_prob(swap_success_closed_form(beta, f0), r)
-    return _bell_diagonal_mat(_chain_decode_coeffs(beta, r, p_r)[1])
+    return _bell_diagonal_mat(ChainState(beta).decode_coeffs(r, p_r)[1])
 
 
 class TestDecodeNonideal:
@@ -169,8 +166,8 @@ class TestDecodeNonideal:
 
 
 def chain_decode_coeffs_reference(beta, r, p_r):
-    """The earlier generator-expression form of ``_chain_decode_coeffs``."""
-    w_ideal, w_deph, q_r = rho_s_weights(beta, r)
+    """The earlier generator-expression form of ``ChainState.decode_coeffs``."""
+    w_ideal, w_deph, q_r = ChainState(beta).weights(r)
     c_phi = p_r * w_ideal - (1.0 - p_r) / 63.0
     c_mix = p_r * q_r + (1.0 - p_r) * 64.0 / 63.0
     phi_minus = p_r * w_deph / 2.0 + c_mix / 4.0
@@ -184,7 +181,7 @@ def chain_decode_coeffs_reference(beta, r, p_r):
 
 
 def final_bell_coeffs_reference(beta, r, p_r):
-    """The earlier generator-expression form of ``final_bell_coeffs``."""
+    """The earlier generator-expression form of ``ChainState.bell_coeffs``."""
     perfect, faulty = chain_decode_coeffs_reference(beta, r, p_r)
     w_perfect, w_branch, w_rest = first_order_weights(DECODE_GATE_COUNT, beta)
     return tuple(
@@ -197,8 +194,9 @@ def final_bell_coeffs_reference(beta, r, p_r):
 @given(st.floats(0.0, 1.0), st.integers(1, 2**20 - 1), st.floats(0.0, 1.0))
 def test_written_out_coefficients_keep_every_bit(beta, r, p_r):
     # the same operations in the same order as the reference, so == holds
-    assert _chain_decode_coeffs(beta, r, p_r) == chain_decode_coeffs_reference(beta, r, p_r)
-    assert final_bell_coeffs(beta, r, p_r).as_tuple() == final_bell_coeffs_reference(beta, r, p_r)
+    chain = ChainState(beta)
+    assert chain.decode_coeffs(r, p_r) == chain_decode_coeffs_reference(beta, r, p_r)
+    assert chain.bell_coeffs(r, p_r).as_tuple() == final_bell_coeffs_reference(beta, r, p_r)
 
 
 class TestFinalState:

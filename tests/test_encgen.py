@@ -59,7 +59,7 @@ class TestTeleportedCnotSequence:
         assert bases == ["x", "x", "x", "z", "z", "z"]
 
     def test_gates_act_on_disjoint_pairs(self):
-        used = [q for g in ENCODING_GATES for q in g.qubits]
+        used = [q for g in ENCODING_GATES for q in g]
         assert sorted(used) == list(range(12))
 
     def test_perfect_run_produces_encoded_bell_state(self):
@@ -69,7 +69,7 @@ class TestTeleportedCnotSequence:
         for _ in range(3):
             vec = np.kron(vec, phi)
         for g in ENCODING_GATES:
-            vec = vec[_cnot_permutation(12, *g.qubits)]
+            vec = vec[_cnot_permutation(12, *g)]
         rho = np.outer(vec, vec.conj())
         out = _apply_measurement_rules(rho)
         expected = encoded_bell_state().projector().matrix

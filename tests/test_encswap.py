@@ -8,11 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repeater_keyrate import closedform, frames
-from repeater_keyrate.closedform import (
-    chain_success_prob,
-    rho_s_weights,
-    swap_success_closed_form,
-)
+from repeater_keyrate.closedform import ChainState, chain_success_prob, swap_success_closed_form
 from repeater_keyrate.encgen import encoded_bell_state, encoded_pair
 from repeater_keyrate.encswap import (
     correctable_states,
@@ -396,19 +392,19 @@ class TestSwappedStates:
 
     def test_rho_s_single_station_weights(self):
         beta = 0.02
-        w_ideal, w_deph, q = rho_s_weights(beta, 1)
+        w_ideal, w_deph, q = ChainState(beta).weights(1)
         assert w_ideal == pytest.approx((1 - beta) ** 3)
         assert w_deph == pytest.approx(3 * beta * (1 - beta) ** 2)
         assert q == pytest.approx(1 - (1 - beta) ** 3 - 3 * beta * (1 - beta) ** 2)
 
     def test_rho_s_two_station_middle_weight(self):
-        _, w_deph, _ = rho_s_weights(0.01, 2)
+        _, w_deph, _ = ChainState(0.01).weights(2)
         expected = float(9 * Fraction(1, 100) ** 2 * Fraction(99, 100) ** 4)
         assert w_deph == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(8.64536409e-4, abs=1e-12)
 
     def test_rho_s_large_r_underflows_cleanly(self):
-        w_ideal, w_deph, q = rho_s_weights(0.003, 127)
+        w_ideal, w_deph, q = ChainState(0.003).weights(127)
         assert 0.0 <= w_deph < 1e-200
         assert w_ideal == pytest.approx(np.exp(3 * 127 * np.log1p(-0.003)))
         assert q == pytest.approx(1.0 - w_ideal, abs=1e-12)
@@ -416,8 +412,8 @@ class TestSwappedStates:
     @pytest.mark.parametrize("r", [1, 3, 127, 2**20 - 1])
     def test_rho_s_weights_exact_at_beta_zero_and_one(self, r):
         # a logarithm is -inf there, and exp(-inf) = 0 gives the weights exactly
-        assert rho_s_weights(0.0, r) == (1.0, 0.0, 0.0)
-        assert rho_s_weights(1.0, r) == (0.0, 0.0, 1.0)
+        assert ChainState(0.0).weights(r) == (1.0, 0.0, 0.0)
+        assert ChainState(1.0).weights(r) == (0.0, 0.0, 1.0)
 
     def test_rho_s_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

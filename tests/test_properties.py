@@ -16,12 +16,12 @@ from hypothesis import strategies as st
 
 from repeater_keyrate import closedform, encgen, frames
 from repeater_keyrate.closedform import (
-    _chain_decode_coeffs,
+    DECODE_GATE_COUNT,
+    ChainState,
     chain_success_prob,
     first_order_weights,
 )
 from repeater_keyrate.decode import (
-    DECODE_GATES,
     decode_circuit,
     decode_one_faulty,
     final_state,
@@ -69,7 +69,7 @@ def test_final_state_is_a_bell_diagonal_density_matrix(beta, f0, nesting):
 @given(st.floats(0.0, 1.0), st.integers(1, 2**20 - 1), st.floats(0.0, 1.0))
 def test_decoded_bell_coefficients_are_nonnegative(beta, r, p_r):
     # over the whole parameter range, up to the CLI's largest chain
-    perfect, faulty = _chain_decode_coeffs(beta, r, p_r)
+    perfect, faulty = ChainState(beta).decode_coeffs(r, p_r)
     assert min(perfect) >= 0.0
     assert min(faulty) >= 0.0
 
@@ -115,10 +115,10 @@ def test_frame_weights_are_a_distribution_in_exact_rationals(beta, f0):
 def test_rate_path_qbers_equal_the_decoding_circuits(beta, f0, nesting):
     report = key_rate(RepeaterParams(beta=beta, f0=f0, distance_km=100.0, nesting=nesting))
     swapped = swapped_state_nonideal(beta, f0, 2**nesting - 1)
-    w_perfect, w_branch, w_rest = first_order_weights(len(DECODE_GATES), beta)
+    w_perfect, w_branch, w_rest = first_order_weights(DECODE_GATE_COUNT, beta)
     mat = (
         w_perfect * decode_circuit(swapped).matrix
-        + len(DECODE_GATES) * w_branch * decode_one_faulty(swapped).matrix
+        + DECODE_GATE_COUNT * w_branch * decode_one_faulty(swapped).matrix
         + w_rest * np.eye(4) / 4.0
     )
     expected = error_rates(bell_diag_coeffs(DensityOperator(mat)))

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from repeater_keyrate.channels import source_state_mat
+from repeater_keyrate.channels import _faulty_gate_mat, source_state_mat
 from repeater_keyrate.qstate import (
     DensityOperator,
-    _apply_gate_mat,
+    _apply_cnot_mat,
+    _apply_pauli_mat,
+    _depolarize_mat,
     _measure_correct_mat,
     _measured_blocks,
-    _partial_trace_mat,
-    GatePlacement,
     PureState,
     bell_diag_coeffs,
     bell_state,
@@ -31,25 +31,44 @@ def random_pure(rng, n_qubits):
     return PureState(v / np.linalg.norm(v))
 
 
+PAULIS = {
+    "i": np.eye(2, dtype=complex),
+    "x": np.array([[0, 1], [1, 0]], dtype=complex),
+    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
+def embed(paulis, n_qubits):
+    """Kronecker product of 2x2 Paulis over the register, {qubit: name}."""
+    out = np.eye(1, dtype=complex)
+    for q in range(n_qubits):
+        out = np.kron(out, PAULIS[paulis.get(q, "i")])
+    return out
+
+
+def discard(rho, *qubits):
+    """Measure the qubits in Z, highest first, and keep no outcome."""
+    for q in sorted(qubits, reverse=True):
+        rho = _measure_correct_mat(rho, q, "z")
+    return rho
+
+
 class TestPartialTrace:
+    # measuring a qubit and discarding the outcome traces it out
     def test_bell_reduction(self):
         phi = bell_state("phi+").projector().matrix
         for q in (0, 1):
-            red = _partial_trace_mat(phi, [q])
+            red = discard(phi, 1 - q)
             assert np.allclose(red, np.eye(2) / 2)
-
-    def test_keep_everything(self):
-        rho = random_density(np.random.default_rng(0), 2)
-        out = _partial_trace_mat(rho.matrix, [0, 1])
-        assert np.allclose(out, rho.matrix)
 
     def test_product_state(self):
         rho = ket("01").projector().matrix
-        out = _partial_trace_mat(rho, [0])
+        out = discard(rho, 1)
         assert np.allclose(out, ket("0").projector().matrix)
 
     def test_empty_keep_is_degenerate_scalar(self):
-        out = _partial_trace_mat(bell_state("phi+").projector().matrix, [])
+        out = discard(bell_state("phi+").projector().matrix, 0, 1)
         assert out.shape == (1, 1)
         assert np.allclose(out, [[1.0]])
 
@@ -59,29 +78,28 @@ class TestPartialTrace:
             a = random_density(rng, 1).matrix
             b = random_density(rng, 2).matrix
             joint = np.kron(a, b)
-            assert np.abs(_partial_trace_mat(joint, [0]) - a).max() < 1e-14
-            assert np.abs(_partial_trace_mat(joint, [1, 2]) - b).max() < 1e-14
+            assert np.abs(discard(joint, 1, 2) - a).max() < 1e-14
+            assert np.abs(discard(joint, 0) - b).max() < 1e-14
 
 
 class TestApplyGate:
     def test_cnot_flips_target(self):
-        out = _apply_gate_mat(ket("10").projector().matrix, GatePlacement("cnot", (0, 1)))
+        out = _apply_cnot_mat(ket("10").projector().matrix, 0, 1)
         assert np.allclose(out, ket("11").projector().matrix)
 
     def test_cnot_on_mixed_is_identity(self):
-        out = _apply_gate_mat(np.eye(4) / 4, GatePlacement("cnot", (0, 1)))
+        out = _apply_cnot_mat(np.eye(4) / 4, 0, 1)
         assert np.allclose(out, np.eye(4) / 4)
 
     def test_x_maps_phi_to_psi(self):
-        out = _apply_gate_mat(bell_state("phi+").projector().matrix, GatePlacement("x", (0,)))
+        out = _apply_pauli_mat(bell_state("phi+").projector().matrix, "x", 0)
         assert np.allclose(out, bell_state("psi+").projector().matrix)
 
     def test_trace_and_spectrum_preserved(self):
         rng = np.random.default_rng(3)
         rho = random_density(rng, 3)
-        for gate in (GatePlacement("cnot", (2, 0)), GatePlacement("h", (1,)),
-                     GatePlacement("y", (2,)), GatePlacement("z", (0,))):
-            out = _apply_gate_mat(rho.matrix, gate)
+        for out in (_apply_cnot_mat(rho.matrix, 2, 0), _apply_pauli_mat(rho.matrix, "x", 1),
+                    _apply_pauli_mat(rho.matrix, "z", 0)):
             assert abs(np.trace(out) - 1.0) < 1e-10
             assert np.allclose(
                 np.linalg.eigvalsh(out), np.linalg.eigvalsh(rho.matrix), atol=1e-10
@@ -89,7 +107,44 @@ class TestApplyGate:
 
     def test_out_of_range_index(self):
         with pytest.raises(ValueError):
-            _apply_gate_mat(np.eye(4) / 4, GatePlacement("cnot", (0, 5)))
+            _apply_cnot_mat(np.eye(4) / 4, 0, 5)
+
+
+class TestKernels:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_faulty_gate_is_the_pauli_pair_twirl(self, seed):
+        rho = random_density(np.random.default_rng(seed), 3).matrix
+        for i, j in ((i, j) for i in range(3) for j in range(3) if i != j):
+            twirl = sum(
+                embed({i: p, j: q}, 3) @ rho @ embed({i: p, j: q}, 3).conj().T
+                for p in PAULIS for q in PAULIS
+            ) / 16
+            assert np.abs(_faulty_gate_mat(rho, (i, j)) - twirl).max() < 1e-15
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_depolarized_qubit_is_the_pauli_twirl(self, seed):
+        rho = random_density(np.random.default_rng(seed), 3).matrix
+        for q in range(3):
+            twirl = sum(embed({q: p}, 3) @ rho @ embed({q: p}, 3).conj().T for p in PAULIS) / 4
+            assert np.abs(_depolarize_mat(rho, q) - twirl).max() < 1e-15
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_pauli_is_conjugation_by_the_embedded_matrix(self, seed):
+        rho = random_density(np.random.default_rng(seed), 3).matrix
+        for pauli in ("x", "z"):
+            for q in range(3):
+                u = embed({q: pauli}, 3)
+                assert np.array_equal(_apply_pauli_mat(rho, pauli, q), u @ rho @ u.conj().T)
+
+    @pytest.mark.parametrize("control,target", [(1, 1), (0, 2), (2, 0), (-1, 0), (0, -1)])
+    def test_bad_cnot_qubits_rejected(self, control, target):
+        with pytest.raises(ValueError):
+            _apply_cnot_mat(np.eye(4) / 4, control, target)
+
+    @pytest.mark.parametrize("pauli,qubit", [("y", 0), ("h", 0), ("X", 0), ("x", 2), ("z", -1)])
+    def test_bad_pauli_rejected(self, pauli, qubit):
+        with pytest.raises(ValueError):
+            _apply_pauli_mat(np.eye(4) / 4, pauli, qubit)
 
 
 def traces(blocks):
@@ -211,10 +266,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             DensityOperator(np.eye(3) / 3)
 
-    def test_gate_placement_checks(self):
-        with pytest.raises(ValueError):
-            GatePlacement("cnot", (1, 1))
-        with pytest.raises(ValueError):
-            GatePlacement("x", (0, 1))
-        with pytest.raises(ValueError):
-            GatePlacement("swap", (0, 1))
+    def test_caller_array_stays_writeable(self):
+        # the operator freezes its own copy, not the caller's array
+        m = np.eye(2, dtype=complex) / 2
+        op = DensityOperator(m)
+        assert m.flags.writeable and not op.matrix.flags.writeable
+        m[0, 0] = 1.0
+        assert op.matrix[0, 0] == 0.5

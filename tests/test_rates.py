@@ -610,6 +610,24 @@ class TestCost:
             cost_coefficient(600.0, 1e-4, 0.99995, n_range=levels)
 
 
+COUNT_CHECKS = {
+    "RepeaterParams": lambda x: RepeaterParams(0.0, 1.0, 100.0, x),
+    "z_n": lambda x: z_n(x, 0.5),
+    "threshold_gate_quality": lambda x: threshold_gate_quality(x),
+    "chain_success_prob": lambda x: closedform.chain_success_prob(0.9, x),
+    "optimize_over_stations": lambda x: optimize_over_stations(100.0, 0.0, 1.0, n_range=[x]),
+}
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("entry", sorted(COUNT_CHECKS))
+def test_non_finite_counts_raise_value_error(entry, value):
+    # the argument checks' own messages, not int()'s OverflowError on inf
+    # or its "cannot convert float NaN" error
+    with pytest.raises(ValueError, match="must be"):
+        COUNT_CHECKS[entry](value)
+
+
 class TestSecretFractionFor:
     def test_matches_key_rate_fraction(self):
         report = key_rate(RepeaterParams(beta=0.004, f0=0.99, distance_km=200.0, nesting=2))
