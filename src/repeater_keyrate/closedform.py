@@ -158,12 +158,17 @@ def _check_stations(r: int) -> None:
         raise ValueError(f"r must be a positive integer, got {r}")
 
 
+def _capped_success(p_s: float) -> float:
+    """p_s, checked to be a probability up to 1e-12 of rounding, capped at 1."""
+    if not 0.0 <= p_s <= 1.0 + 1e-12:
+        raise ValueError(f"p_s must be a probability, got {p_s}")
+    return float(min(p_s, 1.0))
+
+
 def chain_success_prob(p_s: float, r: int) -> float:
     """Success probability over r independent swap stations: p_s ** r."""
     _check_stations(r)
-    if not 0.0 <= p_s <= 1.0 + 1e-12:
-        raise ValueError(f"p_s must be a probability, got {p_s}")
-    return float(min(p_s, 1.0) ** r)
+    return float(_capped_success(p_s) ** r)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +178,7 @@ def chain_success_prob(p_s: float, r: int) -> float:
 class ChainState:
     """The swapped and decoded chain state at one beta, as closed forms in
     (r, P_r).  log(1 - beta), log 3 + log beta and the decode CNOTs' weights
-    are computed once, and shared by every nesting level of a point; at
+    are computed once, for every point and nesting level at that beta; at
     beta = 0 and 1 a logarithm is -inf, which gives the exact weights."""
 
     def __init__(self, beta: float):
@@ -216,20 +221,15 @@ class ChainState:
         return perfect, (faulty_phi, faulty_phi, faulty_psi, faulty_psi)
 
     def bell_coeffs(self, r: int, p_r: float) -> BellDiagCoeffs:
-        """Closed-form Bell coefficients of :func:`~repeater_keyrate.decode.final_state`
-        for r >= 1 stations with chain success P_r: :meth:`mix` of the
-        chain's two decodes."""
-        return self.mix(*self.decode_coeffs(r, p_r))
+        """The validators' record of :meth:`mix` of the chain's two decodes after r >= 1
+        stations with chain success P_r: the Bell coefficients of ``decode.final_state``."""
+        return BellDiagCoeffs(*self.mix(*self.decode_coeffs(r, p_r)))
 
-    def mix(self, perfect: tuple[float, ...], faulty: tuple[float, ...]) -> BellDiagCoeffs:
-        """The first-order mixture over the four decode CNOTs of the perfect
-        decode, the one-faulty decode (given as Bell coefficients) and I/4."""
+    def mix(self, perfect: tuple[float, ...], faulty: tuple[float, ...]) -> tuple[float, ...]:
+        """The first-order mixture over the four decode CNOTs of the perfect decode,
+        the one-faulty decode (given as Bell coefficients) and I/4, as a plain tuple."""
         (d_0, d_1, d_2, d_3), (n_0, n_1, n_2, n_3) = perfect, faulty
         w_perfect, w_faulty, mixed = self._decode_weights
-        return BellDiagCoeffs(
-            w_perfect * d_0 + w_faulty * n_0 + mixed,
-            w_perfect * d_1 + w_faulty * n_1 + mixed,
-            w_perfect * d_2 + w_faulty * n_2 + mixed,
-            w_perfect * d_3 + w_faulty * n_3 + mixed,
-        )
+        return (w_perfect * d_0 + w_faulty * n_0 + mixed, w_perfect * d_1 + w_faulty * n_1 + mixed,
+                w_perfect * d_2 + w_faulty * n_2 + mixed, w_perfect * d_3 + w_faulty * n_3 + mixed)
 

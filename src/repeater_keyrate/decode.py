@@ -110,16 +110,18 @@ def final_state(beta: float, f0: float, r: int) -> DensityOperator:
     """Key pair after first-order-noisy decoding of the swapped state.
 
     The four decode CNOTs contribute an all-perfect term, a one-faulty
-    term, and a maximally mixed remainder.  The state is assembled from
-    :meth:`ChainState.bell_coeffs` for r >= 1, and from the encoded pair's
-    frames (:func:`pair_decode_coeffs`) for r = 0.
+    term, and a maximally mixed remainder: :meth:`ChainState.mix` of the
+    two decodes, from the encoded pair's frames (:func:`pair_decode_coeffs`)
+    for r = 0, else of the chain (:meth:`ChainState.decode_coeffs`), where
+    :func:`chain_success_prob` rejects an r that is not a positive integer.
     """
-    if r >= 1:
-        p_r = chain_success_prob(swap_success_closed_form(beta, f0), r)
-        coeffs = ChainState(beta).bell_coeffs(r, p_r)
+    chain = ChainState(beta)
+    if r == 0:
+        perfect, faulty = pair_decode_coeffs(beta, f0)
     else:
-        coeffs = ChainState(beta).mix(*pair_decode_coeffs(beta, f0))
-    return DensityOperator(_bell_diagonal_mat(coeffs.as_tuple()))
+        p_r = chain_success_prob(swap_success_closed_form(beta, f0), r)
+        perfect, faulty = chain.decode_coeffs(r, p_r)
+    return DensityOperator(_bell_diagonal_mat(chain.mix(perfect, faulty)))
 
 
 def validate_first_order_vs_exact(beta: float, f0: float, r: int) -> float:

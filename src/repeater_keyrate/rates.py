@@ -22,13 +22,14 @@ no single accounting reproduces both the table and the published cost
 curves).  Both conventions are deliberate; see the README model notes.
 
 Nesting scan.  Each quantity is computed where it is constant: the levels'
-checks and K bounds per (L, levels, fiber) (:func:`_levels_by_bound`), the
-rows of p_s per F0, and p_s and the beta terms per point (:class:`_Point`,
-whose level report :func:`key_rate` uses too, so K agrees to the last bit).
-:meth:`_Point.level` scores a level cheapest test first (P_r, then the decoded
-r_inf, then the link terms P0, Z and R); :func:`optimize_over_stations` takes
-the levels by descending bound, stops at the first bound below the best K,
-and reports only the winner.
+checks and K bounds per (L, levels, fiber) (:func:`_levels_by_bound`, with
+H_n cached per n), the rows of p_s per F0, the beta terms per beta, and p_s,
+checked once, per point (:class:`_Point`, whose level report :func:`key_rate`
+uses too, so K agrees to the last bit).  :meth:`_Point.level` scores a level
+cheapest test first (P_r as one power, then the r_inf of the plain Bell tuple,
+then the link terms P0, Z and R); :func:`optimize_over_stations` takes the
+levels by descending bound, stops at the first bound below the best K, and
+reports only the winner.
 
 Everything here is stdlib arithmetic on those closed forms, N = 0
 included: with no swap the key pair is decoded from the encoded pair's
@@ -46,12 +47,7 @@ from collections import namedtuple
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
-from .closedform import (
-    BellDiagCoeffs,
-    ChainState,
-    chain_success_prob,
-    swap_success_closed_form,
-)
+from .closedform import ChainState, _capped_success, chain_success_prob, swap_success_closed_form
 
 MEMORIES_PER_HALF_NODE = 6
 DEFAULT_ALPHA_DB_PER_KM = 0.17
@@ -120,12 +116,11 @@ RateReport = namedtuple("RateReport", (
 ), defaults=(MEMORIES_PER_HALF_NODE,))
 
 
-def error_rates(coeffs: BellDiagCoeffs) -> tuple[float, float, float]:
-    """QBER in the X, Y and Z bases of a Bell-diagonal pair."""
-    e_z = coeffs.psi_plus + coeffs.psi_minus
-    e_x = coeffs.phi_minus + coeffs.psi_minus
-    e_y = coeffs.phi_minus + coeffs.psi_plus
-    return e_x, e_y, e_z
+def error_rates(coeffs: Sequence[float]) -> tuple[float, float, float]:
+    """QBER in the X, Y and Z bases of a Bell-diagonal pair (phi+, phi-, psi+, psi-),
+    a plain tuple or a :class:`~repeater_keyrate.closedform.BellDiagCoeffs`."""
+    _, phi_minus, psi_plus, psi_minus = coeffs[:4]
+    return phi_minus + psi_minus, phi_minus + psi_plus, psi_plus + psi_minus
 
 
 def binary_entropy(p: float) -> float:
@@ -193,6 +188,7 @@ _LN2 = math.log(2.0)
 _SERIES_STOP = 2.0**-70
 
 
+@lru_cache(maxsize=1024)
 def _harmonic(n: int) -> float:
     if n <= _HARMONIC_SUM_MAX:
         return math.fsum(1.0 / j for j in range(1, n + 1))
@@ -300,13 +296,14 @@ def _link_terms(distance_km: float, nesting: int, fiber: Sequence) -> tuple[floa
 
 
 class _Point:
-    """The rate pipeline at one (beta, F0): p_s and the beta terms of the
-    chain state (:class:`~repeater_keyrate.closedform.ChainState`), once."""
+    """The rate pipeline at one (beta, F0): p_s, checked once, and the chain state
+    of its beta (:class:`~repeater_keyrate.closedform.ChainState`), shared by all points."""
 
     def __init__(self, beta: float, f0: float, phase_trivial_only: bool = False):
         self.beta, self.f0 = beta, f0
         self.p_s = swap_success_closed_form(beta, f0, phase_trivial_only=phase_trivial_only)
-        self.chain = ChainState(beta)
+        self._capped_p_s = _capped_success(self.p_s)
+        self.chain = _shared_chain(beta)
 
     def decoded(
         self, swap_count: int, p_r: float | None = None
@@ -316,11 +313,11 @@ class _Point:
         if swap_count == 0:
             from .frames import pair_decode_coeffs
 
-            p_r, coeffs = 1.0, self.chain.mix(*pair_decode_coeffs(self.beta, self.f0))
+            p_r, coeffs = 1.0, pair_decode_coeffs(self.beta, self.f0)
         else:
             p_r = chain_success_prob(self.p_s, swap_count) if p_r is None else p_r
-            coeffs = self.chain.bell_coeffs(swap_count, p_r)
-        qbers = error_rates(coeffs)
+            coeffs = self.chain.decode_coeffs(swap_count, p_r)
+        qbers = error_rates(self.chain.mix(*coeffs))
         return p_r, qbers, secret_fraction_six_state(*qbers)
 
     def report(
@@ -337,19 +334,22 @@ class _Point:
         self, distance_km: float, nesting: int, fiber: Sequence
     ) -> tuple[float, tuple | None]:
         """K and the :meth:`decoded` tuple of a scan level: (0.0, None) below the
-        gate (P_r < ``KEYLESS_P_R``), (0.0, decoded) without the link terms when
-        r_inf <= 0 (R is finite), else K = R r_inf / 6 as :meth:`report` has it."""
-        p_r = chain_success_prob(self.p_s, 2**nesting - 1) if nesting else 1.0
+        gate (P_r = p_s ** r < ``KEYLESS_P_R``), (0.0, decoded) without the link
+        terms when r_inf <= 0 (R is finite), else K = R r_inf / 6 as :meth:`report` has it."""
+        r = 2**nesting - 1
+        p_r = self._capped_p_s**r
         if p_r < KEYLESS_P_R:
             return 0.0, None
-        decoded = self.decoded(2**nesting - 1, p_r)
+        decoded = self.decoded(r, p_r)
         if decoded[2] <= 0.0:
             return 0.0, decoded
         rate = _link_terms(distance_km, nesting, fiber)[3]
         return rate * decoded[2] / MEMORIES_PER_HALF_NODE, decoded
 
 
-# the threshold bisections over the station counts share their first midpoints
+# the points of a grid share their beta's chain state, and the threshold
+# bisections over the station counts share their first midpoints
+_shared_chain = lru_cache(maxsize=1024)(ChainState)
 _shared_point = lru_cache(maxsize=1024)(_Point)
 
 

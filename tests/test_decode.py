@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -25,7 +26,7 @@ from repeater_keyrate.decode import (
 )
 from repeater_keyrate.encgen import encoded_bell_state, encoded_pair
 from repeater_keyrate.encswap import swapped_state_nonideal
-from repeater_keyrate.frames import _decode_tables
+from repeater_keyrate.frames import _decode_tables, pair_decode_coeffs
 from repeater_keyrate.qstate import (
     DensityOperator,
     _apply_pauli_mat,
@@ -200,6 +201,22 @@ def test_written_out_coefficients_keep_every_bit(beta, r, p_r):
 
 
 class TestFinalState:
+    @pytest.mark.parametrize("r", [-3, 0.5, math.inf, math.nan])
+    def test_rejects_a_station_count_that_is_not_a_positive_integer(self, r):
+        with pytest.raises(ValueError, match="r must be a positive integer"):
+            final_state(0.01, 0.99, r)
+
+    @pytest.mark.parametrize("beta,f0", [(0.0, 1.0), (0.01, 0.99), (0.3, 0.6), (1.0, 0.0)])
+    def test_zero_swap_keeps_every_bit(self, beta, f0):
+        # the written-out mixture of the encoded pair's two decodes, term for term
+        perfect, faulty = pair_decode_coeffs(beta, f0)
+        w_perfect, w_branch, w_rest = first_order_weights(DECODE_GATE_COUNT, beta)
+        coeffs = [
+            w_perfect * d + DECODE_GATE_COUNT * w_branch * n + w_rest / 4.0
+            for d, n in zip(perfect, faulty)
+        ]
+        assert np.array_equal(final_state(beta, f0, 0).matrix, _bell_diagonal_mat(coeffs))
+
     def test_ideal_parameters(self):
         out = final_state(0.0, 1.0, 3)
         assert np.abs(out.matrix - bell_state("phi+").projector().matrix).max() < 1e-12

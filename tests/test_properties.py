@@ -34,6 +34,7 @@ from repeater_keyrate.rates import (
     RepeaterParams,
     _levels_by_bound,
     _Point,
+    _shared_chain,
     cost_coefficient,
     error_rates,
     key_rate,
@@ -198,6 +199,50 @@ def test_keyless_gate_is_sound(beta, f0, nesting):
         perfect, faulty = point.chain.decode_coeffs(r, p_r)
         assert max(*perfect, *faulty, *point.chain.bell_coeffs(r, p_r).as_tuple()) <= 0.5
         assert point.decoded(r)[2] <= 0.0
+
+
+unit = st.floats(0.0, 1.0)
+
+
+@deterministic
+@given(unit, unit, st.integers(0, 20))
+@example(0.0, 0.0, 0)
+@example(-0.0, 1.0, 0)
+@example(-0.0, 0.99, 3)
+@example(1.0, 1.0, 20)
+@example(1.0, 0.0, 1)
+def test_lean_level_path_equals_the_reference_path(beta, f0, nesting):
+    # the scan's gate and plain-tuple decode against chain_success_prob and a
+    # fresh ChainState's record, bit for bit
+    point, r = _Point(beta, f0), 2**nesting - 1
+    _, decoded = point.level(100.0, nesting, (0.17, 2e5, "physical"))
+    if nesting == 0:
+        expected = error_rates(ChainState(beta).mix(*frames.pair_decode_coeffs(beta, f0)))
+        assert decoded is not None and decoded == point.decoded(0)
+    else:
+        p_r = chain_success_prob(point.p_s, r)
+        expected = error_rates(ChainState(beta).bell_coeffs(r, p_r))
+        assert point._capped_p_s**r == p_r
+        assert (decoded is None) == (p_r < KEYLESS_P_R)
+        assert decoded is None or decoded[0] == p_r
+        assert decoded is None or decoded == point.decoded(r)
+    assert point.decoded(r)[1] == expected
+
+
+@deterministic
+@given(unit, st.integers(1, 2**20 - 1), unit)
+@example(-0.0, 1, 0.5)
+@example(0.0, 3, 1.0)
+@example(1.0, 7, 0.0)
+def test_shared_chain_state_equals_a_fresh_one(beta, r, p_r):
+    # -0.0 and 0.0 share one cache entry, so a chain of either sign must give its bits
+    shared = _shared_chain(beta)
+    assert _Point(beta, 0.9).chain is _Point(beta, 1.0).chain is _shared_chain(abs(beta))
+    for fresh in map(ChainState, (0.0, -0.0) if beta == 0.0 else (beta,)):
+        assert repr(shared.weights(r)) == repr(fresh.weights(r))
+        coeffs = fresh.decode_coeffs(r, p_r)
+        assert repr(shared.decode_coeffs(r, p_r)) == repr(coeffs)
+        assert repr(shared.mix(*coeffs)) == repr(fresh.mix(*coeffs))
 
 
 def _patch_every_binding(monkeypatch, original, replacement):
