@@ -12,18 +12,15 @@ alone and are imported here; the swapped and decoded chain state
 (``closedform.ChainState``) is imported from its module.  The dense
 simulation, which needs numpy and validates the closed forms, is imported
 from its own modules (``repeater_keyrate.qstate``, ``channels``,
-``encgen``, ``encswap``, ``decode`` and ``validation``).  So is the stdlib
-Pauli-frame core of the encoded pair (``repeater_keyrate.frames``), which
-the rate path needs only at N = 0.
+``encgen``, ``encswap``, ``decode`` and ``validation``), and so is the
+record of a Bell-diagonal pair that ``qstate.bell_diag_coeffs`` builds.  So
+is the stdlib Pauli-frame core of the encoded pair
+(``repeater_keyrate.frames``), which the rate path needs only at N = 0.
 """
 
 __version__ = "0.1.0"
 
-from .closedform import (
-    BellDiagCoeffs,
-    chain_success_prob,
-    swap_success_closed_form,
-)
+from .closedform import chain_success_prob, swap_success_closed_form
 from .rates import (
     CostReport,
     NoThresholdError,

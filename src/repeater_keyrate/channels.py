@@ -11,13 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .closedform import first_order_weights
+from .closedform import _check_unit, first_order_weights
 from .qstate import _apply_cnot_mat, _depolarize_mat, bell_state
-
-
-def _check_beta(beta: float) -> None:
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"beta must be in [0, 1], got {beta}")
 
 
 def _faulty_gate_mat(rho: np.ndarray, gate: tuple[int, int]) -> np.ndarray:
@@ -34,7 +29,7 @@ def depolarizing_gate_mat(rho: np.ndarray, gate: tuple[int, int], beta: float) -
     With probability 1-beta the gate acts perfectly; with probability beta
     its qubit pair is replaced by the maximally mixed pair.
     """
-    _check_beta(beta)
+    _check_unit("beta", beta)
     control, target = gate
     perfect = _apply_cnot_mat(rho, control, target)
     if beta == 0.0:
@@ -70,7 +65,7 @@ def concat_first_order_branches(
     Keeping branches separate lets callers apply measurements and
     corrections per branch before averaging.
     """
-    _check_beta(beta)
+    _check_unit("beta", beta)
     n = len(seq)
     if n < 1:
         raise ValueError("gate sequence must contain at least one gate")

@@ -33,6 +33,7 @@ from .rates import (
     NoThresholdError,
     RateReport,
     RepeaterParams,
+    check_link,
     cost_coefficient,
     key_rate,
     optimize_over_stations,
@@ -230,7 +231,7 @@ def _require_timed(args: SimpleNamespace, distances: list[float], nesting: int) 
     nesting level are too short for T0 = L0/c to give a finite rate."""
     for distance in distances:
         try:
-            RepeaterParams(beta=0.0, f0=1.0, distance_km=distance, nesting=nesting, **_fiber(args))
+            check_link(distance, nesting, **_fiber(args))
         except ValueError as exc:
             raise CliError(f"--distance {_fmt(distance)}: {exc}")
 
@@ -417,13 +418,10 @@ def cmd_enumerate_errors(args: SimpleNamespace) -> int:
     """The 6^3 error-pair combos, the 160 correctable ones and the 64
     distinct states they give.  The 160 x 6 = 960 count treats position
     permutations apart and is printed only for parity with that convention."""
-    from itertools import product
+    from .frames import ERROR_PAIR_LABELS, _admissible_combos, _correctable_frames
 
-    from .frames import ERROR_PAIR_LABELS, _admissible, _correctable_frames
-
-    combos = list(product(ERROR_PAIR_LABELS, repeat=3))
-    admissible = [labels for labels in combos if _admissible(labels)]
-    print(f"raw_combinations={len(combos)}")
+    admissible = _admissible_combos()
+    print(f"raw_combinations={len(ERROR_PAIR_LABELS) ** 3}")
     print(f"admissible_combinations={len(admissible)}")
     print(f"position_permutation_count={6 * len(admissible)}")
     print(f"distinct_orthogonal_states={len(_correctable_frames())}")

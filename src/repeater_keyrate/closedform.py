@@ -13,7 +13,6 @@ and builds no table.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from functools import lru_cache
 
 # CNOTs (control, target) of the decoding circuit, Alice on qubits 0-2 and
@@ -25,15 +24,10 @@ DECODE_GATE_COUNT = len(_DECODE_GATES)
 _TILDE_BELL = (5 / 16, 5 / 16, 3 / 16, 3 / 16)
 
 
-class BellDiagCoeffs(namedtuple(
-    "BellDiagCoeffs", "phi_plus phi_minus psi_plus psi_minus remainder_norm", defaults=(0.0,)
-)):
-    """Bell-basis diagonal of a two-qubit state, plus the off-diagonal residue."""
-
-    __slots__ = ()
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.phi_plus, self.phi_minus, self.psi_plus, self.psi_minus)
+def _check_unit(name: str, x: float) -> None:
+    """The one range check of beta and F0; NaN fails it, a ``Fraction`` stays exact."""
+    if not 0 <= x <= 1:
+        raise ValueError(f"{name} must be in [0, 1], got {x}")
 
 
 def first_order_weights(n: int, beta: float) -> tuple[float, float, float]:
@@ -141,10 +135,8 @@ def swap_success_closed_form(beta: float, f0: float, *, phase_trivial_only: bool
     ``phase_trivial_only`` the sum runs over the 32 phase-trivial
     correctable states (the thresholds' accounting).
     """
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"beta must be in [0, 1], got {beta}")
-    if not 0.0 <= f0 <= 1.0:
-        raise ValueError(f"F0 must be in [0, 1], got {f0}")
+    _check_unit("beta", beta)
+    _check_unit("F0", f0)
     e_scale, rows = _success_rows(f0, phase_trivial_only)
     b_scale, b_ratio, b_mirrored = _bernstein_ratio(beta, 1.0 - beta, len(rows) - 1)
     total = 0.0
@@ -182,8 +174,7 @@ class ChainState:
     beta = 0 and 1 a logarithm is -inf, which gives the exact weights."""
 
     def __init__(self, beta: float):
-        if not 0.0 <= beta <= 1.0:
-            raise ValueError(f"beta must be in [0, 1], got {beta}")
+        _check_unit("beta", beta)
         self._log1m = math.log1p(-beta) if beta < 1.0 else -math.inf
         self._log_3beta = math.log(3.0) + math.log(beta) if beta > 0.0 else -math.inf
         w_perfect, w_branch, w_rest = first_order_weights(DECODE_GATE_COUNT, beta)
@@ -219,11 +210,6 @@ class ChainState:
         faulty_phi = p_r * (kept * t_phi + spread) + (1.0 - p_r) * (16.0 - t_phi) / 63.0
         faulty_psi = p_r * (kept * t_psi + spread) + (1.0 - p_r) * (16.0 - t_psi) / 63.0
         return perfect, (faulty_phi, faulty_phi, faulty_psi, faulty_psi)
-
-    def bell_coeffs(self, r: int, p_r: float) -> BellDiagCoeffs:
-        """The validators' record of :meth:`mix` of the chain's two decodes after r >= 1
-        stations with chain success P_r: the Bell coefficients of ``decode.final_state``."""
-        return BellDiagCoeffs(*self.mix(*self.decode_coeffs(r, p_r)))
 
     def mix(self, perfect: tuple[float, ...], faulty: tuple[float, ...]) -> tuple[float, ...]:
         """The first-order mixture over the four decode CNOTs of the perfect decode,

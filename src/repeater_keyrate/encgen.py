@@ -26,6 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channels import concat_first_order_branches, depolarizing_gate_mat, source_state_mat
+from .closedform import _check_unit
 from .frames import _GHZ_TERMS, _ghz_prep_weights, frame_weights
 from .qstate import DensityOperator, PureState, _measure_correct_mat, ghz_state, ket
 
@@ -57,8 +58,7 @@ def ghz_prep(beta: float) -> DensityOperator:
     Closed form of the state obtained by applying noisy CNOT(0->1) and then
     CNOT(0->2) to (|0>+|1>)|00>/sqrt(2); equals :func:`ghz_prep_circuit`.
     """
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"beta must be in [0, 1], got {beta}")
+    _check_unit("beta", beta)
     mat = np.zeros((8, 8), dtype=complex)
     for weight, terms in zip(_ghz_prep_weights(beta), _GHZ_TERMS):
         for x, y in terms:

@@ -15,7 +15,7 @@ from collections import Counter
 from functools import lru_cache
 from itertools import combinations, product
 
-from .closedform import _DECODE_GATES, DECODE_GATE_COUNT, first_order_weights
+from .closedform import _DECODE_GATES, DECODE_GATE_COUNT, _check_unit, first_order_weights
 
 # A Pauli is an (x, z) pair of bit masks, qubit q of n at bit n - 1 - q as in
 # a basis index.  Up to a global phase, X^x Z^z sends |Phi6> to the GHZ basis
@@ -123,10 +123,8 @@ def frame_weights(beta, f0) -> tuple:
     weights, the first-order weights of the six teleported-CNOT gates and
     the source monomials F0^m ((1 - F0)/3)^(3 - m), plus p/64 for the
     gates' identity remainder p.  Exact for ``Fraction`` arguments."""
-    if not 0 <= beta <= 1:
-        raise ValueError(f"beta must be in [0, 1], got {beta}")
-    if not 0 <= f0 <= 1:
-        raise ValueError(f"F0 must be in [0, 1], got {f0}")
+    _check_unit("beta", beta)
+    _check_unit("F0", f0)
     *gates, p = first_order_weights(3 * len(_TELEPORT_GATES), beta)
     sources = [f0**m * ((1 - f0) / 3) ** (3 - m) for m in range(4)]
     weights = [g * v * s for g in _ghz_prep_weights(beta) for v in gates for s in sources]
@@ -183,6 +181,11 @@ def _admissible(labels) -> bool:
     return sum(label in _FLIP_LABELS for label in labels) <= 1
 
 
+def _admissible_combos() -> tuple[tuple[str, str, str], ...]:
+    """The 160 admissible label triples of the 6^3, in ``itertools.product`` order."""
+    return tuple(labels for labels in product(ERROR_PAIR_LABELS, repeat=3) if _admissible(labels))
+
+
 def _pauli_frame(paulis) -> int:
     """Frame of the Pauli string, as (Pauli, qubit) pairs, applied to |Phi6>."""
     x = z = 0
@@ -205,12 +208,11 @@ def _correctable_frames() -> tuple[tuple[tuple[str, str, str], int, int, bool], 
     32 phase trivial, means a register or labeling convention broke.
     """
     distinct = {}
-    for labels in product(ERROR_PAIR_LABELS, repeat=3):
-        if _admissible(labels):
-            left = _pauli_frame((label[0], 3 + k) for k, label in enumerate(labels))
-            right = _pauli_frame((label[1], k) for k, label in enumerate(labels))
-            trivial = sum(label in ("YY", "ZZ") for label in labels) % 2 == 0
-            distinct.setdefault((left, right), (labels, left, right, trivial))
+    for labels in _admissible_combos():
+        left = _pauli_frame((label[0], 3 + k) for k, label in enumerate(labels))
+        right = _pauli_frame((label[1], k) for k, label in enumerate(labels))
+        trivial = sum(label in ("YY", "ZZ") for label in labels) % 2 == 0
+        distinct.setdefault((left, right), (labels, left, right, trivial))
     states = tuple(distinct.values())
     if len(states) != 64 or sum(state[3] for state in states) != 32:
         raise RuntimeError("expected 64 distinct correctable states, 32 phase trivial; "

@@ -14,13 +14,12 @@ top-to-bottom map onto ascending qubit indices.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-
-from .closedform import BellDiagCoeffs
 
 HERMITICITY_TOL = 1e-10
 
@@ -244,6 +243,13 @@ def uhlmann_fidelity(rho: DensityOperator, sigma: DensityOperator) -> float:
     vals = np.clip(np.linalg.eigvalsh(inner), 0.0, None)
     f = float(np.sum(np.sqrt(vals)) ** 2)
     return min(f, 1.0) if f <= 1.0 + 1e-9 else f
+
+
+# Bell-basis diagonal (phi+, phi-, psi+, psi-) of a two-qubit state, plus the
+# off-diagonal residue; [:4] is the plain tuple the rate path uses.
+BellDiagCoeffs = namedtuple(
+    "BellDiagCoeffs", "phi_plus phi_minus psi_plus psi_minus remainder_norm", defaults=(0.0,)
+)
 
 
 def bell_diag_coeffs(rho: DensityOperator) -> BellDiagCoeffs:

@@ -47,7 +47,9 @@ from collections import namedtuple
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
-from .closedform import ChainState, _capped_success, chain_success_prob, swap_success_closed_form
+from .closedform import (
+    ChainState, _capped_success, _check_unit, chain_success_prob, swap_success_closed_form,
+)
 
 MEMORIES_PER_HALF_NODE = 6
 DEFAULT_ALPHA_DB_PER_KM = 0.17
@@ -68,6 +70,31 @@ class NoThresholdError(ValueError):
     """Raised when a threshold bracket contains no sign change."""
 
 
+def _check_nesting(nesting: int) -> None:
+    if nesting < 0 or nesting % 1 != 0:  # inf and NaN leave a NaN remainder
+        raise ValueError(f"nesting level must be an integer >= 0, got {nesting}")
+
+
+def check_link(distance_km: float, nesting: int, alpha_db_per_km: float,
+               speed_km_per_s: float, t0_mode: str) -> None:
+    """Reject a link that the rate pipeline cannot time: every check of
+    :class:`RepeaterParams` but beta and F0, in its order and with its messages."""
+    if not distance_km > 0:
+        raise ValueError(f"distance must be positive, got {distance_km}")
+    _check_nesting(nesting)
+    if not alpha_db_per_km > 0:
+        raise ValueError(f"alpha must be positive, got {alpha_db_per_km}")
+    if not speed_km_per_s > 0:
+        raise ValueError(f"signal speed must be positive, got {speed_km_per_s}")
+    if t0_mode not in ("physical", "normalized"):
+        raise ValueError(f"t0_mode must be 'physical' or 'normalized', got {t0_mode!r}")
+    l0 = distance_km / 2**nesting
+    t0 = _fundamental_time(l0, speed_km_per_s, t0_mode)
+    if t0 == 0.0 or math.isinf(1.0 / (2.0 * t0)):
+        raise ValueError(f"segment of {l0} km is too short to time: T0 = {t0} s "
+                         "leaves no finite rate 1/(2 T0)")
+
+
 class RepeaterParams(namedtuple("RepeaterParams", (
     "beta", "f0", "distance_km", "nesting", "alpha_db_per_km", "speed_km_per_s", "t0_mode",
 ), defaults=(DEFAULT_ALPHA_DB_PER_KM, DEFAULT_SPEED_KM_PER_S, "physical"))):
@@ -78,27 +105,9 @@ class RepeaterParams(namedtuple("RepeaterParams", (
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if not 0.0 <= self.beta <= 1.0:
-            raise ValueError(f"beta must be in [0, 1], got {self.beta}")
-        if not 0.0 <= self.f0 <= 1.0:
-            raise ValueError(f"F0 must be in [0, 1], got {self.f0}")
-        if not self.distance_km > 0:
-            raise ValueError(f"distance must be positive, got {self.distance_km}")
-        if self.nesting < 0 or self.nesting % 1 != 0:
-            raise ValueError(f"nesting level must be an integer >= 0, got {self.nesting}")
-        if not self.alpha_db_per_km > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha_db_per_km}")
-        if not self.speed_km_per_s > 0:
-            raise ValueError(f"signal speed must be positive, got {self.speed_km_per_s}")
-        if self.t0_mode not in ("physical", "normalized"):
-            raise ValueError(f"t0_mode must be 'physical' or 'normalized', got {self.t0_mode!r}")
-        l0 = self.distance_km / 2**self.nesting
-        t0 = _fundamental_time(l0, self.speed_km_per_s, self.t0_mode)
-        if t0 == 0.0 or math.isinf(1.0 / (2.0 * t0)):
-            raise ValueError(
-                f"segment of {l0} km is too short to time: T0 = {t0} s "
-                "leaves no finite rate 1/(2 T0)"
-            )
+        _check_unit("beta", self.beta)
+        _check_unit("F0", self.f0)
+        check_link(*self[2:])
         # an integral float level, say 2.0, is stored as the int it equals
         return self if type(self.nesting) is int else self._replace(nesting=int(self.nesting))
 
@@ -117,8 +126,8 @@ RateReport = namedtuple("RateReport", (
 
 
 def error_rates(coeffs: Sequence[float]) -> tuple[float, float, float]:
-    """QBER in the X, Y and Z bases of a Bell-diagonal pair (phi+, phi-, psi+, psi-),
-    a plain tuple or a :class:`~repeater_keyrate.closedform.BellDiagCoeffs`."""
+    """QBER in the X, Y and Z bases of a Bell-diagonal pair, read off the first
+    four entries (phi+, phi-, psi+, psi-) of ``coeffs``."""
     _, phi_minus, psi_plus, psi_minus = coeffs[:4]
     return phi_minus + psi_minus, phi_minus + psi_plus, psi_plus + psi_minus
 
@@ -192,9 +201,8 @@ _SERIES_STOP = 2.0**-70
 def _harmonic(n: int) -> float:
     if n <= _HARMONIC_SUM_MAX:
         return math.fsum(1.0 / j for j in range(1, n + 1))
-    return (
-        math.log(n) + _EULER_GAMMA + 1.0 / (2 * n) - 1.0 / (12 * n**2) + 1.0 / (120 * n**4)
-    )
+    # int true division, which rounds once and cannot overflow at n = 3 * 2^253
+    return math.log(n) + _EULER_GAMMA + 1 / (2 * n) - 1 / (12 * n**2) + 1 / (120 * n**4)
 
 
 def _tail_terms(num_pairs: int, x: float, ks: Iterable[int]) -> list[float]:
@@ -356,6 +364,7 @@ _shared_point = lru_cache(maxsize=1024)(_Point)
 def secret_fraction_for(beta: float, f0: float, nesting: int) -> float:
     """Unclamped six-state secret fraction of the decoded chain state,
     with the rate pipeline's per-station error compounding."""
+    _check_nesting(nesting)
     return _Point(beta, f0).decoded(2**nesting - 1)[2]
 
 
@@ -376,8 +385,8 @@ def _levels_by_bound(
     """(UB, N) for each distinct level of ``n_range``, highest UB first.
 
     The inputs are checked once per (L, levels, fiber), not per point (the
-    point checks beta and F0), by two :class:`RepeaterParams`: the nesting
-    sign fails first at the shallowest level, T0 is shortest (the only
+    point checks beta and F0), by :func:`check_link` at two levels: the
+    nesting sign fails first at the shallowest, T0 is shortest (the only
     level-dependent check) at the deepest, and the other checks are the same
     at every level.  UB bounds the level's K without Z or the fraction
     (README decision 18): r_inf <= 1 and Z >= max(1, 1/P0, H_n/x),
@@ -392,7 +401,7 @@ def _levels_by_bound(
         raise ValueError(f"nesting levels must be integers, got {sorted(levels)}")
     n_values = sorted(set(map(int, levels)))
     for n in (n_values[0], n_values[-1]):
-        RepeaterParams(0.0, 1.0, distance_km, n, alpha_db_per_km, speed_km_per_s, t0_mode)
+        check_link(distance_km, n, alpha_db_per_km, speed_km_per_s, t0_mode)
     bounds = []
     for n in n_values:
         l0 = distance_km / 2**n

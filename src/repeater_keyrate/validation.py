@@ -13,13 +13,15 @@ slow full-register equivalences (minutes, ~1 GB of scratch).
 from __future__ import annotations
 
 import itertools
+import operator
+import re
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import closedform, decode, encgen, encswap, rates
-from .frames import ERROR_PAIR_LABELS, _admissible
+from .frames import ERROR_PAIR_LABELS, _admissible_combos
 from .qstate import DensityOperator, bell_diag_coeffs, bell_state
 
 
@@ -34,12 +36,11 @@ class CheckResult:
 def counting_deviation() -> tuple[tuple[int, int, int, int], float]:
     """Error-pattern counts (raw, admissible, permuted, distinct) and the
     largest deviation of the correctable states' Gram matrix from 1."""
-    combos = list(itertools.product(ERROR_PAIR_LABELS, repeat=3))
-    admissible = sum(map(_admissible, combos))
+    admissible = len(_admissible_combos())
     left, right, _ = encswap.correctable_states()
     gram = (left.conj() @ left.T) * (right.conj() @ right.T)
     off = float(np.abs(gram - np.eye(len(left))).max())
-    return (len(combos), admissible, 6 * admissible, len(left)), off
+    return (len(ERROR_PAIR_LABELS) ** 3, admissible, 6 * admissible, len(left)), off
 
 
 def decoding_map_deviations() -> tuple[float, float, float, float]:
@@ -155,32 +156,37 @@ def measured_mixed_register_deviation() -> float:
     return float(np.abs(measured - np.eye(64) / 64.0).max())
 
 
-def _check(name: str, tolerance: str, observed: float | str, passed: bool) -> CheckResult:
-    if isinstance(observed, float):
-        observed = f"{observed:.6g}"
-    return CheckResult(name, tolerance, observed, bool(passed))
+# the test that each tolerance text names before its bound; "exact" compares the shown text
+_TESTS = {"<": operator.lt, "<=": operator.le, ">=": operator.ge, "within": operator.le}
+
+
+def _check(name: str, tolerance: str, observed, shown: str | None = None) -> CheckResult:
+    """``observed`` tested against the first "<test> <bound>" of ``tolerance``, so the
+    bound printed is the bound enforced; ``shown`` (default: ``observed``, a float
+    to 6 digits) is what is printed."""
+    test, bound = re.search(r"(<=|<|>=|within|exact) (\S+)", tolerance).groups()
+    if shown is None:
+        shown = f"{observed:.6g}" if isinstance(observed, float) else observed
+    passed = shown == bound if test == "exact" else _TESTS[test](observed, float(bound))
+    return CheckResult(name, tolerance, shown, bool(passed))
 
 
 def _counting_checks() -> list[CheckResult]:
     counts, off = counting_deviation()
     return [
-        _check(
-            "error-pattern counts (raw/admissible/permuted/distinct)",
-            "exact 216/160/960/64",
-            "/".join(str(c) for c in counts),
-            counts == (216, 160, 960, 64),
-        ),
-        _check("correctable-state orthogonality", "max off-diagonal < 1e-9", off, off < 1e-9),
+        _check("error-pattern counts (raw/admissible/permuted/distinct)", "exact 216/160/960/64",
+               "/".join(str(c) for c in counts)),
+        _check("correctable-state orthogonality", "max off-diagonal < 1e-9", off),
     ]
 
 
 def _decode_property_checks() -> list[CheckResult]:
     dev1, dev2, dev3, dev4 = decoding_map_deviations()
     return [
-        _check("decoding of ideal encoded pair", "<= 1e-12", dev1, dev1 <= 1e-12),
-        _check("decoding of computational dephasing", "<= 1e-12", dev2, dev2 <= 1e-12),
-        _check("decoding of maximally mixed state", "<= 1e-12", dev3, dev3 <= 1e-12),
-        _check("one-faulty decode fixed point", "<= 1e-10", dev4, dev4 <= 1e-10),
+        _check("decoding of ideal encoded pair", "<= 1e-12", dev1),
+        _check("decoding of computational dephasing", "<= 1e-12", dev2),
+        _check("decoding of maximally mixed state", "<= 1e-12", dev3),
+        _check("one-faulty decode fixed point", "<= 1e-10", dev4),
     ]
 
 
@@ -189,64 +195,49 @@ def _closed_form_checks() -> list[CheckResult]:
     dev_dec = perfect_decode_deviation((0.0, 0.005, 0.01), (0.95, 0.99, 1.0), (1, 3))
     dev_ps = swap_closed_form_deviation((0.0, 0.005, 0.01, 0.05), (0.9, 0.95, 0.99, 1.0))
     return [
-        _check("GHZ preparation closed form vs circuit", "<= 1e-12", dev_ghz, dev_ghz <= 1e-12),
-        _check("perfect-decode closed form vs circuit", "<= 1e-10", dev_dec, dev_dec <= 1e-10),
-        _check("closed-form p_s vs dense pair", "<= 1e-13 relative", dev_ps, dev_ps <= 1e-13),
+        _check("GHZ preparation closed form vs circuit", "<= 1e-12", dev_ghz),
+        _check("perfect-decode closed form vs circuit", "<= 1e-10", dev_dec),
+        _check("closed-form p_s vs dense pair", "<= 1e-13 relative", dev_ps),
     ]
 
 
 def _waiting_time_checks(seed: int, trials: int) -> list[CheckResult]:
     exact_2 = rates.z_n(2, 0.5)
     dev = abs(exact_2 - (4.0 - 4.0 / 3.0))
-    out = [_check("z_n(2, 0.5) closed value", "<= 1e-12", dev, dev <= 1e-12)]
+    out = [_check("z_n(2, 0.5) closed value", "<= 1e-12", dev)]
     for num_pairs, p0 in ((3, 0.37), (6, 0.37), (12, 0.2)):
         sigmas = monte_carlo_z(num_pairs, p0, trials, np.random.default_rng(seed))
-        out.append(
-            _check(
-                f"z_n({num_pairs}, {p0}) vs Monte Carlo ({trials} trials, seed {seed})",
-                "within 3 standard errors",
-                f"{sigmas:.2f} sigma",
-                sigmas <= 3.0,
-            )
-        )
+        out.append(_check(f"z_n({num_pairs}, {p0}) vs Monte Carlo ({trials} trials, seed {seed})",
+                          "within 3 standard errors", sigmas, f"{sigmas:.2f} sigma"))
     return out
 
 
 def _fidelity_checks() -> list[CheckResult]:
     worst = first_order_fidelity((1e-3, 5e-3, 1e-2), (0.98, 0.99, 1.0))
-    return [
-        _check(
-            "first-order vs exact-noise decode (Uhlmann, r=1 grid)",
-            ">= 0.99",
-            worst,
-            worst >= 0.99,
-        )
-    ]
+    return [_check("first-order vs exact-noise decode (Uhlmann, r=1 grid)", ">= 0.99", worst)]
 
 
 def _pipeline_sanity_checks() -> list[CheckResult]:
     p_s = encswap.swap_success_prob(encgen.encoded_pair(0.0, 1.0))
     rf = rates.secret_fraction_for(0.0, 1.0, 1)
     out = [
-        _check("ideal swap success", "|p_s - 1| <= 1e-12", abs(p_s - 1.0), abs(p_s - 1.0) <= 1e-12),
-        _check("ideal secret fraction", "|r_inf - 1| <= 1e-12", abs(rf - 1.0), abs(rf - 1.0) <= 1e-12),
+        _check("ideal swap success", "|p_s - 1| <= 1e-12", abs(p_s - 1.0)),
+        _check("ideal secret fraction", "|r_inf - 1| <= 1e-12", abs(rf - 1.0)),
     ]
-    worst_trace, worst_eig, worst_offbell = 0.0, 0.0, 0.0
+    worst_trace, lowest_eig, worst_offbell = 0.0, 0.0, 0.0
     for beta, f0, n in ((0.005, 0.98, 1), (0.01, 0.99, 3), (0.008, 0.98, 7)):
         pair = encgen.encoded_pair(beta, f0)
         fin = decode.final_state(beta, f0, n)
         for op in (pair, fin):
             worst_trace = max(worst_trace, abs(float(np.trace(op.matrix).real) - 1.0))
-            worst_eig = max(worst_eig, max(0.0, -float(np.linalg.eigvalsh(op.matrix)[0])))
+            lowest_eig = min(lowest_eig, float(np.linalg.eigvalsh(op.matrix)[0]))
         worst_offbell = max(worst_offbell, bell_diag_coeffs(fin).remainder_norm)
-    out.extend(
-        [
-            _check("pipeline trace preservation", "<= 1e-10", worst_trace, worst_trace <= 1e-10),
-            _check("pipeline positivity", "min eig >= -1e-9", worst_eig, worst_eig <= 1e-9),
-            _check("final state Bell diagonal", "<= 1e-10", worst_offbell, worst_offbell <= 1e-10),
-        ]
-    )
-    return out
+    return out + [
+        _check("pipeline trace preservation", "<= 1e-10", worst_trace),
+        # printed as the size of the most negative eigenvalue, 0 if none is
+        _check("pipeline positivity", "min eig >= -1e-9", lowest_eig, f"{abs(lowest_eig):.6g}"),
+        _check("final state Bell diagonal", "<= 1e-10", worst_offbell),
+    ]
 
 
 def _full_register_checks() -> list[CheckResult]:
@@ -254,16 +245,9 @@ def _full_register_checks() -> list[CheckResult]:
     dev_ps = swap_register_deviation(0.01, 0.99)
     dev_mix = measured_mixed_register_deviation()
     return [
-        _check(
-            "encoded pair: Pauli frames vs full-register simulation",
-            "<= 1e-12",
-            dev,
-            dev <= 1e-12,
-        ),
-        _check("swap success: factorized vs 4096-dim overlap", "<= 1e-10", dev_ps, dev_ps <= 1e-10),
-        _check(
-            "measured maximally mixed register", "== 1/64 within 1e-14", dev_mix, dev_mix <= 1e-14
-        ),
+        _check("encoded pair: Pauli frames vs full-register simulation", "<= 1e-12", dev),
+        _check("swap success: factorized vs 4096-dim overlap", "<= 1e-10", dev_ps),
+        _check("measured maximally mixed register", "== 1/64 within 1e-14", dev_mix),
     ]
 
 

@@ -458,6 +458,20 @@ class TestValidate:
         assert code == 2
         assert err.startswith("error:") and argv[-2] in err
 
+    @pytest.mark.parametrize("tolerance, observed, passed", [
+        ("<= 1e-12", 1e-12, True), ("<= 1e-12", 2e-12, False),
+        ("max off-diagonal < 1e-9", 1e-9, False), ("<= 1e-13 relative", 1e-13, True),
+        ("|p_s - 1| <= 1e-12", 1.1e-12, False), (">= 0.99", 0.989, False),
+        ("min eig >= -1e-9", -1e-9, True), ("min eig >= -1e-9", -2e-9, False),
+        ("within 3 standard errors", 3.01, False), ("== 1/64 within 1e-14", 1e-14, True),
+        ("exact 216/160/960/64", "216/160/960/64", True), ("exact 216/160/960/64", "216/160", False),
+    ])
+    def test_each_check_enforces_the_bound_it_prints(self, tolerance, observed, passed):
+        from repeater_keyrate.validation import _check
+
+        result = _check("check", tolerance, observed)
+        assert (result.tolerance, result.passed) == (tolerance, passed)
+
 
 class TestConfig:
     def test_config_file_supplies_values(self, capsys, tmp_path):

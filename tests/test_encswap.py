@@ -81,6 +81,8 @@ class TestEnumeration:
         assert len(admissible) == 160
         assert 6 * len(admissible) == 960
         assert len(set(admissible)) == 160
+        # the one enumeration that the frame core, enumerate-errors and validate read
+        assert frames._admissible_combos() == tuple(admissible)
 
     def test_double_flip_combo_excluded(self):
         combo = ("IX", "IX", "II")

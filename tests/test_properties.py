@@ -197,7 +197,7 @@ def test_keyless_gate_is_sound(beta, f0, nesting):
     p_r = chain_success_prob(point.p_s, r)
     if p_r < KEYLESS_P_R:
         perfect, faulty = point.chain.decode_coeffs(r, p_r)
-        assert max(*perfect, *faulty, *point.chain.bell_coeffs(r, p_r).as_tuple()) <= 0.5
+        assert max(*perfect, *faulty, *point.chain.mix(perfect, faulty)) <= 0.5
         assert point.decoded(r)[2] <= 0.0
 
 
@@ -213,7 +213,7 @@ unit = st.floats(0.0, 1.0)
 @example(1.0, 0.0, 1)
 def test_lean_level_path_equals_the_reference_path(beta, f0, nesting):
     # the scan's gate and plain-tuple decode against chain_success_prob and a
-    # fresh ChainState's record, bit for bit
+    # fresh ChainState's mixture, bit for bit
     point, r = _Point(beta, f0), 2**nesting - 1
     _, decoded = point.level(100.0, nesting, (0.17, 2e5, "physical"))
     if nesting == 0:
@@ -221,7 +221,8 @@ def test_lean_level_path_equals_the_reference_path(beta, f0, nesting):
         assert decoded is not None and decoded == point.decoded(0)
     else:
         p_r = chain_success_prob(point.p_s, r)
-        expected = error_rates(ChainState(beta).bell_coeffs(r, p_r))
+        chain = ChainState(beta)
+        expected = error_rates(chain.mix(*chain.decode_coeffs(r, p_r)))
         assert point._capped_p_s**r == p_r
         assert (decoded is None) == (p_r < KEYLESS_P_R)
         assert decoded is None or decoded[0] == p_r

@@ -237,17 +237,17 @@ class TestUhlmannFidelity:
 class TestBellDiagCoeffs:
     def test_phi_plus(self):
         c = bell_diag_coeffs(bell_state("phi+").projector())
-        assert c.as_tuple() == pytest.approx((1, 0, 0, 0), abs=1e-12)
+        assert c[:4] == pytest.approx((1, 0, 0, 0), abs=1e-12)
         assert c.remainder_norm < 1e-12
 
     def test_maximally_mixed(self):
         c = bell_diag_coeffs(DensityOperator(np.eye(4) / 4))
-        assert c.as_tuple() == pytest.approx((0.25,) * 4, abs=1e-12)
+        assert c[:4] == pytest.approx((0.25,) * 4, abs=1e-12)
 
     def test_computational_dephasing(self):
         mat = 0.5 * np.diag([1.0, 0.0, 0.0, 1.0]).astype(complex)
         c = bell_diag_coeffs(DensityOperator(mat))
-        assert c.as_tuple() == pytest.approx((0.5, 0.5, 0.0, 0.0), abs=1e-12)
+        assert c[:4] == pytest.approx((0.5, 0.5, 0.0, 0.0), abs=1e-12)
         assert c.remainder_norm < 1e-12
 
     def test_remainder_detects_non_bell_diagonal(self):

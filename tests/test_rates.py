@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 from scipy.optimize import bisect
 
-from repeater_keyrate import closedform, rates
-from repeater_keyrate.closedform import BellDiagCoeffs
+from repeater_keyrate import channels, cli, closedform, encgen, frames, rates
+from repeater_keyrate.qstate import BellDiagCoeffs
 from repeater_keyrate.validation import monte_carlo_z
 from repeater_keyrate.rates import (
     CostReport,
     NoThresholdError,
     RepeaterParams,
+    check_link,
     cost_coefficient,
     error_rates,
     key_rate,
@@ -628,7 +629,99 @@ def test_non_finite_counts_raise_value_error(entry, value):
         COUNT_CHECKS[entry](value)
 
 
+# every entry point that checks beta or F0, as f(beta, F0), and the inputs it checks
+UNIT_CHECKS = {
+    "RepeaterParams": (lambda b, f: RepeaterParams(b, f, 100.0, 2), ("beta", "F0")),
+    "swap_success_closed_form": (closedform.swap_success_closed_form, ("beta", "F0")),
+    "ChainState": (lambda b, f: closedform.ChainState(b), ("beta",)),
+    "frame_weights": (frames.frame_weights, ("beta", "F0")),
+    "ghz_prep": (lambda b, f: encgen.ghz_prep(b), ("beta",)),
+    "depolarizing_gate_mat": (
+        lambda b, f: channels.depolarizing_gate_mat(np.eye(4) / 4, (0, 1), b), ("beta",)),
+    "concat_first_order_branches": (
+        lambda b, f: channels.concat_first_order_branches(np.eye(4) / 4, ((0, 1),), b), ("beta",)),
+    "optimize_over_stations": (lambda b, f: optimize_over_stations(100.0, b, f), ("beta", "F0")),
+    "cost_coefficient": (lambda b, f: cost_coefficient(100.0, b, f), ("beta", "F0")),
+    "secret_fraction_for": (lambda b, f: secret_fraction_for(b, f, 2), ("beta", "F0")),
+}
+
+
+@pytest.mark.parametrize("value", [-0.1, 1.1, math.nan])
+@pytest.mark.parametrize("entry, name", [
+    (entry, name) for entry, (_, names) in sorted(UNIT_CHECKS.items()) for name in names
+])
+def test_one_unit_range_message(entry, name, value):
+    check, _ = UNIT_CHECKS[entry]
+    point = {"beta": 0.01, "F0": 0.99, name: value}
+    with pytest.raises(ValueError) as caught:
+        check(point["beta"], point["F0"])
+    assert str(caught.value) == f"{name} must be in [0, 1], got {value}"
+
+
+# (distance, nesting, alpha, speed, T0 mode) of links that cannot be timed
+BAD_LINKS = [
+    (-5.0, 1, 0.17, 2e5, "physical"),
+    (math.nan, 1, 0.17, 2e5, "physical"),
+    (600.0, -1, 0.17, 2e5, "physical"),
+    (600.0, 1, 0.0, 2e5, "physical"),
+    (600.0, 1, 0.17, math.nan, "normalized"),
+    (600.0, 1, 0.17, 2e5, "bogus"),
+    (1e-300, 20, 0.17, 2e5, "physical"),
+    (1e-320, 1, 0.17, 2e5, "physical"),
+]
+
+
+@pytest.mark.parametrize("link", BAD_LINKS, ids=[f"link{i}" for i in range(len(BAD_LINKS))])
+def test_one_link_check(capsys, link):
+    distance, nesting, *fiber = link
+    keywords = dict(zip(("alpha_db_per_km", "speed_km_per_s", "t0_mode"), fiber))
+    with pytest.raises(ValueError) as caught:
+        check_link(*link)
+    text = str(caught.value)
+    for build in (
+        lambda: RepeaterParams(0.01, 0.99, *link),
+        lambda: optimize_over_stations(distance, 0.01, 0.99, [nesting], **keywords),
+        lambda: cost_coefficient(distance, 0.01, 0.99, n_range=[nesting], **keywords),
+    ):
+        with pytest.raises(ValueError) as caught:
+            build()
+        assert str(caught.value) == text
+    if "too short" in text:  # the one check whose links the CLI's flag types let through
+        argv = ["keyrate", "--distance", repr(distance), "--nesting", str(nesting),
+                "--fidelity", "0.99", "--gate-quality", "0.99"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: --distance {distance:.10g}: {text}\n"
+
+
+@pytest.mark.parametrize("deep, expected", [
+    (lambda: optimize_over_stations(2000.0, 0.01, 0.99, n_range=[253]),
+     lambda: (253, key_rate(RepeaterParams(0.01, 0.99, 2000.0, 253)))),
+    (lambda: cost_coefficient(2000.0, 0.01, 0.99, n_range=range(1, 300)),
+     lambda: cost_coefficient(2000.0, 0.01, 0.99, n_range=range(1, 253))),
+], ids=["optimize_over_stations", "cost_coefficient"])
+def test_scan_answers_where_key_rate_does(deep, expected):
+    # n^4 of n = 3 * 2^253 pairs overflowed a float in H_n's series; the levels
+    # from 253 on are keyless, so the scan gives what key_rate or the levels above give
+    assert deep() == expected()
+
+
+def test_harmonic_series_keeps_every_bit():
+    for nesting in range(253):
+        n = 3 * 2**nesting
+        if n > rates._HARMONIC_SUM_MAX:
+            old = (math.log(n) + rates._EULER_GAMMA
+                   + 1.0 / (2 * n) - 1.0 / (12 * n**2) + 1.0 / (120 * n**4))
+            assert rates._harmonic(n) == old
+
+
 class TestSecretFractionFor:
+    @pytest.mark.parametrize("nesting", [-1, 1.5, math.inf, math.nan])
+    def test_rejects_a_nesting_level_by_its_own_name(self, nesting):
+        # not by the station count 2^N - 1 derived from it
+        with pytest.raises(ValueError) as caught:
+            secret_fraction_for(0.01, 0.99, nesting)
+        assert str(caught.value) == f"nesting level must be an integer >= 0, got {nesting}"
+
     def test_matches_key_rate_fraction(self):
         report = key_rate(RepeaterParams(beta=0.004, f0=0.99, distance_km=200.0, nesting=2))
         assert secret_fraction_for(0.004, 0.99, 2) == pytest.approx(report.secret_fraction)
