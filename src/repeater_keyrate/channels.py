@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .closedform import _check_unit, first_order_weights
-from .qstate import _apply_cnot_mat, _depolarize_mat, bell_state
+from .qstate import _apply_cnot_mat, _depolarize_mat, frame_state
 
 
 def _faulty_gate_mat(rho: np.ndarray, gate: tuple[int, int]) -> np.ndarray:
@@ -84,5 +84,4 @@ def concat_first_order_branches(
 
 def source_state_mat(f0: float) -> np.ndarray:
     """Bell pair depolarized by the source: fidelity f0 to phi+, isotropic rest."""
-    proj = bell_state("phi+").projector().matrix
-    return f0 * proj + (1.0 - f0) / 3.0 * (np.eye(4, dtype=complex) - proj)
+    return frame_state([f0] + [(1.0 - f0) / 3.0] * 3)

@@ -9,7 +9,9 @@ decoded pipeline states (:class:`~repeater_keyrate.closedform.ChainState`)
 live in :mod:`repeater_keyrate.closedform`; the explicit circuits here
 validate them.  With no swap (r = 0) the decoded coefficients come from
 the encoded pair's Pauli frames and the frame-to-Bell decode tables
-(:func:`~repeater_keyrate.frames.pair_decode_coeffs`).
+(:func:`~repeater_keyrate.frames.pair_decode_coeffs`).  Each decoded pair
+is the :func:`~repeater_keyrate.qstate.frame_state` of its Bell
+coefficients (phi+, phi-, psi+, psi-).
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .qstate import (
     _apply_cnot_mat,
     _apply_pauli_mat,
     _measured_blocks,
+    frame_state,
     uhlmann_fidelity,
 )
 
@@ -79,20 +82,10 @@ def decode_exact_noise_mat(mat: np.ndarray, beta: float) -> np.ndarray:
     return _decode_measurements(mat)
 
 
-# sqrt(2) times the Bell states phi+, phi-, psi+, psi-
-_BELL_SIGNS = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]])
-
-
-def _bell_diagonal_mat(coeffs) -> np.ndarray:
-    """sum_k coeffs[k] |B_k><B_k| over (phi+, phi-, psi+, psi-); exact for
-    dyadic coefficients (no rounded 1/sqrt(2) factors)."""
-    return np.einsum("ki,k,kj->ij", _BELL_SIGNS, coeffs, _BELL_SIGNS) / 2.0
-
-
 def rho_tilde_prime() -> DensityOperator:
     """Two-qubit state produced by one-faulty decoding of either the ideal
     encoded pair or its computational-basis dephasing; a fixed mixture."""
-    return DensityOperator(_bell_diagonal_mat(_TILDE_BELL))
+    return DensityOperator(frame_state(_TILDE_BELL))
 
 
 def decode_perfect(beta: float, f0: float, r: int) -> DensityOperator:
@@ -101,9 +94,9 @@ def decode_perfect(beta: float, f0: float, r: int) -> DensityOperator:
     frame by frame (:func:`pair_decode_coeffs`).
     """
     if r == 0:
-        return DensityOperator(_bell_diagonal_mat(pair_decode_coeffs(beta, f0)[0]))
+        return DensityOperator(frame_state(pair_decode_coeffs(beta, f0)[0]))
     p_r = chain_success_prob(swap_success_closed_form(beta, f0), r)
-    return DensityOperator(_bell_diagonal_mat(ChainState(beta).decode_coeffs(r, p_r)[0]))
+    return DensityOperator(frame_state(ChainState(beta).decode_coeffs(r, p_r)[0]))
 
 
 def final_state(beta: float, f0: float, r: int) -> DensityOperator:
@@ -121,7 +114,7 @@ def final_state(beta: float, f0: float, r: int) -> DensityOperator:
     else:
         p_r = chain_success_prob(swap_success_closed_form(beta, f0), r)
         perfect, faulty = chain.decode_coeffs(r, p_r)
-    return DensityOperator(_bell_diagonal_mat(chain.mix(perfect, faulty)))
+    return DensityOperator(frame_state(chain.mix(perfect, faulty)))
 
 
 def validate_first_order_vs_exact(beta: float, f0: float, r: int) -> float:

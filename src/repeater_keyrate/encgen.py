@@ -5,10 +5,11 @@ holds |000>, and three teleportation-based CNOTs (each consuming one
 distributed Bell pair, two local CNOTs, two measurements and conditional
 Paulis) fan the entanglement across.  Gate noise on the six physical CNOTs
 is treated to first order; measurement corrections are error free and are
-applied branch by branch before averaging.  :func:`encoded_pair` builds the
-pair from its 64 Pauli-frame weights
-(:func:`~repeater_keyrate.frames.frame_weights`);
-:func:`encoded_pair_direct` simulates the 12-qubit register and validates it.
+applied branch by branch before averaging.  :func:`encoded_pair` is the
+:func:`~repeater_keyrate.qstate.frame_state` of the pair's 64 Pauli-frame
+weights (:func:`~repeater_keyrate.frames.frame_weights`); the ideal pair
+(|000000> + |111111>)/sqrt(2) is frame 0.  :func:`encoded_pair_direct`
+simulates the 12-qubit register and validates it.
 
 Register layout (0-based, 12 qubits during generation):
   0-2   code qubits at the left station (GHZ register)
@@ -28,7 +29,7 @@ import numpy as np
 from .channels import concat_first_order_branches, depolarizing_gate_mat, source_state_mat
 from .closedform import _check_unit
 from .frames import _GHZ_TERMS, _ghz_prep_weights, frame_weights
-from .qstate import DensityOperator, PureState, _measure_correct_mat, ghz_state, ket
+from .qstate import DensityOperator, _measure_correct_mat, frame_state
 
 # The three teleported CNOTs in execution order.  Teleported CNOT k
 # entangles code qubit k into code qubit 3+k through Bell pair (6+2k, 7+2k):
@@ -41,11 +42,6 @@ ENCODING_GATES = tuple(gate for k in range(3) for gate in ((k, 6 + 2 * k), (7 + 
 ENCODING_MEASUREMENTS = tuple(
     rule for k in range(3) for rule in ((6 + 2 * k, "z", ("x", 3 + k)), (7 + 2 * k, "x", ("z", k)))
 )
-
-
-def encoded_bell_state() -> PureState:
-    """(|000000> + |111111>)/sqrt(2), the ideal encoded pair."""
-    return ghz_state(6)
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +65,7 @@ def ghz_prep(beta: float) -> DensityOperator:
 def ghz_prep_circuit(beta: float) -> DensityOperator:
     """Same state by explicit simulation of the two faulty CNOTs."""
     plus = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
-    vec = np.kron(plus, ket("00").vector)
+    vec = np.kron(plus, np.eye(4)[0])
     rho = np.outer(vec, vec.conj())
     rho = depolarizing_gate_mat(rho, (0, 1), beta)
     rho = depolarizing_gate_mat(rho, (0, 2), beta)
@@ -91,19 +87,10 @@ def _apply_measurement_rules(mat: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=512)
 def encoded_pair(beta: float, f0: float) -> DensityOperator:
-    """Noisy encoded Bell pair on six qubits, from its 64 Pauli-frame weights.
-
-    The pair is diagonal in the GHZ basis |x, +-> = (|x> +- |63 - x>)/sqrt(2)
-    (README decision 20): the frame weights w+ and w- of x give (w+ + w-)/2
-    on |x><x| and |63-x><63-x| and (w+ - w-)/2 on |x><63-x| and |63-x><x|.
-    Tests compare it with :func:`encoded_pair_direct`.
+    """Noisy encoded Bell pair on six qubits, the :func:`frame_state` of its
+    64 Pauli-frame weights.  Tests compare it with :func:`encoded_pair_direct`.
     """
-    plus, minus = np.array(frame_weights(beta, f0)).reshape(32, 2).T
-    x = np.arange(32)
-    mat = np.zeros((64, 64))
-    mat[x, x] = mat[63 - x, 63 - x] = (plus + minus) / 2.0
-    mat[x, 63 - x] = mat[63 - x, x] = (plus - minus) / 2.0
-    return DensityOperator(mat)
+    return DensityOperator(frame_state(frame_weights(beta, f0)))
 
 
 def encoded_pair_direct(beta: float, f0: float) -> DensityOperator:
@@ -114,8 +101,8 @@ def encoded_pair_direct(beta: float, f0: float) -> DensityOperator:
     and corrected explicitly.  Slow; used to validate the frames.
     """
     src = source_state_mat(f0)
-    zero3 = ket("000").vector
-    rho = np.kron(ghz_prep(beta).matrix, np.outer(zero3, zero3.conj()))
+    zero3 = np.eye(8)[0]
+    rho = np.kron(ghz_prep(beta).matrix, np.outer(zero3, zero3))
     for _ in range(3):
         rho = np.kron(rho, src)
     branches = concat_first_order_branches(rho, ENCODING_GATES, beta)

@@ -12,7 +12,10 @@ and 3-5 at its right station.  Bell-measurement CNOT k uses the left
 pair's qubit 3+k as control and the right pair's qubit k as target.
 
 Each correctable state is one GHZ frame on each pair, so p_s sums
-w_left w_right over 64 frame pairs (:mod:`repeater_keyrate.frames`).  The
+w_left w_right over 64 frame pairs (:mod:`repeater_keyrate.frames`), each
+weight read off the dense pair by
+:func:`~repeater_keyrate.qstate.frame_weights_of`; the swapped states are
+the :func:`~repeater_keyrate.qstate.frame_state` of their weights.  The
 closed forms the rate path uses (:func:`swap_success_closed_form`,
 :func:`chain_success_prob`, :meth:`ChainState.weights`) live in
 :mod:`repeater_keyrate.closedform`; this module holds the dense states that
@@ -26,9 +29,8 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .closedform import ChainState, _check_stations, chain_success_prob, swap_success_closed_form
-from .encgen import encoded_bell_state
 from .frames import _correctable_frames
-from .qstate import DensityOperator
+from .qstate import DensityOperator, frame_state, frame_weights_of
 
 _PAULIS = {
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -39,12 +41,16 @@ _PAULIS = {
 
 def _pauli_image(paulis) -> np.ndarray:
     """The Pauli string, as (Pauli, qubit) pairs, applied to the encoded Bell
-    state as a dense 64-dim vector, global phase included."""
+    state (|000000> + |111111>)/sqrt(2) as a dense 64-dim vector, global
+    phase included.  The vector is written out here, not taken from the
+    frames, so the Gram check stays an independent reference."""
     factors = [np.eye(2)] * 6
     for pauli, qubit in paulis:
         if pauli != "I":
             factors[qubit] = _PAULIS[pauli]
-    return reduce(np.kron, factors) @ encoded_bell_state().vector
+    ideal = np.zeros(64, dtype=complex)
+    ideal[0] = ideal[63] = 1.0 / np.sqrt(2)
+    return reduce(np.kron, factors) @ ideal
 
 
 @lru_cache(maxsize=1)
@@ -65,56 +71,44 @@ def correctable_states() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.array(left), np.array(right), np.array(phase_trivial)
 
 
-def _frame_expectations(mat: np.ndarray) -> np.ndarray:
-    """<x, +-|rho|x, +-> of the 64 frames, frame 2x + (sign < 0), each read
-    off three entries as (rho_xx + rho_yy +- 2 Re rho_xy)/2 with y = 63 - x:
-    no rounded 1/sqrt(2) factors, so the ideal pair gives exactly 1."""
-    x = np.arange(32)
-    diag = mat[x, x].real + mat[63 - x, 63 - x].real
-    coherence = 2.0 * mat[x, 63 - x].real
-    return np.column_stack(((diag + coherence) / 2.0, (diag - coherence) / 2.0)).reshape(64)
-
-
 def swap_success_prob(rho_enc: DensityOperator, *, phase_trivial_only: bool = False) -> float:
     """Probability that the joint error pattern of two encoded pairs is
     classically correctable at the swap station.
 
     Each correctable state is one GHZ frame on each pair, so its expectation
     against rho_enc (x) rho_enc is a product of two frame expectations of
-    rho_enc (:func:`_frame_expectations`).  With ``phase_trivial_only``
-    the sum is restricted to the 32 states carrying no net phase flip; the
-    threshold searches use that restriction (see the chain accounting note
-    in :mod:`repeater_keyrate.rates`).  The rate path uses
+    rho_enc (:func:`~repeater_keyrate.qstate.frame_weights_of`).  With
+    ``phase_trivial_only`` the sum is restricted to the 32 states carrying
+    no net phase flip; the threshold searches use that restriction (see the
+    chain accounting note in :mod:`repeater_keyrate.rates`).  The rate path uses
     :func:`swap_success_closed_form`, which this validates.
     """
     if rho_enc.dim != 64:
         raise ValueError("swap_success_prob needs a 64-dim encoded pair")
     _, left, right, phase_trivial = zip(*_correctable_frames())
-    frames = _frame_expectations(rho_enc.matrix)
+    frames = frame_weights_of(rho_enc.matrix)
     products = frames[list(left)] * frames[list(right)]
     return float(np.sum(products[np.array(phase_trivial)] if phase_trivial_only else products))
 
 
-def _ideal_projector() -> np.ndarray:
-    return encoded_bell_state().projector().matrix
+def _rho_s_weights(beta: float, r: int) -> np.ndarray:
+    """Frame weights of :func:`rho_s`: the ideal pair (frame 0), the
+    dephasing D = (frames 0 + 1)/2 and I/64."""
+    _check_stations(r)
+    w_ideal, w_deph, q_r = ChainState(beta).weights(r)
+    weights = np.full(64, q_r / 64.0)
+    weights[:2] += (w_ideal + w_deph / 2.0, w_deph / 2.0)
+    return weights
 
 
 def rho_s(beta: float, r: int) -> DensityOperator:
     """Swapped state conditioned on correctable errors, r stations deep."""
-    _check_stations(r)
-    w_ideal, w_deph, q_r = ChainState(beta).weights(r)
-    proj = _ideal_projector()
-    deph = np.zeros((64, 64), dtype=complex)
-    deph[0, 0] = deph[63, 63] = 0.5
-    return DensityOperator(
-        w_ideal * proj + w_deph * deph + q_r * np.eye(64, dtype=complex) / 64.0
-    )
+    return DensityOperator(frame_state(_rho_s_weights(beta, r)))
 
 
 def swapped_state_nonideal(beta: float, f0: float, r: int) -> DensityOperator:
     """State after r swaps with noisy Bell-measurement CNOTs, with p_s in
-    closed form."""
+    closed form: rho_s with weight P_r, else uniform off the ideal pair."""
     p_r = chain_success_prob(swap_success_closed_form(beta, f0), r)
-    proj = _ideal_projector()
-    comp = (np.eye(64, dtype=complex) - proj) / 63.0
-    return DensityOperator(p_r * rho_s(beta, r).matrix + (1.0 - p_r) * comp)
+    failed = np.append(0.0, np.full(63, 1.0 / 63.0))
+    return DensityOperator(frame_state(p_r * _rho_s_weights(beta, r) + (1.0 - p_r) * failed))

@@ -1,10 +1,13 @@
 """Dense multi-qubit density-operator arithmetic.
 
 Everything downstream (noise channels, encoding, swapping, decoding) is
-built on the exact operations in this module.  Every register operation is
-one of four kernels on the (a, 2, b, a, 2, b) view of the matrix: a CNOT,
-an X or Z Pauli, a depolarized qubit and the measured blocks of a qubit.
-Gates are (control, target) tuples, as in :mod:`repeater_keyrate.frames`.
+built on the exact operations in this module.  Every state of the model is
+Pauli diagonal, so each is built from its GHZ-frame weights by
+:func:`frame_state` and read back by :func:`frame_weights_of`.  Every
+register operation is one of four kernels on the (a, 2, b, a, 2, b) view
+of the matrix: a CNOT, an X or Z Pauli, a depolarized qubit and the
+measured blocks of a qubit.  Gates are (control, target) tuples, as in
+:mod:`repeater_keyrate.frames`.
 
 Convention used throughout the package: qubits are indexed from 0 and
 qubit 0 is the most significant bit of the computational basis index,
@@ -17,7 +20,6 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -62,69 +64,38 @@ class DensityOperator:
         return self.matrix.shape[0]
 
 
-
-@dataclass(frozen=True)
-class PureState:
-    """Unit-norm state vector."""
-
-    vector: np.ndarray
-
-    def __post_init__(self):
-        vec = np.asarray(self.vector, dtype=complex).reshape(-1)
-        object.__setattr__(self, "vector", vec)
-        _num_qubits(vec.shape[0])
-        if __debug__:
-            assert abs(np.linalg.norm(vec) - 1.0) < 1e-12, "state vector not normalized"
-
-    def projector(self) -> DensityOperator:
-        """|psi><psi|, built as |u><u| / <u|u> with u = psi / max_i |psi_i|.
-
-        The rescaling changes nothing mathematically, but it makes the
-        projector exact for states whose nonzero amplitudes share one
-        magnitude (Bell and GHZ states give entries of exactly +-1/2 rather
-        than the rounded square of 1/sqrt(2)).
-        """
-        u = self.vector / np.abs(self.vector).max()
-        return DensityOperator(np.outer(u, u.conj()) / np.vdot(u, u).real)
-
-
 # ---------------------------------------------------------------------------
-# construction helpers
+# Pauli-diagonal states
 # ---------------------------------------------------------------------------
 
-def ket(bits: str | Sequence[int]) -> PureState:
-    """Computational basis state, e.g. ket("01") = |01>."""
-    bits = [int(b) for b in bits]
-    n = len(bits)
-    index = 0
-    for b in bits:
-        if b not in (0, 1):
-            raise ValueError("bits must be 0/1")
-        index = (index << 1) | b
-    vec = np.zeros(2**n, dtype=complex)
-    vec[index] = 1.0
-    return PureState(vec)
+def _frame_pairs(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(a, 2^n - 1 - a) for each a < 2^(n-1), the basis pair of frames 2a, 2a + 1."""
+    _num_qubits(dim)
+    a = np.arange(dim // 2)
+    return a, dim - 1 - a
 
 
-def bell_state(which: str = "phi+") -> PureState:
-    """One of the four Bell states phi+/phi-/psi+/psi-."""
-    s = 1.0 / np.sqrt(2)
-    table = {
-        "phi+": [s, 0, 0, s],
-        "phi-": [s, 0, 0, -s],
-        "psi+": [0, s, s, 0],
-        "psi-": [0, s, -s, 0],
-    }
-    if which not in table:
-        raise ValueError(f"unknown Bell state {which!r}")
-    return PureState(np.array(table[which], dtype=complex))
+def frame_state(weights) -> np.ndarray:
+    """sum_i w_i |i><i| over the GHZ frames |2a + (sign < 0)> = (|a> +- |b>)/sqrt(2),
+    b = 2^n - 1 - a, as in :func:`repeater_keyrate.frames._frame`; at n = 2 they
+    are (phi+, phi-, psi+, psi-).  Every state of the model is diagonal in them
+    (README decision 20).  The entries (w+ +- w-)/2 of |a><a|, |b><b| and
+    |a><b|, |b><a| carry no rounded 1/sqrt(2): dyadic weights give an exact matrix."""
+    plus, minus = np.asarray(weights, dtype=float).reshape(-1, 2).T
+    a, b = _frame_pairs(2 * len(plus))
+    mat = np.zeros((2 * len(plus),) * 2)
+    mat[a, a] = mat[b, b] = (plus + minus) / 2.0
+    mat[a, b] = mat[b, a] = (plus - minus) / 2.0
+    return mat
 
 
-def ghz_state(n: int) -> PureState:
-    """(|0...0> + |1...1>)/sqrt(2) on n qubits."""
-    vec = np.zeros(2**n, dtype=complex)
-    vec[0] = vec[-1] = 1.0 / np.sqrt(2)
-    return PureState(vec)
+def frame_weights_of(matrix: np.ndarray) -> np.ndarray:
+    """The frame expectations <i|rho|i> of :func:`frame_state`'s frames, each
+    read off three entries as (rho_aa + rho_bb +- 2 Re rho_ab)/2."""
+    a, b = _frame_pairs(matrix.shape[0])
+    diag = matrix[a, a].real + matrix[b, b].real
+    coherence = 2.0 * matrix[a, b].real
+    return np.column_stack(((diag + coherence) / 2.0, (diag - coherence) / 2.0)).reshape(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -253,18 +224,14 @@ BellDiagCoeffs = namedtuple(
 
 
 def bell_diag_coeffs(rho: DensityOperator) -> BellDiagCoeffs:
-    """Diagonal Bell-basis coefficients <B_k|rho|B_k> of a 4x4 state.
+    """Diagonal Bell-basis coefficients <B_k|rho|B_k> of a 4x4 state, its
+    frame weights (:func:`frame_weights_of`).
 
     ``remainder_norm`` is the Frobenius norm of rho minus its Bell-diagonal
     part; it vanishes iff rho is Bell diagonal.
     """
     if rho.dim != 4:
         raise ValueError("bell_diag_coeffs needs a two-qubit state")
-    names = ("phi+", "phi-", "psi+", "psi-")
-    vecs = [bell_state(name).vector for name in names]
-    lams = [float(np.vdot(v, rho.matrix @ v).real) for v in vecs]
-    diag_part = sum(
-        lam * np.outer(v, v.conj()) for lam, v in zip(lams, vecs)
-    )
-    remainder = float(np.linalg.norm(rho.matrix - diag_part))
-    return BellDiagCoeffs(*lams, remainder_norm=remainder)
+    lams = frame_weights_of(rho.matrix)
+    remainder = float(np.linalg.norm(rho.matrix - frame_state(lams)))
+    return BellDiagCoeffs(*map(float, lams), remainder_norm=remainder)

@@ -73,6 +73,10 @@ class NoThresholdError(ValueError):
 def _check_nesting(nesting: int) -> None:
     if nesting < 0 or nesting % 1 != 0:  # inf and NaN leave a NaN remainder
         raise ValueError(f"nesting level must be an integer >= 0, got {nesting}")
+    # the 3 * 2^N pairs of the waiting time, L / 2^N and the cost's 2^(N+1)
+    # memories are floats, and the largest float is just under 2^1024
+    if nesting > 1022:
+        raise ValueError(f"nesting level {nesting} is too deep: 2^N must stay a float, N <= 1022")
 
 
 def check_link(distance_km: float, nesting: int, alpha_db_per_km: float,
@@ -394,12 +398,12 @@ def _levels_by_bound(
     exactly when P0 underflowed to 0: 1/Z <= min(1, P0, x/H_n) does not
     overflow at a subnormal P0, and a positive UB that rounds to 0 is
     rounded up to the smallest float."""
-    levels = set(n_range)
-    if not levels:
+    if not n_range:
         raise ValueError("n_range must be nonempty")
-    if any(n % 1 != 0 for n in levels):
-        raise ValueError(f"nesting levels must be integers, got {sorted(levels)}")
-    n_values = sorted(set(map(int, levels)))
+    fractional = [n for n in n_range if n % 1 != 0]  # in n_range order: a set's order drifts
+    if fractional:
+        raise ValueError(f"nesting levels must be integers, got {fractional}")
+    n_values = sorted(set(map(int, n_range)))
     for n in (n_values[0], n_values[-1]):
         check_link(distance_km, n, alpha_db_per_km, speed_km_per_s, t0_mode)
     bounds = []

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import closedform, decode, encgen, encswap, rates
 from .frames import ERROR_PAIR_LABELS, _admissible_combos
-from .qstate import DensityOperator, bell_diag_coeffs, bell_state
+from .qstate import DensityOperator, bell_diag_coeffs, frame_state
 
 
 @dataclass(frozen=True)
@@ -33,13 +33,17 @@ class CheckResult:
     passed: bool
 
 
+def _deviation(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.abs(a - b).max())
+
+
 def counting_deviation() -> tuple[tuple[int, int, int, int], float]:
     """Error-pattern counts (raw, admissible, permuted, distinct) and the
     largest deviation of the correctable states' Gram matrix from 1."""
     admissible = len(_admissible_combos())
     left, right, _ = encswap.correctable_states()
     gram = (left.conj() @ left.T) * (right.conj() @ right.T)
-    off = float(np.abs(gram - np.eye(len(left))).max())
+    off = _deviation(gram, np.eye(len(left)))
     return (len(ERROR_PAIR_LABELS) ** 3, admissible, 6 * admissible, len(left)), off
 
 
@@ -47,39 +51,23 @@ def decoding_map_deviations() -> tuple[float, float, float, float]:
     """Largest entry deviations of the decoding map from its closed forms:
     |Phi6> to Phi+, the dephasing D to diag(1/2, 0, 0, 1/2), I/64 to I/4,
     and one-faulty decoding of |Phi6> and D to rho_tilde_prime."""
-    phi6 = encgen.encoded_bell_state().projector()
-    phi2 = bell_state("phi+").vector
-    dev1 = float(np.abs(decode.decode_circuit(phi6).matrix - np.outer(phi2, phi2.conj())).max())
-
-    deph = np.zeros((64, 64), dtype=complex)
-    deph[0, 0] = deph[63, 63] = 0.5
-    dev2 = float(
-        np.abs(
-            decode.decode_circuit(DensityOperator(deph)).matrix
-            - 0.5 * np.diag([1.0, 0.0, 0.0, 1.0])
-        ).max()
-    )
-    dev3 = float(
-        np.abs(
-            decode.decode_circuit(DensityOperator(np.eye(64, dtype=complex) / 64)).matrix
-            - np.eye(4) / 4
-        ).max()
-    )
+    phi6 = DensityOperator(frame_state(np.eye(64)[0]))
+    deph = DensityOperator(frame_state([0.5, 0.5] + [0.0] * 62))
+    mixed = DensityOperator(np.eye(64) / 64)
     tilde = decode.rho_tilde_prime().matrix
-    dev4 = max(
-        float(np.abs(decode.decode_one_faulty(phi6).matrix - tilde).max()),
-        float(np.abs(decode.decode_one_faulty(DensityOperator(deph)).matrix - tilde).max()),
+    return (
+        _deviation(decode.decode_circuit(phi6).matrix, frame_state(np.eye(4)[0])),
+        _deviation(decode.decode_circuit(deph).matrix, 0.5 * np.diag([1.0, 0.0, 0.0, 1.0])),
+        _deviation(decode.decode_circuit(mixed).matrix, np.eye(4) / 4),
+        max(_deviation(decode.decode_one_faulty(state).matrix, tilde) for state in (phi6, deph)),
     )
-    return dev1, dev2, dev3, dev4
 
 
 def ghz_prep_deviation(betas: Sequence[float]) -> float:
     """Largest entry deviation of the closed-form GHZ preparation from its
     circuit simulation over ``betas``."""
-    return max(
-        float(np.abs(encgen.ghz_prep(b).matrix - encgen.ghz_prep_circuit(b).matrix).max())
-        for b in betas
-    )
+    return max(_deviation(encgen.ghz_prep(b).matrix, encgen.ghz_prep_circuit(b).matrix)
+               for b in betas)
 
 
 def perfect_decode_deviation(
@@ -87,14 +75,11 @@ def perfect_decode_deviation(
 ) -> float:
     """Largest entry deviation of the closed form :func:`decode.decode_perfect`
     from the decoding circuit applied to the swapped state, over the grid."""
-    worst = 0.0
-    for beta in betas:
-        for f0 in f0s:
-            for r in stations:
-                closed = decode.decode_perfect(beta, f0, r).matrix
-                circuit = decode.decode_circuit(encswap.swapped_state_nonideal(beta, f0, r)).matrix
-                worst = max(worst, float(np.abs(closed - circuit).max()))
-    return worst
+    return max(
+        _deviation(decode.decode_perfect(beta, f0, r).matrix,
+                       decode.decode_circuit(encswap.swapped_state_nonideal(beta, f0, r)).matrix)
+        for beta, f0, r in itertools.product(betas, f0s, stations)
+    )
 
 
 def swap_closed_form_deviation(betas: Sequence[float], f0s: Sequence[float]) -> float:
@@ -131,9 +116,8 @@ def first_order_fidelity(betas: Sequence[float], f0s: Sequence[float]) -> float:
 def encoded_pair_register_deviation(beta: float, f0: float) -> float:
     """Largest entry deviation of the encoded pair built from its Pauli
     frames from the full 12-qubit register simulation."""
-    frames = encgen.encoded_pair(beta, f0).matrix
-    direct = encgen.encoded_pair_direct(beta, f0).matrix
-    return float(np.abs(frames - direct).max())
+    return _deviation(encgen.encoded_pair(beta, f0).matrix,
+                          encgen.encoded_pair_direct(beta, f0).matrix)
 
 
 def swap_register_deviation(beta: float, f0: float) -> float:
@@ -152,8 +136,7 @@ def measured_mixed_register_deviation() -> float:
     """Largest entry deviation from I/64 of the maximally mixed 12-qubit
     register after the encoding circuit's measurements and corrections."""
     mixed = np.eye(4096, dtype=complex) / 4096.0
-    measured = encgen._apply_measurement_rules(mixed)
-    return float(np.abs(measured - np.eye(64) / 64.0).max())
+    return _deviation(encgen._apply_measurement_rules(mixed), np.eye(64) / 64.0)
 
 
 # the test that each tolerance text names before its bound; "exact" compares the shown text

@@ -14,28 +14,34 @@ from repeater_keyrate.qstate import (
     DensityOperator,
     _apply_cnot_mat,
     bell_diag_coeffs,
-    bell_state,
-    ket,
+    frame_state,
 )
 
 CNOT01 = (0, 1)
+PHI_PLUS = frame_state(np.eye(4)[0])
+
+
+def projector(bits):
+    """|bits><bits| of a computational basis state, e.g. projector("01")."""
+    v = np.eye(2 ** len(bits))[int(bits, 2)]
+    return np.outer(v, v)
 
 
 class TestDepolarizingGate:
     def test_beta_zero_is_perfect_gate(self):
-        rho = bell_state("phi+").projector().matrix
+        rho = PHI_PLUS
         noisy = depolarizing_gate_mat(rho, CNOT01, 0.0)
         perfect = _apply_cnot_mat(rho, *CNOT01)
         assert np.allclose(noisy, perfect)
 
     def test_beta_one_fully_mixes_pair(self):
-        rho = ket("10").projector().matrix
+        rho = projector("10")
         out = depolarizing_gate_mat(rho, CNOT01, 1.0)
         assert np.allclose(out, np.eye(4) / 4)
 
     def test_overlap_with_ideal_output(self):
         # (1 - beta) + beta/4 against the perfectly rotated state
-        rho = bell_state("phi+").projector().matrix
+        rho = PHI_PLUS
         out = depolarizing_gate_mat(rho, CNOT01, 0.1)
         ideal = _apply_cnot_mat(rho, *CNOT01)
         vec = np.linalg.eigh(ideal)[1][:, -1]
@@ -60,20 +66,20 @@ class TestDepolarizingGate:
 
 class TestOneFaultyMix:
     def test_single_gate_fully_replaced(self):
-        [branch] = one_faulty_branches(ket("00").projector().matrix, (CNOT01,))
+        [branch] = one_faulty_branches(projector("00"), (CNOT01,))
         assert np.allclose(branch, np.eye(4) / 4)
 
     def test_two_identical_cnots(self):
         # replacing either of two CNOTs on |00><00| leaves I/4 both times
         seq = (CNOT01, CNOT01)
-        branches = one_faulty_branches(ket("00").projector().matrix, seq)
+        branches = one_faulty_branches(projector("00"), seq)
         assert len(branches) == 2
         for branch in branches:
             assert np.allclose(branch, np.eye(4) / 4)
 
     def test_branches_have_unit_trace(self):
         seq = (CNOT01, (1, 2), (0, 2))
-        for branch in one_faulty_branches(ket("000").projector().matrix, seq):
+        for branch in one_faulty_branches(projector("000"), seq):
             assert abs(np.trace(branch) - 1.0) < 1e-12
             assert np.linalg.eigvalsh(branch)[0] > -1e-12
 
@@ -86,14 +92,14 @@ def first_order_mix(rho, seq, beta):
 class TestConcatFirstOrder:
     def test_beta_zero_is_perfect_concatenation(self):
         seq = (CNOT01, (1, 0))
-        rho = ket("10").projector().matrix
+        rho = projector("10")
         out = first_order_mix(rho, seq, 0.0)
         expected = _apply_cnot_mat(_apply_cnot_mat(rho, *seq[0]), *seq[1])
         assert np.allclose(out, expected)
 
     def test_single_gate_matches_depolarizing_gate_on_pair_register(self):
         # with the register equal to the gate pair, 1_d/d and the mixed pair agree
-        rho = bell_state("phi+").projector().matrix
+        rho = PHI_PLUS
         seq = (CNOT01,)
         a = first_order_mix(rho, seq, 0.07)
         b = depolarizing_gate_mat(rho, CNOT01, 0.07)
@@ -120,7 +126,7 @@ class TestConcatFirstOrder:
 
     def test_branch_weights_exposed(self):
         seq = (CNOT01, (1, 0))
-        branches = concat_first_order_branches(ket("00").projector().matrix, seq, 0.02)
+        branches = concat_first_order_branches(projector("00"), seq, 0.02)
         weights = [w for w, _ in branches]
         assert len(branches) == 4  # perfect + 2 faulty + identity
         assert sum(weights) == pytest.approx(1.0)
@@ -129,7 +135,7 @@ class TestConcatFirstOrder:
 
     def test_monotone_in_beta_on_two_gates(self):
         seq = (CNOT01, (1, 0))
-        rho = bell_state("phi+").projector().matrix
+        rho = PHI_PLUS
         ideal = _apply_cnot_mat(_apply_cnot_mat(rho, *seq[0]), *seq[1])
         vec = np.linalg.eigh(ideal)[1][:, -1]
         overlaps = []
@@ -141,7 +147,8 @@ class TestConcatFirstOrder:
 
 class TestSourceState:
     def test_perfect_source(self):
-        assert np.allclose(source_state_mat(1.0), bell_state("phi+").projector().matrix)
+        phi = np.array([1, 0, 0, 1]) / np.sqrt(2)
+        assert np.allclose(source_state_mat(1.0), np.outer(phi, phi))
 
     def test_perfect_source_is_exact(self):
         # entries of exactly 1/2, not the rounded square of 1/sqrt(2)

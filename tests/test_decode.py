@@ -15,7 +15,6 @@ from repeater_keyrate.closedform import (
     swap_success_closed_form,
 )
 from repeater_keyrate.decode import (
-    _bell_diagonal_mat,
     decode_circuit,
     decode_exact_noise_mat,
     decode_one_faulty,
@@ -24,15 +23,17 @@ from repeater_keyrate.decode import (
     rho_tilde_prime,
     validate_first_order_vs_exact,
 )
-from repeater_keyrate.encgen import encoded_bell_state, encoded_pair
+from repeater_keyrate.encgen import encoded_pair
 from repeater_keyrate.encswap import swapped_state_nonideal
 from repeater_keyrate.frames import _decode_tables, pair_decode_coeffs
 from repeater_keyrate.qstate import (
     DensityOperator,
     _apply_pauli_mat,
     bell_diag_coeffs,
-    bell_state,
+    frame_state,
 )
+
+PHI_PLUS = frame_state(np.eye(4)[0])
 from repeater_keyrate.validation import decoding_map_deviations
 
 
@@ -48,8 +49,8 @@ class TestDecodeCircuitProperties:
 
     def test_single_bit_flip_is_corrected(self):
         # a flip on any one qubit of either block must not reach the pair
-        ideal = encoded_bell_state().projector().matrix
-        expected = bell_state("phi+").projector().matrix
+        ideal = frame_state(np.eye(64)[0])
+        expected = PHI_PLUS
         for qubit in range(6):
             flipped = DensityOperator(_apply_pauli_mat(ideal, "x", qubit))
             out = decode_circuit(flipped)
@@ -82,7 +83,7 @@ class TestRhoTildePrime:
 class TestDecodePerfect:
     def test_ideal_parameters(self):
         out = decode_perfect(0.0, 1.0, 1)
-        assert np.abs(out.matrix - bell_state("phi+").projector().matrix).max() < 1e-12
+        assert np.abs(out.matrix - PHI_PLUS).max() < 1e-12
 
     def test_trace_one(self):
         out = decode_perfect(0.005, 0.98, 1)
@@ -103,22 +104,13 @@ class TestDecodePerfect:
         assert np.abs(direct - explicit).max() < 1e-14
 
 
-def frame_state(i):
-    """The GHZ basis state of frame i, (|x> +- |63 - x>)/sqrt(2) with x = i >> 1."""
-    mat = np.zeros((64, 64))
-    x, sign = i >> 1, -1.0 if i & 1 else 1.0
-    mat[x, x] = mat[63 - x, 63 - x] = 0.5
-    mat[x, 63 - x] = mat[63 - x, x] = sign / 2
-    return DensityOperator(mat)
-
-
 class TestDecodeTables:
     def test_each_frame_matches_the_decoding_circuits(self):
         # perfect decoding gives one Bell state, one-faulty decoding
         # multiples of 1/64 of each
         perfect, one_faulty = _decode_tables()
         for i in range(64):
-            state = frame_state(i)
+            state = DensityOperator(frame_state(np.eye(64)[i]))
             expected = np.eye(4)[perfect[i]]
             assert np.abs(bell_diag_coeffs(decode_circuit(state))[:4] - expected).max() < 1e-14
             faulty = np.array(one_faulty[i]) / 64
@@ -143,7 +135,7 @@ class TestDecodeTables:
 def one_faulty_decode(beta, f0, r):
     """Closed-form one-faulty decode of the swapped chain state."""
     p_r = chain_success_prob(swap_success_closed_form(beta, f0), r)
-    return _bell_diagonal_mat(ChainState(beta).decode_coeffs(r, p_r)[1])
+    return frame_state(ChainState(beta).decode_coeffs(r, p_r)[1])
 
 
 class TestDecodeNonideal:
@@ -215,11 +207,11 @@ class TestFinalState:
             w_perfect * d + DECODE_GATE_COUNT * w_branch * n + w_rest / 4.0
             for d, n in zip(perfect, faulty)
         ]
-        assert np.array_equal(final_state(beta, f0, 0).matrix, _bell_diagonal_mat(coeffs))
+        assert np.array_equal(final_state(beta, f0, 0).matrix, frame_state(coeffs))
 
     def test_ideal_parameters(self):
         out = final_state(0.0, 1.0, 3)
-        assert np.abs(out.matrix - bell_state("phi+").projector().matrix).max() < 1e-12
+        assert np.abs(out.matrix - PHI_PLUS).max() < 1e-12
 
     def test_bell_diagonal(self):
         out = final_state(0.008, 0.98, 3)

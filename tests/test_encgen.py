@@ -7,15 +7,13 @@ from repeater_keyrate.encgen import (
     ENCODING_GATES,
     ENCODING_MEASUREMENTS,
     _apply_measurement_rules,
-    encoded_bell_state,
     encoded_pair,
     ghz_prep,
     ghz_prep_circuit,
 )
 from repeater_keyrate.channels import source_state_mat
-from repeater_keyrate.encswap import _frame_expectations
 from repeater_keyrate.frames import frame_weights
-from repeater_keyrate.qstate import _cnot_permutation, bell_state, ghz_state, ket
+from repeater_keyrate.qstate import _cnot_permutation, frame_state, frame_weights_of
 from repeater_keyrate.rates import RepeaterParams, key_rate
 from repeater_keyrate.validation import (
     encoded_pair_register_deviation,
@@ -25,7 +23,7 @@ from repeater_keyrate.validation import (
 
 class TestGhzPrep:
     def test_perfect_preparation(self):
-        expected = ghz_state(3).projector().matrix
+        expected = frame_state(np.eye(8)[0])
         assert np.abs(ghz_prep(0.0).matrix - expected).max() < 1e-15
 
     def test_closed_form_entries_at_beta_01(self):
@@ -64,15 +62,16 @@ class TestTeleportedCnotSequence:
 
     def test_perfect_run_produces_encoded_bell_state(self):
         # pure-state propagation of the whole circuit with ideal resources
-        phi = bell_state("phi+").vector
-        vec = np.kron(ghz_state(3).vector, ket("000").vector)
+        phi = np.array([1, 0, 0, 1]) / np.sqrt(2)
+        ghz3 = (np.eye(8)[0] + np.eye(8)[7]) / np.sqrt(2)
+        vec = np.kron(ghz3, np.eye(8)[0])
         for _ in range(3):
             vec = np.kron(vec, phi)
         for g in ENCODING_GATES:
             vec = vec[_cnot_permutation(12, *g)]
         rho = np.outer(vec, vec.conj())
         out = _apply_measurement_rules(rho)
-        expected = encoded_bell_state().projector().matrix
+        expected = frame_state(np.eye(64)[0])
         assert np.abs(out - expected).max() < 1e-14
 
 
@@ -92,17 +91,19 @@ class TestPauliFrames:
 class TestEncodedPair:
     def test_ideal_pipeline_is_exact(self):
         pair = encoded_pair(0.0, 1.0)
-        expected = encoded_bell_state().projector().matrix
+        # |Phi6><Phi6| written out: exactly 1/2 on the four corners
+        expected = np.zeros((64, 64))
+        expected[np.ix_([0, 63], [0, 63])] = 0.5
         assert np.abs(pair.matrix - expected).max() < 1e-14
         assert np.array_equal(pair.matrix, expected)
 
     def test_source_noise_only_bounds(self):
         # <Phi6|rho|Phi6>, rho's weight on the ideal pair, is the expectation of frame 0
-        ov = _frame_expectations(encoded_pair(0.0, 0.98).matrix)[0]
+        ov = frame_weights_of(encoded_pair(0.0, 0.98).matrix)[0]
         assert 0.9 < ov < 1.0
 
     def test_overlap_monotone_in_beta(self):
-        values = [_frame_expectations(encoded_pair(b, 1.0).matrix)[0] for b in (0.0, 0.01, 0.02)]
+        values = [frame_weights_of(encoded_pair(b, 1.0).matrix)[0] for b in (0.0, 0.01, 0.02)]
         assert values[0] >= values[1] >= values[2]
 
     def test_trace_and_positivity(self):
@@ -130,7 +131,7 @@ class TestEncodedPair:
         from repeater_keyrate.encgen import ghz_prep
 
         beta, f0 = 0.02, 0.97
-        zeros = ket("000").projector().matrix
+        zeros = np.outer(np.eye(8)[0], np.eye(8)[0])
         rho0 = np.kron(ghz_prep(beta).matrix, zeros)
         src = source_state_mat(f0)
         for _ in range(3):

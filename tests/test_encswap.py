@@ -9,16 +9,15 @@ from hypothesis import strategies as st
 
 from repeater_keyrate import closedform, frames
 from repeater_keyrate.closedform import ChainState, chain_success_prob, swap_success_closed_form
-from repeater_keyrate.encgen import encoded_bell_state, encoded_pair
+from repeater_keyrate.encgen import encoded_pair
 from repeater_keyrate.encswap import (
     correctable_states,
     rho_s,
     swap_success_prob,
     swapped_state_nonideal,
-    _frame_expectations,
 )
 from repeater_keyrate.frames import ERROR_PAIR_LABELS, _admissible
-from repeater_keyrate.qstate import DensityOperator
+from repeater_keyrate.qstate import DensityOperator, frame_state, frame_weights_of
 from repeater_keyrate.validation import swap_closed_form_deviation, swap_register_deviation
 
 _PAULI = {
@@ -27,6 +26,11 @@ _PAULI = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
+
+
+# the ideal encoded pair (|000000> + |111111>)/sqrt(2) and its projector
+PHI6 = (np.eye(64, dtype=complex)[0] + np.eye(64, dtype=complex)[63]) / np.sqrt(2)
+PHI6_PROJECTOR = frame_state(np.eye(64)[0])
 
 
 def apply_pauli_vec(vec, pauli, qubit, n):
@@ -46,7 +50,7 @@ def admissible_combos():
 def reference_correctable_states():
     """Dense construction: apply each admissible combo's Paulis to the ideal
     double pair and drop states equal to an earlier one up to global phase."""
-    base = encoded_bell_state().vector
+    base = PHI6
     lefts, rights, parities = [], [], []
     for combo in admissible_combos():
         lv, rv = base, base
@@ -109,14 +113,14 @@ class TestCorrectableStates:
 
     def test_contains_identity_state(self):
         left, right, _ = correctable_states()
-        phi = encoded_bell_state().vector
+        phi = PHI6
         ovs = np.abs(left @ phi.conj()) * np.abs(right @ phi.conj())
         assert np.isclose(ovs.max(), 1.0)
 
     def test_xx_combo_state_differs_from_identity(self):
         # whether (XX, II, II) collapses onto the identity-error state is
         # decided numerically: the X pair is not stabilizer equivalent here
-        phi = encoded_bell_state().vector
+        phi = PHI6
         left_xx = apply_pauli_vec(phi, "X", 3, 6)
         right_xx = apply_pauli_vec(phi, "X", 0, 6)
         inner = np.vdot(left_xx, phi) * np.vdot(right_xx, phi)
@@ -135,8 +139,9 @@ class TestCorrectableStates:
         assert int(phase_trivial.sum()) == 32
 
     def test_two_term_form_matches_dense_factors(self):
-        # each factor is one frame (|x> +- |63 - x>)/sqrt(2), whose expectation
-        # _frame_expectations reads off three entries of rho
+        # each factor is one frame (|x> +- |63 - x>)/sqrt(2): frame_state builds
+        # its projector, and frame_weights_of reads its expectation off three
+        # entries of rho
         rng = np.random.default_rng(3)
         g = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
         rho = g @ g.conj().T
@@ -145,7 +150,10 @@ class TestCorrectableStates:
         _, left, right, _ = zip(*frames._correctable_frames())
         for vecs, indices in zip(states[:2], (left, right)):
             dense = np.einsum("id,de,ie->i", vecs.conj(), rho, vecs).real
-            assert np.abs(_frame_expectations(rho)[list(indices)] - dense).max() < 1e-14
+            assert np.abs(frame_weights_of(rho)[list(indices)] - dense).max() < 1e-14
+            for vec, i in zip(vecs, indices):
+                projector = np.outer(vec, vec.conj())
+                assert np.abs(frame_state(np.eye(64)[i]) - projector).max() <= 1e-15
 
     def test_full_vector_factorization(self):
         left, right, _ = correctable_states()
@@ -389,7 +397,7 @@ class TestChainSuccess:
 class TestSwappedStates:
     def test_rho_s_perfect_gates(self):
         out = rho_s(0.0, 3)
-        expected = encoded_bell_state().projector().matrix
+        expected = PHI6_PROJECTOR
         assert np.abs(out.matrix - expected).max() < 1e-14
 
     def test_rho_s_single_station_weights(self):
@@ -425,7 +433,7 @@ class TestSwappedStates:
 
     def test_nonideal_perfect_limit(self):
         out = swapped_state_nonideal(0.0, 1.0, 1)
-        expected = encoded_bell_state().projector().matrix
+        expected = PHI6_PROJECTOR
         assert np.abs(out.matrix - expected).max() < 1e-12
 
     def test_nonideal_trace_one(self):
@@ -436,7 +444,7 @@ class TestSwappedStates:
     def test_nonideal_overlap_decreasing_in_r(self):
         # <Phi6|rho|Phi6>, rho's weight on the ideal pair, is the expectation of frame 0
         values = [
-            _frame_expectations(swapped_state_nonideal(0.005, 0.99, r).matrix)[0]
+            frame_weights_of(swapped_state_nonideal(0.005, 0.99, r).matrix)[0]
             for r in (1, 2, 3, 5)
         ]
         assert all(a > b for a, b in zip(values, values[1:]))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repeater_keyrate.channels import _faulty_gate_mat, source_state_mat
 from repeater_keyrate.qstate import (
@@ -9,13 +11,19 @@ from repeater_keyrate.qstate import (
     _depolarize_mat,
     _measure_correct_mat,
     _measured_blocks,
-    PureState,
     bell_diag_coeffs,
-    bell_state,
-    ghz_state,
-    ket,
+    frame_state,
+    frame_weights_of,
     uhlmann_fidelity,
 )
+
+PHI_PLUS, PSI_PLUS = frame_state(np.eye(4)[0]), frame_state(np.eye(4)[2])
+
+
+def projector(bits):
+    """|bits><bits| of a computational basis state, e.g. projector("01")."""
+    v = np.eye(2 ** len(bits))[int(bits, 2)]
+    return np.outer(v, v)
 
 
 def random_density(rng, n_qubits):
@@ -28,7 +36,7 @@ def random_density(rng, n_qubits):
 def random_pure(rng, n_qubits):
     dim = 2**n_qubits
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return PureState(v / np.linalg.norm(v))
+    return v / np.linalg.norm(v)
 
 
 PAULIS = {
@@ -57,18 +65,17 @@ def discard(rho, *qubits):
 class TestPartialTrace:
     # measuring a qubit and discarding the outcome traces it out
     def test_bell_reduction(self):
-        phi = bell_state("phi+").projector().matrix
         for q in (0, 1):
-            red = discard(phi, 1 - q)
+            red = discard(PHI_PLUS, 1 - q)
             assert np.allclose(red, np.eye(2) / 2)
 
     def test_product_state(self):
-        rho = ket("01").projector().matrix
+        rho = projector("01")
         out = discard(rho, 1)
-        assert np.allclose(out, ket("0").projector().matrix)
+        assert np.allclose(out, projector("0"))
 
     def test_empty_keep_is_degenerate_scalar(self):
-        out = discard(bell_state("phi+").projector().matrix, 0, 1)
+        out = discard(PHI_PLUS, 0, 1)
         assert out.shape == (1, 1)
         assert np.allclose(out, [[1.0]])
 
@@ -84,16 +91,16 @@ class TestPartialTrace:
 
 class TestApplyGate:
     def test_cnot_flips_target(self):
-        out = _apply_cnot_mat(ket("10").projector().matrix, 0, 1)
-        assert np.allclose(out, ket("11").projector().matrix)
+        out = _apply_cnot_mat(projector("10"), 0, 1)
+        assert np.allclose(out, projector("11"))
 
     def test_cnot_on_mixed_is_identity(self):
         out = _apply_cnot_mat(np.eye(4) / 4, 0, 1)
         assert np.allclose(out, np.eye(4) / 4)
 
     def test_x_maps_phi_to_psi(self):
-        out = _apply_pauli_mat(bell_state("phi+").projector().matrix, "x", 0)
-        assert np.allclose(out, bell_state("psi+").projector().matrix)
+        out = _apply_pauli_mat(PHI_PLUS, "x", 0)
+        assert np.allclose(out, PSI_PLUS)
 
     def test_trace_and_spectrum_preserved(self):
         rng = np.random.default_rng(3)
@@ -153,13 +160,13 @@ def traces(blocks):
 
 class TestMeasureBranch:
     def test_deterministic_z(self):
-        zero, one = _measured_blocks(ket("00").projector().matrix, 0, "z")
+        zero, one = _measured_blocks(projector("00"), 0, "z")
         assert traces([zero, one]) == pytest.approx([1.0, 0.0])
-        assert np.allclose(zero, ket("0").projector().matrix)
+        assert np.allclose(zero, projector("0"))
 
     def test_x_basis_plus_state(self):
-        plus = PureState(np.array([1, 1]) / np.sqrt(2))
-        blocks = _measured_blocks(plus.projector().matrix, 0, "x")
+        plus = np.array([1, 1]) / np.sqrt(2)
+        blocks = _measured_blocks(np.outer(plus, plus), 0, "x")
         assert traces(blocks) == pytest.approx([1.0, 0.0])
         assert blocks[0].shape == (1, 1)
 
@@ -189,8 +196,7 @@ class TestMeasureBranch:
 class TestOverlap:
     # <phi+|rho|phi+> is the phi+ coefficient of bell_diag_coeffs
     def test_self_overlap(self):
-        phi = bell_state("phi+")
-        assert bell_diag_coeffs(phi.projector()).phi_plus == pytest.approx(1.0)
+        assert bell_diag_coeffs(DensityOperator(PHI_PLUS)).phi_plus == pytest.approx(1.0)
 
     def test_mixed_overlap(self):
         assert bell_diag_coeffs(DensityOperator(np.eye(4) / 4)).phi_plus == pytest.approx(0.25)
@@ -206,13 +212,12 @@ class TestUhlmannFidelity:
         assert uhlmann_fidelity(rho, rho) == pytest.approx(1.0, abs=1e-10)
 
     def test_orthogonal_pure_states(self):
-        assert uhlmann_fidelity(ket("0").projector(), ket("1").projector()) == pytest.approx(
-            0.0, abs=1e-12
-        )
+        zero, one = DensityOperator(projector("0")), DensityOperator(projector("1"))
+        assert uhlmann_fidelity(zero, one) == pytest.approx(0.0, abs=1e-12)
 
     def test_pure_vs_mixed(self):
         mixed = DensityOperator(np.eye(2) / 2)
-        assert uhlmann_fidelity(ket("0").projector(), mixed) == pytest.approx(0.5)
+        assert uhlmann_fidelity(DensityOperator(projector("0")), mixed) == pytest.approx(0.5)
 
     def test_symmetry(self):
         rng = np.random.default_rng(9)
@@ -223,8 +228,9 @@ class TestUhlmannFidelity:
         rng = np.random.default_rng(13)
         for _ in range(5):
             psi, chi = random_pure(rng, 2), random_pure(rng, 2)
-            expected = abs(np.vdot(psi.vector, chi.vector)) ** 2
-            got = uhlmann_fidelity(psi.projector(), chi.projector())
+            expected = abs(np.vdot(psi, chi)) ** 2
+            rho, sigma = (DensityOperator(np.outer(v, v.conj())) for v in (psi, chi))
+            got = uhlmann_fidelity(rho, sigma)
             assert got == pytest.approx(expected, abs=1e-8)
 
     def test_rejects_non_psd(self):
@@ -236,7 +242,7 @@ class TestUhlmannFidelity:
 
 class TestBellDiagCoeffs:
     def test_phi_plus(self):
-        c = bell_diag_coeffs(bell_state("phi+").projector())
+        c = bell_diag_coeffs(DensityOperator(PHI_PLUS))
         assert c[:4] == pytest.approx((1, 0, 0, 0), abs=1e-12)
         assert c.remainder_norm < 1e-12
 
@@ -251,17 +257,40 @@ class TestBellDiagCoeffs:
         assert c.remainder_norm < 1e-12
 
     def test_remainder_detects_non_bell_diagonal(self):
-        c = bell_diag_coeffs(ket("00").projector())
+        c = bell_diag_coeffs(DensityOperator(projector("00")))
         assert c.remainder_norm > 0.1
 
 
-class TestValidation:
-    def test_ghz_state(self):
-        v = ghz_state(3).vector
-        assert v[0] == pytest.approx(1 / np.sqrt(2))
-        assert v[-1] == pytest.approx(1 / np.sqrt(2))
-        assert np.abs(v[1:-1]).max() == 0
+class TestFrameState:
+    # twice the Bell projectors, in the order of every Bell tuple: phi+, phi-, psi+, psi-
+    BELL = (
+        [[1, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 1]],
+        [[1, 0, 0, -1], [0, 0, 0, 0], [0, 0, 0, 0], [-1, 0, 0, 1]],
+        [[0, 0, 0, 0], [0, 1, 1, 0], [0, 1, 1, 0], [0, 0, 0, 0]],
+        [[0, 0, 0, 0], [0, 1, -1, 0], [0, -1, 1, 0], [0, 0, 0, 0]],
+    )
 
+    @pytest.mark.parametrize("k", range(4))
+    def test_two_qubit_frames_are_the_bell_projectors(self, k):
+        assert np.array_equal(frame_state(np.eye(4)[k]), np.array(self.BELL[k]) / 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 6), data=st.data())
+    def test_reader_inverts_builder(self, n, data):
+        floats = st.lists(st.floats(0.0, 1.0), min_size=2**n, max_size=2**n)
+        raw = np.array(data.draw(floats))
+        weights = raw / raw.sum() if raw.sum() > 0 else np.full(2**n, 2.0**-n)
+        assert np.abs(frame_weights_of(frame_state(weights)) - weights).max() <= 2.3e-16
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 6), data=st.data())
+    def test_reader_inverts_builder_exactly_on_dyadic_weights(self, n, data):
+        counts = data.draw(st.lists(st.integers(0, 1024), min_size=2**n, max_size=2**n))
+        weights = np.array(counts) / 1024
+        assert np.array_equal(frame_weights_of(frame_state(weights)), weights)
+
+
+class TestValidation:
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ValueError):
             DensityOperator(np.eye(3) / 3)

@@ -629,6 +629,37 @@ def test_non_finite_counts_raise_value_error(entry, value):
         COUNT_CHECKS[entry](value)
 
 
+# every entry point that takes a nesting level N, as f(N); T0 = 1 ("normalized")
+# leaves no T0 check to stop a deep level
+DEPTH_CHECKS = {
+    "secret_fraction_for": lambda n: secret_fraction_for(0.01, 0.99, n),
+    "key_rate": lambda n: key_rate(RepeaterParams(0.01, 0.99, 2000.0, n, t0_mode="normalized")),
+    "optimize_over_stations": lambda n: optimize_over_stations(
+        2000.0, 0.01, 0.99, [n], t0_mode="normalized"),
+    "cost_coefficient": lambda n: cost_coefficient(2000.0, 0.01, 0.99, n_range=[n]),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(DEPTH_CHECKS))
+def test_deepest_nesting_level_is_1022(entry):
+    # 2^1023 is a float but 3 * 2^1023 and 2^(1023 + 1) are not: a ValueError
+    # that names the level, not an OverflowError from the arithmetic
+    DEPTH_CHECKS[entry](1022)
+    for n in (1023, 2000):
+        with pytest.raises(ValueError, match=f"nesting level {n} is too deep"):
+            DEPTH_CHECKS[entry](n)
+
+
+def test_non_integral_levels_are_listed_in_their_order():
+    # a set holding NaN keeps no fixed order, so the message must not come from one
+    texts = []
+    for levels in ([math.nan, -1], [-1, math.nan]):
+        with pytest.raises(ValueError, match="nesting levels must be integers") as caught:
+            optimize_over_stations(600.0, 0.01, 0.99, levels)
+        texts.append(str(caught.value))
+    assert texts[0] == texts[1]
+
+
 # every entry point that checks beta or F0, as f(beta, F0), and the inputs it checks
 UNIT_CHECKS = {
     "RepeaterParams": (lambda b, f: RepeaterParams(b, f, 100.0, 2), ("beta", "F0")),
