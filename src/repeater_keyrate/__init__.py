@@ -25,7 +25,6 @@ from .rates import (
     CostReport,
     NoThresholdError,
     RateReport,
-    RepeaterParams,
     cost_coefficient,
     error_rates,
     key_rate,

@@ -10,9 +10,9 @@ digits, so identical inputs give byte-identical files.
 
 The rate commands (keyrate, sweep, cost and threshold, N = 0 included) and
 enumerate-errors run on the stdlib alone; N = 0 and enumerate-errors import
-the Pauli-frame core (:mod:`repeater_keyrate.frames`), and validate and
-``--jobs`` above 1 import what they need (numpy, the dense layer, the
-process pool) when they run.
+the Pauli-frame core (:mod:`repeater_keyrate.frames`), ``--jobs`` above 1
+the process pool (no numpy), and validate numpy and the dense layer, when
+they run.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .rates import (
     TABLE_STATION_COUNTS,
     NoThresholdError,
     RateReport,
-    RepeaterParams,
     check_link,
     cost_coefficient,
     key_rate,
@@ -271,40 +270,22 @@ def cmd_keyrate(args: SimpleNamespace) -> int:
     else:
         _reject(args, "keyrate without --optimize", "min_nesting", "max_nesting")
         _require_timed(args, [args.distance], nesting)
-        n_best, report = nesting, key_rate(
-            RepeaterParams(distance_km=args.distance, nesting=nesting, **point)
-        )
+        n_best, report = nesting, key_rate(args.distance, nesting=nesting, **point)
 
-    lines = [
-        f"distance_km={_fmt(args.distance)}",
-        f"F0={_fmt(point['f0'])}",
-        f"p_G={_fmt(1.0 - point['beta'])}",
-        f"beta={_fmt(point['beta'])}",
-        f"N={n_best}",
-        f"stations={2 ** n_best - 1}",
-        f"L0_km={_fmt(report.l0_km)}",
-        f"P0={_fmt(report.p0)}",
-        f"Z={_fmt(report.z_value)}",
-        f"R_per_s={_fmt(report.rate_pairs_per_s)}",
-        f"p_s={_fmt(report.p_s)}",
-        f"P_r={_fmt(report.p_r)}",
-        f"eX={_fmt(report.e_x)}",
-        f"eY={_fmt(report.e_y)}",
-        f"eZ={_fmt(report.e_z)}",
-        f"r_inf={_fmt(report.secret_fraction)}",
-        f"K_per_mem_per_s={_fmt(report.key_rate)}",
-        f"M={report.memories}",
-    ]
-    print("\n".join(lines))
-
+    # one field table for stdout and the CSV row, which names L and N as L_km and N_opt
+    fields = {
+        "distance_km": args.distance, "F0": point["f0"], "p_G": 1.0 - point["beta"],
+        "beta": point["beta"], "N": n_best, "stations": 2**n_best - 1, "L0_km": report.l0_km,
+        "P0": report.p0, "Z": report.z_value, "R_per_s": report.rate_pairs_per_s,
+        "p_s": report.p_s, "P_r": report.p_r, "eX": report.e_x, "eY": report.e_y,
+        "eZ": report.e_z, "r_inf": report.secret_fraction,
+        "K_per_mem_per_s": report.key_rate, "M": report.memories,
+    }
+    print("\n".join(f"{name}={_fmt(value)}" for name, value in fields.items()))
     if args.output is not None:
         header = "L_km,F0,p_G,N_opt,L0_km,P0,Z,R_per_s,eX,eY,eZ,r_inf,K_per_mem_per_s"
-        row = _row(
-            args.distance, point["f0"], 1.0 - point["beta"], n_best, report.l0_km,
-            report.p0, report.z_value, report.rate_pairs_per_s,
-            report.e_x, report.e_y, report.e_z,
-            report.secret_fraction, report.key_rate,
-        )
+        aliases = {"L_km": "distance_km", "N_opt": "N"}
+        row = _row(*(fields[aliases.get(name, name)] for name in header.split(",")))
         _write_rows(args.output, header, [row])
     return 0
 

@@ -92,8 +92,9 @@ def swap_success_prob(rho_enc: DensityOperator, *, phase_trivial_only: bool = Fa
 
 
 def _rho_s_weights(beta: float, r: int) -> np.ndarray:
-    """Frame weights of :func:`rho_s`: the ideal pair (frame 0), the
-    dephasing D = (frames 0 + 1)/2 and I/64."""
+    """Frame weights of the swapped state conditioned on correctable errors,
+    r stations deep: the ideal pair (frame 0), the dephasing
+    D = (frames 0 + 1)/2 and I/64."""
     _check_stations(r)
     w_ideal, w_deph, q_r = ChainState(beta).weights(r)
     weights = np.full(64, q_r / 64.0)
@@ -101,14 +102,10 @@ def _rho_s_weights(beta: float, r: int) -> np.ndarray:
     return weights
 
 
-def rho_s(beta: float, r: int) -> DensityOperator:
-    """Swapped state conditioned on correctable errors, r stations deep."""
-    return DensityOperator(frame_state(_rho_s_weights(beta, r)))
-
-
 def swapped_state_nonideal(beta: float, f0: float, r: int) -> DensityOperator:
     """State after r swaps with noisy Bell-measurement CNOTs, with p_s in
-    closed form: rho_s with weight P_r, else uniform off the ideal pair."""
+    closed form: the correctable-error state with weight P_r, else uniform off
+    the ideal pair."""
     p_r = chain_success_prob(swap_success_closed_form(beta, f0), r)
     failed = np.append(0.0, np.full(63, 1.0 / 63.0))
     return DensityOperator(frame_state(p_r * _rho_s_weights(beta, r) + (1.0 - p_r) * failed))

@@ -48,7 +48,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 from .closedform import (
-    ChainState, _capped_success, _check_unit, chain_success_prob, swap_success_closed_form,
+    ChainState, _capped_success, chain_success_prob, swap_success_closed_form,
 )
 
 MEMORIES_PER_HALF_NODE = 6
@@ -82,7 +82,7 @@ def _check_nesting(nesting: int) -> None:
 def check_link(distance_km: float, nesting: int, alpha_db_per_km: float,
                speed_km_per_s: float, t0_mode: str) -> None:
     """Reject a link that the rate pipeline cannot time: every check of
-    :class:`RepeaterParams` but beta and F0, in its order and with its messages."""
+    :func:`key_rate` but beta and F0, in its order and with its messages."""
     if not distance_km > 0:
         raise ValueError(f"distance must be positive, got {distance_km}")
     _check_nesting(nesting)
@@ -97,28 +97,6 @@ def check_link(distance_km: float, nesting: int, alpha_db_per_km: float,
     if t0 == 0.0 or math.isinf(1.0 / (2.0 * t0)):
         raise ValueError(f"segment of {l0} km is too short to time: T0 = {t0} s "
                          "leaves no finite rate 1/(2 T0)")
-
-
-class RepeaterParams(namedtuple("RepeaterParams", (
-    "beta", "f0", "distance_km", "nesting", "alpha_db_per_km", "speed_km_per_s", "t0_mode",
-), defaults=(DEFAULT_ALPHA_DB_PER_KM, DEFAULT_SPEED_KM_PER_S, "physical"))):
-    """Every knob of the rate pipeline; ``t0_mode`` is "physical" (T0 = L0/c)
-    or "normalized" (T0 = 1).  Every way of building one validates it."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        _check_unit("beta", self.beta)
-        _check_unit("F0", self.f0)
-        check_link(*self[2:])
-        # an integral float level, say 2.0, is stored as the int it equals
-        return self if type(self.nesting) is int else self._replace(nesting=int(self.nesting))
-
-    @classmethod
-    def _make(cls, iterable):
-        # namedtuple's own _make, which _replace calls too, skips __new__
-        return cls(*iterable)
 
 
 # Everything the rate pipeline produces for one parameter point.
@@ -372,14 +350,28 @@ def secret_fraction_for(beta: float, f0: float, nesting: int) -> float:
     return _Point(beta, f0).decoded(2**nesting - 1)[2]
 
 
-def key_rate(params: RepeaterParams) -> RateReport:
-    """Full pipeline: encoded pair -> swap chain -> decode -> six-state key.
+def key_rate(
+    distance_km: float,
+    beta: float,
+    f0: float,
+    nesting: int,
+    *,
+    alpha_db_per_km: float = DEFAULT_ALPHA_DB_PER_KM,
+    speed_km_per_s: float = DEFAULT_SPEED_KM_PER_S,
+    t0_mode: str = "physical",
+) -> RateReport:
+    """Full pipeline at one nesting level: encoded pair -> swap chain -> decode
+    -> six-state key.  ``t0_mode`` is "physical" (T0 = L0/c) or "normalized"
+    (T0 = 1).  Beta, F0 and then the link (:func:`check_link`) are checked;
+    an integral float level, say 2.0, is reported as the int it equals.
 
     The key rate is pairs per second times the clamped secret fraction,
     divided by the six memories per half node.
     """
-    beta, f0, distance_km, nesting, *fiber = params
-    return _Point(beta, f0).report(distance_km, nesting, fiber)
+    point = _Point(beta, f0)
+    fiber = (alpha_db_per_km, speed_km_per_s, t0_mode)
+    check_link(distance_km, nesting, *fiber)
+    return point.report(distance_km, int(nesting), fiber)
 
 
 @lru_cache(maxsize=1024)
@@ -533,11 +525,11 @@ def cost_coefficient(
     distance_km: float,
     beta: float,
     f0: float,
-    *,
-    t0_mode: str = "normalized",
     n_range: Iterable[int] = range(DEFAULT_MIN_NESTING, DEFAULT_MAX_NESTING + 1),
+    *,
     alpha_db_per_km: float = DEFAULT_ALPHA_DB_PER_KM,
     speed_km_per_s: float = DEFAULT_SPEED_KM_PER_S,
+    t0_mode: str = "normalized",
 ) -> CostReport:
     """Total memory qubits per secret bit, minimized over the nesting level.
 

@@ -158,9 +158,7 @@ def test_c8_cost_behavior():
 def test_c9_sanity_identities():
     ok = True
     for nesting in (1, 2, 3, 6, 10):
-        rep = rates.key_rate(
-            rates.RepeaterParams(beta=0.0, f0=1.0, distance_km=200.0, nesting=nesting)
-        )
+        rep = rates.key_rate(200.0, 0.0, 1.0, nesting)
         ok = ok and abs(rep.p_s - 1.0) <= 1e-12
         ok = ok and abs(rep.secret_fraction - 1.0) <= 1e-12
         ok = ok and abs(rep.key_rate - rep.rate_pairs_per_s / 6) <= 1e-12 * rep.rate_pairs_per_s

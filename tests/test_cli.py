@@ -1,3 +1,4 @@
+import ast
 import concurrent.futures
 import os
 import re
@@ -5,6 +6,7 @@ import resource
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -100,6 +102,33 @@ class TestKeyrate:
         _, out1, _ = run(capsys, *args)
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
+
+    # stdout and --output CSV of one fixed-N and one --optimize point, byte for byte
+    _PINNED = [
+        (("--distance", "600", "--fidelity", "0.999", "--gate-quality", "0.998", "--nesting", "3"),
+         "distance_km=600\nF0=0.999\np_G=0.998\nbeta=0.002\nN=3\nstations=7\nL0_km=75\n"
+         "P0=0.05308844442\nZ=69.72065885\nR_per_s=19.12393479\np_s=0.9724203168\n"
+         "P_r=0.8222013168\neX=0.1103683812\neY=0.1103683812\neZ=0.1095875563\n"
+         "r_inf=0.09171220916\nK_per_mem_per_s=0.2923163846\nM=6\n",
+         "600,0.999,0.998,3,75,0.05308844442,69.72065885,19.12393479,0.1103683812,"
+         "0.1103683812,0.1095875563,0.09171220916,0.2923163846\n"),
+        (("--distance", "600", "--fidelity", "0.99", "--gate-quality", "0.995", "--optimize"),
+         "distance_km=600\nF0=0.99\np_G=0.995\nbeta=0.005\nN=1\nstations=1\nL0_km=300\n"
+         "P0=7.943282347e-06\nZ=308436.0009\nR_per_s=0.001080721227\np_s=0.898773795\n"
+         "P_r=0.898773795\neX=0.06689510711\neY=0.06689510711\neZ=0.05814474045\n"
+         "r_inf=0.3929347599\nK_per_mem_per_s=7.077548932e-05\nM=6\n",
+         "600,0.99,0.995,1,300,7.943282347e-06,308436.0009,0.001080721227,0.06689510711,"
+         "0.06689510711,0.05814474045,0.3929347599,7.077548932e-05\n"),
+    ]
+
+    @pytest.mark.parametrize("argv,stdout,row", _PINNED, ids=["nesting", "optimize"])
+    def test_pinned_output(self, capsys, tmp_path, argv, stdout, row):
+        path = tmp_path / "point.csv"
+        code, out, _ = run(capsys, "keyrate", *argv, "--output", str(path))
+        assert code == 0
+        assert out == stdout
+        header = "L_km,F0,p_G,N_opt,L0_km,P0,Z,R_per_s,eX,eY,eZ,r_inf,K_per_mem_per_s\n"
+        assert path.read_text(encoding="utf-8") == header + row
 
     def test_stations_flag(self, capsys):
         code, out, _ = run(
@@ -765,7 +794,14 @@ class TestImports:
           "--nesting", "0"), "K_per_mem_per_s=0.9336730933", True),
         # the error counts come from the frame core's correctable frames
         (("enumerate-errors",), "distinct_orthogonal_states=64", True),
-    ], ids=[f"argv{i}" for i in range(6)])
+        # the process pool of --jobs loads concurrent.futures, not numpy
+        (("sweep", "--distance", "600", "--fidelity-range", "0.99:1:0.005",
+          "--gate-quality-range", "0.99:1:0.005", "--max-nesting", "4", "--jobs", "2"),
+         "F0,pG,K_per_mem_per_s,N_opt", False),
+        # a fixed N >= 1 is key_rate's path
+        (("keyrate", "--distance", "600", "--fidelity", "0.99", "--gate-quality", "0.995",
+          "--nesting", "2"), "K_per_mem_per_s=", False),
+    ], ids=[f"argv{i}" for i in range(8)])
     def test_rate_commands_load_no_numpy(self, argv, expected, loaded_frames):
         code, out, loaded = run_child(*argv)
         assert code == 0 and expected in out
@@ -778,3 +814,31 @@ class TestImports:
         code, out, loaded = run_child(*argv)
         assert code == 0 and expected in out
         assert "numpy" in loaded
+
+
+def test_every_public_name_has_a_caller():
+    # README decision 12: a public top-level def, class or constant of the package
+    # is named somewhere in src/ besides its own definition (a Name or an
+    # Attribute node; the imports of __init__ are no use)
+    def uses_of(node):
+        return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                       if isinstance(n, (ast.Name, ast.Attribute)))
+
+    package = Path(repeater_keyrate.__file__).resolve().parent
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    uses = sum(map(uses_of, trees.values()), Counter())
+    unused = []
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            own = uses_of(stmt)  # the name's own definition, recursion included
+            unused += [f"{module}.{name}" for name in names
+                       if not name.startswith("_") and uses[name] == own[name]]
+    assert unused == []

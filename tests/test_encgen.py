@@ -14,7 +14,7 @@ from repeater_keyrate.encgen import (
 from repeater_keyrate.channels import source_state_mat
 from repeater_keyrate.frames import frame_weights
 from repeater_keyrate.qstate import _cnot_permutation, frame_state, frame_weights_of
-from repeater_keyrate.rates import RepeaterParams, key_rate
+from repeater_keyrate.rates import key_rate
 from repeater_keyrate.validation import (
     encoded_pair_register_deviation,
     measured_mixed_register_deviation,
@@ -83,7 +83,7 @@ class TestPauliFrames:
         assert all(isinstance(w, Fraction) for w in exact)
 
     def test_ideal_corner_without_swap_gives_an_exact_key(self):
-        report = key_rate(RepeaterParams(0.0, 1.0, 100.0, 0))
+        report = key_rate(100.0, 0.0, 1.0, 0)
         assert (report.e_x, report.e_y, report.e_z) == (0.0, 0.0, 0.0)
         assert report.secret_fraction == 1.0
 

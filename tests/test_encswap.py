@@ -12,7 +12,6 @@ from repeater_keyrate.closedform import ChainState, chain_success_prob, swap_suc
 from repeater_keyrate.encgen import encoded_pair
 from repeater_keyrate.encswap import (
     correctable_states,
-    rho_s,
     swap_success_prob,
     swapped_state_nonideal,
 )
@@ -396,7 +395,9 @@ class TestChainSuccess:
 
 class TestSwappedStates:
     def test_rho_s_perfect_gates(self):
-        out = rho_s(0.0, 3)
+        # at beta = 0, F0 = 1, P_r is exactly 1, so the state conditioned on correctable
+        # errors is the r = 3 perfect-gate state
+        out = swapped_state_nonideal(0.0, 1.0, 3)
         expected = PHI6_PROJECTOR
         assert np.abs(out.matrix - expected).max() < 1e-14
 
@@ -427,9 +428,9 @@ class TestSwappedStates:
 
     def test_rho_s_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            rho_s(0.01, 0)
+            swapped_state_nonideal(0.01, 0.99, 0)
         with pytest.raises(ValueError):
-            rho_s(1.5, 1)
+            swapped_state_nonideal(1.5, 0.99, 1)
 
     def test_nonideal_perfect_limit(self):
         out = swapped_state_nonideal(0.0, 1.0, 1)

@@ -6,6 +6,8 @@ the suite draws the same examples every time.  Two guards at the end check
 that the rate and threshold paths stay on the closed forms.
 """
 
+import contextlib
+import io
 import sys
 from fractions import Fraction
 
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repeater_keyrate import closedform, encgen, frames
+from repeater_keyrate import cli, closedform, encgen, frames
 from repeater_keyrate.closedform import (
     DECODE_GATE_COUNT,
     ChainState,
@@ -29,9 +31,10 @@ from repeater_keyrate.decode import (
 from repeater_keyrate.encswap import swapped_state_nonideal
 from repeater_keyrate.qstate import DensityOperator, bell_diag_coeffs
 from repeater_keyrate.rates import (
+    DEFAULT_ALPHA_DB_PER_KM,
+    DEFAULT_SPEED_KM_PER_S,
     KEYLESS_P_R,
     MEMORIES_PER_HALF_NODE,
-    RepeaterParams,
     _levels_by_bound,
     _Point,
     _shared_chain,
@@ -78,7 +81,7 @@ def test_decoded_bell_coefficients_are_nonnegative(beta, r, p_r):
 @deterministic
 @given(betas, fidelities, distances, nestings)
 def test_key_rate_is_the_clamped_secret_share_of_the_pair_rate(beta, f0, distance, nesting):
-    report = key_rate(RepeaterParams(beta=beta, f0=f0, distance_km=distance, nesting=nesting))
+    report = key_rate(distance, beta, f0, nesting)
     rate = report.rate_pairs_per_s
     assert 0.0 <= report.key_rate <= rate / MEMORIES_PER_HALF_NODE
     assert report.key_rate == rate * max(report.secret_fraction, 0.0) / MEMORIES_PER_HALF_NODE
@@ -114,7 +117,7 @@ def test_frame_weights_are_a_distribution_in_exact_rationals(beta, f0):
 @deterministic
 @given(betas, fidelities, nestings)
 def test_rate_path_qbers_equal_the_decoding_circuits(beta, f0, nesting):
-    report = key_rate(RepeaterParams(beta=beta, f0=f0, distance_km=100.0, nesting=nesting))
+    report = key_rate(100.0, beta, f0, nesting)
     swapped = swapped_state_nonideal(beta, f0, 2**nesting - 1)
     w_perfect, w_branch, w_rest = first_order_weights(DECODE_GATE_COUNT, beta)
     mat = (
@@ -131,7 +134,7 @@ def test_rate_path_qbers_equal_the_decoding_circuits(beta, f0, nesting):
 def test_key_rate_does_not_decrease_in_source_fidelity(beta, f_a, f_b, distance, nesting):
     low, high = sorted((f_a, f_b))
     rates_k = [
-        key_rate(RepeaterParams(beta=beta, f0=f0, distance_km=distance, nesting=nesting)).key_rate
+        key_rate(distance, beta, f0, nesting).key_rate
         for f0 in (low, high)
     ]
     assert rates_k[1] >= rates_k[0]
@@ -143,7 +146,7 @@ def test_key_rate_does_not_decrease_in_gate_quality(beta_a, beta_b, f0, distance
     # a larger gate quality p_G is a smaller beta
     worse, better = sorted((beta_a, beta_b), reverse=True)
     rates_k = [
-        key_rate(RepeaterParams(beta=beta, f0=f0, distance_km=distance, nesting=nesting)).key_rate
+        key_rate(distance, beta, f0, nesting).key_rate
         for beta in (worse, better)
     ]
     assert rates_k[1] >= rates_k[0]
@@ -159,9 +162,9 @@ def test_key_rate_does_not_decrease_in_gate_quality(beta_a, beta_b, f0, distance
 @example(0.01, 0.9, 19020.0, 0, "normalized")
 def test_key_rate_bound_holds_at_every_level(beta, f0, distance, nesting, t0_mode):
     # the bound that lets optimize_over_stations skip a level (README decision 18)
-    params = RepeaterParams(beta, f0, distance, nesting, t0_mode=t0_mode)
-    [(bound, _)] = _levels_by_bound(distance, (nesting,), *params[4:])
-    report = key_rate(params)
+    fiber = (DEFAULT_ALPHA_DB_PER_KM, DEFAULT_SPEED_KM_PER_S, t0_mode)
+    [(bound, _)] = _levels_by_bound(distance, (nesting,), *fiber)
+    report = key_rate(distance, beta, f0, nesting, t0_mode=t0_mode)
     assert bound >= report.key_rate
     assert (bound > 0.0) == (report.p0 > 0.0)
 
@@ -172,7 +175,7 @@ def test_nesting_scan_equals_key_rate_at_every_level(beta, f0, distance, levels)
     # past ~8000 km the shallow levels' P0 underflows to 0; N = 0 is the dense path
     def per_level(t0_mode):
         return {
-            n: key_rate(RepeaterParams(beta, f0, distance, n, t0_mode=t0_mode))
+            n: key_rate(distance, beta, f0, n, t0_mode=t0_mode)
             for n in sorted(levels)
         }
 
@@ -186,6 +189,23 @@ def test_nesting_scan_equals_key_rate_at_every_level(beta, f0, distance, levels)
     assert (report.nesting, report.key_rate, report.cost) == (
         n_cost, reports[n_cost].key_rate, cost
     )
+
+
+@deterministic
+@given(distances, fidelities, betas.map(lambda beta: 1.0 - beta))
+def test_cli_optimum_prints_as_its_fixed_level(distance, f0, p_g):
+    # keyrate --optimize and keyrate --nesting N_opt print the same bytes
+    def keyrate(*how):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["keyrate", "--distance", repr(distance), "--fidelity", repr(f0),
+                             "--gate-quality", repr(p_g), *how])
+        assert code == 0
+        return out.getvalue()
+
+    optimized = keyrate("--optimize")
+    n_opt = optimized.split("\nN=", 1)[1].split("\n", 1)[0]
+    assert keyrate("--nesting", n_opt) == optimized
 
 
 @deterministic
@@ -261,7 +281,7 @@ def test_rate_and_threshold_paths_build_no_encoded_pair(monkeypatch):
 
     _patch_every_binding(monkeypatch, encgen.encoded_pair, forbidden)
     closedform.swap_success_closed_form.cache_clear()
-    assert key_rate(RepeaterParams(beta=0.004, f0=0.985, distance_km=300.0, nesting=3)).p_s < 1.0
+    assert key_rate(300.0, 0.004, 0.985, 3).p_s < 1.0
     assert optimize_over_stations(300.0, 0.004, 0.985)[1].key_rate > 0.0
     assert 0.95 < threshold_gate_quality(1) < 1.0
     assert 0.9 < threshold_fidelity(1) < 1.0
@@ -278,7 +298,7 @@ def test_one_chain_success_evaluation_per_key_rate(monkeypatch):
         return original(*args)
 
     _patch_every_binding(monkeypatch, original, counted)
-    report = key_rate(RepeaterParams(beta=0.005, f0=0.98, distance_km=400.0, nesting=2))
+    report = key_rate(400.0, 0.005, 0.98, 2)
     assert calls == [(report.p_s, 3)]
 
 

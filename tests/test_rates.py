@@ -1,5 +1,4 @@
 import math
-import pickle
 import sys
 import time
 from fractions import Fraction
@@ -15,7 +14,6 @@ from repeater_keyrate.validation import monte_carlo_z
 from repeater_keyrate.rates import (
     CostReport,
     NoThresholdError,
-    RepeaterParams,
     check_link,
     cost_coefficient,
     error_rates,
@@ -293,18 +291,18 @@ class TestZn:
 
 class TestRepeaterRate:
     def test_normalized_high_transmission_limit(self):
-        params = RepeaterParams(beta=0.0, f0=1.0, distance_km=1e-9, nesting=1, t0_mode="normalized")
-        assert key_rate(params).rate_pairs_per_s == pytest.approx(0.5)
+        report = key_rate(1e-9, 0.0, 1.0, 1, t0_mode="normalized")
+        assert report.rate_pairs_per_s == pytest.approx(0.5)
 
     def test_direct_link_uses_three_pairs(self):
-        params = RepeaterParams(beta=0.0, f0=1.0, distance_km=51.0, nesting=0)
         p0 = transmission_prob(51.0)
-        t0 = 51.0 / params.speed_km_per_s
-        assert key_rate(params).rate_pairs_per_s == pytest.approx(1.0 / (2 * t0 * z_n(3, p0)))
+        t0 = 51.0 / rates.DEFAULT_SPEED_KM_PER_S
+        assert key_rate(51.0, 0.0, 1.0, 0).rate_pairs_per_s == pytest.approx(
+            1.0 / (2 * t0 * z_n(3, p0)))
 
     def test_decreasing_in_distance(self):
         rates = [
-            key_rate(RepeaterParams(beta=0.0, f0=1.0, distance_km=L, nesting=2)).rate_pairs_per_s
+            key_rate(L, 0.0, 1.0, 2).rate_pairs_per_s
             for L in (100, 200, 400, 800)
         ]
         assert all(b < a for a, b in zip(rates, rates[1:]))
@@ -316,18 +314,15 @@ class TestJiangRate:
         # the same time units: multiply by the c/L0 attempt rate
         l0 = 25.5
         p0 = transmission_prob(l0)
-        params = RepeaterParams(beta=0.0, f0=1.0, distance_km=l0, nesting=0)
-        finite = key_rate(params).rate_pairs_per_s
-        infinite = 3 * p0 / l0 * params.speed_km_per_s
+        finite = key_rate(l0, 0.0, 1.0, 0).rate_pairs_per_s
+        infinite = 3 * p0 / l0 * rates.DEFAULT_SPEED_KM_PER_S
         assert infinite / finite > 5
 
 
 class TestKeyRate:
     def test_ideal_sanity(self):
         for nesting in (1, 2, 3):
-            report = key_rate(
-                RepeaterParams(beta=0.0, f0=1.0, distance_km=100.0, nesting=nesting)
-            )
+            report = key_rate(100.0, 0.0, 1.0, nesting)
             assert report.p_s == pytest.approx(1.0, abs=1e-12)
             assert report.p_r == pytest.approx(1.0, abs=1e-12)
             assert report.secret_fraction == pytest.approx(1.0, abs=1e-12)
@@ -335,22 +330,19 @@ class TestKeyRate:
 
     def test_ideal_corner_is_exact(self):
         for nesting in range(1, 11):
-            report = key_rate(
-                RepeaterParams(beta=0.0, f0=1.0, distance_km=200.0, nesting=nesting)
-            )
+            report = key_rate(200.0, 0.0, 1.0, nesting)
             assert report.p_s == 1.0
             assert report.p_r == 1.0
             assert report.secret_fraction == 1.0
             assert report.key_rate == report.rate_pairs_per_s / 6
 
     def test_underflowed_p0_gives_no_rate(self):
-        params = RepeaterParams(beta=0.01, f0=0.99, distance_km=100000.0, nesting=1)
-        report = key_rate(params)
+        report = key_rate(100000.0, 0.01, 0.99, 1)
         assert report.p0 == 0.0
         assert report.z_value == math.inf
         assert report.rate_pairs_per_s == 0.0
         assert report.key_rate == 0.0
-        assert key_rate(params).rate_pairs_per_s == 0.0
+        assert key_rate(100000.0, 0.01, 0.99, 1).rate_pairs_per_s == 0.0
 
     def test_optimum_skips_underflowed_levels(self):
         n_best, report = optimize_over_stations(100000.0, 0.01, 0.99)
@@ -364,12 +356,12 @@ class TestKeyRate:
 
     def test_low_fidelity_has_no_key(self):
         for n in range(1, 11):
-            report = key_rate(RepeaterParams(beta=0.008, f0=0.90, distance_km=600.0, nesting=n))
+            report = key_rate(600.0, 0.008, 0.90, n)
             assert report.key_rate == 0.0
             assert report.secret_fraction < 0
 
     def test_report_consistency(self):
-        report = key_rate(RepeaterParams(beta=0.005, f0=0.98, distance_km=400.0, nesting=2))
+        report = key_rate(400.0, 0.005, 0.98, 2)
         assert report.key_rate == pytest.approx(
             report.rate_pairs_per_s * max(report.secret_fraction, 0.0) / report.memories
         )
@@ -379,29 +371,19 @@ class TestKeyRate:
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
-            RepeaterParams(beta=0.0, f0=1.0, distance_km=-5.0, nesting=1)
+            key_rate(-5.0, 0.0, 1.0, 1)
         with pytest.raises(ValueError):
-            RepeaterParams(beta=0.0, f0=1.0, distance_km=5.0, nesting=-1)
+            key_rate(5.0, 0.0, 1.0, -1)
         with pytest.raises(ValueError):
-            RepeaterParams(beta=0.0, f0=1.0, distance_km=5.0, nesting=1, t0_mode="bogus")
+            key_rate(5.0, 0.0, 1.0, 1, t0_mode="bogus")
         with pytest.raises(ValueError):  # T0 of a 1e-306 km segment has no finite 1/(2 T0)
-            RepeaterParams(beta=0.0, f0=1.0, distance_km=1e-300, nesting=20)
-        # every construction path validates, not only the constructor
-        params = RepeaterParams(beta=0.0, f0=1.0, distance_km=5.0, nesting=1)
-        with pytest.raises(ValueError):
-            params._replace(beta=2.0)
-        with pytest.raises(ValueError):
-            params._replace(distance_km=-5.0)
-        with pytest.raises(ValueError):
-            RepeaterParams._make([0.0, 1.0, -5.0, 1, 0.17, 2e5, "physical"])
-        assert pickle.loads(pickle.dumps(params)) == params
-        assert params._replace(nesting=2) == (0.0, 1.0, 5.0, 2, 0.17, 2e5, "physical")
+            key_rate(1e-300, 0.0, 1.0, 20)
         # defaults, and no record can be changed in place
-        report = key_rate(params)
+        report = key_rate(5.0, 0.0, 1.0, 1)
         assert report.memories == 6
         assert BellDiagCoeffs(1.0, 0.0, 0.0, 0.0).remainder_norm == 0.0
         records = (
-            (params, "beta"), (report, "key_rate"),
+            (report, "key_rate"),
             (BellDiagCoeffs(1.0, 0.0, 0.0, 0.0), "phi_plus"),
             (cost_coefficient(100.0, 0.0, 1.0), "cost"),
         )
@@ -415,7 +397,7 @@ class TestKeyRate:
         kwargs = {"distance_km": 600.0, "alpha_db_per_km": 0.17, "speed_km_per_s": 2e5}
         kwargs[field] = math.nan
         with pytest.raises(ValueError):
-            RepeaterParams(beta=0.0, f0=1.0, nesting=1, **kwargs)
+            key_rate(beta=0.0, f0=1.0, nesting=1, **kwargs)
         with pytest.raises(ValueError):
             optimize_over_stations(kwargs.pop("distance_km"), 0.0, 1.0, **kwargs)
 
@@ -427,20 +409,20 @@ class TestKeyRate:
             return z_n(*args)
 
         monkeypatch.setattr(rates, "z_n", counted)
-        report = key_rate(RepeaterParams(beta=0.005, f0=0.98, distance_km=400.0, nesting=2))
+        report = key_rate(400.0, 0.005, 0.98, 2)
         assert calls == [(12, report.p0)]
 
     def test_integral_float_nesting_accepted(self):
-        report = key_rate(RepeaterParams(0.0, 1.0, 600.0, 2.0))
+        report = key_rate(600.0, 0.0, 1.0, 2.0)
         assert type(report.nesting) is int
-        assert report == key_rate(RepeaterParams(0.0, 1.0, 600.0, 2))
+        assert report == key_rate(600.0, 0.0, 1.0, 2)
 
 
 class TestOptimize:
     def test_argmax_property(self):
         n_best, best = optimize_over_stations(300.0, 0.002, 0.995, range(1, 7))
         for n in range(1, 7):
-            report = key_rate(RepeaterParams(beta=0.002, f0=0.995, distance_km=300.0, nesting=n))
+            report = key_rate(300.0, 0.002, 0.995, n)
             assert best.key_rate >= report.key_rate - 1e-18
 
     def test_unordered_range(self):
@@ -527,7 +509,7 @@ class TestOptimize:
         p_s = rates._Point(beta, 0.9).p_s
         assert all(p_s ** (2**n - 1) < rates.KEYLESS_P_R for n in range(1, 11))
         n_best, report = optimize_over_stations(600.0, beta, 0.9)
-        assert (n_best, report) == (1, key_rate(RepeaterParams(beta, 0.9, 600.0, 1)))
+        assert (n_best, report) == (1, key_rate(600.0, beta, 0.9, 1))
         assert report.secret_fraction < 0.0 and report.key_rate == 0.0
         assert cost_coefficient(600.0, beta, 0.9).cost == math.inf
 
@@ -536,12 +518,12 @@ class TestOptimize:
         n_best, report = optimize_over_stations(100000.0, 0.05, 0.9, range(1, 11))
         assert (n_best, report.key_rate) == (3, 0.0)
         assert report.p0 > 0.0
-        assert key_rate(RepeaterParams(0.05, 0.9, 100000.0, 2)).p0 == 0.0
+        assert key_rate(100000.0, 0.05, 0.9, 2).p0 == 0.0
 
     def test_a_subnormal_p0_wins_ties_over_deeper_keyless_levels(self):
         # at 37000 km, F0 = p_G = 0.9 every level is keyless and N = 1 has a
         # subnormal P0 ~ 3e-315, where 1/P0 overflows: a positive P0 still wins
-        reports = {n: key_rate(RepeaterParams(0.1, 0.9, 37000.0, n)) for n in range(1, 11)}
+        reports = {n: key_rate(37000.0, 0.1, 0.9, n) for n in range(1, 11)}
         assert 0.0 < reports[1].p0 < sys.float_info.min
         n_star = max(reports, key=lambda n: (reports[n].key_rate, reports[n].p0 > 0.0))
         assert n_star == 1
@@ -612,7 +594,7 @@ class TestCost:
 
 
 COUNT_CHECKS = {
-    "RepeaterParams": lambda x: RepeaterParams(0.0, 1.0, 100.0, x),
+    "key_rate": lambda x: key_rate(100.0, 0.0, 1.0, x),
     "z_n": lambda x: z_n(x, 0.5),
     "threshold_gate_quality": lambda x: threshold_gate_quality(x),
     "chain_success_prob": lambda x: closedform.chain_success_prob(0.9, x),
@@ -633,7 +615,7 @@ def test_non_finite_counts_raise_value_error(entry, value):
 # leaves no T0 check to stop a deep level
 DEPTH_CHECKS = {
     "secret_fraction_for": lambda n: secret_fraction_for(0.01, 0.99, n),
-    "key_rate": lambda n: key_rate(RepeaterParams(0.01, 0.99, 2000.0, n, t0_mode="normalized")),
+    "key_rate": lambda n: key_rate(2000.0, 0.01, 0.99, n, t0_mode="normalized"),
     "optimize_over_stations": lambda n: optimize_over_stations(
         2000.0, 0.01, 0.99, [n], t0_mode="normalized"),
     "cost_coefficient": lambda n: cost_coefficient(2000.0, 0.01, 0.99, n_range=[n]),
@@ -662,7 +644,6 @@ def test_non_integral_levels_are_listed_in_their_order():
 
 # every entry point that checks beta or F0, as f(beta, F0), and the inputs it checks
 UNIT_CHECKS = {
-    "RepeaterParams": (lambda b, f: RepeaterParams(b, f, 100.0, 2), ("beta", "F0")),
     "swap_success_closed_form": (closedform.swap_success_closed_form, ("beta", "F0")),
     "ChainState": (lambda b, f: closedform.ChainState(b), ("beta",)),
     "frame_weights": (frames.frame_weights, ("beta", "F0")),
@@ -674,6 +655,7 @@ UNIT_CHECKS = {
     "optimize_over_stations": (lambda b, f: optimize_over_stations(100.0, b, f), ("beta", "F0")),
     "cost_coefficient": (lambda b, f: cost_coefficient(100.0, b, f), ("beta", "F0")),
     "secret_fraction_for": (lambda b, f: secret_fraction_for(b, f, 2), ("beta", "F0")),
+    "key_rate": (lambda b, f: key_rate(100.0, b, f, 2), ("beta", "F0")),
 }
 
 
@@ -710,7 +692,7 @@ def test_one_link_check(capsys, link):
         check_link(*link)
     text = str(caught.value)
     for build in (
-        lambda: RepeaterParams(0.01, 0.99, *link),
+        lambda: key_rate(distance, 0.01, 0.99, nesting, **keywords),
         lambda: optimize_over_stations(distance, 0.01, 0.99, [nesting], **keywords),
         lambda: cost_coefficient(distance, 0.01, 0.99, n_range=[nesting], **keywords),
     ):
@@ -726,7 +708,7 @@ def test_one_link_check(capsys, link):
 
 @pytest.mark.parametrize("deep, expected", [
     (lambda: optimize_over_stations(2000.0, 0.01, 0.99, n_range=[253]),
-     lambda: (253, key_rate(RepeaterParams(0.01, 0.99, 2000.0, 253)))),
+     lambda: (253, key_rate(2000.0, 0.01, 0.99, 253))),
     (lambda: cost_coefficient(2000.0, 0.01, 0.99, n_range=range(1, 300)),
      lambda: cost_coefficient(2000.0, 0.01, 0.99, n_range=range(1, 253))),
 ], ids=["optimize_over_stations", "cost_coefficient"])
@@ -754,7 +736,7 @@ class TestSecretFractionFor:
         assert str(caught.value) == f"nesting level must be an integer >= 0, got {nesting}"
 
     def test_matches_key_rate_fraction(self):
-        report = key_rate(RepeaterParams(beta=0.004, f0=0.99, distance_km=200.0, nesting=2))
+        report = key_rate(200.0, 0.004, 0.99, 2)
         assert secret_fraction_for(0.004, 0.99, 2) == pytest.approx(report.secret_fraction)
 
     def test_zero_nesting_supported(self):
