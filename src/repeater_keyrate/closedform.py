@@ -108,19 +108,24 @@ def _bernstein_ratio(x: float, x_bar: float, degree: int) -> tuple[float, float,
     return x**degree, x_bar / x, True
 
 
-@lru_cache(maxsize=1024)
-def _success_rows(f0: float, phase_trivial_only: bool) -> tuple[float, tuple[float, ...]]:
-    """(scale, rows) at this F0: each table row summed over eps = 1 - F0 by
-    Horner once per F0, not once per point (:func:`swap_success_closed_form`)."""
+def _eps_rows(
+    f0: float, phase_trivial_only: bool, count: int | None = None
+) -> tuple[float, tuple[float, ...]]:
+    """(scale, rows) at this F0: the first ``count`` table rows (all by
+    default), each summed over eps = 1 - F0 by Horner."""
     table = _SUCCESS_TABLES[phase_trivial_only]
     scale, ratio, mirrored = _bernstein_ratio(1.0 - f0, f0, len(table[0]) - 1)
     rows = []
-    for row in table:
+    for row in table[:count]:
         inner = 0.0
         for c in row if mirrored else reversed(row):
             inner = inner * ratio + c
         rows.append(inner)
     return scale, tuple(rows)
+
+
+# every row once per F0, not once per point (:func:`swap_success_closed_form`)
+_success_rows = lru_cache(maxsize=1024)(_eps_rows)
 
 
 @lru_cache(maxsize=4096)
@@ -133,11 +138,17 @@ def swap_success_closed_form(beta: float, f0: float, *, phase_trivial_only: bool
     eps and then in beta (no cancellation).  It matches the dense pair to
     ~1e-15 relative over [0, 1]^2 and is exactly 1 at the ideal corner.  With
     ``phase_trivial_only`` the sum runs over the 32 phase-trivial
-    correctable states (the thresholds' accounting).
+    correctable states (the thresholds' accounting).  At beta = 0 (-0.0
+    too) only row 0 is summed over eps, as a polynomial of degree 0 in beta:
+    the full Horner sum multiplies every later row by a ratio of exactly 0
+    and its scale (1 - beta)^16 is 1, so the bits are the same.
     """
     _check_unit("beta", beta)
     _check_unit("F0", f0)
-    e_scale, rows = _success_rows(f0, phase_trivial_only)
+    if beta == 0.0:
+        e_scale, rows = _eps_rows(f0, phase_trivial_only, 1)
+    else:
+        e_scale, rows = _success_rows(f0, phase_trivial_only)
     b_scale, b_ratio, b_mirrored = _bernstein_ratio(beta, 1.0 - beta, len(rows) - 1)
     total = 0.0
     for inner in rows if b_mirrored else reversed(rows):
@@ -191,6 +202,19 @@ class ChainState:
         assert q_r >= -1e-12, f"remainder weight {q_r} negative"
         return w_ideal, w_deph, max(q_r, 0.0)
 
+    def _decode_terms(self, r: int, p_r: float) -> tuple[float, ...]:
+        """w_ideal and the Phi- and Psi entries of the perfect and of the
+        one-faulty decode (:meth:`decode_coeffs`); Psi+ = Psi- in both."""
+        w_ideal, w_deph, q_r = self.weights(r)
+        psi = (p_r * q_r + (1.0 - p_r) * 64.0 / 63.0) / 4.0
+        phi_minus = p_r * w_deph / 2.0 + psi
+        kept = w_ideal + w_deph
+        spread = (1.0 - kept) / 4.0
+        t_phi, _, t_psi, _ = _TILDE_BELL  # its phi and its psi pair are equal
+        faulty_phi = p_r * (kept * t_phi + spread) + (1.0 - p_r) * (16.0 - t_phi) / 63.0
+        faulty_psi = p_r * (kept * t_psi + spread) + (1.0 - p_r) * (16.0 - t_psi) / 63.0
+        return w_ideal, phi_minus, psi, faulty_phi, faulty_psi
+
     def decode_coeffs(self, r: int, p_r: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
         """Bell coefficients of the perfect and the one-faulty decode of the
         swapped state after r stations with chain success P_r.  Decoding
@@ -199,23 +223,25 @@ class ChainState:
         linearity.  For beta and P_r in [0, 1] every coefficient is a sum of
         nonnegative terms: the Phi+ one is
         P_r (w_ideal + w_deph/2 + q_r/4) + 15 (1 - P_r)/63."""
-        w_ideal, w_deph, q_r = self.weights(r)
+        w_ideal, phi_minus, psi, faulty_phi, faulty_psi = self._decode_terms(r, p_r)
         c_phi = p_r * w_ideal - (1.0 - p_r) / 63.0
-        c_mix = p_r * q_r + (1.0 - p_r) * 64.0 / 63.0
-        phi_minus = p_r * w_deph / 2.0 + c_mix / 4.0
-        perfect = (c_phi + phi_minus, phi_minus, c_mix / 4.0, c_mix / 4.0)
-        kept = w_ideal + w_deph
-        spread = (1.0 - kept) / 4.0
-        t_phi, _, t_psi, _ = _TILDE_BELL  # its phi and its psi pair are equal
-        faulty_phi = p_r * (kept * t_phi + spread) + (1.0 - p_r) * (16.0 - t_phi) / 63.0
-        faulty_psi = p_r * (kept * t_psi + spread) + (1.0 - p_r) * (16.0 - t_psi) / 63.0
-        return perfect, (faulty_phi, faulty_phi, faulty_psi, faulty_psi)
+        faulty = (faulty_phi, faulty_phi, faulty_psi, faulty_psi)
+        return (c_phi + phi_minus, phi_minus, psi, psi), faulty
+
+    def qbers(self, r: int, p_r: float) -> tuple[float, float, float]:
+        """(e_X, e_Y, e_Z) of the decoded pair after r stations with chain
+        success P_r: ``error_rates(mix(*decode_coeffs(r, p_r)))`` bit for bit,
+        from the Phi- and Psi entries alone.  Psi+ = Psi- makes e_X = e_Y
+        exactly."""
+        _, phi_minus, psi, faulty_phi, faulty_psi = self._decode_terms(r, p_r)
+        w_perfect, w_faulty, mixed = self._decode_weights
+        mixed_psi = w_perfect * psi + w_faulty * faulty_psi + mixed
+        e_x = w_perfect * phi_minus + w_faulty * faulty_phi + mixed + mixed_psi
+        return e_x, e_x, mixed_psi + mixed_psi
 
     def mix(self, perfect: tuple[float, ...], faulty: tuple[float, ...]) -> tuple[float, ...]:
         """The first-order mixture over the four decode CNOTs of the perfect decode,
         the one-faulty decode (given as Bell coefficients) and I/4, as a plain tuple."""
-        (d_0, d_1, d_2, d_3), (n_0, n_1, n_2, n_3) = perfect, faulty
         w_perfect, w_faulty, mixed = self._decode_weights
-        return (w_perfect * d_0 + w_faulty * n_0 + mixed, w_perfect * d_1 + w_faulty * n_1 + mixed,
-                w_perfect * d_2 + w_faulty * n_2 + mixed, w_perfect * d_3 + w_faulty * n_3 + mixed)
+        return tuple(w_perfect * d + w_faulty * n + mixed for d, n in zip(perfect, faulty))
 

@@ -24,7 +24,7 @@ validate them.
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,25 +32,27 @@ from .closedform import ChainState, _check_stations, chain_success_prob, swap_su
 from .frames import _correctable_frames
 from .qstate import DensityOperator, frame_state, frame_weights_of
 
-_PAULIS = {
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
+_INDICES = np.arange(64)
 
 
 def _pauli_image(paulis) -> np.ndarray:
     """The Pauli string, as (Pauli, qubit) pairs, applied to the encoded Bell
     state (|000000> + |111111>)/sqrt(2) as a dense 64-dim vector, global
     phase included.  The vector is written out here, not taken from the
-    frames, so the Gram check stays an independent reference."""
-    factors = [np.eye(2)] * 6
+    frames, so the Gram check stays an independent reference.  Each Pauli
+    acts on the vector by index, qubit 0 being the most significant bit:
+    X flips the bit, Z negates the entries where it is 1, and Y = iXZ."""
+    vector = np.zeros(64, dtype=complex)
+    vector[0] = vector[63] = 1.0 / np.sqrt(2)
     for pauli, qubit in paulis:
-        if pauli != "I":
-            factors[qubit] = _PAULIS[pauli]
-    ideal = np.zeros(64, dtype=complex)
-    ideal[0] = ideal[63] = 1.0 / np.sqrt(2)
-    return reduce(np.kron, factors) @ ideal
+        bit = 1 << (5 - qubit)
+        if pauli in ("Y", "Z"):
+            vector = np.where(_INDICES & bit, -vector, vector)
+        if pauli in ("X", "Y"):
+            vector = vector[_INDICES ^ bit]
+        if pauli == "Y":
+            vector = 1j * vector
+    return vector
 
 
 @lru_cache(maxsize=1)

@@ -217,7 +217,7 @@ def uhlmann_fidelity(rho: DensityOperator, sigma: DensityOperator) -> float:
 
 
 # Bell-basis diagonal (phi+, phi-, psi+, psi-) of a two-qubit state, plus the
-# off-diagonal residue; [:4] is the plain tuple the rate path uses.
+# off-diagonal residue; [:4] is the plain tuple that `rates.error_rates` reads.
 BellDiagCoeffs = namedtuple(
     "BellDiagCoeffs", "phi_plus phi_minus psi_plus psi_minus remainder_norm", defaults=(0.0,)
 )

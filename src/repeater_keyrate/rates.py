@@ -23,13 +23,16 @@ curves).  Both conventions are deliberate; see the README model notes.
 
 Nesting scan.  Each quantity is computed where it is constant: the levels'
 checks and K bounds per (L, levels, fiber) (:func:`_levels_by_bound`, with
-H_n cached per n), the rows of p_s per F0, the beta terms per beta, and p_s,
-checked once, per point (:class:`_Point`, whose level report :func:`key_rate`
-uses too, so K agrees to the last bit).  :meth:`_Point.level` scores a level
-cheapest test first (P_r as one power, then the r_inf of the plain Bell tuple,
-then the link terms P0, Z and R); :func:`optimize_over_stations` takes the
-levels by descending bound, stops at the first bound below the best K, and
-reports only the winner.
+H_n cached per n), the rows of p_s per F0 (row 0 alone at beta = 0), the
+beta terms per beta, and p_s, checked once, per point (:class:`_Point`, whose
+level report :func:`key_rate` uses too, so K agrees to the last bit).
+:meth:`_Point.level` scores a level cheapest test first: P_r as one power,
+then r_inf from the QBER kernel
+:meth:`~repeater_keyrate.closedform.ChainState.qbers`, which computes only
+the Phi- and Psi entries of the decoded pair (e_X = e_Y, so the six-state
+fraction skips h(1/2) = 1), then the link terms P0, Z and R.
+:func:`optimize_over_stations` takes the levels by descending bound, stops
+at the first bound below the best K, and reports only the winner.
 
 Everything here is stdlib arithmetic on those closed forms, N = 0
 included: with no swap the key pair is decoded from the encoded pair's
@@ -138,6 +141,9 @@ def secret_fraction_six_state(e_x: float, e_y: float, e_z: float) -> float:
                 raise ValueError(f"{name} must be in [0, 1], got {e}")
     if e_z <= 0.0:
         term_cond_phase = 0.0
+    elif e_x == e_y:
+        # the argument below is exactly 1/2, and h(1/2) = 1.0 exactly
+        term_cond_phase = e_z
     else:
         arg = (1.0 + (e_x - e_y) / e_z) / 2.0
         if arg < _LOW or arg > _HIGH:
@@ -299,15 +305,16 @@ class _Point:
         self, swap_count: int, p_r: float | None = None
     ) -> tuple[float, tuple[float, float, float], float]:
         """P_r (unless given), (e_X, e_Y, e_Z) and the unclamped six-state r_inf
-        after ``swap_count`` compoundings; N = 0 decodes the encoded pair's frames."""
+        after ``swap_count`` compoundings, from the chain's QBER kernel; N = 0
+        decodes the encoded pair's frames."""
         if swap_count == 0:
             from .frames import pair_decode_coeffs
 
-            p_r, coeffs = 1.0, pair_decode_coeffs(self.beta, self.f0)
+            p_r = 1.0
+            qbers = error_rates(self.chain.mix(*pair_decode_coeffs(self.beta, self.f0)))
         else:
             p_r = chain_success_prob(self.p_s, swap_count) if p_r is None else p_r
-            coeffs = self.chain.decode_coeffs(swap_count, p_r)
-        qbers = error_rates(self.chain.mix(*coeffs))
+            qbers = self.chain.qbers(swap_count, p_r)
         return p_r, qbers, secret_fraction_six_state(*qbers)
 
     def report(

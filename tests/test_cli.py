@@ -243,6 +243,22 @@ class TestThreshold:
         assert lines[0] == "r,N,p_G_min,F_0_min,p_G_min_full,F_0_min_full"
         assert len(lines) == 3
 
+    def test_default_table_is_pinned(self, capsys, tmp_path):
+        # without --stations: the seven station counts of the published table
+        path = tmp_path / "table.csv"
+        code, _, _ = run(capsys, "threshold", "--output", str(path))
+        assert code == 0
+        assert path.read_bytes() == (
+            b"r,N,p_G_min,F_0_min,p_G_min_full,F_0_min_full\n"
+            b"1,1,0.983,0.944,0.9833007812,0.9436523438\n"
+            b"3,2,0.991,0.972,0.9913085938,0.9715820312\n"
+            b"7,3,0.994,0.981,0.9938476563,0.9809570312\n"
+            b"15,4,0.995,0.986,0.9954101562,0.9858398438\n"
+            b"31,5,0.996,0.989,0.9961914063,0.9885742187\n"
+            b"63,6,0.997,0.991,0.9967773438,0.9905273437\n"
+            b"127,7,0.997,0.992,0.9973632812,0.9918945312\n"
+        )
+
     def test_non_chain_station_count_rejected(self, capsys):
         code, _, err = run(capsys, "threshold", "--stations", "2")
         assert code == 2
@@ -449,6 +465,37 @@ class TestCost:
         c_narrow = float(out_narrow.split("C=")[1].split(" ")[0])
         c_wide = float(out_wide.split("C=")[1].split(" ")[0])
         assert c_wide <= c_narrow + 1e-9
+
+
+class TestDefaultNestingRange:
+    """Without nesting flags, --optimize, sweep and cost scan N = 1...10."""
+
+    @pytest.mark.parametrize("point, flag, n_default, n_flagged", [
+        # perfect devices gain from every level: the deepest one wins
+        (("600", "1", "1"), ("--max-nesting", "11"), "10", "11"),
+        # a short noisy link is best without a repeater, which the default leaves out
+        (("20", "0.99", "0.99"), ("--min-nesting", "0"), "1", "0"),
+    ])
+    def test_keyrate_optimum_lies_in_one_to_ten(self, capsys, point, flag, n_default, n_flagged):
+        distance, fidelity, gate_quality = point
+        argv = ("keyrate", "--distance", distance, "--fidelity", fidelity,
+                "--gate-quality", gate_quality, "--optimize")
+        assert parse_kv(run(capsys, *argv)[1])["N"] == n_default
+        assert parse_kv(run(capsys, *argv, *flag)[1])["N"] == n_flagged
+
+    @pytest.mark.parametrize("argv", [
+        # its optima are N = 1 at (0.99, 0.99) and N = 10 at (1, 1)
+        ("sweep", "--distance", "20", "--fidelity-range", "0.99:1:0.01",
+         "--gate-quality-range", "0.99:1:0.01"),
+        # N* = 0 when scanned
+        ("cost", "--distance-range", "1:20:19", "--fidelity", "0.99", "--gate-quality", "0.99"),
+        # N* = 10
+        ("cost", "--distance", "20", "--fidelity", "1", "--gate-quality", "1"),
+    ], ids=["sweep", "cost-shallow", "cost-deep"])
+    def test_sweep_and_cost_default_to_one_to_ten(self, capsys, argv):
+        code, default, _ = run(capsys, *argv)
+        assert code == 0
+        assert default == run(capsys, *argv, "--min-nesting", "1", "--max-nesting", "10")[1]
 
 
 class TestEnumerateErrors:

@@ -8,6 +8,7 @@ that the rate and threshold paths stay on the closed forms.
 
 import contextlib
 import io
+import math
 import sys
 from fractions import Fraction
 
@@ -38,6 +39,7 @@ from repeater_keyrate.rates import (
     _levels_by_bound,
     _Point,
     _shared_chain,
+    binary_entropy,
     cost_coefficient,
     error_rates,
     key_rate,
@@ -232,7 +234,7 @@ unit = st.floats(0.0, 1.0)
 @example(1.0, 1.0, 20)
 @example(1.0, 0.0, 1)
 def test_lean_level_path_equals_the_reference_path(beta, f0, nesting):
-    # the scan's gate and plain-tuple decode against chain_success_prob and a
+    # the scan's gate and QBER kernel against chain_success_prob and a
     # fresh ChainState's mixture, bit for bit
     point, r = _Point(beta, f0), 2**nesting - 1
     _, decoded = point.level(100.0, nesting, (0.17, 2e5, "physical"))
@@ -264,6 +266,60 @@ def test_shared_chain_state_equals_a_fresh_one(beta, r, p_r):
         coeffs = fresh.decode_coeffs(r, p_r)
         assert repr(shared.decode_coeffs(r, p_r)) == repr(coeffs)
         assert repr(shared.mix(*coeffs)) == repr(fresh.mix(*coeffs))
+
+
+edge_betas = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), unit)
+
+
+@deterministic
+@given(edge_betas, st.integers(1, 2**20 - 1), unit)
+@example(-0.0, 1, 1.0)
+@example(1.0, 2**20 - 1, 0.0)
+def test_qber_kernel_equals_the_mixture_of_the_decode_coefficients(beta, r, p_r):
+    chain = ChainState(beta)
+    expected = error_rates(chain.mix(*chain.decode_coeffs(r, p_r)))
+    assert repr(chain.qbers(r, p_r)) == repr(expected)
+
+
+def _six_state_through_every_entropy(e_x, e_y, e_z):
+    """The six-state fraction with the conditional-phase entropy evaluated,
+    h(1/2) included, for arguments inside [0, 1]."""
+    cond_phase = 0.0
+    if e_z > 0.0:
+        cond_phase = e_z * binary_entropy(min(max((1.0 + (e_x - e_y) / e_z) / 2.0, 0.0), 1.0))
+    if e_z >= 1.0:
+        return 1.0 - cond_phase
+    arg = (1.0 - (e_x + e_y + e_z) / 2.0) / (1.0 - e_z)
+    if not -1e-9 <= arg <= 1.0 + 1e-9:
+        return -math.inf
+    no_error = (1.0 - e_z) * binary_entropy(min(max(arg, 0.0), 1.0))
+    return 1.0 - cond_phase - no_error - binary_entropy(max(e_z, 0.0))
+
+
+@deterministic
+@given(st.floats(0.0, 0.5), st.one_of(st.sampled_from([0.0, -0.0, -1e-10, 1.0]), unit))
+@example(0.25, 0.5)
+def test_equal_x_and_y_errors_skip_an_entropy_of_one_half(e, e_z):
+    assert binary_entropy(0.5) == 1.0
+    assert repr(secret_fraction_six_state(e, e, e_z)) == repr(_six_state_through_every_entropy(e, e, e_z))
+
+
+def _success_through_every_row(beta, f0, phase_trivial_only):
+    """p_s as the Horner sum over all 17 Bernstein rows in beta."""
+    e_scale, rows = closedform._success_rows(f0, phase_trivial_only)
+    ratio, total = beta / (1.0 - beta), 0.0
+    for inner in reversed(rows):
+        total = total * ratio + inner
+    b_scale = (1.0 - beta) ** (len(rows) - 1)
+    return total * b_scale * e_scale / closedform._SUCCESS_DENOMINATOR[phase_trivial_only]
+
+
+@deterministic
+@given(st.sampled_from([0.0, -0.0]), st.one_of(st.sampled_from([0.0, 1.0]), unit), st.booleans())
+def test_zero_beta_swap_success_sums_row_zero_to_the_same_bits(beta, f0, phase_trivial_only):
+    # uncached: -0.0 and 0.0 share one cache entry
+    p_s = closedform.swap_success_closed_form.__wrapped__(beta, f0, phase_trivial_only=phase_trivial_only)
+    assert repr(p_s) == repr(_success_through_every_row(beta, f0, phase_trivial_only))
 
 
 def _patch_every_binding(monkeypatch, original, replacement):
