@@ -22,6 +22,7 @@ DECODE_GATE_COUNT = len(_DECODE_GATES)
 # Bell coefficients (phi+, phi-, psi+, psi-) of rho_tilde_prime, the
 # one-faulty decode of the ideal encoded pair and of its dephasing
 _TILDE_BELL = (5 / 16, 5 / 16, 3 / 16, 3 / 16)
+_T_PHI, _T_PSI = _TILDE_BELL[0], _TILDE_BELL[2]  # its phi and its psi pair are equal
 
 
 def _check_unit(name: str, x: float) -> None:
@@ -85,15 +86,7 @@ _SUCCESS_PHASE_TRIVIAL = (
     (7263756, 41685192, 101169972, 132716016, 99023796, 39736008, 6679692),
     (9074592, 53615520, 132637824, 175777344, 131541408, 52672032, 8811072),
     (9631548, 57542400, 143418924, 190868832, 143043732, 57233952, 9550980),
-    (8389332, 50291280, 125646228, 167458752, 125571708, 50231664, 8374428),
-    (5842206, 35049348, 87616242, 116815608, 87609762, 35044164, 5840910),
-    (3184272, 19105632, 47764080, 63685440, 47764080, 19105632, 3184272),
-    (1326780, 7960680, 19901700, 26535600, 19901700, 7960680, 1326780),
-    (408240, 2449440, 6123600, 8164800, 6123600, 2449440, 408240),
-    (87480, 524880, 1312200, 1749600, 1312200, 524880, 87480),
-    (11664, 69984, 174960, 233280, 174960, 69984, 11664),
-    (729, 4374, 10935, 14580, 10935, 4374, 729),
-)
+) + _SUCCESS_ALL[9:]  # the same integers from row 9 on, over twice the denominator
 
 _SUCCESS_DENOMINATOR = {False: 46656.0, True: 93312.0}  # by phase_trivial_only
 _SUCCESS_TABLES = {False: _SUCCESS_ALL, True: _SUCCESS_PHASE_TRIVIAL}
@@ -165,7 +158,7 @@ def _capped_success(p_s: float) -> float:
     """p_s, checked to be a probability up to 1e-12 of rounding, capped at 1."""
     if not 0.0 <= p_s <= 1.0 + 1e-12:
         raise ValueError(f"p_s must be a probability, got {p_s}")
-    return float(min(p_s, 1.0))
+    return float(1.0 if p_s > 1.0 else p_s)
 
 
 def chain_success_prob(p_s: float, r: int) -> float:
@@ -181,8 +174,9 @@ def chain_success_prob(p_s: float, r: int) -> float:
 class ChainState:
     """The swapped and decoded chain state at one beta, as closed forms in
     (r, P_r).  log(1 - beta), log 3 + log beta and the decode CNOTs' weights
-    are computed once, for every point and nesting level at that beta; at
-    beta = 0 and 1 a logarithm is -inf, which gives the exact weights."""
+    are computed once, for every point and nesting level at that beta, and
+    the P_r-free terms of each r once, on first use; at beta = 0 and 1 a
+    logarithm is -inf, which gives the exact weights."""
 
     def __init__(self, beta: float):
         _check_unit("beta", beta)
@@ -190,6 +184,7 @@ class ChainState:
         self._log_3beta = math.log(3.0) + math.log(beta) if beta > 0.0 else -math.inf
         w_perfect, w_branch, w_rest = first_order_weights(DECODE_GATE_COUNT, beta)
         self._decode_weights = (w_perfect, DECODE_GATE_COUNT * w_branch, w_rest / 4.0)
+        self._by_r: dict[int, tuple[float, ...]] = {}
 
     def weights(self, r: int) -> tuple[float, float, float]:
         """(ideal, dephased, mixed-remainder) weights of the swapped state
@@ -200,19 +195,27 @@ class ChainState:
         w_deph = math.exp(r * self._log_3beta + 2 * r * self._log1m)
         q_r = 1.0 - w_ideal - w_deph
         assert q_r >= -1e-12, f"remainder weight {q_r} negative"
-        return w_ideal, w_deph, max(q_r, 0.0)
+        return w_ideal, w_deph, 0.0 if q_r < 0.0 else q_r
+
+    def _r_terms(self, r: int) -> tuple[float, ...]:
+        """:meth:`weights` and the P_r-free sums kept * t + spread of the
+        one-faulty decode's Phi and Psi entries, stored for every later call at r."""
+        w_ideal, w_deph, q_r = self.weights(r)
+        kept = w_ideal + w_deph
+        spread = (1.0 - kept) / 4.0
+        terms = self._by_r[r] = (
+            w_ideal, w_deph, q_r, kept * _T_PHI + spread, kept * _T_PSI + spread,
+        )
+        return terms
 
     def _decode_terms(self, r: int, p_r: float) -> tuple[float, ...]:
         """w_ideal and the Phi- and Psi entries of the perfect and of the
         one-faulty decode (:meth:`decode_coeffs`); Psi+ = Psi- in both."""
-        w_ideal, w_deph, q_r = self.weights(r)
+        w_ideal, w_deph, q_r, kept_phi, kept_psi = self._by_r.get(r) or self._r_terms(r)
         psi = (p_r * q_r + (1.0 - p_r) * 64.0 / 63.0) / 4.0
         phi_minus = p_r * w_deph / 2.0 + psi
-        kept = w_ideal + w_deph
-        spread = (1.0 - kept) / 4.0
-        t_phi, _, t_psi, _ = _TILDE_BELL  # its phi and its psi pair are equal
-        faulty_phi = p_r * (kept * t_phi + spread) + (1.0 - p_r) * (16.0 - t_phi) / 63.0
-        faulty_psi = p_r * (kept * t_psi + spread) + (1.0 - p_r) * (16.0 - t_psi) / 63.0
+        faulty_phi = p_r * kept_phi + (1.0 - p_r) * (16.0 - _T_PHI) / 63.0
+        faulty_psi = p_r * kept_psi + (1.0 - p_r) * (16.0 - _T_PSI) / 63.0
         return w_ideal, phi_minus, psi, faulty_phi, faulty_psi
 
     def decode_coeffs(self, r: int, p_r: float) -> tuple[tuple[float, ...], tuple[float, ...]]:

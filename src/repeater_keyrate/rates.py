@@ -23,14 +23,16 @@ curves).  Both conventions are deliberate; see the README model notes.
 
 Nesting scan.  Each quantity is computed where it is constant: the levels'
 checks and K bounds per (L, levels, fiber) (:func:`_levels_by_bound`, with
-H_n cached per n), the rows of p_s per F0 (row 0 alone at beta = 0), the
-beta terms per beta, and p_s, checked once, per point (:class:`_Point`, whose
-level report :func:`key_rate` uses too, so K agrees to the last bit).
-:meth:`_Point.level` scores a level cheapest test first: P_r as one power,
-then r_inf from the QBER kernel
+H_n cached per n), the link terms L0, P0, Z and R per (L, N, fiber)
+(:func:`_link_terms`), the rows of p_s per F0 (row 0 alone at beta = 0), the
+beta terms per beta, the chain's P_r-free terms per (beta, r) (a memo of
+:class:`~repeater_keyrate.closedform.ChainState`), and p_s, checked once,
+per point (:class:`_Point`, whose level report :func:`key_rate` uses too, so
+K agrees to the last bit).  :meth:`_Point.level` scores a level cheapest
+test first: P_r as one power, then r_inf from the QBER kernel
 :meth:`~repeater_keyrate.closedform.ChainState.qbers`, which computes only
 the Phi- and Psi entries of the decoded pair (e_X = e_Y, so the six-state
-fraction skips h(1/2) = 1), then the link terms P0, Z and R.
+fraction skips h(1/2) = 1), then the link terms.
 :func:`optimize_over_stations` takes the levels by descending bound, stops
 at the first bound below the best K, and reports only the winner.
 
@@ -148,7 +150,7 @@ def secret_fraction_six_state(e_x: float, e_y: float, e_z: float) -> float:
         arg = (1.0 + (e_x - e_y) / e_z) / 2.0
         if arg < _LOW or arg > _HIGH:
             return float("-inf")
-        term_cond_phase = e_z * binary_entropy(min(max(arg, 0.0), 1.0))
+        term_cond_phase = e_z * binary_entropy(0.0 if arg < 0.0 else 1.0 if arg > 1.0 else arg)
     if e_z >= 1.0:
         # no term without a Z error, and h(e_z) = h(1) = 0 up to 1e-12
         if e_z >= 1.0 + 1e-12:
@@ -157,8 +159,8 @@ def secret_fraction_six_state(e_x: float, e_y: float, e_z: float) -> float:
     arg = (1.0 - (e_x + e_y + e_z) / 2.0) / (1.0 - e_z)
     if arg < _LOW or arg > _HIGH:
         return float("-inf")
-    term_no_error = (1.0 - e_z) * binary_entropy(min(max(arg, 0.0), 1.0))
-    return 1.0 - term_cond_phase - term_no_error - binary_entropy(max(e_z, 0.0))
+    term_no_error = (1.0 - e_z) * binary_entropy(0.0 if arg < 0.0 else 1.0 if arg > 1.0 else arg)
+    return 1.0 - term_cond_phase - term_no_error - binary_entropy(0.0 if e_z < 0.0 else e_z)
 
 
 def transmission_prob(l0_km: float, alpha_db_per_km: float = DEFAULT_ALPHA_DB_PER_KM) -> float:
@@ -281,10 +283,15 @@ def _fundamental_time(l0_km: float, speed_km_per_s: float, t0_mode: str) -> floa
     return 1.0 if t0_mode == "normalized" else l0_km / speed_km_per_s
 
 
-def _link_terms(distance_km: float, nesting: int, fiber: Sequence) -> tuple[float, ...]:
-    """L0, P0, Z and R = 1/(2 T0 Z) of a nesting level.  If P0 underflowed
-    to 0.0, Z = inf and R = 0 (:func:`z_n` itself rejects P0 = 0)."""
-    alpha_db_per_km, speed_km_per_s, t0_mode = fiber
+# typed: an equal value of another type, say a numpy float, gets its own entry,
+# so no caller's report takes the types of another caller's arguments
+@lru_cache(maxsize=65536, typed=True)
+def _link_terms(
+    distance_km: float, nesting: int, alpha_db_per_km: float, speed_km_per_s: float, t0_mode: str
+) -> tuple[float, ...]:
+    """L0, P0, Z and R = 1/(2 T0 Z) of a nesting level, once per (L, N,
+    fiber).  If P0 underflowed to 0.0, Z = inf and R = 0 (:func:`z_n`
+    itself rejects P0 = 0)."""
     l0 = distance_km / 2**nesting
     p0 = transmission_prob(l0, alpha_db_per_km)
     z = z_n(3 * 2**nesting, p0) if p0 > 0.0 else math.inf
@@ -318,17 +325,17 @@ class _Point:
         return p_r, qbers, secret_fraction_six_state(*qbers)
 
     def report(
-        self, distance_km: float, nesting: int, fiber: Sequence, decoded: tuple | None = None
+        self, distance_km: float, nesting: int, fiber: tuple, decoded: tuple | None = None
     ) -> RateReport:
         """The :class:`RateReport` of one nesting level, from its :meth:`decoded`
         tuple when the caller has it."""
         p_r, (e_x, e_y, e_z), fraction = decoded or self.decoded(2**nesting - 1)
-        l0, p0, z, rate = _link_terms(distance_km, nesting, fiber)
-        k = rate * max(fraction, 0.0) / MEMORIES_PER_HALF_NODE
+        l0, p0, z, rate = _link_terms(distance_km, nesting, *fiber)
+        k = rate * (0.0 if fraction < 0.0 else fraction) / MEMORIES_PER_HALF_NODE
         return RateReport(p0, z, rate, e_x, e_y, e_z, fraction, k, self.p_s, p_r, nesting, l0)
 
     def level(
-        self, distance_km: float, nesting: int, fiber: Sequence
+        self, distance_km: float, nesting: int, fiber: tuple
     ) -> tuple[float, tuple | None]:
         """K and the :meth:`decoded` tuple of a scan level: (0.0, None) below the
         gate (P_r = p_s ** r < ``KEYLESS_P_R``), (0.0, decoded) without the link
@@ -340,7 +347,7 @@ class _Point:
         decoded = self.decoded(r, p_r)
         if decoded[2] <= 0.0:
             return 0.0, decoded
-        rate = _link_terms(distance_km, nesting, fiber)[3]
+        rate = _link_terms(distance_km, nesting, *fiber)[3]
         return rate * decoded[2] / MEMORIES_PER_HALF_NODE, decoded
 
 

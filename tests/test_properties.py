@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repeater_keyrate import cli, closedform, encgen, frames
+from repeater_keyrate import cli, closedform, encgen, frames, rates
 from repeater_keyrate.closedform import (
     DECODE_GATE_COUNT,
     ChainState,
@@ -322,6 +322,148 @@ def test_zero_beta_swap_success_sums_row_zero_to_the_same_bits(beta, f0, phase_t
     assert repr(p_s) == repr(_success_through_every_row(beta, f0, phase_trivial_only))
 
 
+# The per-level path's clamps as the builtins wrote them (first argument wins
+# a tie, so -0.0 and NaN pass through); the conditional forms must agree.
+
+def _six_state_with_builtin_clamps(e_x, e_y, e_z):
+    if not (-1e-9 <= e_x <= 1.0 + 1e-9 and -1e-9 <= e_y <= 1.0 + 1e-9 and -1e-9 <= e_z <= 1.0 + 1e-9):
+        for name, e in (("e_x", e_x), ("e_y", e_y), ("e_z", e_z)):
+            if not -1e-9 <= e <= 1.0 + 1e-9:
+                raise ValueError(f"{name} must be in [0, 1], got {e}")
+    if e_z <= 0.0:
+        term_cond_phase = 0.0
+    elif e_x == e_y:
+        term_cond_phase = e_z
+    else:
+        arg = (1.0 + (e_x - e_y) / e_z) / 2.0
+        if arg < -1e-9 or arg > 1.0 + 1e-9:
+            return float("-inf")
+        term_cond_phase = e_z * binary_entropy(min(max(arg, 0.0), 1.0))
+    if e_z >= 1.0:
+        if e_z >= 1.0 + 1e-12:
+            raise ValueError(f"entropy argument {e_z} outside [0, 1]")
+        return 1.0 - term_cond_phase
+    arg = (1.0 - (e_x + e_y + e_z) / 2.0) / (1.0 - e_z)
+    if arg < -1e-9 or arg > 1.0 + 1e-9:
+        return float("-inf")
+    term_no_error = (1.0 - e_z) * binary_entropy(min(max(arg, 0.0), 1.0))
+    return 1.0 - term_cond_phase - term_no_error - binary_entropy(max(e_z, 0.0))
+
+
+def _outcome(f, *args):
+    """repr of f's value, or of the error it raises."""
+    try:
+        return repr(f(*args))
+    except ValueError as error:
+        return repr(error)
+
+
+qber_edges = st.one_of(st.sampled_from([-0.0, 0.0, 1.0, -1e-9, 1.0 + 1e-9]), st.floats(-1e-9, 1.0 + 1e-9))
+
+
+@deterministic
+@given(qber_edges, qber_edges, qber_edges)
+@example(-0.0, -0.0, -0.0)
+@example(0.0, 0.0, 0.0)
+@example(1.0, 1.0, 1.0)
+@example(-1e-9, 0.0, 1.0)
+@example(1.0 + 1e-9, 0.0, 0.5)
+@example(0.25, 0.25, 1.0)
+@example(0.1, 0.2, 1.0)
+@example(0.0, 0.0, 1.0 + 1e-9)
+@example(-1e-9, -1e-9, 0.5)
+@example(-1e-9, -1e-9, 0.0)
+@example(1.0 + 1e-9, 1.0, 0.0)
+@example(0.3 + 1e-10, 0.1, 0.2)
+@example(0.1, 0.3 + 1e-10, 0.2)
+def test_six_state_clamps_keep_the_builtin_bits(e_x, e_y, e_z):
+    assert _outcome(secret_fraction_six_state, e_x, e_y, e_z) == (
+        _outcome(_six_state_with_builtin_clamps, e_x, e_y, e_z)
+    )
+
+
+def _capped_with_builtin_min(p_s):
+    if not 0.0 <= p_s <= 1.0 + 1e-12:
+        raise ValueError(f"p_s must be a probability, got {p_s}")
+    return float(min(p_s, 1.0))
+
+
+@deterministic
+@given(st.one_of(st.sampled_from([-0.0, 0.0, 1.0, 1.0 + 1e-12, 1.0 + 2e-12]), st.floats(-1e-9, 1.0 + 1e-11)))
+@example(1.0 + 1e-12)
+@example(-0.0)
+def test_capped_success_keeps_the_builtin_bits(p_s):
+    assert _outcome(closedform._capped_success, p_s) == _outcome(_capped_with_builtin_min, p_s)
+
+
+@deterministic
+@given(edge_betas, st.one_of(st.integers(1, 127), st.integers(1, 2**20 - 1)))
+@example(-0.0, 1)
+@example(1.0, 3)
+@example(1e-300, 7)
+def test_chain_weights_keep_the_builtin_bits(beta, r):
+    chain = ChainState(beta)
+    w_ideal = math.exp(3 * r * chain._log1m)
+    w_deph = math.exp(r * chain._log_3beta + 2 * r * chain._log1m)
+    q_r = 1.0 - w_ideal - w_deph
+    assert repr(chain.weights(r)) == repr((w_ideal, w_deph, max(q_r, 0.0)))
+
+
+@deterministic
+@given(st.one_of(st.sampled_from([-math.inf, -0.0, 0.0, 1.0, math.nan]), st.floats(-1.0, 1.0)),
+       st.sampled_from([(600.0, 2), (2000.0, 6), (1e5, 1)]), st.sampled_from(["physical", "normalized"]))
+@example(-math.inf, (600.0, 2), "physical")
+@example(-0.0, (600.0, 2), "physical")
+def test_report_clamp_keeps_the_builtin_bits(fraction, link, t0_mode):
+    # a K of -0.0 prints as -0 in the CSV, so the sign of a zero fraction must survive
+    distance, nesting = link
+    fiber = (DEFAULT_ALPHA_DB_PER_KM, DEFAULT_SPEED_KM_PER_S, t0_mode)
+    report = _Point(0.001, 0.99).report(distance, nesting, fiber, (0.5, (0.1, 0.1, 0.1), fraction))
+    rate = rates._link_terms(distance, nesting, *fiber)[3]
+    assert repr(report.key_rate) == repr(rate * max(fraction, 0.0) / MEMORIES_PER_HALF_NODE)
+
+
+_RATE_PATH_CACHES = (
+    rates.z_n, rates._harmonic, rates._levels_by_bound, rates._link_terms,
+    closedform.swap_success_closed_form, closedform._success_rows,
+    rates._shared_chain, rates._shared_point,
+)
+
+
+def test_cached_scans_equal_cold_ones_at_every_point():
+    # one process sweeps an (F0, p_G) grid at 600 km and a distance range,
+    # interleaving two alphas and both T0 modes, so every cache is shared
+    # across points; each point must still come out as it does with every
+    # rate-path cache cleared
+    fibers = [(alpha, DEFAULT_SPEED_KM_PER_S, t0_mode)
+              for alpha in (DEFAULT_ALPHA_DB_PER_KM, 0.2) for t0_mode in ("physical", "normalized")]
+    grid = [(600.0, 1.0 - pg, f0) for f0 in (0.99, 0.995, 1.0) for pg in (0.99, 0.995, 1.0)]
+    points = [(distance, beta, f0, fiber)
+              for distance, beta, f0 in grid + [(d, 0.005, 0.995) for d in (300.0, 600.0, 1200.0)]
+              for fiber in fibers]
+
+    def scan(distance, beta, f0, fiber):
+        alpha, speed, t0_mode = fiber
+        return repr(optimize_over_stations(distance, beta, f0, alpha_db_per_km=alpha,
+                                           speed_km_per_s=speed, t0_mode=t0_mode))
+
+    warm = [scan(*point) for point in points]
+    for point, expected in zip(points, warm):
+        for cache in _RATE_PATH_CACHES:
+            cache.cache_clear()
+        assert scan(*point) == expected, point
+
+
+def test_cached_link_terms_keep_each_callers_types():
+    # numpy arguments equal to float ones must not hand their float64s to the float caller
+    rates._link_terms.cache_clear()
+    assert type(key_rate(np.float64(600.0), 0.0, 1.0, 2).l0_km) is np.float64
+    assert type(key_rate(600.0, 0.0, 1.0, 2).l0_km) is float
+    numpy_speed = key_rate(600.0, 0.0, 1.0, 2, speed_km_per_s=np.float64(DEFAULT_SPEED_KM_PER_S))
+    assert type(numpy_speed.rate_pairs_per_s) is np.float64
+    assert type(key_rate(600.0, 0.0, 1.0, 2).rate_pairs_per_s) is float
+
+
 def _patch_every_binding(monkeypatch, original, replacement):
     """Point every package-module global bound to ``original`` at ``replacement``."""
     for name, module in list(sys.modules.items()):
@@ -385,6 +527,7 @@ def test_keyless_levels_do_no_entropy_or_waiting_time_work(monkeypatch):
     ):
         fractions.clear()
         waits.clear()
+        rates._link_terms.cache_clear()
         scan()
         assert fractions and waits
         assert not keyless_qbers & set(fractions)

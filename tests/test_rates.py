@@ -408,6 +408,7 @@ class TestKeyRate:
             calls.append(args)
             return z_n(*args)
 
+        rates._link_terms.cache_clear()
         monkeypatch.setattr(rates, "z_n", counted)
         report = key_rate(400.0, 0.005, 0.98, 2)
         assert calls == [(12, report.p0)]
@@ -452,22 +453,44 @@ class TestOptimize:
             optimize_over_stations(600.0, 0.0, 1.0, [1, 2])
         )
 
-    def test_surface_grid_builds_the_swap_rows_once_per_f0(self):
-        # p_s's rows over eps depend on F0 alone; each point adds only its beta
+    def test_surface_grid_builds_the_swap_rows_once_per_f0(self, monkeypatch):
+        # p_s's rows over eps depend on F0 alone; each point adds only its beta.
+        # The link terms depend on (L, N, fiber) alone and the chain's
+        # P_r-free terms on (beta, r) alone, so the grid computes each once
         f0s, gate_qualities = (0.99, 0.995, 0.999, 1.0), (0.99, 0.995, 1.0)
-        rates.swap_success_closed_form.cache_clear()
-        closedform._success_rows.cache_clear()
+        link_calls, weights_calls = [], []
+        cached_link_terms, weights = rates._link_terms, closedform.ChainState.weights
+
+        def counted_link_terms(*args):
+            link_calls.append(args)
+            return cached_link_terms(*args)
+
+        def counted_weights(chain, r):
+            weights_calls.append((chain, r))
+            return weights(chain, r)
+
+        monkeypatch.setattr(rates, "_link_terms", counted_link_terms)
+        monkeypatch.setattr(closedform.ChainState, "weights", counted_weights)
+        for cache in (rates.swap_success_closed_form, closedform._success_rows,
+                      cached_link_terms, rates._shared_chain):
+            cache.cache_clear()
         for f0 in f0s:
             for pg in gate_qualities:
                 optimize_over_stations(600.0, 1.0 - pg, f0, range(1, 5))
         assert closedform._success_rows.cache_info().misses == len(f0s)
         assert rates.swap_success_closed_form.cache_info().misses == len(f0s) * len(gate_qualities)
+        needed = {args[1] for args in link_calls}
+        assert len(link_calls) > len(needed) == cached_link_terms.cache_info().misses
+        chains = {rates._shared_chain(1.0 - pg) for pg in gate_qualities}
+        assert weights_calls and len(weights_calls) == len(set(weights_calls))
+        assert {chain for chain, _ in weights_calls} <= chains
 
     def test_levels_that_cannot_win_sum_no_waiting_time(self, monkeypatch):
         # at 2000 km the shallow levels' K bound lies below the winner's K,
         # N = 10's chain success P_r = 0.18 is below KEYLESS_P_R, which rules out
         # a key, and N = 8, 9 decode to r_inf < 0; only N = 6, 7 sum Z, and the
-        # winner's report looks its Z up again, a cache hit
+        # winner's report reads its cached link terms: one z_n lookup fewer, so
+        # the count is stricter than a Z looked up again
         levels = []
 
         def counted(num_pairs, p0):
@@ -475,10 +498,11 @@ class TestOptimize:
             return z_n(num_pairs, p0)
 
         z_n.cache_clear()
+        rates._link_terms.cache_clear()
         monkeypatch.setattr(rates, "z_n", counted)
         n_best, report = optimize_over_stations(2000.0, 1e-4, 0.9999)
         assert n_best == 6 and report.key_rate > 0.0
-        assert sorted(levels) == [6, 6, 7]
+        assert sorted(levels) == [6, 7]
         assert z_n.cache_info().misses == 2
 
     @pytest.mark.parametrize("distance, beta, f0", [
