@@ -146,7 +146,8 @@ def _fmt(x: float) -> str:
 
 
 def _row(*values: float) -> str:
-    return ",".join(map(_fmt, values))
+    # one %-format for the row: the text of _fmt on each value, in one call
+    return ("%.10g," * len(values))[:-1] % values
 
 
 def _load_config(path: str | None) -> dict[str, str]:

@@ -172,10 +172,11 @@ def transmission_prob(l0_km: float, alpha_db_per_km: float = DEFAULT_ALPHA_DB_PE
     return float(10.0 ** (-alpha_db_per_km * l0_km / 10.0))
 
 
-# Past this many terms the tail sum gives way to its Euler-Maclaurin limit
-# (:func:`_z_asymptote`).  The cap is what keeps tiny P0 finite in time and
-# memory: at P0 ~ 1e-17 the sum would need ~1e18 terms.  The term count is
-# measured as (ln n + ln 1e20) / x, the length of a sum cut at n q^k < 1e-20.
+# Where the remainder bound of :func:`_asymptote_is_exact` does not hold, a
+# sum cut at n q^k < 1e-20, (ln n + ln 1e20) / x terms, longer than this cap
+# still gives way to the Euler-Maclaurin limit.  It is a time backstop for
+# n <= 3 only (at P0 ~ 1e-17 the sum would take ~5e18 terms): for every
+# n = 3 * 2^N, N >= 1, the proven switch fires first.
 _Z_TAIL_CAP = 200_000
 _TAIL_CUTOFF = 46.0
 # Above this many pairs H_n comes from its asymptotic series (next term
@@ -185,6 +186,8 @@ _EULER_GAMMA = 0.5772156649015329
 _LN2 = math.log(2.0)
 # The alternating remainder series of the tail stops below this term.
 _SERIES_STOP = 2.0**-70
+# ln(2^-60 / 4): the remainder bound 4 M! / (x y^(M+1)) against 2^-60 H_n / x
+_LOG_SWITCH_TOL = -62.0 * _LN2
 
 
 @lru_cache(maxsize=1024)
@@ -206,25 +209,14 @@ def _tail_terms(num_pairs: int, x: float, ks: Iterable[int]) -> list[float]:
 def _z_tail_sum(num_pairs: int, x: float) -> float:
     """1 + sum_{k>=1} [1 - (1 - e^{-k x})^n] in double precision.
 
-    The leading terms that round to exactly 1.0 are counted (found by
-    bisection, as the terms fall with k), the next ones are summed below
-    K = ceil(ln(2n) / x), where n q^K <= 1/2, and the rest, from K on, is
-    the exact alternating series sum_j (-1)^(j+1) C(n, j) q^(jK) / (1 - q^j),
-    whose terms shrink at least twofold; everything is added with
-    ``math.fsum``.
+    The terms below K = ceil(ln(2n) / x), where n q^K <= 1/2, are summed
+    one by one, and the rest, from K on, is the exact alternating series
+    sum_j (-1)^(j+1) C(n, j) q^(jK) / (1 - q^j), whose terms shrink at
+    least twofold; everything is added with ``math.fsum``, which is exact,
+    so the leading terms that round to 1.0 need no count of their own.
     """
-    ones, above = 0, 1
-    while _tail_terms(num_pairs, x, (above,)) == [1.0]:
-        ones, above = above, 2 * above
-    while above - ones > 1:
-        mid = (ones + above) // 2
-        if _tail_terms(num_pairs, x, (mid,)) == [1.0]:
-            ones = mid
-        else:
-            above = mid
     k_end = math.ceil((math.log(num_pairs) + _LN2) / x)
-    terms = [float(ones)]
-    terms.extend(_tail_terms(num_pairs, x, range(ones + 1, k_end)))
+    terms = _tail_terms(num_pairs, x, range(1, k_end))
     q_end = math.exp(-k_end * x)
     binomial_q = 1.0  # C(n, j) q^(jK), built as a running product
     for j in range(1, num_pairs + 1):
@@ -237,14 +229,34 @@ def _z_tail_sum(num_pairs: int, x: float) -> float:
 
 
 def _z_asymptote(num_pairs: int, x: float) -> float:
-    """Euler-Maclaurin limit H_n / x + 1/2 of the tail sum for small x.
+    """Euler-Maclaurin limit H_n / x + 1/2 of the tail sum.
 
-    The integral of the summand is H_n / x and its value at k = 0 is 1; the
-    derivative corrections vanish up to order n - 1 because the summand is
-    flat to that order at k = 0, so for n >= 2 they are O(x^3) against
-    Z ~ 1/x.
+    The integral of the summand is H_n / x and its value at k = 0 is 1.
+    What it leaves out is exponentially small in 1/x, the residues of the
+    alternating form at s = 2 pi i k / x (:func:`_asymptote_is_exact`).
     """
     return _harmonic(num_pairs) / x + 0.5
+
+
+def _asymptote_is_exact(num_pairs: int, x: float) -> bool:
+    """Whether B(n, x) = 4 M! / (x y^(M+1)) <= 2^-60 H_n / x, with
+    y = 2 pi / x and M = min(n, floor(y)), evaluated in logs.
+
+    B bounds |Z_n - (H_n / x + 1/2)|, the sum over k != 0 of the residues
+    of the Rice integral of the alternating form of Z_n at s = 2 pi i k / x
+    (Flajolet & Sedgewick, Theor. Comput. Sci. 144, 101 (1995)):
+    (1) the k-th has size n! / (x y_k prod_{m<=n} sqrt(y_k^2 + m^2)),
+    y_k = k y; (2) it is at most the first one times sqrt(1 + 1/y^2) / k^2,
+    so both signs of k together give at most 4 times the first for y >= 2;
+    (3) n! / prod_{m<=n} sqrt(y^2 + m^2) <= M! / y^M, as each factor
+    m / sqrt(y^2 + m^2) is at most 1 and at most m / y.  Below y = 2 the
+    test cannot pass: M! / y^(M+1) >= 1/4 there.
+    """
+    y = 2.0 * math.pi / x
+    m = num_pairs if y >= num_pairs else math.floor(y)
+    return math.lgamma(m + 1) - (m + 1) * math.log(y) <= (
+        math.log(_harmonic(num_pairs)) + _LOG_SWITCH_TOL
+    )
 
 
 @lru_cache(maxsize=65536)
@@ -255,13 +267,13 @@ def z_n(num_pairs: int, p0: float) -> float:
     maximum of n geometric variables; the alternating binomial closed form
     of Bernardes, Praxmeyer & van Loock, PRA 83, 012323 (2011), is the same
     number).  Each term is -expm1(n log(1 - q^k)), which keeps its relative
-    precision where q^k is below machine epsilon.  The terms that round to
-    1.0 are counted, the rest are summed below K = ceil(ln(2n) / -ln q),
-    and the remainder from K on is the binomial series, which converges
-    fast there because n q^K <= 1/2 (:func:`_z_tail_sum`).  When a sum cut at
-    n q^k < 1e-20 would take more than the cap (200 000) terms (tiny P0),
-    the Euler-Maclaurin limit H_n / (-ln q) + 1/2 replaces it.  n = 1 is
-    the exact 1 / P0.
+    precision where q^k is below machine epsilon.  With x = -ln q, the
+    Euler-Maclaurin limit H_n / x + 1/2 is returned wherever its proven
+    remainder bound is below 2^-60 of it (:func:`_asymptote_is_exact`),
+    or, for n <= 3, where a sum cut at n q^k < 1e-20 would take more than
+    the cap (200 000) terms; elsewhere the terms below
+    K = ceil(ln(2n) / x) are summed in one pass and the rest is the
+    binomial series (:func:`_z_tail_sum`).  n = 1 is the exact 1 / P0.
     """
     if num_pairs < 1 or num_pairs % 1 != 0:
         raise ValueError(f"num_pairs must be a positive integer, got {num_pairs}")
@@ -273,7 +285,7 @@ def z_n(num_pairs: int, p0: float) -> float:
     if num_pairs == 1:
         return 1.0 / p0
     x = -math.log1p(-p0)
-    if (math.log(num_pairs) + _TAIL_CUTOFF) / x > _Z_TAIL_CAP:
+    if _asymptote_is_exact(num_pairs, x) or (math.log(num_pairs) + _TAIL_CUTOFF) / x > _Z_TAIL_CAP:
         return _z_asymptote(num_pairs, x)
     return _z_tail_sum(num_pairs, x)
 

@@ -401,12 +401,34 @@ def test_capped_success_keeps_the_builtin_bits(p_s):
 @example(-0.0, 1)
 @example(1.0, 3)
 @example(1e-300, 7)
+@example(2e-9, 1)
+@example(1e-15, 1)
 def test_chain_weights_keep_the_builtin_bits(beta, r):
     chain = ChainState(beta)
     w_ideal = math.exp(3 * r * chain._log1m)
     w_deph = math.exp(r * chain._log_3beta + 2 * r * chain._log1m)
     q_r = 1.0 - w_ideal - w_deph
     assert repr(chain.weights(r)) == repr((w_ideal, w_deph, max(q_r, 0.0)))
+
+
+@pytest.mark.parametrize("beta", [2e-9, 1e-15])
+def test_chain_weights_clamp_a_negative_remainder(beta):
+    # 1 - w_ideal - w_deph rounds below zero at these beta and r = 1
+    chain = ChainState(beta)
+    w_ideal, w_deph, q_r = chain.weights(1)
+    assert 1.0 - w_ideal - w_deph < 0.0
+    assert repr(q_r) == "0.0"
+
+
+@deterministic
+@given(st.lists(st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True), st.integers(-10**15, 10**15),
+    st.sampled_from([-0.0, math.inf, -math.inf, 1e-300, 5e-324, 0, 1]),
+), max_size=13))
+@example([-0.0, math.inf, 1e-300, 3])
+@example([])
+def test_row_is_the_joined_field_format(values):
+    assert cli._row(*values) == ",".join(f"{x:.10g}" for x in values)
 
 
 @deterministic

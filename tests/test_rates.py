@@ -216,6 +216,88 @@ class TestZnTailSum:
                 z_n.__wrapped__(3072, float(p0))
                 best = min(best, time.perf_counter() - start)
             assert best < 0.05, (p0, best)
+        # the longest tails left: n = 2, 3 just above their cap, n = 6 just above the proven switch
+        for num_pairs in (2, 3, 6):
+            x_switch = max(switch_rate(num_pairs), cap_rate(num_pairs))
+            for p0 in (-math.expm1(-x_switch * f) for f in (1.0, 1.001, 1.01)):
+                assert not rates._asymptote_is_exact(num_pairs, -math.log1p(-p0))
+                best = float("inf")
+                for _ in range(3):
+                    start = time.perf_counter()
+                    z_n.__wrapped__(num_pairs, p0)
+                    best = min(best, time.perf_counter() - start)
+                assert best < 0.05, (num_pairs, p0, best)
+
+
+def switch_rate(num_pairs):
+    """The smallest x (to ~1e-15 relative) at which the proven switch no longer
+    holds, by bisection in log x: the asymptote is proven exact at 1e-12 for
+    every n >= 2 here, and no n has it at x = 3 (y = 2 pi / x < 2)."""
+    lo, hi = 1e-12, 3.0
+    for _ in range(200):
+        mid = math.sqrt(lo * hi)
+        if rates._asymptote_is_exact(num_pairs, mid):
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def remainder_bound(num_pairs, x):
+    """B(n, x) = 4 M! / (x y^(M+1)), y = 2 pi / x, M = min(n, floor(y)), in mpmath."""
+    y = 2 * mp.pi / mp.mpf(x)
+    m = min(num_pairs, int(mp.floor(y)))
+    return 4 * mp.factorial(m) / (mp.mpf(x) * y ** (m + 1))
+
+
+class TestZnSwitch:
+    @pytest.mark.parametrize("num_pairs", (2, 3, 6, 12, 24, 48, 96, 192, 384))
+    def test_bound_covers_the_exact_remainder(self, num_pairs):
+        # Z_n exactly, from the alternating form at log10 C(n, n/2) + 60 digits or more,
+        # minus H_n / x + 1/2, on both sides of the switch
+        x_switch = switch_rate(num_pairs)
+        for x in np.geomspace(x_switch / 2, min(x_switch * 8, 2.0), 9).tolist():
+            # digits enough to resolve B itself, where it lies below 1e-60 of Z
+            relative = remainder_bound(num_pairs, x) * x / rates._harmonic(num_pairs)
+            below = max(0, int(-mp.log10(relative)))
+            digits = int(math.log10(math.comb(num_pairs, num_pairs // 2))) + 60 + below
+            with mp.workdps(digits):
+                xm = mp.mpf(x)
+                harmonic = mp.fsum(mp.mpf(1) / j for j in range(1, num_pairs + 1))
+                z = mp.fsum(
+                    (1 if j % 2 else -1) * mp.binomial(num_pairs, j) / -mp.expm1(-j * xm)
+                    for j in range(1, num_pairs + 1)
+                )
+                gap = abs(z - (harmonic / xm + mp.mpf(1) / 2))
+                assert gap <= remainder_bound(num_pairs, x), (x, gap)
+                # the test in logs says what B says, away from its rounding
+                ratio = remainder_bound(num_pairs, x) / (mp.mpf(2) ** -60 * harmonic / xm)
+                if abs(mp.log(ratio)) > 1e-9:
+                    assert rates._asymptote_is_exact(num_pairs, x) == (ratio <= 1), x
+
+    @pytest.mark.parametrize("nesting", range(1, 21))
+    def test_cap_lies_inside_the_proven_region(self, nesting):
+        num_pairs = 3 * 2**nesting
+        assert rates._asymptote_is_exact(num_pairs, cap_rate(num_pairs))
+        # the longest tail left, K - 1 terms, is just above the switch
+        x = switch_rate(num_pairs)
+        assert not rates._asymptote_is_exact(num_pairs, x)
+        tail = math.ceil((math.log(num_pairs) + math.log(2.0)) / x) - 1
+        assert tail <= (413 if num_pairs == 6 else 98), tail
+
+    @pytest.mark.parametrize("num_pairs", (2, 3, 6, 12, 24, 3072, 3 * 2**20))
+    def test_proven_region_returns_the_asymptote(self, num_pairs):
+        x_switch = switch_rate(num_pairs)
+        for x in np.geomspace(x_switch / 100, x_switch * 0.99, 7).tolist():
+            p0 = -math.expm1(-x)
+            x = -math.log1p(-p0)
+            assert rates._asymptote_is_exact(num_pairs, x)
+            assert z_n.__wrapped__(num_pairs, p0) == rates._z_asymptote(num_pairs, x)
+
+    def test_cap_stays_the_switch_at_two_and_three_pairs(self):
+        for num_pairs in (2, 3):
+            assert not rates._asymptote_is_exact(num_pairs, cap_rate(num_pairs))
+            assert switch_rate(num_pairs) < cap_rate(num_pairs)
 
 
 class TestBisection:
