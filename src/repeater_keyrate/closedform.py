@@ -117,11 +117,10 @@ def _eps_rows(
     return scale, tuple(rows)
 
 
-# every row once per F0, not once per point (:func:`swap_success_closed_form`)
-_success_rows = lru_cache(maxsize=1024)(_eps_rows)
+# every row once per F0, not per point; typed, so no caller gets another's float64 rows
+_success_rows = lru_cache(maxsize=1024, typed=True)(_eps_rows)
 
 
-@lru_cache(maxsize=4096)
 def swap_success_closed_form(beta: float, f0: float, *, phase_trivial_only: bool = False) -> float:
     """:func:`~repeater_keyrate.encswap.swap_success_prob` of
     ``encoded_pair(beta, f0)`` without the pair.
@@ -134,7 +133,8 @@ def swap_success_closed_form(beta: float, f0: float, *, phase_trivial_only: bool
     correctable states (the thresholds' accounting).  At beta = 0 (-0.0
     too) only row 0 is summed over eps, as a polynomial of degree 0 in beta:
     the full Horner sum multiplies every later row by a ratio of exactly 0
-    and its scale (1 - beta)^16 is 1, so the bits are the same.
+    and its scale (1 - beta)^16 is 1, so the bits are the same.  Uncached:
+    the rate path keeps p_s per (beta, F0) in ``rates._shared_point``.
     """
     _check_unit("beta", beta)
     _check_unit("F0", f0)

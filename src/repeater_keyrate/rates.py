@@ -21,19 +21,20 @@ range (per-station compounding contradicts it beyond a few stations, and
 no single accounting reproduces both the table and the published cost
 curves).  Both conventions are deliberate; see the README model notes.
 
-Nesting scan.  Each quantity is computed where it is constant: the levels'
-checks and K bounds per (L, levels, fiber) (:func:`_levels_by_bound`, with
-H_n cached per n), the link terms L0, P0, Z and R per (L, N, fiber)
-(:func:`_link_terms`), the rows of p_s per F0 (row 0 alone at beta = 0), the
-beta terms per beta, the chain's P_r-free terms per (beta, r) (a memo of
-:class:`~repeater_keyrate.closedform.ChainState`), and p_s, checked once,
-per point (:class:`_Point`, whose level report :func:`key_rate` uses too, so
-K agrees to the last bit).  :meth:`_Point.level` scores a level cheapest
-test first: P_r as one power, then r_inf from the QBER kernel
-:meth:`~repeater_keyrate.closedform.ChainState.qbers`, which computes only
-the Phi- and Psi entries of the decoded pair (e_X = e_Y, so the six-state
-fraction skips h(1/2) = 1), then the link terms.
-:func:`optimize_over_stations` takes the levels by descending bound, stops
+Nesting scan.  Each quantity is computed where it is constant, in one memo
+each: H_n per n (:func:`_harmonic`), the levels' checks and K bounds per
+(L, levels, fiber) (:func:`_levels_by_bound`), the link terms L0, P0, Z and R
+per (L, N, fiber) (:func:`_link_terms`), the rows of p_s per F0
+(``_success_rows``; row 0 alone at beta = 0), the beta terms per beta
+(``_shared_chain``), the chain's P_r-free terms per (beta, r)
+(``ChainState._by_r``), and p_s, checked once, per (beta, F0, accounting)
+(``_shared_point``, the :class:`_Point` of every entry point, so K agrees to
+the last bit); those that take the caller's floats are typed.
+:meth:`_Point.level` scores a level cheapest test first: P_r as one power,
+then r_inf from the QBER kernel ``ChainState.qbers``, which computes only the
+Phi- and Psi entries of the decoded pair (e_X = e_Y, so the six-state
+fraction skips h(1/2) = 1), then the link terms.  The level scan
+(:func:`optimize_over_stations`) takes the levels by descending bound, stops
 at the first bound below the best K, and reports only the winner.
 
 Everything here is stdlib arithmetic on those closed forms, N = 0
@@ -259,7 +260,6 @@ def _asymptote_is_exact(num_pairs: int, x: float) -> bool:
     )
 
 
-@lru_cache(maxsize=65536)
 def z_n(num_pairs: int, p0: float) -> float:
     """Expected rounds until all ``num_pairs`` geometric waits have succeeded.
 
@@ -302,8 +302,8 @@ def _link_terms(
     distance_km: float, nesting: int, alpha_db_per_km: float, speed_km_per_s: float, t0_mode: str
 ) -> tuple[float, ...]:
     """L0, P0, Z and R = 1/(2 T0 Z) of a nesting level, once per (L, N,
-    fiber).  If P0 underflowed to 0.0, Z = inf and R = 0 (:func:`z_n`
-    itself rejects P0 = 0)."""
+    fiber): the one memo of Z.  If P0 underflowed to 0.0, Z = inf and R = 0
+    (:func:`z_n` itself rejects P0 = 0)."""
     l0 = distance_km / 2**nesting
     p0 = transmission_prob(l0, alpha_db_per_km)
     z = z_n(3 * 2**nesting, p0) if p0 > 0.0 else math.inf
@@ -363,17 +363,16 @@ class _Point:
         return rate * decoded[2] / MEMORIES_PER_HALF_NODE, decoded
 
 
-# the points of a grid share their beta's chain state, and the threshold
-# bisections over the station counts share their first midpoints
-_shared_chain = lru_cache(maxsize=1024)(ChainState)
-_shared_point = lru_cache(maxsize=1024)(_Point)
+# every entry point's (beta, F0, accounting) and its beta's chain, typed as _link_terms is
+_shared_chain = lru_cache(maxsize=1024, typed=True)(ChainState)
+_shared_point = lru_cache(maxsize=1024, typed=True)(_Point)
 
 
 def secret_fraction_for(beta: float, f0: float, nesting: int) -> float:
     """Unclamped six-state secret fraction of the decoded chain state,
     with the rate pipeline's per-station error compounding."""
     _check_nesting(nesting)
-    return _Point(beta, f0).decoded(2**nesting - 1)[2]
+    return _shared_point(beta, f0).decoded(2**nesting - 1)[2]
 
 
 def key_rate(
@@ -394,7 +393,7 @@ def key_rate(
     The key rate is pairs per second times the clamped secret fraction,
     divided by the six memories per half node.
     """
-    point = _Point(beta, f0)
+    point = _shared_point(beta, f0)
     fiber = (alpha_db_per_km, speed_km_per_s, t0_mode)
     check_link(distance_km, nesting, *fiber)
     return point.report(distance_km, int(nesting), fiber)
@@ -454,7 +453,7 @@ def optimize_over_stations(
     (K, UB > 0, -N) from :meth:`_Point.level`, since UB > 0 exactly when
     P0 > 0, and the winner alone gets a report, from its decoded tuple."""
     fiber = (alpha_db_per_km, speed_km_per_s, t0_mode)
-    point = _Point(beta, f0)
+    point = _shared_point(beta, f0)
     best = (-math.inf,)  # (K, UB > 0, -N) of the winner so far
     for bound, n in _levels_by_bound(distance_km, tuple(n_range), *fiber):
         if bound < best[0]:
@@ -562,7 +561,7 @@ def cost_coefficient(
     2^(N+1) counts two memory qubits per station plus one at each end.
     """
     fiber = (alpha_db_per_km, speed_km_per_s, t0_mode)
-    point = _Point(beta, f0)
+    point = _shared_point(beta, f0)
     # every level, in the bound's order: min_cost_over_nesting sorts them
     levels = [n for _, n in _levels_by_bound(distance_km, tuple(n_range), *fiber)]
     key_rates = {n: point.level(distance_km, n, fiber)[0] for n in levels}

@@ -270,7 +270,7 @@ def bernstein_table(phase_trivial_only):
 def bernstein_sum_reference(table, beta, f0):
     """p_s times the denominator by the two-dimensional Horner, with the
     inner sum over eps redone for every beta: the reference for the rows
-    that swap_success_closed_form caches per F0."""
+    that swap_success_closed_form takes from its per-F0 cache."""
     b_scale, b_ratio, b_mirrored = closedform._bernstein_ratio(beta, 1.0 - beta, len(table) - 1)
     e_scale, e_ratio, e_mirrored = closedform._bernstein_ratio(1.0 - f0, f0, len(table[0]) - 1)
     total = 0.0
@@ -296,8 +296,7 @@ def test_cached_rows_keep_every_bit(beta, f0, phase_trivial_only):
     expected = bernstein_sum_reference(table, beta, f0) / closedform._SUCCESS_DENOMINATOR[
         phase_trivial_only
     ]
-    evaluate = swap_success_closed_form.__wrapped__
-    assert evaluate(beta, f0, phase_trivial_only=phase_trivial_only) == expected
+    assert swap_success_closed_form(beta, f0, phase_trivial_only=phase_trivial_only) == expected
 
 
 class TestStoredSwapSuccess:

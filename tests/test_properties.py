@@ -317,8 +317,7 @@ def _success_through_every_row(beta, f0, phase_trivial_only):
 @deterministic
 @given(st.sampled_from([0.0, -0.0]), st.one_of(st.sampled_from([0.0, 1.0]), unit), st.booleans())
 def test_zero_beta_swap_success_sums_row_zero_to_the_same_bits(beta, f0, phase_trivial_only):
-    # uncached: -0.0 and 0.0 share one cache entry
-    p_s = closedform.swap_success_closed_form.__wrapped__(beta, f0, phase_trivial_only=phase_trivial_only)
+    p_s = closedform.swap_success_closed_form(beta, f0, phase_trivial_only=phase_trivial_only)
     assert repr(p_s) == repr(_success_through_every_row(beta, f0, phase_trivial_only))
 
 
@@ -445,11 +444,16 @@ def test_report_clamp_keeps_the_builtin_bits(fraction, link, t0_mode):
     assert repr(report.key_rate) == repr(rate * max(fraction, 0.0) / MEMORIES_PER_HALF_NODE)
 
 
+# the rate path's memos but ChainState._by_r, which clearing _shared_chain drops
 _RATE_PATH_CACHES = (
-    rates.z_n, rates._harmonic, rates._levels_by_bound, rates._link_terms,
-    closedform.swap_success_closed_form, closedform._success_rows,
-    rates._shared_chain, rates._shared_point,
+    rates._harmonic, rates._levels_by_bound, rates._link_terms,
+    closedform._success_rows, rates._shared_chain, rates._shared_point,
 )
+
+
+def _clear_rate_path_caches():
+    for cache in _RATE_PATH_CACHES:
+        cache.cache_clear()
 
 
 def test_cached_scans_equal_cold_ones_at_every_point():
@@ -471,9 +475,26 @@ def test_cached_scans_equal_cold_ones_at_every_point():
 
     warm = [scan(*point) for point in points]
     for point, expected in zip(points, warm):
-        for cache in _RATE_PATH_CACHES:
-            cache.cache_clear()
+        _clear_rate_path_caches()
         assert scan(*point) == expected, point
+
+
+def _optimized(distance, beta, f0):
+    n_best, report = optimize_over_stations(distance, beta, f0)
+    return (n_best, *report)
+
+
+# each entry point that takes (distance, beta, F0) from the caller, as a flat record
+_RATE_ENTRY_POINTS = {
+    **{f"key_rate N={n}": lambda distance, beta, f0, n=n: key_rate(distance, beta, f0, n)
+       for n in (0, 1, 3)},
+    "optimize_over_stations": _optimized,
+    "cost_coefficient": cost_coefficient,
+}
+
+
+def _typed_fields(record):
+    return [(type(x), repr(x)) for x in record]
 
 
 def test_cached_link_terms_keep_each_callers_types():
@@ -484,6 +505,25 @@ def test_cached_link_terms_keep_each_callers_types():
     numpy_speed = key_rate(600.0, 0.0, 1.0, 2, speed_km_per_s=np.float64(DEFAULT_SPEED_KM_PER_S))
     assert type(numpy_speed.rate_pairs_per_s) is np.float64
     assert type(key_rate(600.0, 0.0, 1.0, 2).rate_pairs_per_s) is float
+    # nor through the point, p_s's rows or the chain state: after a numpy call, an
+    # equal float call reports what it reports with every rate-path cache cleared
+    for name, entry in _RATE_ENTRY_POINTS.items():
+        _clear_rate_path_caches()
+        cold = _typed_fields(entry(600.0, 0.002, 0.995))
+        _clear_rate_path_caches()
+        entry(np.float64(600.0), np.float64(0.002), np.float64(0.995))
+        assert _typed_fields(entry(600.0, 0.002, 0.995)) == cold, name
+    # -0.0 and 0.0 share each memo's entry; either order gives each its cold report
+    for name, entry in _RATE_ENTRY_POINTS.items():
+        for f0 in (0.99, 1.0):
+            cold = []  # by index: a dict would take -0.0 and 0.0 for one key
+            for beta in (0.0, -0.0):
+                _clear_rate_path_caches()
+                cold.append(repr(entry(600.0, beta, f0)))
+            for order in ((0, 1), (1, 0)):
+                _clear_rate_path_caches()
+                assert [repr(entry(600.0, (0.0, -0.0)[i], f0)) for i in order] == [
+                    cold[i] for i in order], (name, f0, order)
 
 
 def _patch_every_binding(monkeypatch, original, replacement):
@@ -500,7 +540,7 @@ def test_rate_and_threshold_paths_build_no_encoded_pair(monkeypatch):
         raise AssertionError("the rate path built a dense encoded pair")
 
     _patch_every_binding(monkeypatch, encgen.encoded_pair, forbidden)
-    closedform.swap_success_closed_form.cache_clear()
+    rates._shared_point.cache_clear()
     assert key_rate(300.0, 0.004, 0.985, 3).p_s < 1.0
     assert optimize_over_stations(300.0, 0.004, 0.985)[1].key_rate > 0.0
     assert 0.95 < threshold_gate_quality(1) < 1.0
@@ -520,6 +560,24 @@ def test_one_chain_success_evaluation_per_key_rate(monkeypatch):
     _patch_every_binding(monkeypatch, original, counted)
     report = key_rate(400.0, 0.005, 0.98, 2)
     assert calls == [(report.p_s, 3)]
+
+
+@pytest.mark.parametrize("scan", [optimize_over_stations, cost_coefficient])
+def test_one_swap_success_evaluation_per_point(monkeypatch, scan):
+    # a distance range at one (beta, F0), as sweep --distance-range and cost run it,
+    # takes p_s from the point memo: one evaluation, not one per distance
+    calls = []
+    original = rates.swap_success_closed_form
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(rates, "swap_success_closed_form", counted)
+    rates._shared_point.cache_clear()
+    for distance in (200.0, 500.0, 800.0, 1100.0, 1400.0, 1700.0, 2000.0):
+        scan(distance, 1.0 - 0.9999, 0.9999)
+    assert calls == [(1.0 - 0.9999, 0.9999)]
 
 
 def test_keyless_levels_do_no_entropy_or_waiting_time_work(monkeypatch):

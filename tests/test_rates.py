@@ -213,7 +213,7 @@ class TestZnTailSum:
             best = float("inf")
             for _ in range(3):
                 start = time.perf_counter()
-                z_n.__wrapped__(3072, float(p0))
+                z_n(3072, float(p0))
                 best = min(best, time.perf_counter() - start)
             assert best < 0.05, (p0, best)
         # the longest tails left: n = 2, 3 just above their cap, n = 6 just above the proven switch
@@ -224,7 +224,7 @@ class TestZnTailSum:
                 best = float("inf")
                 for _ in range(3):
                     start = time.perf_counter()
-                    z_n.__wrapped__(num_pairs, p0)
+                    z_n(num_pairs, p0)
                     best = min(best, time.perf_counter() - start)
                 assert best < 0.05, (num_pairs, p0, best)
 
@@ -292,7 +292,7 @@ class TestZnSwitch:
             p0 = -math.expm1(-x)
             x = -math.log1p(-p0)
             assert rates._asymptote_is_exact(num_pairs, x)
-            assert z_n.__wrapped__(num_pairs, p0) == rates._z_asymptote(num_pairs, x)
+            assert z_n(num_pairs, p0) == rates._z_asymptote(num_pairs, x)
 
     def test_cap_stays_the_switch_at_two_and_three_pairs(self):
         for num_pairs in (2, 3):
@@ -367,8 +367,7 @@ class TestZn:
             z_n(3, 0.0)
 
     def test_integral_float_num_pairs_accepted(self):
-        # past the cache, which would hand 3.0 the entry of 3
-        assert z_n.__wrapped__(3.0, 0.5) == z_n.__wrapped__(3, 0.5)
+        assert z_n(3.0, 0.5) == z_n(3, 0.5)
 
 
 class TestRepeaterRate:
@@ -553,14 +552,14 @@ class TestOptimize:
 
         monkeypatch.setattr(rates, "_link_terms", counted_link_terms)
         monkeypatch.setattr(closedform.ChainState, "weights", counted_weights)
-        for cache in (rates.swap_success_closed_form, closedform._success_rows,
+        for cache in (rates._shared_point, closedform._success_rows,
                       cached_link_terms, rates._shared_chain):
             cache.cache_clear()
         for f0 in f0s:
             for pg in gate_qualities:
                 optimize_over_stations(600.0, 1.0 - pg, f0, range(1, 5))
         assert closedform._success_rows.cache_info().misses == len(f0s)
-        assert rates.swap_success_closed_form.cache_info().misses == len(f0s) * len(gate_qualities)
+        assert rates._shared_point.cache_info().misses == len(f0s) * len(gate_qualities)
         needed = {args[1] for args in link_calls}
         assert len(link_calls) > len(needed) == cached_link_terms.cache_info().misses
         chains = {rates._shared_chain(1.0 - pg) for pg in gate_qualities}
@@ -579,13 +578,11 @@ class TestOptimize:
             levels.append((num_pairs // 3).bit_length() - 1)
             return z_n(num_pairs, p0)
 
-        z_n.cache_clear()
         rates._link_terms.cache_clear()
         monkeypatch.setattr(rates, "z_n", counted)
         n_best, report = optimize_over_stations(2000.0, 1e-4, 0.9999)
         assert n_best == 6 and report.key_rate > 0.0
         assert sorted(levels) == [6, 7]
-        assert z_n.cache_info().misses == 2
 
     @pytest.mark.parametrize("distance, beta, f0", [
         (2000.0, 1e-4, 0.9999), (600.0, 0.01, 0.99), (600.0, 0.1, 0.9), (37000.0, 0.1, 0.9),
