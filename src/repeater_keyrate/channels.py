@@ -9,6 +9,9 @@ assigned to the maximally mixed state of the whole register (worst case).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from itertools import accumulate
+
 import numpy as np
 
 from .closedform import _check_unit, first_order_weights
@@ -37,49 +40,47 @@ def depolarizing_gate_mat(rho: np.ndarray, gate: tuple[int, int], beta: float) -
     return (1.0 - beta) * perfect + beta * _faulty_gate_mat(rho, gate)
 
 
-def one_faulty_branches(rho: np.ndarray, seq: tuple[tuple[int, int], ...]) -> list[np.ndarray]:
-    """The n equally weighted branches of the one-faulty-gate mixture.
+def _apply_gates(rho: np.ndarray, seq: tuple[tuple[int, int], ...]) -> np.ndarray:
+    for control, target in seq:
+        rho = _apply_cnot_mat(rho, control, target)
+    return rho
+
+
+def one_faulty_branches(rho: np.ndarray, seq: tuple[tuple[int, int], ...]) -> Iterator[np.ndarray]:
+    """The n equally weighted branches of the one-faulty-gate mixture, one
+    at a time; the sequence is checked when called.
 
     Branch a applies gates 0..a-1 perfectly, replaces gate a by the mixed
     pair on its qubits, then applies gates a+1..n-1 perfectly.
     """
-    n = len(seq)
-    if n < 1:
+    if not seq:
         raise ValueError("gate sequence must contain at least one gate")
-    branches = []
-    prefix = rho
-    for a, gate in enumerate(seq):
-        branch = _faulty_gate_mat(prefix, gate)
-        for later in seq[a + 1:]:
-            branch = _apply_cnot_mat(branch, *later)
-        branches.append(branch)
-        prefix = _apply_cnot_mat(prefix, *gate)
-    return branches
+    prefixes = accumulate(seq, lambda mat, gate: _apply_cnot_mat(mat, *gate), initial=rho)
+    return (_apply_gates(_faulty_gate_mat(prefix, gate), seq[a + 1:])
+            for a, (gate, prefix) in enumerate(zip(seq, prefixes)))
 
 
 def concat_first_order_branches(
     rho: np.ndarray, seq: tuple[tuple[int, int], ...], beta: float
-) -> list[tuple[float, np.ndarray]]:
-    """Weighted branch list of the first-order concatenated map.
+) -> Iterator[tuple[float, np.ndarray]]:
+    """The weighted branches of the first-order concatenated map, one at a
+    time; beta and the sequence are checked when called.
 
-    Keeping branches separate lets callers apply measurements and
-    corrections per branch before averaging.
+    Streaming the branches lets callers measure and correct each one before
+    averaging without holding them all.
     """
     _check_unit("beta", beta)
-    n = len(seq)
-    if n < 1:
-        raise ValueError("gate sequence must contain at least one gate")
-    w_perfect, w_branch, p = first_order_weights(n, beta)
-    perfect = rho
-    for control, target in seq:
-        perfect = _apply_cnot_mat(perfect, control, target)
-    out = [(w_perfect, perfect)]
-    if w_branch > 0.0:
-        out.extend((w_branch, b) for b in one_faulty_branches(rho, seq))
-    if p > 0.0:
-        d = rho.shape[0]
-        out.append((p, np.eye(d, dtype=complex) / d))
-    return out
+    faulty = one_faulty_branches(rho, seq)
+    w_perfect, w_branch, p = first_order_weights(len(seq), beta)
+
+    def branches():
+        yield w_perfect, _apply_gates(rho, seq)
+        if w_branch > 0.0:
+            yield from ((w_branch, branch) for branch in faulty)
+        if p > 0.0:
+            yield p, np.eye(rho.shape[0]) / rho.shape[0]
+
+    return branches()
 
 
 def source_state_mat(f0: float) -> np.ndarray:

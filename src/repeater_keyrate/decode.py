@@ -70,10 +70,7 @@ def decode_one_faulty(rho64: DensityOperator) -> DensityOperator:
     if rho64.dim != 64:
         raise ValueError("decode_one_faulty expects a six-qubit state")
     branches = one_faulty_branches(rho64.matrix, _DECODE_GATES)
-    out = np.zeros((4, 4), dtype=complex)
-    for branch in branches:
-        out += _decode_measurements(branch)
-    return DensityOperator(out / len(branches))
+    return DensityOperator(sum(map(_decode_measurements, branches)) / len(_DECODE_GATES))
 
 
 def decode_exact_noise_mat(mat: np.ndarray, beta: float) -> np.ndarray:

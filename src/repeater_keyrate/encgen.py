@@ -55,7 +55,7 @@ def ghz_prep(beta: float) -> DensityOperator:
     CNOT(0->2) to (|0>+|1>)|00>/sqrt(2); equals :func:`ghz_prep_circuit`.
     """
     _check_unit("beta", beta)
-    mat = np.zeros((8, 8), dtype=complex)
+    mat = np.zeros((8, 8))
     for weight, terms in zip(_ghz_prep_weights(beta), _GHZ_TERMS):
         for x, y in terms:
             mat[x, y] = weight
@@ -64,7 +64,7 @@ def ghz_prep(beta: float) -> DensityOperator:
 
 def ghz_prep_circuit(beta: float) -> DensityOperator:
     """Same state by explicit simulation of the two faulty CNOTs."""
-    plus = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
+    plus = np.array([1.0, 1.0]) / np.sqrt(2)
     vec = np.kron(plus, np.eye(4)[0])
     rho = np.outer(vec, vec.conj())
     rho = depolarizing_gate_mat(rho, (0, 1), beta)
@@ -106,7 +106,4 @@ def encoded_pair_direct(beta: float, f0: float) -> DensityOperator:
     for _ in range(3):
         rho = np.kron(rho, src)
     branches = concat_first_order_branches(rho, ENCODING_GATES, beta)
-    total = np.zeros((64, 64), dtype=complex)
-    for weight, branch in branches:
-        total += weight * _apply_measurement_rules(branch)
-    return DensityOperator(total)
+    return DensityOperator(sum(w * _apply_measurement_rules(branch) for w, branch in branches))

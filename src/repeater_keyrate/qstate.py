@@ -3,11 +3,12 @@
 Everything downstream (noise channels, encoding, swapping, decoding) is
 built on the exact operations in this module.  Every state of the model is
 Pauli diagonal, so each is built from its GHZ-frame weights by
-:func:`frame_state` and read back by :func:`frame_weights_of`.  Every
-register operation is one of four kernels on the (a, 2, b, a, 2, b) view
-of the matrix: a CNOT, an X or Z Pauli, a depolarized qubit and the
-measured blocks of a qubit.  Gates are (control, target) tuples, as in
-:mod:`repeater_keyrate.frames`.
+:func:`frame_state` and read back by :func:`frame_weights_of`, and is
+float64; only the correctable-state vectors are complex.  Every register
+operation is one of four kernels: a CNOT gathered through its basis
+permutation, and an X or Z Pauli, a depolarized qubit and the measured
+blocks of a qubit on the (a, 2, b, a, 2, b) view of the matrix.  Gates are
+(control, target) tuples, as in :mod:`repeater_keyrate.frames`.
 
 Convention used throughout the package: qubits are indexed from 0 and
 qubit 0 is the most significant bit of the computational basis index,
@@ -45,7 +46,8 @@ class DensityOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = np.array(self.matrix, dtype=complex)  # a private copy, frozen below
+        # a private copy, frozen below: float64 unless the input is complex
+        mat = np.array(self.matrix, dtype=complex if np.iscomplexobj(self.matrix) else float)
         object.__setattr__(self, "matrix", mat)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"density matrix must be square, got {mat.shape}")

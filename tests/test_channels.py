@@ -72,7 +72,7 @@ class TestOneFaultyMix:
     def test_two_identical_cnots(self):
         # replacing either of two CNOTs on |00><00| leaves I/4 both times
         seq = (CNOT01, CNOT01)
-        branches = one_faulty_branches(projector("00"), seq)
+        branches = list(one_faulty_branches(projector("00"), seq))
         assert len(branches) == 2
         for branch in branches:
             assert np.allclose(branch, np.eye(4) / 4)
@@ -82,6 +82,19 @@ class TestOneFaultyMix:
         for branch in one_faulty_branches(projector("000"), seq):
             assert abs(np.trace(branch) - 1.0) < 1e-12
             assert np.linalg.eigvalsh(branch)[0] > -1e-12
+
+    @pytest.mark.parametrize(
+        "branches",
+        [
+            lambda: one_faulty_branches(projector("00"), ()),
+            lambda: concat_first_order_branches(projector("00"), (), 0.01),
+        ],
+        ids=["one_faulty_branches", "concat_first_order_branches"],
+    )
+    def test_empty_sequence_rejected_when_called(self, branches):
+        # the branches stream, but the sequence is checked before the first one
+        with pytest.raises(ValueError, match="gate sequence must contain at least one gate"):
+            branches()
 
 
 def first_order_mix(rho, seq, beta):
@@ -126,7 +139,7 @@ class TestConcatFirstOrder:
 
     def test_branch_weights_exposed(self):
         seq = (CNOT01, (1, 0))
-        branches = concat_first_order_branches(projector("00"), seq, 0.02)
+        branches = list(concat_first_order_branches(projector("00"), seq, 0.02))
         weights = [w for w, _ in branches]
         assert len(branches) == 4  # perfect + 2 faulty + identity
         assert sum(weights) == pytest.approx(1.0)

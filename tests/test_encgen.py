@@ -8,6 +8,7 @@ from repeater_keyrate.encgen import (
     ENCODING_MEASUREMENTS,
     _apply_measurement_rules,
     encoded_pair,
+    encoded_pair_direct,
     ghz_prep,
     ghz_prep_circuit,
 )
@@ -121,6 +122,12 @@ class TestEncodedPair:
     def test_factorized_equals_direct_register_simulation(self):
         assert encoded_pair_register_deviation(0.01, 0.99) < 1e-12
 
+    @pytest.mark.parametrize("beta, f0", [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)])
+    def test_frame_weights_are_the_register_simulation_at_the_corners(self, beta, f0):
+        # the interior point is test_factorized_equals_direct_register_simulation's
+        direct = frame_weights_of(encoded_pair_direct(beta, f0).matrix)
+        assert np.abs(np.array(frame_weights(beta, f0)) - direct).max() <= 1e-15
+
     def test_mixed_remainder_measures_to_mixed_pair(self):
         assert measured_mixed_register_deviation() < 1e-15
 
@@ -137,16 +144,14 @@ class TestEncodedPair:
         for _ in range(3):
             rho0 = np.kron(rho0, src)
 
-        branches = concat_first_order_branches(rho0, ENCODING_GATES, beta)
-        all_then_measure = np.zeros((64, 64), dtype=complex)
-        for w, b in branches:
-            all_then_measure += w * _apply_measurement_rules(b)
-
         # interleaved: gates are already applied inside each branch, so
-        # interleaving reduces to measuring in a different qubit order
-        interleaved = np.zeros((64, 64), dtype=complex)
+        # interleaving reduces to measuring in a different qubit order;
+        # both orders measure each branch in one pass over the stream
+        all_then_measure = np.zeros((64, 64))
+        interleaved = np.zeros((64, 64))
         reordered = sorted(ENCODING_MEASUREMENTS)
-        for w, b in branches:
+        for w, b in concat_first_order_branches(rho0, ENCODING_GATES, beta):
+            all_then_measure += w * _apply_measurement_rules(b)
             state = b
             for i, (qubit, basis, correction) in enumerate(reordered):
                 # measure lowest-index Bell half first; adjust indices on the fly

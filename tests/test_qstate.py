@@ -4,6 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repeater_keyrate.channels import _faulty_gate_mat, source_state_mat
+from repeater_keyrate.decode import final_state
+from repeater_keyrate.encgen import encoded_pair
+from repeater_keyrate.encswap import swapped_state_nonideal
 from repeater_keyrate.qstate import (
     DensityOperator,
     _apply_cnot_mat,
@@ -302,3 +305,26 @@ class TestValidation:
         assert m.flags.writeable and not op.matrix.flags.writeable
         m[0, 0] = 1.0
         assert op.matrix[0, 0] == 0.5
+
+    @pytest.mark.parametrize(
+        "matrix, dtype",
+        [
+            (np.eye(2) / 2, np.float64),
+            (np.eye(2, dtype=np.float32) / 2, np.float64),
+            ([[1, 0], [0, 0]], np.float64),
+            (np.eye(2, dtype=complex) / 2, np.complex128),
+            (np.eye(2, dtype=np.complex64) / 2, np.complex128),
+        ],
+        ids=["float64", "float32", "int", "complex128", "complex64"],
+    )
+    def test_real_input_stays_real(self, matrix, dtype):
+        assert DensityOperator(matrix).matrix.dtype == dtype
+
+    def test_pipeline_states_are_real(self):
+        states = (
+            encoded_pair(0.01, 0.99),
+            swapped_state_nonideal(0.01, 0.99, 3),
+            final_state(0.01, 0.99, 0),
+            final_state(0.01, 0.99, 3),
+        )
+        assert [state.matrix.dtype for state in states] == [np.float64] * 4
