@@ -5,16 +5,14 @@ its qubit pair and replaces it with the maximally mixed pair.  A sequence
 of n gates is approximated to first order in the gate error: either all
 gates work, or exactly one is replaced, with the leftover probability
 assigned to the maximally mixed state of the whole register (worst case).
+:func:`first_order_sum` builds that mixture in one pass, to be measured once.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-from itertools import accumulate
-
 import numpy as np
 
-from .closedform import _check_unit, first_order_weights
+from .closedform import _check_unit
 from .qstate import _apply_cnot_mat, _depolarize_mat, frame_state
 
 
@@ -40,49 +38,37 @@ def depolarizing_gate_mat(rho: np.ndarray, gate: tuple[int, int], beta: float) -
     return (1.0 - beta) * perfect + beta * _faulty_gate_mat(rho, gate)
 
 
-def _apply_gates(rho: np.ndarray, seq: tuple[tuple[int, int], ...]) -> np.ndarray:
-    for control, target in seq:
-        rho = _apply_cnot_mat(rho, control, target)
-    return rho
-
-
-def one_faulty_branches(rho: np.ndarray, seq: tuple[tuple[int, int], ...]) -> Iterator[np.ndarray]:
-    """The n equally weighted branches of the one-faulty-gate mixture, one
-    at a time; the sequence is checked when called.
+def first_order_sum(
+    rho: np.ndarray, seq: tuple[tuple[int, int], ...], w_perfect: float, w_branch: float
+) -> np.ndarray:
+    """w_perfect times the all-perfect run of the sequence plus w_branch times
+    the sum S of its n one-faulty branches, in one pass; the mixed remainder
+    is the caller's.  Measure-and-correct is linear, so callers measure the
+    sum once instead of each branch.
 
     Branch a applies gates 0..a-1 perfectly, replaces gate a by the mixed
-    pair on its qubits, then applies gates a+1..n-1 perfectly.
+    pair on its qubits, then applies gates a+1..n-1 perfectly, so
+    S <- CNOT_a(S) + faulty_a(prefix_a) beside the perfect prefix.  With
+    w_branch = 0 no faulty term is built.
     """
     if not seq:
         raise ValueError("gate sequence must contain at least one gate")
-    prefixes = accumulate(seq, lambda mat, gate: _apply_cnot_mat(mat, *gate), initial=rho)
-    return (_apply_gates(_faulty_gate_mat(prefix, gate), seq[a + 1:])
-            for a, (gate, prefix) in enumerate(zip(seq, prefixes)))
-
-
-def concat_first_order_branches(
-    rho: np.ndarray, seq: tuple[tuple[int, int], ...], beta: float
-) -> Iterator[tuple[float, np.ndarray]]:
-    """The weighted branches of the first-order concatenated map, one at a
-    time; beta and the sequence are checked when called.
-
-    Streaming the branches lets callers measure and correct each one before
-    averaging without holding them all.
-    """
-    _check_unit("beta", beta)
-    faulty = one_faulty_branches(rho, seq)
-    w_perfect, w_branch, p = first_order_weights(len(seq), beta)
-
-    def branches():
-        yield w_perfect, _apply_gates(rho, seq)
-        if w_branch > 0.0:
-            yield from ((w_branch, branch) for branch in faulty)
-        if p > 0.0:
-            yield p, np.eye(rho.shape[0]) / rho.shape[0]
-
-    return branches()
+    faulty = None
+    for gate in seq:
+        if w_branch:
+            term = _faulty_gate_mat(rho, gate)
+            if faulty is not None:
+                term += _apply_cnot_mat(faulty, *gate)
+            faulty = term
+        rho = _apply_cnot_mat(rho, *gate)
+    rho *= w_perfect
+    if faulty is not None:
+        faulty *= w_branch
+        rho += faulty
+    return rho
 
 
 def source_state_mat(f0: float) -> np.ndarray:
     """Bell pair depolarized by the source: fidelity f0 to phi+, isotropic rest."""
+    _check_unit("F0", f0)
     return frame_state([f0] + [(1.0 - f0) / 3.0] * 3)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channels import depolarizing_gate_mat, one_faulty_branches
+from .channels import depolarizing_gate_mat, first_order_sum
 from .closedform import (
     _DECODE_GATES,
     _TILDE_BELL,
@@ -69,8 +69,8 @@ def decode_one_faulty(rho64: DensityOperator) -> DensityOperator:
     pair (uniformly averaged), then measured and corrected as usual."""
     if rho64.dim != 64:
         raise ValueError("decode_one_faulty expects a six-qubit state")
-    branches = one_faulty_branches(rho64.matrix, _DECODE_GATES)
-    return DensityOperator(sum(map(_decode_measurements, branches)) / len(_DECODE_GATES))
+    faulty = first_order_sum(rho64.matrix, _DECODE_GATES, 0.0, 1.0 / len(_DECODE_GATES))
+    return DensityOperator(_decode_measurements(faulty))
 
 
 def decode_exact_noise_mat(mat: np.ndarray, beta: float) -> np.ndarray:

@@ -4,9 +4,9 @@ One station prepares (|000>+|111>)/sqrt(2) with two noisy CNOTs, the other
 holds |000>, and three teleportation-based CNOTs (each consuming one
 distributed Bell pair, two local CNOTs, two measurements and conditional
 Paulis) fan the entanglement across.  Gate noise on the six physical CNOTs
-is treated to first order; measurement corrections are error free and are
-applied branch by branch before averaging.  :func:`encoded_pair` is the
-:func:`~repeater_keyrate.qstate.frame_state` of the pair's 64 Pauli-frame
+is treated to first order; measurement corrections are error free and,
+being linear, act once on the first-order mixture.  :func:`encoded_pair` is
+the :func:`~repeater_keyrate.qstate.frame_state` of the pair's 64 Pauli-frame
 weights (:func:`~repeater_keyrate.frames.frame_weights`); the ideal pair
 (|000000> + |111111>)/sqrt(2) is frame 0.  :func:`encoded_pair_direct`
 simulates the 12-qubit register and validates it.
@@ -26,8 +26,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channels import concat_first_order_branches, depolarizing_gate_mat, source_state_mat
-from .closedform import _check_unit
+from .channels import depolarizing_gate_mat, first_order_sum, source_state_mat
+from .closedform import _check_unit, first_order_weights
 from .frames import _GHZ_TERMS, _ghz_prep_weights, frame_weights
 from .qstate import DensityOperator, _measure_correct_mat, frame_state
 
@@ -96,14 +96,16 @@ def encoded_pair(beta: float, f0: float) -> DensityOperator:
 def encoded_pair_direct(beta: float, f0: float) -> DensityOperator:
     """Reference implementation on the full 12-qubit register.
 
-    Same model as :func:`encoded_pair` without the Pauli frames: the
-    first-order map runs on the 4096-dim state and every branch is measured
-    and corrected explicitly.  Slow; used to validate the frames.
+    Same model as :func:`encoded_pair` without the Pauli frames: the 4096-dim
+    first-order mixture (:func:`first_order_sum`) is measured and corrected
+    once, explicitly.  Slow (~3 s, ~0.7 GB); used to validate the frames.
     """
     src = source_state_mat(f0)
     zero3 = np.eye(8)[0]
     rho = np.kron(ghz_prep(beta).matrix, np.outer(zero3, zero3))
     for _ in range(3):
         rho = np.kron(rho, src)
-    branches = concat_first_order_branches(rho, ENCODING_GATES, beta)
-    return DensityOperator(sum(w * _apply_measurement_rules(branch) for w, branch in branches))
+    w_perfect, w_branch, p = first_order_weights(len(ENCODING_GATES), beta)
+    mat = first_order_sum(rho, ENCODING_GATES, w_perfect, w_branch)
+    mat[np.diag_indices_from(mat)] += p / len(mat)
+    return DensityOperator(_apply_measurement_rules(mat))

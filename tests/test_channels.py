@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repeater_keyrate.channels import (
-    concat_first_order_branches,
+    _faulty_gate_mat,
     depolarizing_gate_mat,
-    one_faulty_branches,
+    first_order_sum,
     source_state_mat,
 )
 from repeater_keyrate.closedform import first_order_weights
@@ -64,42 +64,65 @@ class TestDepolarizingGate:
             depolarizing_gate_mat(rho, (0,), 0.1)
 
 
+def one_faulty_sum(rho, seq):
+    """The sum of the one-faulty branches, without the perfect run."""
+    return first_order_sum(rho, seq, 0.0, 1.0)
+
+
+def branch_loop(rho, seq, w_perfect, w_branch):
+    """first_order_sum from its definition: the perfect run, then branch a
+    for each a (gates 0..a-1, the mixed pair on gate a, gates a+1..n-1)."""
+    def run(mat, gates):
+        for gate in gates:
+            mat = _apply_cnot_mat(mat, *gate)
+        return mat
+
+    total = w_perfect * run(rho, seq)
+    for a, gate in enumerate(seq):
+        total = total + w_branch * run(_faulty_gate_mat(run(rho, seq[:a]), gate), seq[a + 1:])
+    return total
+
+
 class TestOneFaultyMix:
     def test_single_gate_fully_replaced(self):
-        [branch] = one_faulty_branches(projector("00"), (CNOT01,))
-        assert np.allclose(branch, np.eye(4) / 4)
+        assert np.allclose(one_faulty_sum(projector("00"), (CNOT01,)), np.eye(4) / 4)
 
     def test_two_identical_cnots(self):
         # replacing either of two CNOTs on |00><00| leaves I/4 both times
         seq = (CNOT01, CNOT01)
-        branches = list(one_faulty_branches(projector("00"), seq))
-        assert len(branches) == 2
-        for branch in branches:
-            assert np.allclose(branch, np.eye(4) / 4)
+        assert np.allclose(one_faulty_sum(projector("00"), seq), len(seq) * np.eye(4) / 4)
 
     def test_branches_have_unit_trace(self):
+        # n branches of unit trace, each positive: the sum has trace n and is positive
         seq = (CNOT01, (1, 2), (0, 2))
-        for branch in one_faulty_branches(projector("000"), seq):
-            assert abs(np.trace(branch) - 1.0) < 1e-12
-            assert np.linalg.eigvalsh(branch)[0] > -1e-12
+        total = one_faulty_sum(projector("000"), seq)
+        assert abs(np.trace(total) - len(seq)) < 1e-12
+        assert np.linalg.eigvalsh(total)[0] > -1e-12
 
-    @pytest.mark.parametrize(
-        "branches",
-        [
-            lambda: one_faulty_branches(projector("00"), ()),
-            lambda: concat_first_order_branches(projector("00"), (), 0.01),
-        ],
-        ids=["one_faulty_branches", "concat_first_order_branches"],
-    )
-    def test_empty_sequence_rejected_when_called(self, branches):
-        # the branches stream, but the sequence is checked before the first one
+    def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError, match="gate sequence must contain at least one gate"):
-            branches()
+            first_order_sum(projector("00"), (), 1.0, 0.0)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_sum_is_the_per_branch_loop(self, seed):
+        # random Pauli-diagonal states of 3-4 qubits, 1-6 random CNOTs, and the
+        # perfect run, the one-faulty sum and a first-order weighting of both
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 5))
+        rho = frame_state(rng.dirichlet(np.ones(2 ** n)))
+        seq = tuple(tuple(int(q) for q in rng.choice(n, 2, replace=False))
+                    for _ in range(rng.integers(1, 7)))
+        w_perfect, w_branch, _ = first_order_weights(len(seq), float(rng.uniform(0.0, 0.2)))
+        for weights in ((1.0, 0.0), (0.0, 1.0), (w_perfect, w_branch)):
+            got = first_order_sum(rho, seq, *weights)
+            assert np.abs(got - branch_loop(rho, seq, *weights)).max() <= 1e-15
 
 
 def first_order_mix(rho, seq, beta):
-    """State of the first-order concatenated map: its weighted branch sum."""
-    return sum(w * b for w, b in concat_first_order_branches(rho, seq, beta))
+    """State of the first-order concatenated map: the weighted perfect run and
+    one-faulty sum, plus the maximally mixed remainder."""
+    w_perfect, w_branch, p = first_order_weights(len(seq), beta)
+    return first_order_sum(rho, seq, w_perfect, w_branch) + p * np.eye(len(rho)) / len(rho)
 
 
 class TestConcatFirstOrder:
@@ -138,13 +161,13 @@ class TestConcatFirstOrder:
         assert p <= 1.5e-3
 
     def test_branch_weights_exposed(self):
+        # the kernel's trace is w_perfect + n w_branch; the remainder p completes it
         seq = (CNOT01, (1, 0))
-        branches = list(concat_first_order_branches(projector("00"), seq, 0.02))
-        weights = [w for w, _ in branches]
-        assert len(branches) == 4  # perfect + 2 faulty + identity
-        assert sum(weights) == pytest.approx(1.0)
-        total = sum(w * b for w, b in branches)
-        assert abs(np.trace(total) - 1.0) < 1e-12
+        w_perfect, w_branch, p = first_order_weights(len(seq), 0.02)
+        assert w_perfect + len(seq) * w_branch + p == pytest.approx(1.0)
+        terms = first_order_sum(projector("00"), seq, w_perfect, w_branch)
+        assert abs(np.trace(terms) - (w_perfect + len(seq) * w_branch)) < 1e-12
+        assert abs(np.trace(first_order_mix(projector("00"), seq, 0.02)) - 1.0) < 1e-12
 
     def test_monotone_in_beta_on_two_gates(self):
         seq = (CNOT01, (1, 0))

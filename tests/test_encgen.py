@@ -134,7 +134,8 @@ class TestEncodedPair:
     def test_gate_measure_interleaving_invariance(self):
         # measuring each teleported CNOT's Bell halves right after its two
         # gates must equal running all gates first (disjoint supports)
-        from repeater_keyrate.channels import concat_first_order_branches
+        from repeater_keyrate.channels import first_order_sum
+        from repeater_keyrate.closedform import first_order_weights
         from repeater_keyrate.encgen import ghz_prep
 
         beta, f0 = 0.02, 0.97
@@ -144,20 +145,19 @@ class TestEncodedPair:
         for _ in range(3):
             rho0 = np.kron(rho0, src)
 
-        # interleaved: gates are already applied inside each branch, so
-        # interleaving reduces to measuring in a different qubit order;
-        # both orders measure each branch in one pass over the stream
-        all_then_measure = np.zeros((64, 64))
-        interleaved = np.zeros((64, 64))
+        # interleaved: gates are already applied inside the first-order sum,
+        # so interleaving reduces to measuring in a different qubit order;
+        # measurement is linear, so both orders measure the one weighted sum
+        w_perfect, w_branch, p = first_order_weights(len(ENCODING_GATES), beta)
+        mixture = first_order_sum(rho0, ENCODING_GATES, w_perfect, w_branch)
+        mixture[np.diag_indices_from(mixture)] += p / 4096
+        all_then_measure = _apply_measurement_rules(mixture)
+        interleaved = mixture
         reordered = sorted(ENCODING_MEASUREMENTS)
-        for w, b in concat_first_order_branches(rho0, ENCODING_GATES, beta):
-            all_then_measure += w * _apply_measurement_rules(b)
-            state = b
-            for i, (qubit, basis, correction) in enumerate(reordered):
-                # measure lowest-index Bell half first; adjust indices on the fly
-                shift = sum(1 for done in reordered[:i] if done[0] < qubit)
-                from repeater_keyrate.qstate import _measure_correct_mat
+        for i, (qubit, basis, correction) in enumerate(reordered):
+            # measure lowest-index Bell half first; adjust indices on the fly
+            shift = sum(1 for done in reordered[:i] if done[0] < qubit)
+            from repeater_keyrate.qstate import _measure_correct_mat
 
-                state = _measure_correct_mat(state, qubit - shift, basis, correction)
-            interleaved += w * state
+            interleaved = _measure_correct_mat(interleaved, qubit - shift, basis, correction)
         assert np.abs(all_then_measure - interleaved).max() < 1e-10

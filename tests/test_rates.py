@@ -10,7 +10,7 @@ from scipy.optimize import bisect
 
 from repeater_keyrate import channels, cli, closedform, encgen, frames, rates
 from repeater_keyrate.qstate import BellDiagCoeffs
-from repeater_keyrate.validation import monte_carlo_z
+from repeater_keyrate.validation import _geometric_max, monte_carlo_z
 from repeater_keyrate.rates import (
     CostReport,
     NoThresholdError,
@@ -368,6 +368,32 @@ class TestZn:
 
     def test_integral_float_num_pairs_accepted(self):
         assert z_n(3.0, 0.5) == z_n(3, 0.5)
+
+
+class TestGeometricMax:
+    """The Monte Carlo check's sampler: one uniform per maximum of n geometrics."""
+
+    TRIALS = 10**5
+    # DKW: an empirical CDF of N draws strays more than eps from its law with
+    # probability at most 2 exp(-2 N eps^2); here alpha = 1e-6, split over two samples
+    EPS = math.sqrt(math.log(2 / 0.5e-6) / (2 * TRIALS))
+
+    @pytest.mark.parametrize("num_pairs, p0", [(3, 0.37), (12, 0.2)])
+    def test_law_is_the_maximum_of_geometrics(self, num_pairs, p0):
+        rng = np.random.default_rng(2024)
+        direct = _geometric_max(rng.random(self.TRIALS), num_pairs, p0)
+        # the sampler it replaced: the maximum of n draws of rng.geometric
+        reference = rng.geometric(p0, size=(self.TRIALS, num_pairs)).max(axis=1)
+        k = np.arange(1, 11)
+        law = (1.0 - (1.0 - p0) ** k) ** num_pairs
+        direct_cdf = (direct[:, None] <= k).mean(axis=0)
+        reference_cdf = (reference[:, None] <= k).mean(axis=0)
+        assert np.abs(direct_cdf - law).max() <= self.EPS
+        assert np.abs(reference_cdf - law).max() <= self.EPS
+        assert np.abs(direct_cdf - reference_cdf).max() <= 2 * self.EPS
+
+    def test_zero_uniform_is_one_wait(self):
+        assert _geometric_max(np.array([0.0]), 12, 0.2).tolist() == [1.0]
 
 
 class TestRepeaterRate:
@@ -753,8 +779,8 @@ UNIT_CHECKS = {
     "ghz_prep": (lambda b, f: encgen.ghz_prep(b), ("beta",)),
     "depolarizing_gate_mat": (
         lambda b, f: channels.depolarizing_gate_mat(np.eye(4) / 4, (0, 1), b), ("beta",)),
-    "concat_first_order_branches": (
-        lambda b, f: channels.concat_first_order_branches(np.eye(4) / 4, ((0, 1),), b), ("beta",)),
+    "source_state_mat": (lambda b, f: channels.source_state_mat(f), ("F0",)),
+    "encoded_pair_direct": (encgen.encoded_pair_direct, ("beta", "F0")),
     "optimize_over_stations": (lambda b, f: optimize_over_stations(100.0, b, f), ("beta", "F0")),
     "cost_coefficient": (lambda b, f: cost_coefficient(100.0, b, f), ("beta", "F0")),
     "secret_fraction_for": (lambda b, f: secret_fraction_for(b, f, 2), ("beta", "F0")),
