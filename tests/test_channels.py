@@ -99,9 +99,19 @@ class TestOneFaultyMix:
         assert abs(np.trace(total) - len(seq)) < 1e-12
         assert np.linalg.eigvalsh(total)[0] > -1e-12
 
-    def test_empty_sequence_rejected(self):
+    @pytest.mark.parametrize(
+        "branches",
+        [
+            lambda: one_faulty_sum(projector("00"), ()),
+            lambda: first_order_mix(projector("00"), (), 0.01),
+        ],
+        ids=["one_faulty_branches", "concat_first_order_branches"],
+    )
+    def test_empty_sequence_rejected_when_called(self, branches):
+        # both the one-faulty sum and the first-order concatenated map check
+        # the sequence before building any term
         with pytest.raises(ValueError, match="gate sequence must contain at least one gate"):
-            first_order_sum(projector("00"), (), 1.0, 0.0)
+            branches()
 
     @pytest.mark.parametrize("seed", range(12))
     def test_sum_is_the_per_branch_loop(self, seed):
