@@ -141,12 +141,8 @@ def _range(ok, valid: str):
     return parse
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.10g}"
-
-
 def _row(*values: float) -> str:
-    # one %-format for the row: the text of _fmt on each value, in one call
+    # one %-format for the row: each value to 10 significant digits, in one call
     return ("%.10g," * len(values))[:-1] % values
 
 
@@ -233,7 +229,7 @@ def _require_timed(args: SimpleNamespace, distances: list[float], nesting: int) 
         try:
             check_link(distance, nesting, **_fiber(args))
         except ValueError as exc:
-            raise CliError(f"--distance {_fmt(distance)}: {exc}")
+            raise CliError(f"--distance {_row(distance)}: {exc}")
 
 
 def _nesting_range(args: SimpleNamespace) -> range:
@@ -282,7 +278,7 @@ def cmd_keyrate(args: SimpleNamespace) -> int:
         "eZ": report.e_z, "r_inf": report.secret_fraction,
         "K_per_mem_per_s": report.key_rate, "M": report.memories,
     }
-    print("\n".join(f"{name}={_fmt(value)}" for name, value in fields.items()))
+    print("\n".join(f"{name}={_row(value)}" for name, value in fields.items()))
     if args.output is not None:
         header = "L_km,F0,p_G,N_opt,L0_km,P0,Z,R_per_s,eX,eY,eZ,r_inf,K_per_mem_per_s"
         aliases = {"L_km": "distance_km", "N_opt": "N"}
@@ -305,7 +301,7 @@ def cmd_threshold(args: SimpleNamespace) -> int:
             print(f"{r:>5} {n:>3}  no threshold in bracket ({exc})")
             continue
         print(f"{r:>5} {n:>3} {pg:>9.3f} {f0:>9.3f}")
-        rows.append(f"{r},{n},{pg:.3f},{f0:.3f},{_fmt(pg)},{_fmt(f0)}")
+        rows.append(f"{r},{n},{pg:.3f},{f0:.3f},{_row(pg, f0)}")
     if args.output is not None:
         _write_rows(args.output, header, rows)
     return 0
@@ -388,8 +384,8 @@ def cmd_cost(args: SimpleNamespace) -> int:
         rep = cost_coefficient(distance, n_range=n_range, **point)
         rows.append(_row(distance, rep.cost, rep.cost_coefficient, rep.nesting, rep.l0_km))
         print(
-            f"L={_fmt(distance)} km: C={_fmt(rep.cost)} memory-qubits/secret-bit, "
-            f"C'={_fmt(rep.cost_coefficient)} /km, N*={rep.nesting}, L0*={_fmt(rep.l0_km)} km"
+            f"L={_row(distance)} km: C={_row(rep.cost)} memory-qubits/secret-bit, "
+            f"C'={_row(rep.cost_coefficient)} /km, N*={rep.nesting}, L0*={_row(rep.l0_km)} km"
         )
     if args.output is not None:
         _write_rows(args.output, header, rows)

@@ -121,8 +121,8 @@ def error_rates(coeffs: Sequence[float]) -> tuple[float, float, float]:
 
 
 def binary_entropy(p: float) -> float:
-    """h(p) for p in [0, 1]; the caller clamps its argument."""
-    if p == 0.0 or p == 1.0:
+    """h(p), 0 at and beyond both ends of [0, 1]: h(p) of p clamped to [0, 1]."""
+    if p <= 0.0 or p >= 1.0:
         return 0.0
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
 
@@ -136,7 +136,7 @@ def secret_fraction_six_state(e_x: float, e_y: float, e_z: float) -> float:
 
     Returns -inf when an entropy argument leaves [0, 1] (no key regardless);
     callers extracting a rate clamp at zero, threshold searches use the sign.
-    Each entropy argument is clamped to [0, 1] once, here.
+    Each entropy argument is clamped to [0, 1] once, by :func:`binary_entropy`.
     """
     if not (_LOW <= e_x <= _HIGH and _LOW <= e_y <= _HIGH and _LOW <= e_z <= _HIGH):
         for name, e in (("e_x", e_x), ("e_y", e_y), ("e_z", e_z)):
@@ -151,7 +151,7 @@ def secret_fraction_six_state(e_x: float, e_y: float, e_z: float) -> float:
         arg = (1.0 + (e_x - e_y) / e_z) / 2.0
         if arg < _LOW or arg > _HIGH:
             return float("-inf")
-        term_cond_phase = e_z * binary_entropy(0.0 if arg < 0.0 else 1.0 if arg > 1.0 else arg)
+        term_cond_phase = e_z * binary_entropy(arg)
     if e_z >= 1.0:
         # no term without a Z error, and h(e_z) = h(1) = 0 up to 1e-12
         if e_z >= 1.0 + 1e-12:
@@ -160,8 +160,8 @@ def secret_fraction_six_state(e_x: float, e_y: float, e_z: float) -> float:
     arg = (1.0 - (e_x + e_y + e_z) / 2.0) / (1.0 - e_z)
     if arg < _LOW or arg > _HIGH:
         return float("-inf")
-    term_no_error = (1.0 - e_z) * binary_entropy(0.0 if arg < 0.0 else 1.0 if arg > 1.0 else arg)
-    return 1.0 - term_cond_phase - term_no_error - binary_entropy(0.0 if e_z < 0.0 else e_z)
+    term_no_error = (1.0 - e_z) * binary_entropy(arg)
+    return 1.0 - term_cond_phase - term_no_error - binary_entropy(e_z)
 
 
 def transmission_prob(l0_km: float, alpha_db_per_km: float = DEFAULT_ALPHA_DB_PER_KM) -> float:
@@ -173,13 +173,6 @@ def transmission_prob(l0_km: float, alpha_db_per_km: float = DEFAULT_ALPHA_DB_PE
     return float(10.0 ** (-alpha_db_per_km * l0_km / 10.0))
 
 
-# Where the remainder bound of :func:`_asymptote_is_exact` does not hold, a
-# sum cut at n q^k < 1e-20, (ln n + ln 1e20) / x terms, longer than this cap
-# still gives way to the Euler-Maclaurin limit.  It is a time backstop for
-# n <= 3 only (at P0 ~ 1e-17 the sum would take ~5e18 terms): for every
-# n = 3 * 2^N, N >= 1, the proven switch fires first.
-_Z_TAIL_CAP = 200_000
-_TAIL_CUTOFF = 46.0
 # Above this many pairs H_n comes from its asymptotic series (next term
 # 1/(252 n^6) < 1e-17) instead of a sum whose cost grows with n.
 _HARMONIC_SUM_MAX = 256
@@ -269,9 +262,11 @@ def z_n(num_pairs: int, p0: float) -> float:
     number).  Each term is -expm1(n log(1 - q^k)), which keeps its relative
     precision where q^k is below machine epsilon.  With x = -ln q, the
     Euler-Maclaurin limit H_n / x + 1/2 is returned wherever its proven
-    remainder bound is below 2^-60 of it (:func:`_asymptote_is_exact`),
-    or, for n <= 3, where a sum cut at n q^k < 1e-20 would take more than
-    the cap (200 000) terms; elsewhere the terms below
+    remainder bound is below 2^-60 of it (:func:`_asymptote_is_exact`).
+    Elsewhere n = 2 and 3 take the alternating form summed by hand, whose
+    terms are all positive: Z_2 = (1 + 2q) / ((1 + q) P0) and
+    Z_3 = (1 + 4q + 3q^2 + 3q^3) / ((1 + q)(1 - q^3)), with
+    (1 + q)(1 - q^3) = P0 (1 + 2q + 2q^2 + q^3); for n >= 4 the terms below
     K = ceil(ln(2n) / x) are summed in one pass and the rest is the
     binomial series (:func:`_z_tail_sum`).  n = 1 is the exact 1 / P0.
     """
@@ -285,9 +280,16 @@ def z_n(num_pairs: int, p0: float) -> float:
     if num_pairs == 1:
         return 1.0 / p0
     x = -math.log1p(-p0)
-    if _asymptote_is_exact(num_pairs, x) or (math.log(num_pairs) + _TAIL_CUTOFF) / x > _Z_TAIL_CAP:
+    if _asymptote_is_exact(num_pairs, x):
         return _z_asymptote(num_pairs, x)
-    return _z_tail_sum(num_pairs, x)
+    if num_pairs > 3:
+        return _z_tail_sum(num_pairs, x)
+    q = 1.0 - p0
+    if num_pairs == 2:
+        return (1.0 + 2.0 * q) / ((1.0 + q) * p0)
+    return math.fsum((1.0, 4 * q, 3 * q * q, 3 * q**3)) / math.fsum(
+        (p0, 2 * p0 * q, 2 * p0 * q * q, p0 * q**3)
+    )
 
 
 def _fundamental_time(l0_km: float, speed_km_per_s: float, t0_mode: str) -> float:
@@ -538,12 +540,8 @@ def min_cost_over_nesting(entries: Sequence[tuple[int, float]]) -> tuple[float, 
     """
     if not entries:
         raise ValueError("entries must be nonempty")
-    best_cost, best_n = float("inf"), min(n for n, _ in entries)
-    for n, k in sorted(entries):
-        cost = 2.0 ** (n + 1) / k if k > 0.0 else float("inf")
-        if cost < best_cost:
-            best_cost, best_n = cost, n
-    return best_cost, best_n
+    # ties, infinite costs included, go to the smaller N
+    return min((2.0 ** (n + 1) / k if k > 0.0 else math.inf, n) for n, k in entries)
 
 
 def cost_coefficient(
@@ -562,14 +560,8 @@ def cost_coefficient(
     """
     fiber = (alpha_db_per_km, speed_km_per_s, t0_mode)
     point = _shared_point(beta, f0)
-    # every level, in the bound's order: min_cost_over_nesting sorts them
+    # every level, in the bound's order: min_cost_over_nesting breaks ties by N
     levels = [n for _, n in _levels_by_bound(distance_km, tuple(n_range), *fiber)]
     key_rates = {n: point.level(distance_km, n, fiber)[0] for n in levels}
     cost, n_best = min_cost_over_nesting(list(key_rates.items()))
-    return CostReport(
-        cost=cost,
-        cost_coefficient=cost / distance_km,
-        nesting=n_best,
-        l0_km=distance_km / 2**n_best,
-        key_rate=key_rates[n_best],
-    )
+    return CostReport(cost, cost / distance_km, n_best, distance_km / 2**n_best, key_rates[n_best])

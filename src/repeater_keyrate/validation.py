@@ -197,9 +197,10 @@ def _closed_form_checks() -> list[CheckResult]:
 
 
 def _waiting_time_checks(seed: int, trials: int) -> list[CheckResult]:
-    exact_2 = rates.z_n(2, 0.5)
-    dev = abs(exact_2 - (4.0 - 4.0 / 3.0))
-    out = [_check("z_n(2, 0.5) closed value", "<= 1e-12", dev)]
+    out = [
+        _check(f"z_n({n}, 0.5) closed value", "<= 1e-12", abs(rates.z_n(n, 0.5) - exact))
+        for n, exact in ((2, 8.0 / 3.0), (3, 22.0 / 7.0))
+    ]
     for num_pairs, p0 in ((3, 0.37), (6, 0.37), (12, 0.2)):
         sigmas = monte_carlo_z(num_pairs, p0, trials, np.random.default_rng(seed))
         out.append(_check(f"z_n({num_pairs}, {p0}) vs Monte Carlo ({trials} trials, seed {seed})",

@@ -99,6 +99,20 @@ def test_waiting_rounds_lie_between_one_and_all_pairs_in_series(distance, nestin
     assert z_n(num_pairs + 1, p0) >= z
 
 
+@settings(deterministic, max_examples=300)
+@given(st.one_of(st.floats(5e-324, 1.0), st.floats(-745.0, 0.0).map(math.exp)))
+@example(5e-324)
+@example(math.nextafter(1.0, 0.0))
+def test_two_and_three_pair_waits_keep_the_scan_bound(p0):
+    # N = 0 prunes its one level by Z_3 >= max(1, 1/P0, H_n / x) (README decision 18);
+    # the nestings above start at N = 1, n = 6
+    x = -math.log1p(-p0) if p0 < 1.0 else math.inf
+    z = {n: z_n(n, p0) for n in (2, 3, 4)}
+    for n in (2, 3):
+        assert max(1.0, 1.0 / p0, rates._harmonic(n) / x) / (1.0 + 1e-9) <= z[n] <= n / p0
+    assert z[2] <= z[3] <= z[4]
+
+
 @deterministic
 @given(betas, fidelities)
 def test_closed_form_swap_success_equals_the_dense_pair(beta, f0):

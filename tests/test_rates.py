@@ -132,9 +132,10 @@ def z_binomial_reference(num_pairs, p0):
     digits = 30 + int(0.302 * num_pairs) + max(0, int(-math.log10(p0)) + 1)
     with mp.workdps(digits):
         q = 1 - mp.mpf(p0)
-        total = mp.mpf(0)
+        total, binomial = mp.mpf(0), 1
         for j in range(1, num_pairs + 1):
-            term = mp.mpf(math.comb(num_pairs, j)) / (1 - q**j)
+            binomial = binomial * (num_pairs - j + 1) // j  # C(n, j), exact in ints
+            term = mp.mpf(binomial) / (1 - q**j)
             total += term if j % 2 == 1 else -term
         return float(total)
 
@@ -156,9 +157,26 @@ def z_numpy_tail_reference(num_pairs, p0):
 REFERENCE_PAIRS = (1, 2, *(3 * 2**nesting for nesting in range(11)))
 
 
+# A tail sum cut at n q^k < 1e-20 takes (ln n + TAIL_CUTOFF) / x terms.  Where
+# that count reaches TERM_CAP (outside the proven region at n <= 3, inside it at
+# n >= 6) is a sample point of the tests below; z_n itself has no term cap.
+TERM_CAP = 200_000
+TAIL_CUTOFF = 46.0
+
+
 def cap_rate(num_pairs):
-    """-ln(1 - P0) at which the tail sum reaches its term cap."""
-    return (math.log(num_pairs) + rates._TAIL_CUTOFF) / rates._Z_TAIL_CAP
+    """-ln(1 - P0) at which a tail sum cut at n q^k < 1e-20 takes TERM_CAP terms."""
+    return (math.log(num_pairs) + TAIL_CUTOFF) / TERM_CAP
+
+
+def outside_proven_region(num_pairs, draw, count):
+    """The first ``count`` P0 = draw() in (0, 1) where the proven switch does not fire."""
+    p0s = []
+    while len(p0s) < count:
+        p0 = float(draw())
+        if 0.0 < p0 < 1.0 and not rates._asymptote_is_exact(num_pairs, -math.log1p(-p0)):
+            p0s.append(p0)
+    return p0s
 
 
 class TestZnTailSum:
@@ -206,6 +224,26 @@ class TestZnTailSum:
         assert z_n(1, 0.3) == 1.0 / 0.3
         assert z_n(3072, 1.0) == 1.0
 
+    @pytest.mark.parametrize("num_pairs", (2, 3))
+    def test_two_and_three_pair_closed_forms_match_mpmath(self, num_pairs):
+        # 1000 P0 log-uniform in [1e-15, 1) and 1000 uniform, all outside the proven
+        # region, against the alternating form at 60 digits, compared in mpmath
+        rng = np.random.default_rng(num_pairs)
+        p0s = [
+            *outside_proven_region(num_pairs, lambda: 10.0 ** rng.uniform(-15.0, 0.0), 1000),
+            *outside_proven_region(num_pairs, rng.random, 1000),
+        ]
+        worst = mp.mpf(0)
+        with mp.workdps(60):
+            for p0 in p0s:
+                q = 1 - mp.mpf(p0)
+                exact = mp.fsum(
+                    (1 if j % 2 else -1) * mp.binomial(num_pairs, j) / (1 - q**j)
+                    for j in range(1, num_pairs + 1)
+                )
+                worst = max(worst, abs(z_n(num_pairs, p0) - exact) / exact)
+        assert worst <= 4.5e-16, worst
+
     def test_every_p0_is_fast(self):
         x_cap = cap_rate(3072)
         near_cap = [-math.expm1(-x_cap * f) for f in (0.999, 1.0, 1.001)]
@@ -216,7 +254,8 @@ class TestZnTailSum:
                 z_n(3072, float(p0))
                 best = min(best, time.perf_counter() - start)
             assert best < 0.05, (p0, best)
-        # the longest tails left: n = 2, 3 just above their cap, n = 6 just above the proven switch
+        # n = 2, 3 just above the sample cap, in closed form, and the longest tail
+        # left: n = 6 just above the proven switch
         for num_pairs in (2, 3, 6):
             x_switch = max(switch_rate(num_pairs), cap_rate(num_pairs))
             for p0 in (-math.expm1(-x_switch * f) for f in (1.0, 1.001, 1.01)):
@@ -226,7 +265,7 @@ class TestZnTailSum:
                     start = time.perf_counter()
                     z_n(num_pairs, p0)
                     best = min(best, time.perf_counter() - start)
-                assert best < 0.05, (num_pairs, p0, best)
+                assert best < (1e-3 if num_pairs <= 3 else 0.05), (num_pairs, p0, best)
 
 
 def switch_rate(num_pairs):
