@@ -15,7 +15,9 @@ from its own modules (``repeater_keyrate.qstate``, ``channels``,
 ``encgen``, ``encswap``, ``decode`` and ``validation``), and so is the
 record of a Bell-diagonal pair that ``qstate.bell_diag_coeffs`` builds.  So
 is the stdlib Pauli-frame core of the encoded pair
-(``repeater_keyrate.frames``), which the rate path needs only at N = 0.
+(``repeater_keyrate.frames``), which the rate path never imports: its p_s
+and its N = 0 decode are stored tables that the tests rebuild from the
+frames.
 """
 
 __version__ = "0.1.0"

@@ -9,10 +9,10 @@ tabular output is CSV with a header row and values printed to 10 significant
 digits, so identical inputs give byte-identical files.
 
 The rate commands (keyrate, sweep, cost and threshold, N = 0 included) and
-enumerate-errors run on the stdlib alone; N = 0 and enumerate-errors import
-the Pauli-frame core (:mod:`repeater_keyrate.frames`), ``--jobs`` above 1
-the process pool (no numpy), and validate numpy and the dense layer, when
-they run.
+enumerate-errors run on the stdlib alone; enumerate-errors imports the
+Pauli-frame core (:mod:`repeater_keyrate.frames`), which no rate command
+loads at any N, ``--jobs`` above 1 the process pool (no numpy), and
+validate numpy and the dense layer, when they run.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .rates import (
     check_link,
     cost_coefficient,
     key_rate,
+    nesting_of,
     optimize_over_stations,
     threshold_fidelity,
     threshold_gate_quality,
@@ -81,13 +82,10 @@ def _number(cast, ok, valid: str):
     return parse
 
 
-def _nesting_of(stations: int) -> int:
-    return (stations + 1).bit_length() - 1
-
-
 def _is_chain(stations: int) -> bool:
     """stations = 2^N - 1 with N <= MAX_NESTING_LEVEL."""
-    return 0 <= stations < 2**MAX_NESTING_LEVEL and (stations + 1) & stations == 0
+    nesting = nesting_of(stations)
+    return nesting is not None and nesting <= MAX_NESTING_LEVEL
 
 
 _UNIT = _number(float, lambda v: 0 <= v <= 1, "a number in [0, 1]")
@@ -256,7 +254,7 @@ def cmd_keyrate(args: SimpleNamespace) -> int:
         raise CliError("--distance (km, positive) is required")
     if args.nesting is not None and args.stations is not None:
         raise CliError("--nesting and --stations are mutually exclusive")
-    nesting = args.nesting if args.stations is None else _nesting_of(args.stations)
+    nesting = args.nesting if args.stations is None else nesting_of(args.stations)
     if args.optimize == (nesting is not None):
         raise CliError("exactly one of --optimize or --nesting/--stations is required")
 
@@ -293,7 +291,7 @@ def cmd_threshold(args: SimpleNamespace) -> int:
     rows = []
     print(f"{'r':>5} {'N':>3} {'p_G,min':>9} {'F_0,min':>9}")
     for r in station_list:
-        n = _nesting_of(r)
+        n = nesting_of(r)
         try:
             pg = threshold_gate_quality(r, tol=args.tolerance)
             f0 = threshold_fidelity(r, tol=args.tolerance)

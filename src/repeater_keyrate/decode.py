@@ -7,9 +7,12 @@ qubit produces).  The CNOTs are the (control, target) tuples of
 ``closedform._DECODE_GATES``.  The closed-form Bell coefficients of the
 decoded pipeline states (:class:`~repeater_keyrate.closedform.ChainState`)
 live in :mod:`repeater_keyrate.closedform`; the explicit circuits here
-validate them.  With no swap (r = 0) the decoded coefficients come from
-the encoded pair's Pauli frames and the frame-to-Bell decode tables
-(:func:`~repeater_keyrate.frames.pair_decode_coeffs`).  Each decoded pair
+validate them.  With no swap (r = 0) the decoded coefficients here come
+from the encoded pair's Pauli frames and the frame-to-Bell decode tables
+(:func:`~repeater_keyrate.frames.pair_decode_coeffs`), the frame-by-frame
+reference of the rate path's stored rows
+(:func:`~repeater_keyrate.closedform.pair_decode_closed_form`), which
+``validate`` compares with the circuits.  Each decoded pair
 is the :func:`~repeater_keyrate.qstate.frame_state` of its Bell
 coefficients (phi+, phi-, psi+, psi-).
 """

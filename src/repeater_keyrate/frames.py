@@ -4,9 +4,10 @@ Every gate of the model is a CNOT, every correction a Pauli and every noise
 a Pauli channel, so the encoded pair is diagonal in the GHZ basis, one
 weight per Pauli frame (README decision 20).  This module carries the
 frames through generation, the perfect and the one-faulty decode, and the
-correctable errors of the swap.  The rate path needs it only at N = 0, and
-imports it there; ``enumerate-errors`` and the dense modules import it
-directly.  Importing it builds no table.
+correctable errors of the swap.  The rate path never imports it: p_s and
+the decode at N = 0 are integer tables in :mod:`~repeater_keyrate.closedform`
+that the tests rebuild from these frames.  ``enumerate-errors``, the dense
+modules and the tests import it.  Importing it builds no table.
 """
 
 from __future__ import annotations
@@ -164,7 +165,9 @@ def _decode_tables() -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
 def pair_decode_coeffs(beta: float, f0: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Bell coefficients of the perfect and the one-faulty decode of the
     encoded pair itself, with no swap (N = 0), frame by frame; then
-    :meth:`ChainState.mix` adds the noise of the decode CNOTs."""
+    :meth:`ChainState.mix` adds the noise of the decode CNOTs.  The
+    reference of the rate path's stored rows
+    (:func:`~repeater_keyrate.closedform.pair_decode_closed_form`)."""
     weights, (bells, rows) = frame_weights(beta, f0), _decode_tables()
     perfect = tuple(sum(w for w, bell in zip(weights, bells) if bell == k) for k in range(4))
     return perfect, tuple(sum(w * row[k] for w, row in zip(weights, rows)) / 64 for k in range(4))

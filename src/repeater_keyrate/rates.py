@@ -38,11 +38,12 @@ fraction skips h(1/2) = 1), then the link terms.  The level scan
 at the first bound below the best K, and reports only the winner.
 
 Everything here is stdlib arithmetic on those closed forms, N = 0
-included: with no swap the key pair is decoded from the encoded pair's
-Pauli frames (:func:`~repeater_keyrate.frames.pair_decode_coeffs`), so
-no rate command loads numpy, and only N = 0 imports the frame core.  The
-records are namedtuples, not dataclasses, which would cost the rate
-commands the import of :mod:`dataclasses` and its dependencies.
+included: with no swap the key pair mixes the stored perfect and one-faulty
+decodes of the encoded pair
+(:func:`~repeater_keyrate.closedform.pair_decode_closed_form`), so no rate
+command, at any N, loads numpy or the Pauli-frame core.  The records are
+namedtuples, not dataclasses, which would cost the rate commands the import
+of :mod:`dataclasses` and its dependencies.
 """
 
 from __future__ import annotations
@@ -54,7 +55,8 @@ from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 from .closedform import (
-    ChainState, _capped_success, chain_success_prob, swap_success_closed_form,
+    ChainState, _capped_success, chain_success_prob, pair_decode_closed_form,
+    swap_success_closed_form,
 )
 
 MEMORIES_PER_HALF_NODE = 6
@@ -327,12 +329,10 @@ class _Point:
     ) -> tuple[float, tuple[float, float, float], float]:
         """P_r (unless given), (e_X, e_Y, e_Z) and the unclamped six-state r_inf
         after ``swap_count`` compoundings, from the chain's QBER kernel; N = 0
-        decodes the encoded pair's frames."""
+        mixes the stored decodes of the encoded pair."""
         if swap_count == 0:
-            from .frames import pair_decode_coeffs
-
             p_r = 1.0
-            qbers = error_rates(self.chain.mix(*pair_decode_coeffs(self.beta, self.f0)))
+            qbers = error_rates(self.chain.mix(*pair_decode_closed_form(self.beta, self.f0)))
         else:
             p_r = chain_success_prob(self.p_s, swap_count) if p_r is None else p_r
             qbers = self.chain.qbers(swap_count, p_r)
@@ -489,15 +489,23 @@ def _bisect(f: Callable[[float], float], a: float, b: float, fa: float, xtol: fl
     raise RuntimeError(f"bisection did not converge in 100 iterations (xtol={xtol})")
 
 
+def nesting_of(stations: int) -> int | None:
+    """N of a chain of 2^N - 1 ``stations`` (an integral float counts as its int), else None."""
+    if stations < 0 or stations % 1 != 0:  # inf and NaN leave a NaN remainder
+        return None
+    n = int(stations) + 1
+    return n.bit_length() - 1 if n & (n - 1) == 0 else None
+
+
 def _threshold(r: int, bracket: tuple[float, float], tol: float, over_f0: bool) -> float:
     """Root in ``bracket`` of the unclamped secret fraction over beta at
     F0 = 1, where it falls, or over F0 at beta = 0, where it rises, with the
     per-nesting-level compounding that reproduces the published table (see
     the module docstring)."""
-    if r < 1 or r % 1 != 0 or (int(r) + 1) & int(r) != 0:
+    nesting = nesting_of(r)
+    if r < 1 or nesting is None:
         raise ValueError(f"station count must be 2^N - 1 with N >= 1, got {r}")
     r = int(r)
-    nesting = (r + 1).bit_length() - 1
     lo, hi = bracket
 
     def f(x: float) -> float:

@@ -84,6 +84,19 @@ def perfect_decode_deviation(
     )
 
 
+def pair_decode_deviation(betas: Sequence[float], f0s: Sequence[float]) -> float:
+    """Largest entry deviation of the stored N = 0 decodes of the rate path
+    (:func:`closedform.pair_decode_closed_form`) from the perfect and the
+    one-faulty decoding circuit applied to the dense encoded pair, over the grid."""
+    worst = 0.0
+    for beta, f0 in itertools.product(betas, f0s):
+        pair = encgen.encoded_pair(beta, f0)
+        perfect, faulty = closedform.pair_decode_closed_form(beta, f0)
+        worst = max(worst, _deviation(decode.decode_circuit(pair).matrix, frame_state(perfect)),
+                    _deviation(decode.decode_one_faulty(pair).matrix, frame_state(faulty)))
+    return worst
+
+
 def swap_closed_form_deviation(betas: Sequence[float], f0s: Sequence[float]) -> float:
     """Largest relative difference of the closed-form p_s the rate path uses
     from :func:`encswap.swap_success_prob` of the dense encoded pair, in both
@@ -188,10 +201,15 @@ def _decode_property_checks() -> list[CheckResult]:
 def _closed_form_checks() -> list[CheckResult]:
     dev_ghz = ghz_prep_deviation((0.0, 0.01, 0.05, 0.1))
     dev_dec = perfect_decode_deviation((0.0, 0.005, 0.01), (0.95, 0.99, 1.0), (1, 3))
-    dev_ps = swap_closed_form_deviation((0.0, 0.005, 0.01, 0.05), (0.9, 0.95, 0.99, 1.0))
+    unit_grid = (0.0, 0.01, 0.3, 0.7, 0.99, 1.0)  # both ends of [0, 1]
+    dev_pair = pair_decode_deviation(unit_grid, unit_grid)
+    # beta and F0 over [0, 1], where every Bernstein entry of the stored tables weighs in
+    dev_ps = swap_closed_form_deviation((0.0, 0.005, 0.01, 0.05, 0.3, 0.7, 1.0),
+                                        (0.0, 0.3, 0.7, 0.9, 0.95, 0.99, 1.0))
     return [
         _check("GHZ preparation closed form vs circuit", "<= 1e-12", dev_ghz),
         _check("perfect-decode closed form vs circuit", "<= 1e-10", dev_dec),
+        _check("N = 0 decode closed form vs circuits", "<= 1e-12", dev_pair),
         _check("closed-form p_s vs dense pair", "<= 1e-13 relative", dev_ps),
     ]
 

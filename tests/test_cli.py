@@ -836,9 +836,9 @@ class TestImports:
         (("cost", "--paper-fig8-defaults", "--distance-range", "500:1500:500"),
          "memory-qubits/secret-bit", False),
         (("threshold", "--stations", "1,3"), "p_G,min", False),
-        # N = 0 decodes the encoded pair from its Pauli frames
+        # N = 0 mixes the stored decodes of the encoded pair, with no frame core
         (("keyrate", "--distance", "100", "--fidelity", "0.99", "--gate-quality", "0.99",
-          "--nesting", "0"), "K_per_mem_per_s=0.9336730933", True),
+          "--nesting", "0"), "K_per_mem_per_s=0.9336730933", False),
         # the error counts come from the frame core's correctable frames
         (("enumerate-errors",), "distinct_orthogonal_states=64", True),
         # the process pool of --jobs loads concurrent.futures, not numpy
@@ -848,7 +848,13 @@ class TestImports:
         # a fixed N >= 1 is key_rate's path
         (("keyrate", "--distance", "600", "--fidelity", "0.99", "--gate-quality", "0.995",
           "--nesting", "2"), "K_per_mem_per_s=", False),
-    ], ids=[f"argv{i}" for i in range(8)])
+        # the nesting scans with the repeaterless link N = 0 in range, and winning
+        (("sweep", "--distance", "5", "--fidelity-range", "0.99:1:0.005",
+          "--gate-quality-range", "0.99:1:0.005", "--min-nesting", "0", "--max-nesting", "3"),
+         "\n0.99,0.99,1097.434884,0\n", False),
+        (("cost", "--paper-fig8-defaults", "--distance-range", "5:15:5", "--min-nesting", "0"),
+         "N*=0", False),
+    ], ids=[f"argv{i}" for i in range(10)])
     def test_rate_commands_load_no_numpy(self, argv, expected, loaded_frames):
         code, out, loaded = run_child(*argv)
         assert code == 0 and expected in out

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repeater_keyrate import closedform
 from repeater_keyrate.closedform import (
     _TILDE_BELL,
     DECODE_GATE_COUNT,
     ChainState,
     chain_success_prob,
     first_order_weights,
+    pair_decode_closed_form,
     swap_success_closed_form,
 )
 from repeater_keyrate.decode import (
@@ -25,7 +27,7 @@ from repeater_keyrate.decode import (
 )
 from repeater_keyrate.encgen import encoded_pair
 from repeater_keyrate.encswap import swapped_state_nonideal
-from repeater_keyrate.frames import _decode_tables, pair_decode_coeffs
+from repeater_keyrate.frames import _decode_tables, _frame_table, pair_decode_coeffs
 from repeater_keyrate.qstate import (
     DensityOperator,
     _apply_pauli_mat,
@@ -34,7 +36,8 @@ from repeater_keyrate.qstate import (
 )
 
 PHI_PLUS = frame_state(np.eye(4)[0])
-from repeater_keyrate.validation import decoding_map_deviations
+from repeater_keyrate.rates import key_rate
+from repeater_keyrate.validation import decoding_map_deviations, pair_decode_deviation
 
 
 class TestDecodeCircuitProperties:
@@ -130,6 +133,81 @@ class TestDecodeTables:
             + w_rest * np.eye(4) / 4.0
         )
         assert np.abs(final_state(beta, f0, 0).matrix - circuits).max() < 1e-14
+
+
+def stored_pair_rows():
+    """The perfect rows (phi+, phi-, psi+, psi-) of closedform's N = 0
+    decode and its one-faulty rows times their denominator 32, rebuilt in
+    exact rationals from the frame core.
+
+    A column of frames._frame_table is over the GHZ weight groups (d, o, e,
+    f) of frames._ghz_prep_weights, which are ((A + B)/2, (A - B)/2, B, C);
+    moved to the values (A, B, C), each frame's column is summed into the
+    Bell state of its perfect decode, or weighted by its one-faulty decode
+    row over 64."""
+    columns, denominator = _frame_table()
+    bells, faulty_rows = _decode_tables()
+    by_value = []
+    for column in columns:
+        d, o, e, f = (column[8 * g:8 * g + 8] for g in range(4))
+        by_value.append([Fraction(x, 2 * denominator) for x in (
+            *(x + y for x, y in zip(d, o)),
+            *(x - y + 2 * z for x, y, z in zip(d, o, e)),
+            *(2 * z for z in f),
+        )])
+    perfect = [
+        tuple(sum(col[r] for col, bell in zip(by_value, bells) if bell == k) for r in range(24))
+        for k in range(4)
+    ]
+    faulty = [  # over 64, times 32
+        tuple(sum(col[r] * row[k] for col, row in zip(by_value, faulty_rows)) / 2
+              for r in range(24))
+        for k in range(4)
+    ]
+    return perfect, faulty
+
+
+class TestStoredPairDecode:
+    """closedform.pair_decode_closed_form, the rate path's N = 0, against the
+    frame core's frame-by-frame decode and the dense decoding circuits."""
+
+    def test_stored_rows_regenerate_exactly(self):
+        perfect, faulty = stored_pair_rows()
+        phi_plus, phi_minus, psi = closedform._PAIR_PERFECT
+        assert perfect == [phi_plus, phi_minus, psi, psi]
+        faulty_phi, faulty_psi = closedform._PAIR_ONE_FAULTY
+        assert faulty == [faulty_phi, faulty_phi, faulty_psi, faulty_psi]
+
+    def test_stored_entries_are_nonnegative(self):
+        # so the sum over the nonnegative monomials never cancels
+        rows = closedform._PAIR_PERFECT + closedform._PAIR_ONE_FAULTY
+        assert all(len(row) == 24 for row in rows)
+        assert min(min(row) for row in rows) >= 0
+
+    @pytest.mark.parametrize("beta", [Fraction(k, 8) for k in range(9)])
+    def test_equals_the_frame_decode_in_fractions(self, beta):
+        # both are polynomials of degree 8 in beta and 3 in F0: equality on a
+        # 9 x 4 grid of distinct points, the four corners among them, makes
+        # them identical
+        for f0 in (Fraction(k, 3) for k in range(4)):
+            assert pair_decode_closed_form(beta, f0) == pair_decode_coeffs(beta, f0), f0
+
+    @pytest.mark.parametrize("beta", [0.0, -0.0])
+    def test_ideal_corner_is_exact(self, beta):
+        assert pair_decode_closed_form(beta, 1.0) == ((1.0, 0.0, 0.0, 0.0), _TILDE_BELL)
+        report = key_rate(200.0, beta, 1.0, 0)
+        assert (report.p_s, report.p_r, report.secret_fraction) == (1.0, 1.0, 1.0)
+        assert (report.e_x, report.e_y, report.e_z) == (0.0, 0.0, 0.0)
+        assert report.key_rate == report.rate_pairs_per_s / 6
+
+    def test_matches_the_circuits_over_the_unit_square(self):
+        grid = (0.0, 0.01, 0.3, 0.7, 0.99, 1.0)
+        assert pair_decode_deviation(grid, grid) <= 1e-12
+
+    @pytest.mark.parametrize("beta,f0", [(-0.1, 0.9), (0.1, 1.5), (math.nan, 0.9)])
+    def test_rejects_a_point_outside_the_unit_square(self, beta, f0):
+        with pytest.raises(ValueError, match="must be in"):
+            pair_decode_closed_form(beta, f0)
 
 
 def one_faulty_decode(beta, f0, r):

@@ -253,7 +253,8 @@ def test_lean_level_path_equals_the_reference_path(beta, f0, nesting):
     point, r = _Point(beta, f0), 2**nesting - 1
     _, decoded = point.level(100.0, nesting, (0.17, 2e5, "physical"))
     if nesting == 0:
-        expected = error_rates(ChainState(beta).mix(*frames.pair_decode_coeffs(beta, f0)))
+        stored = closedform.pair_decode_closed_form(beta, f0)
+        expected = error_rates(ChainState(beta).mix(*stored))
         assert decoded is not None and decoded == point.decoded(0)
     else:
         p_r = chain_success_prob(point.p_s, r)

@@ -126,16 +126,19 @@ def z_series_oracle(num_pairs, p0):
 def z_binomial_reference(num_pairs, p0):
     """The alternating binomial closed form (Bernardes, Praxmeyer & van Loock,
     PRA 83, 012323 (2011)) summed in mpmath at a precision scaled to the
-    binomial growth (~0.302 digits per pair), so the cancellation is exact."""
+    binomial growth (~0.302 digits per pair), so the cancellation is exact.
+    q^j is a running product at that precision: it keeps ~31 digits, as
+    q**j does, and rounds to the same float at every tested point."""
     if p0 == 1.0:
         return 1.0
     digits = 30 + int(0.302 * num_pairs) + max(0, int(-math.log10(p0)) + 1)
     with mp.workdps(digits):
         q = 1 - mp.mpf(p0)
-        total, binomial = mp.mpf(0), 1
+        total, binomial, q_j = mp.mpf(0), 1, mp.mpf(1)
         for j in range(1, num_pairs + 1):
             binomial = binomial * (num_pairs - j + 1) // j  # C(n, j), exact in ints
-            term = mp.mpf(binomial) / (1 - q**j)
+            q_j *= q
+            term = mp.mpf(binomial) / (1 - q_j)
             total += term if j % 2 == 1 else -term
         return float(total)
 
