@@ -17,7 +17,11 @@ record of a Bell-diagonal pair that ``qstate.bell_diag_coeffs`` builds.  So
 is the stdlib Pauli-frame core of the encoded pair
 (``repeater_keyrate.frames``), which the rate path never imports: its p_s
 and its N = 0 decode are stored tables that the tests rebuild from the
-frames.
+frames.  What only an opt-in input needs loads on first use, not here: the
+N = 0 decode rows (``repeater_keyrate.repeaterless``) on the first level
+scored at N = 0, and the CLI's config reader and help screen
+(``repeater_keyrate.cliextra``) when a config file is named or help is
+asked for.
 """
 
 __version__ = "0.1.0"

@@ -9,10 +9,15 @@ tabular output is CSV with a header row and values printed to 10 significant
 digits, so identical inputs give byte-identical files.
 
 The rate commands (keyrate, sweep, cost and threshold, N = 0 included) and
-enumerate-errors run on the stdlib alone; enumerate-errors imports the
-Pauli-frame core (:mod:`repeater_keyrate.frames`), which no rate command
-loads at any N, ``--jobs`` above 1 the process pool (no numpy), and
-validate numpy and the dense layer, when they run.
+enumerate-errors run on the stdlib alone.  What only an opt-in input needs
+is imported when that input first asks for it, so a default command
+compiles none of it: the N = 0 decode rows
+(:mod:`repeater_keyrate.repeaterless`) on the first level scored at N = 0,
+the config reader and the help screen (:mod:`repeater_keyrate.cliextra`)
+when a config file is named or on ``-h``/``--help``, the Pauli-frame core
+(:mod:`repeater_keyrate.frames`) by enumerate-errors (no rate command loads
+it at any N), the process pool by ``--jobs`` above 1 (no numpy), and numpy
+and the dense layer by validate.
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ from .rates import (
     DEFAULT_MAX_NESTING,
     DEFAULT_MIN_NESTING,
     DEFAULT_SPEED_KM_PER_S,
-    MEMORIES_PER_HALF_NODE,
     TABLE_STATION_COUNTS,
     NoThresholdError,
     RateReport,
@@ -96,8 +100,6 @@ _T0 = _number(str, ("physical", "1", "normalized").__contains__, "physical, 1 or
 _MAX_JOBS = os.cpu_count() or 1
 _JOBS = _number(int, lambda n: 1 <= n <= _MAX_JOBS, f"1...{_MAX_JOBS}")
 _TRIALS = _number(int, lambda n: MIN_TRIALS <= n <= MAX_TRIALS, f"{MIN_TRIALS}...{MAX_TRIALS}")
-# The values a config file may give a switch, in any case, and whether each turns it on.
-_SWITCH = {word: i > 3 for i, word in enumerate("0 false no off 1 true yes on".split())}
 # Flags of one choice: one on the command line drops the config values of all.
 _CHOICES = ({"optimize", "nesting", "stations"}, {"beta", "gate_quality"})
 
@@ -144,49 +146,26 @@ def _row(*values: float) -> str:
     return ("%.10g," * len(values))[:-1] % values
 
 
-def _load_config(path: str | None) -> dict[str, str]:
-    if path is None:
-        path = os.environ.get("REPEATER_KEYRATE_CONFIG")
-    if not path:
-        return {}
-    values: dict[str, str] = {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise CliError(f"{path}:{lineno}: expected key = value, got {raw.strip()!r}")
-                key, value = line.split("=", 1)
-                key = key.strip().replace("-", "_")
-                if not any(key in table for _, _, table in _COMMANDS.values()):
-                    raise CliError(f"{path}:{lineno}: unknown config key {key!r}")
-                values[key] = value.strip()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise CliError(f"cannot read config file {path}: {exc}")
-    return values
-
-
 def _resolve(argv: list[str] | None) -> SimpleNamespace:
     """Parse ``argv`` and resolve each flag of its subcommand once: the
-    command-line value, else the config value (run through the flag's own type
-    function, or looked up in :data:`_SWITCH`) unless the command line gives
-    a flag of its :data:`_CHOICES`, else the built-in default.
-    ``given``: the dests on the command line."""
+    command-line value, else the config value (``cliextra.read_config``,
+    loaded only when ``--config`` or REPEATER_KEYRATE_CONFIG names a file)
+    unless the command line gives a flag of its :data:`_CHOICES`, else the
+    built-in default.  ``given``: the dests on the command line."""
     command, given = _parse(sys.argv[1:] if argv is None else argv)
     table = _COMMANDS[command][2]
     values = {dest: False if kind is None else None for dest, (kind, _) in table.items()} | given
-    overridden = set(given).union(*(c for c in _CHOICES if c & given.keys()))
-    for key, raw in _load_config(values["config"]).items():
-        if key in table and key not in overridden:
-            kind = table[key][0]
-            try:
-                if kind is None and raw.lower() not in _SWITCH:
-                    raise ValueError(f"expected {', '.join(_SWITCH)}, in any case")
-                values[key] = _SWITCH[raw.lower()] if kind is None else kind(raw)
-            except ValueError as exc:
-                raise CliError(f"config value for {key} is not valid: {raw!r} ({exc})")
+    path = values["config"]
+    if path is None:
+        path = os.environ.get("REPEATER_KEYRATE_CONFIG")
+    if path:
+        from .cliextra import read_config
+
+        overridden = set(given).union(*(c for c in _CHOICES if c & given.keys()))
+        try:
+            values |= read_config(path, _COMMANDS, command, overridden)
+        except ValueError as exc:
+            raise CliError(str(exc))
     defaults = dict(_DEFAULTS)
     if values.get("paper_fig8_defaults"):  # --beta, if given, names p_G instead
         gate_quality = FIG8_GATE_QUALITY if values["beta"] is None else None
@@ -445,8 +424,13 @@ def _parse(argv: list[str]) -> tuple[str, dict]:
         name, kind = _flag(dest), flags[dest][0]
         if kind is None and has_value:
             raise CliError(f"argument {name}: ignored explicit argument {value!r}")
-        if dest in _TOP:
-            print(_help(command, flags) if dest == "help" else f"repeater-keyrate {__version__}")
+        if dest == "help":
+            from .cliextra import help_screen
+
+            print(help_screen(command, flags, _COMMANDS, _DEFAULTS, _flag))
+            raise SystemExit(0)
+        if dest == "version":
+            print(f"repeater-keyrate {__version__}")
             raise SystemExit(0)
         if kind is not None and not has_value:
             value = next(tokens, "--")
@@ -461,19 +445,6 @@ def _parse(argv: list[str]) -> tuple[str, dict]:
     return command, given
 
 
-def _help(command: str | None, flags: dict) -> str:
-    lines = [f"usage: repeater-keyrate {command or 'COMMAND'} [FLAGS]", "",
-             _COMMANDS[command][1] if command else _ABOUT, ""]
-    if command is None:
-        lines += [f"  {name:<28}{text}" for name, (_, text, _) in _COMMANDS.items()]
-    for dest, (kind, text) in flags.items():
-        default = f" (default {_DEFAULTS[dest]})" if dest in _DEFAULTS else ""
-        lines.append(f"  {_flag(dest) + ('' if kind is None else ' VALUE'):<28}{text}{default}")
-    return "\n".join(lines)
-
-
-_ABOUT = ("Secret key rates, thresholds and resource costs for a quantum repeater encoded with "
-          f"the three-qubit repetition code (M = {MEMORIES_PER_HALF_NODE} memories per half node).")
 _RANGE = f"start:stop:step, at most {MAX_RANGE_POINTS} points"
 _KM_RANGE = _range(lambda v: v > 0, "positive")
 _UNIT_RANGE = _range(lambda v: 0 <= v <= 1, "in [0, 1]")

@@ -11,7 +11,7 @@ validate them.  With no swap (r = 0) the decoded coefficients here come
 from the encoded pair's Pauli frames and the frame-to-Bell decode tables
 (:func:`~repeater_keyrate.frames.pair_decode_coeffs`), the frame-by-frame
 reference of the rate path's stored rows
-(:func:`~repeater_keyrate.closedform.pair_decode_closed_form`), which
+(:func:`~repeater_keyrate.repeaterless.pair_decode_closed_form`), which
 ``validate`` compares with the circuits.  Each decoded pair
 is the :func:`~repeater_keyrate.qstate.frame_state` of its Bell
 coefficients (phi+, phi-, psi+, psi-).

@@ -40,10 +40,15 @@ at the first bound below the best K, and reports only the winner.
 Everything here is stdlib arithmetic on those closed forms, N = 0
 included: with no swap the key pair mixes the stored perfect and one-faulty
 decodes of the encoded pair
-(:func:`~repeater_keyrate.closedform.pair_decode_closed_form`), so no rate
-command, at any N, loads numpy or the Pauli-frame core.  The records are
-namedtuples, not dataclasses, which would cost the rate commands the import
-of :mod:`dataclasses` and its dependencies.
+(:func:`~repeater_keyrate.repeaterless.pair_decode_closed_form`, imported
+on the first level scored at N = 0), so no rate command, at any N, loads
+numpy or the Pauli-frame core.  The records are namedtuples, not
+dataclasses, which would cost the rate commands the import of
+:mod:`dataclasses` and its dependencies.  The annotations name
+``Callable``, ``Iterable`` and ``Sequence`` of :mod:`collections.abc`
+without importing them: they stay strings, and :mod:`typing`, with the
+:mod:`re` and :mod:`enum` it loads, would add its import to every start
+without site (``python -S``, README decision 21).
 """
 
 from __future__ import annotations
@@ -52,12 +57,8 @@ import math
 import sys
 from collections import namedtuple
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
 
-from .closedform import (
-    ChainState, _capped_success, chain_success_prob, pair_decode_closed_form,
-    swap_success_closed_form,
-)
+from .closedform import ChainState, _capped_success, chain_success_prob, swap_success_closed_form
 
 MEMORIES_PER_HALF_NODE = 6
 DEFAULT_ALPHA_DB_PER_KM = 0.17
@@ -329,8 +330,11 @@ class _Point:
     ) -> tuple[float, tuple[float, float, float], float]:
         """P_r (unless given), (e_X, e_Y, e_Z) and the unclamped six-state r_inf
         after ``swap_count`` compoundings, from the chain's QBER kernel; N = 0
-        mixes the stored decodes of the encoded pair."""
+        mixes the stored decodes of the encoded pair, whose module
+        (:mod:`~repeater_keyrate.repeaterless`) loads on the first call at N = 0."""
         if swap_count == 0:
+            from .repeaterless import pair_decode_closed_form
+
             p_r = 1.0
             qbers = error_rates(self.chain.mix(*pair_decode_closed_form(self.beta, self.f0)))
         else:

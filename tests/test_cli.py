@@ -40,14 +40,25 @@ def run_bounded(*argv):
     )
 
 
+# The modules that a default command leaves unloaded: numpy and the
+# dataclasses, argparse and gettext it once imported, the Pauli-frame core,
+# and the modules of the opt-in inputs, the N = 0 decode rows and the
+# config reader with the help screen.
+FRAMES, REPEATERLESS, CLIEXTRA = (
+    "repeater_keyrate.frames", "repeater_keyrate.repeaterless", "repeater_keyrate.cliextra")
+WATCHED = ("numpy", "dataclasses", "argparse", "gettext", FRAMES, REPEATERLESS, CLIEXTRA)
+# stands for the path of a config file in a TestImports row
+CONFIG_FILE = "<config file>"
+
+
 def run_child(*argv):
-    """The CLI in a fresh interpreter: (exit code, stdout, which of numpy,
-    dataclasses, argparse, gettext and the Pauli-frame core it loaded)."""
+    """The CLI in a fresh interpreter: (exit code, stdout, which of
+    :data:`WATCHED` it loaded); ``--help`` exits through SystemExit."""
     src = Path(repeater_keyrate.__file__).resolve().parents[1]
     probe = (
-        "import sys; from repeater_keyrate.cli import main; code = main(sys.argv[1:]); "
-        "print('loaded:', *(m for m in ('numpy', 'dataclasses', 'argparse', 'gettext', "
-        "'repeater_keyrate.frames') if m in sys.modules)); sys.exit(code)"
+        "import sys\nfrom repeater_keyrate.cli import main\n"
+        "try:\n    code = main(sys.argv[1:])\nexcept SystemExit as exc:\n    code = exc.code\n"
+        f"print('loaded:', *(m for m in {WATCHED!r} if m in sys.modules)); sys.exit(code)"
     )
     result = subprocess.run(
         [sys.executable, "-c", probe, *argv], env={**os.environ, "PYTHONPATH": str(src)},
@@ -644,6 +655,52 @@ class TestHelp:
         assert "M = 6" in out or "6 memories" in out
 
 
+# The help screen of sweep, byte for byte.
+SWEEP_HELP = """\
+usage: repeater-keyrate sweep [FLAGS]
+
+CSV sweep over distance or the (F0, p_G) surface
+
+  --help                      show this help and exit
+  --config VALUE              key = value config file (or set REPEATER_KEYRATE_CONFIG)
+  --output VALUE              write CSV to this path ('-' for stdout)
+  --fidelity VALUE            source Bell fidelity F0 in [0, 1]
+  --gate-quality VALUE        gate quality p_G = 1 - beta in [0, 1]
+  --beta VALUE                two-qubit gate error parameter in [0, 1]
+  --alpha VALUE               fiber attenuation, dB/km, > 0 (default 0.17)
+  --speed VALUE               signal speed in fiber, km/s, > 0 (default 200000.0)
+  --t0 VALUE                  fundamental time: 'physical' (L0/c) or '1' (normalized) \
+(default physical)
+  --min-nesting VALUE         smallest nesting level scanned, >= 0; 0 adds the repeaterless \
+link (default 1)
+  --max-nesting VALUE         largest nesting level scanned, up to 20 (default 10)
+  --distance VALUE            total distance L in km, > 0 (surface sweep)
+  --distance-range VALUE      start:stop:step, at most 100000 points, in km (distance sweep)
+  --fidelity-range VALUE      start:stop:step, at most 100000 points, for F0
+  --gate-quality-range VALUE  start:stop:step, at most 100000 points, for p_G; at most 100000 \
+surface points in all
+  --jobs VALUE                parallel worker processes, 1 to the CPU count (default 1)
+"""
+
+
+class TestModuleEntry:
+    """``python -m repeater_keyrate.cli`` runs the module as ``__main__``, so
+    a module that imported ``repeater_keyrate.cli`` would load a second copy
+    whose CliError ``main`` does not catch: the deferred config reader and
+    help screen answer there as in process."""
+
+    def test_malformed_config_line(self, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("fidelity 0.98\n")
+        result = run_bounded("keyrate", "--config", str(cfg))
+        assert result.returncode == 2 and result.stdout == ""
+        assert result.stderr == f"error: {cfg}:1: expected key = value, got 'fidelity 0.98'\n"
+
+    def test_sweep_help(self):
+        result = run_bounded("sweep", "--help")
+        assert (result.returncode, result.stdout, result.stderr) == (0, SWEEP_HELP, "")
+
+
 # Every flag of every subcommand, as the command line spells it.
 _RATE_FLAGS = (
     "--config", "--output", "--fidelity", "--gate-quality", "--beta", "--alpha", "--speed",
@@ -827,38 +884,59 @@ class TestRuntimeDependencies:
 
 
 class TestImports:
-    @pytest.mark.parametrize("argv,expected,loaded_frames", [
+    @pytest.mark.parametrize("argv,expected,modules", [
         (("keyrate", "--distance", "600", "--fidelity", "0.99", "--gate-quality", "0.995",
-          "--optimize"), "K_per_mem_per_s=", False),
+          "--optimize"), "K_per_mem_per_s=", set()),
         (("sweep", "--distance", "600", "--fidelity-range", "0.99:1:0.005",
           "--gate-quality-range", "0.99:1:0.005", "--max-nesting", "4"),
-         "F0,pG,K_per_mem_per_s,N_opt", False),
+         "F0,pG,K_per_mem_per_s,N_opt", set()),
         (("cost", "--paper-fig8-defaults", "--distance-range", "500:1500:500"),
-         "memory-qubits/secret-bit", False),
-        (("threshold", "--stations", "1,3"), "p_G,min", False),
+         "memory-qubits/secret-bit", set()),
+        (("threshold", "--stations", "1,3"), "p_G,min", set()),
         # N = 0 mixes the stored decodes of the encoded pair, with no frame core
         (("keyrate", "--distance", "100", "--fidelity", "0.99", "--gate-quality", "0.99",
-          "--nesting", "0"), "K_per_mem_per_s=0.9336730933", False),
+          "--nesting", "0"), "K_per_mem_per_s=0.9336730933", {REPEATERLESS}),
         # the error counts come from the frame core's correctable frames
-        (("enumerate-errors",), "distinct_orthogonal_states=64", True),
+        (("enumerate-errors",), "distinct_orthogonal_states=64", {FRAMES}),
         # the process pool of --jobs loads concurrent.futures, not numpy
         (("sweep", "--distance", "600", "--fidelity-range", "0.99:1:0.005",
           "--gate-quality-range", "0.99:1:0.005", "--max-nesting", "4", "--jobs", "2"),
-         "F0,pG,K_per_mem_per_s,N_opt", False),
+         "F0,pG,K_per_mem_per_s,N_opt", set()),
         # a fixed N >= 1 is key_rate's path
         (("keyrate", "--distance", "600", "--fidelity", "0.99", "--gate-quality", "0.995",
-          "--nesting", "2"), "K_per_mem_per_s=", False),
+          "--nesting", "2"), "K_per_mem_per_s=", set()),
         # the nesting scans with the repeaterless link N = 0 in range, and winning
         (("sweep", "--distance", "5", "--fidelity-range", "0.99:1:0.005",
           "--gate-quality-range", "0.99:1:0.005", "--min-nesting", "0", "--max-nesting", "3"),
-         "\n0.99,0.99,1097.434884,0\n", False),
+         "\n0.99,0.99,1097.434884,0\n", {REPEATERLESS}),
         (("cost", "--paper-fig8-defaults", "--distance-range", "5:15:5", "--min-nesting", "0"),
-         "N*=0", False),
-    ], ids=[f"argv{i}" for i in range(10)])
-    def test_rate_commands_load_no_numpy(self, argv, expected, loaded_frames):
+         "N*=0", {REPEATERLESS}),
+        # a config file and the help screen load their module
+        (("keyrate", "--config", CONFIG_FILE), "K_per_mem_per_s=", {CLIEXTRA}),
+        (("sweep", "--help"), "usage: repeater-keyrate sweep [FLAGS]", {CLIEXTRA}),
+    ], ids=[f"argv{i}" for i in range(12)])
+    def test_rate_commands_load_no_numpy(self, tmp_path, argv, expected, modules):
+        if CONFIG_FILE in argv:
+            config = tmp_path / "point.cfg"
+            config.write_text("fidelity = 0.99\ngate-quality = 0.995\ndistance = 600\n"
+                              "optimize = 1\n")
+            argv = [str(config) if a == CONFIG_FILE else a for a in argv]
         code, out, loaded = run_child(*argv)
         assert code == 0 and expected in out
-        assert loaded == ({"repeater_keyrate.frames"} if loaded_frames else set())
+        assert loaded == modules
+
+    def test_clean_start_loads_no_typing(self):
+        # without site (python -S), which may preload typing through a .pth file,
+        # the bare import loads none of typing and the re and enum it would bring,
+        # and none of the watched modules
+        src = Path(repeater_keyrate.__file__).resolve().parents[1]
+        probe = ("import sys, repeater_keyrate.cli; print(*(m for m in "
+                 f"{('typing', 're', 'enum', *WATCHED)!r} if m in sys.modules))")
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert (result.returncode, result.stdout, result.stderr) == (0, "\n", "")
 
     @pytest.mark.parametrize("argv,expected", [
         (("validate", "--trials", "20000"), "checks passed"),

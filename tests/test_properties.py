@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repeater_keyrate import cli, closedform, encgen, frames, rates
+from repeater_keyrate import cli, closedform, encgen, frames, rates, repeaterless
 from repeater_keyrate.closedform import (
     DECODE_GATE_COUNT,
     ChainState,
@@ -253,7 +253,7 @@ def test_lean_level_path_equals_the_reference_path(beta, f0, nesting):
     point, r = _Point(beta, f0), 2**nesting - 1
     _, decoded = point.level(100.0, nesting, (0.17, 2e5, "physical"))
     if nesting == 0:
-        stored = closedform.pair_decode_closed_form(beta, f0)
+        stored = repeaterless.pair_decode_closed_form(beta, f0)
         expected = error_rates(ChainState(beta).mix(*stored))
         assert decoded is not None and decoded == point.decoded(0)
     else:
