@@ -19,9 +19,10 @@ is the stdlib Pauli-frame core of the encoded pair
 and its N = 0 decode are stored tables that the tests rebuild from the
 frames.  What only an opt-in input needs loads on first use, not here: the
 N = 0 decode rows (``repeater_keyrate.repeaterless``) on the first level
-scored at N = 0, and the CLI's config reader and help screen
-(``repeater_keyrate.cliextra``) when a config file is named or help is
-asked for.
+scored at N = 0, and the CLI's keyrate, cost, enumerate-errors and
+validate commands, config reader and help screen
+(``repeater_keyrate.cliextra``) when one of those commands runs, a config
+file is named or help is asked for.
 """
 
 __version__ = "0.1.0"

@@ -9,18 +9,19 @@ tabular output is CSV with a header row and values printed to 10 significant
 digits, so identical inputs give byte-identical files.
 
 The rate commands (keyrate, sweep, cost and threshold, N = 0 included) and
-enumerate-errors run on the stdlib alone.  What only an opt-in input needs
-is imported when that input first asks for it, so a default command
-compiles none of it: the N = 0 decode rows
-(:mod:`repeater_keyrate.repeaterless`) on the first level scored at N = 0,
-the config reader and the help screen (:mod:`repeater_keyrate.cliextra`)
-when a config file is named or on ``-h``/``--help``, the Pauli-frame core
-(:mod:`repeater_keyrate.frames`) by enumerate-errors (no rate command loads
-it at any N), the process pool by ``--jobs`` above 1 (no numpy), and numpy
-and the dense layer by validate.
+enumerate-errors run on the stdlib alone.  Importing this module compiles
+the parser, the flag tables, :func:`main` and the sweep and threshold
+commands, which compute the paper's key rate over distance and its
+threshold table.  Everything else is imported when it is first asked for:
+the keyrate, cost, enumerate-errors and validate commands, the config
+reader and the help screen (:mod:`repeater_keyrate.cliextra`) when
+:func:`main` first runs one of those commands, a config file is named or
+``-h``/``--help`` is given; the N = 0 decode rows
+(:mod:`repeater_keyrate.repeaterless`) on the first level scored at N = 0;
+the Pauli-frame core (:mod:`repeater_keyrate.frames`) by enumerate-errors
+(no rate command loads it at any N); the process pool by ``--jobs`` above 1
+(no numpy); and numpy and the dense layer by validate.
 """
-
-from __future__ import annotations
 
 import math
 import os
@@ -37,8 +38,6 @@ from .rates import (
     NoThresholdError,
     RateReport,
     check_link,
-    cost_coefficient,
-    key_rate,
     nesting_of,
     optimize_over_stations,
     threshold_fidelity,
@@ -146,6 +145,13 @@ def _row(*values: float) -> str:
     return ("%.10g," * len(values))[:-1] % values
 
 
+def _extra():
+    """:mod:`repeater_keyrate.cliextra`, which the first call compiles."""
+    from . import cliextra
+
+    return cliextra
+
+
 def _resolve(argv: list[str] | None) -> SimpleNamespace:
     """Parse ``argv`` and resolve each flag of its subcommand once: the
     command-line value, else the config value (``cliextra.read_config``,
@@ -159,13 +165,8 @@ def _resolve(argv: list[str] | None) -> SimpleNamespace:
     if path is None:
         path = os.environ.get("REPEATER_KEYRATE_CONFIG")
     if path:
-        from .cliextra import read_config
-
         overridden = set(given).union(*(c for c in _CHOICES if c & given.keys()))
-        try:
-            values |= read_config(path, _COMMANDS, command, overridden)
-        except ValueError as exc:
-            raise CliError(str(exc))
+        values |= _extra().read_config(path, command, overridden)
     defaults = dict(_DEFAULTS)
     if values.get("paper_fig8_defaults"):  # --beta, if given, names p_G instead
         gate_quality = FIG8_GATE_QUALITY if values["beta"] is None else None
@@ -225,43 +226,6 @@ def _write_rows(path: str | None, header: str, rows: list[str]) -> None:
             out.write(text)
     except OSError as exc:
         raise CliError(f"cannot write --output {path}: {exc}")
-
-
-def cmd_keyrate(args: SimpleNamespace) -> int:
-    point = _point(args)
-    if args.distance is None:
-        raise CliError("--distance (km, positive) is required")
-    if args.nesting is not None and args.stations is not None:
-        raise CliError("--nesting and --stations are mutually exclusive")
-    nesting = args.nesting if args.stations is None else nesting_of(args.stations)
-    if args.optimize == (nesting is not None):
-        raise CliError("exactly one of --optimize or --nesting/--stations is required")
-
-    if args.optimize:
-        n_range = _nesting_range(args)
-        _require_timed(args, [args.distance], n_range[-1])
-        n_best, report = optimize_over_stations(args.distance, n_range=n_range, **point)
-    else:
-        _reject(args, "keyrate without --optimize", "min_nesting", "max_nesting")
-        _require_timed(args, [args.distance], nesting)
-        n_best, report = nesting, key_rate(args.distance, nesting=nesting, **point)
-
-    # one field table for stdout and the CSV row, which names L and N as L_km and N_opt
-    fields = {
-        "distance_km": args.distance, "F0": point["f0"], "p_G": 1.0 - point["beta"],
-        "beta": point["beta"], "N": n_best, "stations": 2**n_best - 1, "L0_km": report.l0_km,
-        "P0": report.p0, "Z": report.z_value, "R_per_s": report.rate_pairs_per_s,
-        "p_s": report.p_s, "P_r": report.p_r, "eX": report.e_x, "eY": report.e_y,
-        "eZ": report.e_z, "r_inf": report.secret_fraction,
-        "K_per_mem_per_s": report.key_rate, "M": report.memories,
-    }
-    print("\n".join(f"{name}={_row(value)}" for name, value in fields.items()))
-    if args.output is not None:
-        header = "L_km,F0,p_G,N_opt,L0_km,P0,Z,R_per_s,eX,eY,eZ,r_inf,K_per_mem_per_s"
-        aliases = {"L_km": "distance_km", "N_opt": "N"}
-        row = _row(*(fields[aliases.get(name, name)] for name in header.split(",")))
-        _write_rows(args.output, header, [row])
-    return 0
 
 
 def cmd_threshold(args: SimpleNamespace) -> int:
@@ -345,61 +309,6 @@ def cmd_sweep(args: SimpleNamespace) -> int:
     return 0
 
 
-def cmd_cost(args: SimpleNamespace) -> int:
-    point = _point(args)
-    if args.distance_range is not None:
-        _reject(args, "a --distance-range cost", "distance")
-    elif args.distance is None:
-        raise CliError("--distance (km, positive) or --distance-range is required")
-    distances = args.distance_range or [args.distance]
-
-    n_range = _nesting_range(args)
-    _require_timed(args, distances, n_range[-1])
-    header = "L_km,C,C_prime,N_opt,L0_km"
-    rows = []
-    for distance in distances:
-        rep = cost_coefficient(distance, n_range=n_range, **point)
-        rows.append(_row(distance, rep.cost, rep.cost_coefficient, rep.nesting, rep.l0_km))
-        print(
-            f"L={_row(distance)} km: C={_row(rep.cost)} memory-qubits/secret-bit, "
-            f"C'={_row(rep.cost_coefficient)} /km, N*={rep.nesting}, L0*={_row(rep.l0_km)} km"
-        )
-    if args.output is not None:
-        _write_rows(args.output, header, rows)
-    return 0
-
-
-def cmd_enumerate_errors(args: SimpleNamespace) -> int:
-    """The 6^3 error-pair combos, the 160 correctable ones and the 64
-    distinct states they give.  The 160 x 6 = 960 count treats position
-    permutations apart and is printed only for parity with that convention."""
-    from .frames import ERROR_PAIR_LABELS, _admissible_combos, _correctable_frames
-
-    admissible = _admissible_combos()
-    print(f"raw_combinations={len(ERROR_PAIR_LABELS) ** 3}")
-    print(f"admissible_combinations={len(admissible)}")
-    print(f"position_permutation_count={6 * len(admissible)}")
-    print(f"distinct_orthogonal_states={len(_correctable_frames())}")
-    if args.list:
-        for labels in admissible:
-            print(" ".join(labels))
-    return 0
-
-
-def cmd_validate(args: SimpleNamespace) -> int:
-    from .validation import run_checks
-
-    results = run_checks(seed=args.seed, trials=args.trials, full=args.full)
-    width = max(len(r.name) for r in results)
-    failures = 0
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        failures += not r.passed
-        print(f"[{status}] {r.name:<{width}}  tolerance: {r.tolerance}; observed: {r.observed}")
-    print(f"{len(results) - failures}/{len(results)} checks passed")
-    return 0 if failures == 0 else 1
-
-
 def _flag(dest: str) -> str:
     return "--" + dest.replace("_", "-")
 
@@ -425,9 +334,7 @@ def _parse(argv: list[str]) -> tuple[str, dict]:
         if kind is None and has_value:
             raise CliError(f"argument {name}: ignored explicit argument {value!r}")
         if dest == "help":
-            from .cliextra import help_screen
-
-            print(help_screen(command, flags, _COMMANDS, _DEFAULTS, _flag))
+            print(_extra().help_screen(command, flags))
             raise SystemExit(0)
         if dest == "version":
             print(f"repeater-keyrate {__version__}")
@@ -465,7 +372,8 @@ _RATE = {
     "max_nesting": (_NESTING, f"largest nesting level scanned, up to {MAX_NESTING_LEVEL}"),
 }
 _COMMANDS = {
-    "keyrate": (cmd_keyrate, "secret key rate for one parameter point", {
+    "keyrate": (lambda args: _extra().cmd_keyrate(args),
+                 "secret key rate for one parameter point", {
         **_RATE,
         "distance": (_POSITIVE, "total distance L in km, > 0"),
         "nesting": (_NESTING, f"nesting level N, 0...{MAX_NESTING_LEVEL}"),
@@ -484,15 +392,18 @@ _COMMANDS = {
         "gate_quality_range": (_UNIT_RANGE, f"{_RANGE}, for p_G; at most {MAX_RANGE_POINTS} "
                                "surface points in all"),
         "jobs": (_JOBS, "parallel worker processes, 1 to the CPU count")}),
-    "cost": (cmd_cost, "memory qubits per secret bit, optimized over N", {
+    "cost": (lambda args: _extra().cmd_cost(args),
+             "memory qubits per secret bit, optimized over N", {
         **_RATE,
         "distance": (_POSITIVE, "total distance L in km, > 0"),
         "distance_range": (_KM_RANGE, f"{_RANGE}, in km"),
         "paper_fig8_defaults": (None, f"default to F0={FIG8_FIDELITY}, p_G={FIG8_GATE_QUALITY} "
                                 "and normalized T0")}),
-    "enumerate-errors": (cmd_enumerate_errors, "correctable error-pattern counts", {
+    "enumerate-errors": (lambda args: _extra().cmd_enumerate_errors(args),
+                         "correctable error-pattern counts", {
         **_CONFIG, "list": (None, "also print the admissible combinations")}),
-    "validate": (cmd_validate, "run the numerical self-check suite", {
+    "validate": (lambda args: _extra().cmd_validate(args),
+                "run the numerical self-check suite", {
         **_CONFIG,
         "seed": (_number(int, lambda n: n >= 0, "an integer >= 0"), "Monte Carlo seed, >= 0"),
         "trials": (_TRIALS, f"Monte Carlo trials, {MIN_TRIALS}...{MAX_TRIALS}"),
@@ -510,4 +421,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
+    # Under python -m this module runs as __main__: register it under its package
+    # name too, so that cliextra imports this module, not a second copy whose
+    # CliError main would not catch.
+    sys.modules["repeater_keyrate.cli"] = sys.modules[__name__]
     sys.exit(main())

@@ -12,8 +12,6 @@ that the tests rebuild from the frames.  Importing this module loads no
 numpy and builds no table.
 """
 
-from __future__ import annotations
-
 import math
 from functools import lru_cache
 
@@ -37,13 +35,19 @@ def first_order_weights(n: int, beta: float) -> tuple[float, float, float]:
     """(all-perfect, per-faulty-branch, identity remainder) weights of n
     first-order-noisy gates.
 
-    The identity remainder is p = 1 - (1-beta)^n - n beta (1-beta)^(n-1),
-    of order beta^2.  Exact for a ``Fraction`` beta.
+    The identity remainder p = 1 - (1-beta)^n - n beta (1-beta)^(n-1), of
+    order beta^2, is the chance that two or more gates fail.  It is summed
+    over the gate of the second failure, m + 2 for m = 0...n-2, as
+    beta^2 sum_m (m + 1) (1-beta)^m by Horner: every term is nonnegative, so
+    no subtraction cancels at small beta.  Exact for a ``Fraction`` beta.
     """
-    w_perfect = (1 - beta) ** n
-    w_branch = beta * (1 - beta) ** (n - 1)
-    p = 1 - w_perfect - n * w_branch
-    return w_perfect, w_branch, max(p, 0.0)
+    a = 1 - beta
+    w_perfect = a**n
+    w_branch = beta * a ** (n - 1)
+    tail = 0
+    for m in range(n - 1, 0, -1):
+        tail = tail * a + m
+    return w_perfect, w_branch, tail * beta * beta
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,6 @@ these frames.  ``enumerate-errors``, the dense modules and the tests
 import it.  Importing it builds no table.
 """
 
-from __future__ import annotations
-
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations, product

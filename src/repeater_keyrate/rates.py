@@ -44,18 +44,17 @@ decodes of the encoded pair
 on the first level scored at N = 0), so no rate command, at any N, loads
 numpy or the Pauli-frame core.  The records are namedtuples, not
 dataclasses, which would cost the rate commands the import of
-:mod:`dataclasses` and its dependencies.  The annotations name
-``Callable``, ``Iterable`` and ``Sequence`` of :mod:`collections.abc`
-without importing them: they stay strings, and :mod:`typing`, with the
-:mod:`re` and :mod:`enum` it loads, would add its import to every start
-without site (``python -S``, README decision 21).
+:mod:`dataclasses` and its dependencies.  The annotations take
+``Callable``, ``Iterable`` and ``Sequence`` from :mod:`collections.abc`,
+which a start with site has already loaded, not from :mod:`typing`, which
+with the :mod:`re` and :mod:`enum` it loads would add its import to every
+start without site (``python -S``, README decision 21).
 """
-
-from __future__ import annotations
 
 import math
 import sys
 from collections import namedtuple
+from collections.abc import Callable, Iterable, Sequence
 from functools import lru_cache
 
 from .closedform import ChainState, _capped_success, chain_success_prob, swap_success_closed_form

@@ -10,8 +10,6 @@ compiles it.  The tests rebuild the rows from the Pauli-frame core
 (:mod:`~repeater_keyrate.frames`, README decision 20).
 """
 
-from __future__ import annotations
-
 from .closedform import _check_unit, first_order_weights
 
 # The GHZ register behind the encoded pair mixes GHZ3 frames of three weights,

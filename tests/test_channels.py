@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +11,8 @@ from repeater_keyrate.channels import (
     first_order_sum,
     source_state_mat,
 )
-from repeater_keyrate.closedform import first_order_weights
+from repeater_keyrate.closedform import DECODE_GATE_COUNT, first_order_weights
+from repeater_keyrate.encgen import ENCODING_GATES
 from repeater_keyrate.qstate import (
     DensityOperator,
     _apply_cnot_mat,
@@ -158,6 +161,23 @@ class TestConcatFirstOrder:
         _, _, p = first_order_weights(6, 0.01)
         assert p == pytest.approx(float(expected), abs=1e-15)
         assert float(expected) == pytest.approx(1.460447605e-3, abs=1e-12)
+
+    @pytest.mark.parametrize("seed,n", [(1, DECODE_GATE_COUNT), (2, 6), (3, len(ENCODING_GATES))],
+                             ids=["decode", "six", "encoding"])
+    def test_remainder_matches_exact_rationals(self, seed, n):
+        # the remainder to the last bits at every beta, also where 1 - (1-b)^n
+        # - n b (1-b)^(n-1) cancels all but its beta^2 term
+        rng = random.Random(seed)
+        betas = [10 ** rng.uniform(-15, math.log10(0.5)) for _ in range(1000)]
+        for beta in (*betas, 0.0, 1.0):
+            b = Fraction(beta)
+            exact = 1 - (1 - b) ** n - n * b * (1 - b) ** (n - 1)
+            _, _, p = first_order_weights(n, beta)
+            assert p >= 0
+            if exact == 0:
+                assert p == 0.0
+            else:
+                assert abs(Fraction(p) - exact) <= 1e-15 * exact, beta
 
     def test_weights_sum_to_one(self):
         for n in (1, 3, 6):

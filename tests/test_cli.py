@@ -42,8 +42,9 @@ def run_bounded(*argv):
 
 # The modules that a default command leaves unloaded: numpy and the
 # dataclasses, argparse and gettext it once imported, the Pauli-frame core,
-# and the modules of the opt-in inputs, the N = 0 decode rows and the
-# config reader with the help screen.
+# the N = 0 decode rows, and the module of the keyrate, cost,
+# enumerate-errors and validate commands, the config reader and the help
+# screen.
 FRAMES, REPEATERLESS, CLIEXTRA = (
     "repeater_keyrate.frames", "repeater_keyrate.repeaterless", "repeater_keyrate.cliextra")
 WATCHED = ("numpy", "dataclasses", "argparse", "gettext", FRAMES, REPEATERLESS, CLIEXTRA)
@@ -684,10 +685,29 @@ surface points in all
 
 
 class TestModuleEntry:
-    """``python -m repeater_keyrate.cli`` runs the module as ``__main__``, so
-    a module that imported ``repeater_keyrate.cli`` would load a second copy
-    whose CliError ``main`` does not catch: the deferred config reader and
-    help screen answer there as in process."""
+    """``python -m repeater_keyrate.cli`` runs the module as ``__main__``, and
+    cliextra imports ``repeater_keyrate.cli``: unless the running module is
+    that name too, the import loads a second copy whose CliError ``main``
+    does not catch.  The commands, the config reader and the help screen of
+    cliextra answer there as in process."""
+
+    @pytest.mark.parametrize("argv,error", [
+        # raised by cli's _point, called from cliextra's keyrate
+        (("keyrate", "--distance", "100", "--fidelity", "0.99"),
+         "--fidelity and one of --beta or --gate-quality are required"),
+        # raised by cliextra's cost itself
+        (("cost", "--fidelity", "0.99", "--gate-quality", "0.99"),
+         "--distance (km, positive) or --distance-range is required"),
+    ])
+    def test_moved_command_errors(self, argv, error):
+        result = run_bounded(*argv)
+        assert (result.returncode, result.stdout, result.stderr) == (2, "", f"error: {error}\n")
+
+    def test_enumerate_errors(self):
+        result = run_bounded("enumerate-errors")
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout == ("raw_combinations=216\nadmissible_combinations=160\n"
+                                 "position_permutation_count=960\ndistinct_orthogonal_states=64\n")
 
     def test_malformed_config_line(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -884,33 +904,35 @@ class TestRuntimeDependencies:
 
 
 class TestImports:
+    # sweep and threshold, the commands of the paper's results, run from cli
+    # alone; keyrate, cost and enumerate-errors load their bodies from cliextra
     @pytest.mark.parametrize("argv,expected,modules", [
         (("keyrate", "--distance", "600", "--fidelity", "0.99", "--gate-quality", "0.995",
-          "--optimize"), "K_per_mem_per_s=", set()),
+          "--optimize"), "K_per_mem_per_s=", {CLIEXTRA}),
         (("sweep", "--distance", "600", "--fidelity-range", "0.99:1:0.005",
           "--gate-quality-range", "0.99:1:0.005", "--max-nesting", "4"),
          "F0,pG,K_per_mem_per_s,N_opt", set()),
         (("cost", "--paper-fig8-defaults", "--distance-range", "500:1500:500"),
-         "memory-qubits/secret-bit", set()),
+         "memory-qubits/secret-bit", {CLIEXTRA}),
         (("threshold", "--stations", "1,3"), "p_G,min", set()),
         # N = 0 mixes the stored decodes of the encoded pair, with no frame core
         (("keyrate", "--distance", "100", "--fidelity", "0.99", "--gate-quality", "0.99",
-          "--nesting", "0"), "K_per_mem_per_s=0.9336730933", {REPEATERLESS}),
+          "--nesting", "0"), "K_per_mem_per_s=0.9336730933", {REPEATERLESS, CLIEXTRA}),
         # the error counts come from the frame core's correctable frames
-        (("enumerate-errors",), "distinct_orthogonal_states=64", {FRAMES}),
+        (("enumerate-errors",), "distinct_orthogonal_states=64", {FRAMES, CLIEXTRA}),
         # the process pool of --jobs loads concurrent.futures, not numpy
         (("sweep", "--distance", "600", "--fidelity-range", "0.99:1:0.005",
           "--gate-quality-range", "0.99:1:0.005", "--max-nesting", "4", "--jobs", "2"),
          "F0,pG,K_per_mem_per_s,N_opt", set()),
         # a fixed N >= 1 is key_rate's path
         (("keyrate", "--distance", "600", "--fidelity", "0.99", "--gate-quality", "0.995",
-          "--nesting", "2"), "K_per_mem_per_s=", set()),
+          "--nesting", "2"), "K_per_mem_per_s=", {CLIEXTRA}),
         # the nesting scans with the repeaterless link N = 0 in range, and winning
         (("sweep", "--distance", "5", "--fidelity-range", "0.99:1:0.005",
           "--gate-quality-range", "0.99:1:0.005", "--min-nesting", "0", "--max-nesting", "3"),
          "\n0.99,0.99,1097.434884,0\n", {REPEATERLESS}),
         (("cost", "--paper-fig8-defaults", "--distance-range", "5:15:5", "--min-nesting", "0"),
-         "N*=0", {REPEATERLESS}),
+         "N*=0", {REPEATERLESS, CLIEXTRA}),
         # a config file and the help screen load their module
         (("keyrate", "--config", CONFIG_FILE), "K_per_mem_per_s=", {CLIEXTRA}),
         (("sweep", "--help"), "usage: repeater-keyrate sweep [FLAGS]", {CLIEXTRA}),
@@ -928,10 +950,10 @@ class TestImports:
     def test_clean_start_loads_no_typing(self):
         # without site (python -S), which may preload typing through a .pth file,
         # the bare import loads none of typing and the re and enum it would bring,
-        # and none of the watched modules
+        # no __future__, and none of the watched modules
         src = Path(repeater_keyrate.__file__).resolve().parents[1]
         probe = ("import sys, repeater_keyrate.cli; print(*(m for m in "
-                 f"{('typing', 're', 'enum', *WATCHED)!r} if m in sys.modules))")
+                 f"{('typing', 're', 'enum', '__future__', *WATCHED)!r} if m in sys.modules))")
         result = subprocess.run(
             [sys.executable, "-S", "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
             capture_output=True, text=True, timeout=120,
