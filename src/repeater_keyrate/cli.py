@@ -114,7 +114,8 @@ def _station_list(text: str) -> list[int]:
 def _range(ok, valid: str):
     """Type function for an inclusive range 'start:stop:step': the values
     start + k*step up to stop (with 1e-9*step slack), at most
-    MAX_RANGE_POINTS of them, each accepted by ``ok``."""
+    MAX_RANGE_POINTS of them, each accepted by ``ok``, each above the last;
+    start == stop is one point, whatever the step."""
 
     def parse(text: str) -> list[float]:
         try:
@@ -125,14 +126,16 @@ def _range(ok, valid: str):
             raise ValueError(f"expected finite start:stop:step, step > 0: {text!r}")
         if stop < start:
             raise ValueError(f"range is empty: {text!r}")
-        values: list[float] = []
-        while len(values) <= MAX_RANGE_POINTS:
+        values = [start]
+        while start < stop:
             value = start + len(values) * step
             if value > stop + 1e-9 * step:
                 break
+            if value == values[-1]:
+                raise ValueError(f"step {step!r} leaves two values equal in {text!r}")
+            if len(values) == MAX_RANGE_POINTS:
+                raise ValueError(f"more than {MAX_RANGE_POINTS} points in {text!r}")
             values.append(value)
-        else:
-            raise ValueError(f"more than {MAX_RANGE_POINTS} points in {text!r}")
         if not all(map(ok, values)):
             raise ValueError(f"range values must be {valid}, got {text!r}")
         return values

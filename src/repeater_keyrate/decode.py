@@ -24,7 +24,6 @@ import numpy as np
 from .channels import depolarizing_gate_mat, first_order_sum
 from .closedform import (
     _DECODE_GATES,
-    _TILDE_BELL,
     ChainState,
     chain_success_prob,
     swap_success_closed_form,
@@ -80,12 +79,6 @@ def decode_exact_noise_mat(mat: np.ndarray, beta: float) -> np.ndarray:
     for gate in _DECODE_GATES:
         mat = depolarizing_gate_mat(mat, gate, beta)
     return _decode_measurements(mat)
-
-
-def rho_tilde_prime() -> DensityOperator:
-    """Two-qubit state produced by one-faulty decoding of either the ideal
-    encoded pair or its computational-basis dephasing; a fixed mixture."""
-    return DensityOperator(frame_state(_TILDE_BELL))
 
 
 def decode_perfect(beta: float, f0: float, r: int) -> DensityOperator:

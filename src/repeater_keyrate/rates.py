@@ -475,7 +475,8 @@ def _bisect(f: Callable[[float], float], a: float, b: float, fa: float, xtol: fl
     opposite to f(b).
 
     Follows ``scipy.optimize.bisect`` (rtol = 4 eps, 100 iterations) midpoint
-    for midpoint, so it returns the same float.
+    for midpoint, so it returns the same float, but tests the tolerance
+    before evaluating f at the midpoint it returns: one f call fewer.
     """
     if not xtol > 0.0:
         raise ValueError(f"bisection tolerance must be positive, got {xtol}")
@@ -484,11 +485,13 @@ def _bisect(f: Callable[[float], float], a: float, b: float, fa: float, xtol: fl
     for _ in range(100):
         dm *= 0.5
         xm = a + dm
+        if abs(dm) < xtol + rtol * abs(xm):
+            return xm
         fm = f(xm)
+        if fm == 0.0:
+            return xm
         if fm * fa >= 0.0:
             a = xm
-        if fm == 0.0 or abs(dm) < xtol + rtol * abs(xm):
-            return xm
     raise RuntimeError(f"bisection did not converge in 100 iterations (xtol={xtol})")
 
 

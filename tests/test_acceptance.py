@@ -106,8 +106,8 @@ def test_c4_closed_forms_match_circuits():
     assert ok
 
 
-def test_c5_decoding_map_properties():
-    ideal, dephased, mixed, _ = validation.decoding_map_deviations()
+def test_c5_decoding_map_properties(decoding_map_deviations):
+    ideal, dephased, mixed, _ = decoding_map_deviations
     worst = max(ideal, dephased, mixed)
     ok = worst <= 1e-12
     report(5, ok, f"decoding-map properties hold to {worst:.1e} (1e-12)")

@@ -1,5 +1,6 @@
 import ast
 import concurrent.futures
+import math
 import os
 import re
 import resource
@@ -343,6 +344,37 @@ class TestSweep:
         assert code == 2
         assert "empty" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("--distance", "600", "--fidelity-range", "1:1:1e-300", "--gate-quality-range", "1:1:1"),
+        ("--distance-range", "1e300:1e300:1", "--fidelity", "0.99", "--gate-quality", "0.99"),
+    ])
+    def test_range_with_start_at_stop_is_one_point(self, capsys, argv):
+        # a step too small to move the start makes one point, not 100001 copies of it
+        code, out, _ = run(capsys, "sweep", "--max-nesting", "2", *argv)
+        assert code == 0
+        assert len(out.splitlines()) == 2
+
+    @pytest.mark.parametrize("argv, step", [
+        (("--distance", "600", "--fidelity-range", "0.5:0.6:1e-17",
+          "--gate-quality-range", "1:1:1"), "1e-17"),
+        # 1 + 1.5e-16 and 1 + 3e-16 both round to 1 + 2^-52: the second step stalls
+        (("--distance-range", "1:1.0000000000000004:1.5e-16", "--fidelity", "0.99",
+          "--gate-quality", "0.99"), "1.5e-16"),
+    ])
+    def test_range_whose_step_repeats_a_value_rejected(self, capsys, argv, step):
+        code, out, err = run(capsys, "sweep", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and f"step {step} " in err
+
+    @pytest.mark.parametrize("text, expected", [
+        ("0.99:1:0.001", [0.99 + k * 0.001 for k in range(11)]),
+        ("200:2000:300", [200.0 + k * 300.0 for k in range(7)]),
+        ("600:600:100", [600.0]),
+        ("1:1.0000000000000004:2.2e-16", [1.0, 1.0000000000000002, 1.0000000000000004]),
+    ])
+    def test_range_floats_are_start_plus_k_steps(self, text, expected):
+        assert cli._KM_RANGE(text) == expected
+
     def test_underflowed_distance_sweep(self, capsys):
         code, out, err = run(
             capsys, "sweep", "--distance-range", "100000:100000:1", "--fidelity", "0.99",
@@ -531,10 +563,42 @@ class TestValidate:
         code, out, _ = run(capsys, "validate", "--trials", "20000")
         assert code == 0
         assert "FAIL" not in out
-        assert "error-pattern counts" in out
-        assert "decoding of ideal encoded pair" in out
+        assert "correctable-state orthogonality" in out
+        assert "N = 0 decode closed form vs circuits" in out
         assert "Monte Carlo" in out
         assert "Uhlmann" in out
+        assert "pipeline weights" in out
+
+    def _failed_lines(self, capsys):
+        code, out, _ = run(capsys, "validate", "--trials", "100")
+        return code, [line.split("  ")[0] for line in out.splitlines() if line.startswith("[FAIL]")]
+
+    @pytest.mark.parametrize("bad_weights", [
+        # one frame weight below zero, the sum kept at 1
+        lambda beta, w: (w[0] + w[63] + 2e-9, *w[1:63], -2e-9),
+        # a NaN past the first grid point, where a max or min that skips NaN would lose it
+        lambda beta, w: (*w[:63], math.nan if beta > 0.005 else w[63]),
+    ], ids=["negative", "nan"])
+    def test_weights_check_fails_on_a_bad_frame_weight(self, capsys, monkeypatch, bad_weights):
+        from repeater_keyrate import frames
+
+        exact = frames.frame_weights
+        monkeypatch.setattr(frames, "frame_weights",
+                            lambda beta, f0: bad_weights(beta, tuple(exact(beta, f0))))
+        code, failed = self._failed_lines(capsys)
+        assert code == 1
+        assert failed == ["[FAIL] pipeline weights (encoded/swapped/decoded): >= 0, sum 1"]
+
+    def test_weights_check_fails_on_a_sum_off_by_1e9(self, capsys, monkeypatch):
+        # one decoded Bell coefficient 1e-9 too large
+        from repeater_keyrate.closedform import ChainState
+
+        exact = ChainState.mix
+        monkeypatch.setattr(ChainState, "mix",
+                            lambda *args: (exact(*args)[0] + 1e-9, *exact(*args)[1:]))
+        code, failed = self._failed_lines(capsys)
+        assert code == 1
+        assert failed == ["[FAIL] pipeline weights (encoded/swapped/decoded): >= 0, sum 1"]
 
     @pytest.mark.parametrize("argv", [
         ("--trials", "-5"),
@@ -552,7 +616,9 @@ class TestValidate:
         ("|p_s - 1| <= 1e-12", 1.1e-12, False), (">= 0.99", 0.989, False),
         ("min eig >= -1e-9", -1e-9, True), ("min eig >= -1e-9", -2e-9, False),
         ("within 3 standard errors", 3.01, False), ("== 1/64 within 1e-14", 1e-14, True),
-        ("exact 216/160/960/64", "216/160/960/64", True), ("exact 216/160/960/64", "216/160", False),
+        ("|sum - 1| <= 1e-10, min >= -1e-9", (1e-10, -1e-9), True),
+        ("|sum - 1| <= 1e-10, min >= -1e-9", (2e-10, 0.0), False),
+        ("|sum - 1| <= 1e-10, min >= -1e-9", (0.0, -2e-9), False),
     ])
     def test_each_check_enforces_the_bound_it_prints(self, tolerance, observed, passed):
         from repeater_keyrate.validation import _check

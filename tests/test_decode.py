@@ -21,7 +21,6 @@ from repeater_keyrate.decode import (
     decode_one_faulty,
     decode_perfect,
     final_state,
-    rho_tilde_prime,
     validate_first_order_vs_exact,
 )
 from repeater_keyrate.encgen import encoded_pair
@@ -37,18 +36,18 @@ from repeater_keyrate.qstate import (
 PHI_PLUS = frame_state(np.eye(4)[0])
 from repeater_keyrate.rates import key_rate
 from repeater_keyrate.repeaterless import pair_decode_closed_form
-from repeater_keyrate.validation import decoding_map_deviations, pair_decode_deviation
+from repeater_keyrate.validation import pair_decode_deviation
 
 
 class TestDecodeCircuitProperties:
-    def test_ideal_pair_decodes_to_bell_state(self):
-        assert decoding_map_deviations()[0] < 1e-12
+    def test_ideal_pair_decodes_to_bell_state(self, decoding_map_deviations):
+        assert decoding_map_deviations[0] < 1e-12
 
-    def test_computational_dephasing_decodes_to_classical_mix(self):
-        assert decoding_map_deviations()[1] < 1e-12
+    def test_computational_dephasing_decodes_to_classical_mix(self, decoding_map_deviations):
+        assert decoding_map_deviations[1] < 1e-12
 
-    def test_maximally_mixed_decodes_to_maximally_mixed(self):
-        assert decoding_map_deviations()[2] < 1e-12
+    def test_maximally_mixed_decodes_to_maximally_mixed(self, decoding_map_deviations):
+        assert decoding_map_deviations[2] < 1e-12
 
     def test_single_bit_flip_is_corrected(self):
         # a flip on any one qubit of either block must not reach the pair
@@ -59,24 +58,32 @@ class TestDecodeCircuitProperties:
             out = decode_circuit(flipped)
             assert np.abs(out.matrix - expected).max() < 1e-12
 
+    def test_one_flip_per_block_is_corrected_on_any_pair_state(self):
+        # a pair state that is not Pauli diagonal, in the repetition code
+        # (|a b> -> |aaa bbb>): one X on each block, or on one block, must
+        # decode back to it, so each correction acts on its own side
+        rng = np.random.default_rng(5)
+        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        pair = g @ g.conj().T / np.trace(g @ g.conj().T).real
+        encode = np.zeros((64, 4))
+        encode[[0, 7, 56, 63], range(4)] = 1.0
+        flips = [()] + [(q,) for q in range(6)] + [(a, b) for a in range(3) for b in range(3, 6)]
+        for qubits in flips:
+            state = encode @ pair @ encode.T
+            for qubit in qubits:
+                state = _apply_pauli_mat(state, "x", qubit)
+            assert np.abs(decode_circuit(DensityOperator(state)).matrix - pair).max() < 1e-12
+
     def test_rejects_wrong_dimension(self):
         with pytest.raises(ValueError):
             decode_circuit(DensityOperator(np.eye(4) / 4))
 
 
 class TestRhoTildePrime:
-    def test_trace(self):
-        assert np.trace(rho_tilde_prime().matrix).real == pytest.approx(1.0)
-
-    def test_bell_coefficients(self):
-        c = bell_diag_coeffs(rho_tilde_prime())
-        assert c[:4] == pytest.approx((5 / 16, 5 / 16, 3 / 16, 3 / 16), abs=1e-14)
-        assert c.remainder_norm < 1e-14
-
-    def test_one_faulty_circuit_oracle(self):
+    def test_one_faulty_circuit_oracle(self, decoding_map_deviations):
         # one-faulty decoding of both distinguished inputs lands on the
-        # same fixed mixture
-        assert decoding_map_deviations()[3] < 1e-12
+        # same fixed mixture, rho_tilde_prime with Bell coefficients _TILDE_BELL
+        assert decoding_map_deviations[3] < 1e-12
 
     def test_one_faulty_preserves_maximally_mixed(self):
         out = decode_one_faulty(DensityOperator(np.eye(64) / 64))
@@ -219,7 +226,7 @@ def one_faulty_decode(beta, f0, r):
 class TestDecodeNonideal:
     def test_perfect_chain_reduces_to_fixed_mixture(self):
         out = one_faulty_decode(0.0, 1.0, 1)
-        assert np.abs(out - rho_tilde_prime().matrix).max() < 1e-12
+        assert np.abs(out - frame_state(_TILDE_BELL)).max() < 1e-12
 
     def test_trace_one(self):
         out = one_faulty_decode(0.005, 0.98, 1)

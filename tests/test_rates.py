@@ -357,6 +357,27 @@ class TestBisection:
             assert threshold_gate_quality(r, tol=tol) == 1.0 - bisect(f_beta, 0.0, 0.05, xtol=tol)
             assert threshold_fidelity(r, tol=tol) == bisect(f_f0, 0.9, 1.0, xtol=tol)
 
+    @pytest.mark.parametrize("r", [1, 7, 127])
+    @pytest.mark.parametrize("over_f0", [False, True])
+    def test_one_call_fewer_than_scipy(self, monkeypatch, r, over_f0):
+        # the tolerance is tested before f at the midpoint that is returned
+        nesting = (r + 1).bit_length() - 1
+        ours, theirs = [], []
+        shared = rates._shared_point
+        monkeypatch.setattr(rates, "_shared_point",
+                            lambda *key: ours.append(key[over_f0]) or shared(*key))
+
+        def f(x):
+            theirs.append(x)
+            point = rates._Point(0.0, x, True) if over_f0 else rates._Point(x, 1.0, True)
+            return point.decoded(nesting)[2]
+
+        if over_f0:
+            assert threshold_fidelity(r) == bisect(f, 0.9, 1.0, xtol=1e-4)
+        else:
+            assert threshold_gate_quality(r) == 1.0 - bisect(f, 0.0, 0.05, xtol=1e-4)
+        assert ours == theirs[:-1]
+
     def test_rejects_nonpositive_tolerance(self):
         with pytest.raises(ValueError):
             threshold_gate_quality(1, tol=0.0)
