@@ -53,15 +53,12 @@ MAX_NESTING_LEVEL = 20
 # Most values a start:stop:step range, or a whole surface sweep, may have.
 # Past it a sweep runs for hours, and an unbounded range would never end.
 MAX_RANGE_POINTS = 100_000
-# Monte Carlo trials of `validate`.  At 2 trials the sample spread can be
-# zero, which the check divides by; 10^7 take ~1.2 s and ~0.35 GB.
-MIN_TRIALS, MAX_TRIALS = 100, 10**7
 
 # Built-in values of the flags that have one; a flag or config value wins.
 _DEFAULTS = {
     "alpha": DEFAULT_ALPHA_DB_PER_KM, "speed": DEFAULT_SPEED_KM_PER_S, "t0": "physical",
     "min_nesting": DEFAULT_MIN_NESTING, "max_nesting": DEFAULT_MAX_NESTING,
-    "tolerance": 1e-4, "jobs": 1, "seed": 42, "trials": 10**6,
+    "tolerance": 1e-4, "jobs": 1,
 }
 
 
@@ -98,7 +95,6 @@ _STATIONS = _number(int, _is_chain, f"2^N - 1 stations with N in 0...{MAX_NESTIN
 _T0 = _number(str, ("physical", "1", "normalized").__contains__, "physical, 1 or normalized")
 _MAX_JOBS = os.cpu_count() or 1
 _JOBS = _number(int, lambda n: 1 <= n <= _MAX_JOBS, f"1...{_MAX_JOBS}")
-_TRIALS = _number(int, lambda n: MIN_TRIALS <= n <= MAX_TRIALS, f"{MIN_TRIALS}...{MAX_TRIALS}")
 # Flags of one choice: one on the command line drops the config values of all.
 _CHOICES = ({"optimize", "nesting", "stations"}, {"beta", "gate_quality"})
 
@@ -407,10 +403,7 @@ _COMMANDS = {
         **_CONFIG, "list": (None, "also print the admissible combinations")}),
     "validate": (lambda args: _extra().cmd_validate(args),
                 "run the numerical self-check suite", {
-        **_CONFIG,
-        "seed": (_number(int, lambda n: n >= 0, "an integer >= 0"), "Monte Carlo seed, >= 0"),
-        "trials": (_TRIALS, f"Monte Carlo trials, {MIN_TRIALS}...{MAX_TRIALS}"),
-        "full": (None, "include the slow full-register equivalence checks")}),
+        **_CONFIG, "full": (None, "include the slow full-register equivalence checks")}),
 }
 
 

@@ -121,7 +121,7 @@ def cmd_enumerate_errors(args: SimpleNamespace) -> int:
 def cmd_validate(args: SimpleNamespace) -> int:
     from .validation import run_checks
 
-    results = run_checks(seed=args.seed, trials=args.trials, full=args.full)
+    results = run_checks(full=args.full)
     width = max(len(r.name) for r in results)
     failures = 0
     for r in results:

@@ -5,13 +5,12 @@ the observed deviation; :func:`run_checks` and the tests call the same
 functions, each with its own grid and tolerance.  :func:`run_checks`
 reports each check's name, the tolerance it enforces and the observed
 value, so a failing run points directly at the broken invariant.  The
-default set (11 checks, ~0.4 s) is the correctable states' Gram matrix;
+default set (9 checks, ~0.4 s) is the correctable states' Gram matrix;
 the GHZ preparation, the perfect decode, the N = 0 decode rows and p_s
-against their circuits or the dense pair; z_n(2, 0.5) and z_n(3, 0.5)
-against their exact values and z_n(6, 0.37) against Monte Carlo (one
-uniform draw per sampled maximum, 10^7 trials in ~1.2 s at ~0.35 GB); the
-first-order-noise fidelity; the ideal secret fraction; and the weight
-vectors behind the dense pipeline states, nonnegative and summing to 1.
+against their circuits or the dense pair; z_n on every branch against its
+exact alternating binomial form in rationals; the first-order-noise
+fidelity; the ideal secret fraction; and the weight vectors behind the
+dense pipeline states, nonnegative and summing to 1.
 A mutation audit (``tools/mutants.py``) removed the checks whose every kill
 another check also made.  ``full`` adds the slow full-register
 equivalences, its first-order mixture measured once (~4.5 s at a ~0.7 GB
@@ -25,6 +24,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -99,22 +99,19 @@ def swap_closed_form_deviation(betas: Sequence[float], f0s: Sequence[float]) -> 
     return worst
 
 
-def _geometric_max(u: np.ndarray, num_pairs: int, p0: float) -> np.ndarray:
-    """Maxima of ``num_pairs`` geometric waits, one per uniform u in [0, 1), by
-    the inverse of their CDF (1 - q^k)^n, q = 1 - p0: max(1, ceil(ln(1 - u^(1/n))
-    / ln q)), with 1 - u^(1/n) = -expm1(ln(u) / n) exact for u near 1."""
-    with np.errstate(divide="ignore"):
-        tail = np.log(-np.expm1(np.log(u) / num_pairs))
-    return np.maximum(1.0, np.ceil(tail / np.log1p(-p0)))
-
-
-def monte_carlo_z(num_pairs: int, p0: float, trials: int, rng: np.random.Generator) -> float:
-    """Distance of :func:`rates.z_n` from the mean of ``trials`` sampled
-    maxima of ``num_pairs`` geometric waits, in standard errors."""
-    waits = _geometric_max(rng.random(trials), num_pairs, p0)
-    mean = float(waits.mean())
-    se = float(waits.std(ddof=1) / np.sqrt(trials))
-    return abs(mean - rates.z_n(num_pairs, p0)) / se
+def z_n_deviation(points: Sequence[tuple[int, float]]) -> float:
+    """Largest relative difference of :func:`rates.z_n` from the exact
+    alternating binomial form sum_{j=1}^{n} (-1)^(j+1) C(n, j) / (1 - q^j),
+    q = 1 - P0, evaluated in rationals, over the (n, P0) points; a z_n that
+    is not finite is infinitely far."""
+    worst = 0.0
+    for n, p0 in points:
+        q = 1 - Fraction(p0)
+        exact = sum((-1) ** (j + 1) * math.comb(n, j) / (1 - q**j) for j in range(1, n + 1))
+        z = rates.z_n(n, p0)
+        error = abs(Fraction(z) - exact) / exact if math.isfinite(z) else math.inf
+        worst = max(worst, float(error))
+    return worst
 
 
 def first_order_fidelity(betas: Sequence[float], f0s: Sequence[float]) -> float:
@@ -208,14 +205,15 @@ def _closed_form_checks() -> list[CheckResult]:
     ]
 
 
-def _waiting_time_checks(seed: int, trials: int) -> list[CheckResult]:
-    out = [
-        _check(f"z_n({n}, 0.5) closed value", "<= 1e-12", abs(rates.z_n(n, 0.5) - exact))
-        for n, exact in ((2, 8.0 / 3.0), (3, 22.0 / 7.0))
-    ]
-    sigmas = monte_carlo_z(6, 0.37, trials, np.random.default_rng(seed))
-    return out + [_check(f"z_n(6, 0.37) vs Monte Carlo ({trials} trials, seed {seed})",
-                         "within 3 standard errors", sigmas, f"{sigmas:.2f} sigma")]
+# (n, P0) on every branch of z_n: P0 = 1, n = 1, the n = 2 and n = 3 closed
+# forms, the tail sum, and the proven asymptote with H_n summed directly
+_Z_N_POINTS = ((6, 1.0), (1, 0.37), (2, 0.5), (3, 0.5), (3, 1e-6), (6, 0.37), (24, 0.37),
+               (24, 1e-3))
+
+
+def _waiting_time_checks() -> list[CheckResult]:
+    return [_check("z_n vs exact rational alternating sum, every branch", "<= 1e-14 relative",
+                   z_n_deviation(_Z_N_POINTS))]
 
 
 def _fidelity_checks() -> list[CheckResult]:
@@ -243,11 +241,11 @@ def _full_register_checks() -> list[CheckResult]:
     ]
 
 
-def run_checks(seed: int = 42, trials: int = 10**6, full: bool = False) -> list[CheckResult]:
+def run_checks(full: bool = False) -> list[CheckResult]:
     checks: list[CheckResult] = []
     checks.extend(_counting_checks())
     checks.extend(_closed_form_checks())
-    checks.extend(_waiting_time_checks(seed, trials))
+    checks.extend(_waiting_time_checks())
     checks.extend(_fidelity_checks())
     checks.extend(_pipeline_checks())
     if full:

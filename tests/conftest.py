@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from repeater_keyrate import rates
 from repeater_keyrate.closedform import _TILDE_BELL
 from repeater_keyrate.decode import decode_circuit, decode_one_faulty
 from repeater_keyrate.qstate import DensityOperator, frame_state
@@ -26,3 +27,31 @@ def decoding_map_deviations():
         _deviation(decode_circuit(mixed).matrix, np.eye(4) / 4),
         max(_deviation(decode_one_faulty(state).matrix, tilde) for state in (phi6, deph)),
     )
+
+
+def _geometric_max(u, num_pairs, p0):
+    """Maxima of ``num_pairs`` geometric waits, one per uniform u in [0, 1), by
+    the inverse of their CDF (1 - q^k)^n, q = 1 - p0: max(1, ceil(ln(1 - u^(1/n))
+    / ln q)), with 1 - u^(1/n) = -expm1(ln(u) / n) exact for u near 1."""
+    with np.errstate(divide="ignore"):
+        tail = np.log(-np.expm1(np.log(u) / num_pairs))
+    return np.maximum(1.0, np.ceil(tail / np.log1p(-p0)))
+
+
+@pytest.fixture(scope="session")
+def geometric_max():
+    """The sampling reference of z_n: one uniform per maximum of n geometric waits."""
+    return _geometric_max
+
+
+@pytest.fixture(scope="session")
+def monte_carlo_z():
+    """Distance of :func:`rates.z_n` from the mean of ``trials`` sampled maxima
+    of ``num_pairs`` geometric waits, in standard errors."""
+
+    def sigmas(num_pairs, p0, trials, rng):
+        waits = _geometric_max(rng.random(trials), num_pairs, p0)
+        se = float(waits.std(ddof=1) / np.sqrt(trials))
+        return abs(float(waits.mean()) - rates.z_n(num_pairs, p0)) / se
+
+    return sigmas

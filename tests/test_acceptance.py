@@ -114,14 +114,14 @@ def test_c5_decoding_map_properties(decoding_map_deviations):
     assert ok
 
 
-def test_c6_waiting_time_monte_carlo():
+def test_c6_waiting_time_monte_carlo(monte_carlo_z):
     rng = np.random.default_rng(42)
     trials = 10**6
     start = time.time()
     details = []
     ok = True
     for num_pairs, p0 in ((3, 0.37), (6, 0.37), (12, 0.2)):
-        sigmas = validation.monte_carlo_z(num_pairs, p0, trials, rng)
+        sigmas = monte_carlo_z(num_pairs, p0, trials, rng)
         details.append(f"({num_pairs},{p0}): {sigmas:.2f} sigma")
         ok = ok and sigmas <= 3.0
     elapsed = time.time() - start

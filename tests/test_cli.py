@@ -394,6 +394,12 @@ class TestSweep:
         assert err.startswith("error:") and "too short" in err
         assert out == ""
 
+    def test_link_is_checked_at_the_deepest_level(self, capsys):
+        # at 4e-298 km the N = 20 segments are too short to time, the N = 19 ones are not
+        err = rejected(capsys, "sweep", "--distance-range", "4e-298:4e-298:1", "--fidelity",
+                       "0.99", "--gate-quality", "0.99", "--max-nesting", "20")
+        assert "too short" in err
+
     @pytest.mark.parametrize("argv", [
         ("--distance-range", "600:600:100", "--fidelity", "2", "--gate-quality", "0.99"),
         ("--distance-range", "600:600:100", "--fidelity", "0.99", "--gate-quality", "0.99",
@@ -560,17 +566,20 @@ class TestEnumerateErrors:
 
 class TestValidate:
     def test_default_checks_pass(self, capsys):
-        code, out, _ = run(capsys, "validate", "--trials", "20000")
+        code, out, _ = run(capsys, "validate")
         assert code == 0
+        # nothing drawn at random: a second run prints the same bytes
+        assert run(capsys, "validate") == (0, out, "")
+        assert out.count("[PASS] ") == 9 and out.endswith("\n9/9 checks passed\n")
         assert "FAIL" not in out
         assert "correctable-state orthogonality" in out
         assert "N = 0 decode closed form vs circuits" in out
-        assert "Monte Carlo" in out
+        assert "z_n vs exact rational alternating sum" in out
         assert "Uhlmann" in out
         assert "pipeline weights" in out
 
     def _failed_lines(self, capsys):
-        code, out, _ = run(capsys, "validate", "--trials", "100")
+        code, out, _ = run(capsys, "validate")
         return code, [line.split("  ")[0] for line in out.splitlines() if line.startswith("[FAIL]")]
 
     @pytest.mark.parametrize("bad_weights", [
@@ -600,10 +609,38 @@ class TestValidate:
         assert code == 1
         assert failed == ["[FAIL] pipeline weights (encoded/swapped/decoded): >= 0, sum 1"]
 
+    def test_z_n_points_visit_every_branch(self):
+        from repeater_keyrate import rates
+        from repeater_keyrate.validation import _Z_N_POINTS
+
+        def branch(n, p0):
+            if p0 == 1.0:
+                return "P0 = 1"
+            if n == 1:
+                return "n = 1"
+            if rates._asymptote_is_exact(n, -math.log1p(-p0)):
+                return "asymptote, H_n summed" if n <= rates._HARMONIC_SUM_MAX else "asymptote"
+            return "tail sum" if n > 3 else f"n = {n} closed form"
+
+        assert {branch(n, p0) for n, p0 in _Z_N_POINTS} == {
+            "P0 = 1", "n = 1", "n = 2 closed form", "n = 3 closed form", "tail sum",
+            "asymptote, H_n summed"}
+
+    @pytest.mark.parametrize("name", ["_z_tail_sum", "_z_asymptote"])
+    def test_z_n_check_fails_on_a_branch_off_by_1e13(self, capsys, monkeypatch, name):
+        from repeater_keyrate import rates
+
+        exact = getattr(rates, name)
+        monkeypatch.setattr(rates, name, lambda n, x: exact(n, x) * (1.0 + 1e-13))
+        code, failed = self._failed_lines(capsys)
+        assert code == 1
+        assert failed == ["[FAIL] z_n vs exact rational alternating sum, every branch"]
+
+    # validate has no random draw, so no seed or trial count
     @pytest.mark.parametrize("argv", [
-        ("--trials", "-5"),
-        ("--seed", "0", "--trials", "2"),
-        ("--seed", "-1"),
+        ("--seed", "97"),
+        ("--trials", "100"),
+        ("--full", "--trials", "100"),
     ])
     def test_invalid_values_rejected(self, capsys, argv):
         code, _, err = run(capsys, "validate", *argv)
@@ -693,12 +730,12 @@ class TestConfig:
 
     def test_unknown_key_rejected_other_commands_keys_ignored(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
-        # trials and list are read by validate and enumerate-errors, not keyrate
+        # full and list are read by validate and enumerate-errors, not keyrate
         body = "fidelity = 0.98\ngate-quality = 0.992\ndistance = 600\nnesting = 1\n"
-        cfg.write_text(body + "trials = 1000\nlist = 1\n")
+        cfg.write_text(body + "full = 0\nlist = 1\n")
         code, _, err = run(capsys, "keyrate", "--config", str(cfg))
         assert code == 0, err
-        cfg.write_text(body + "trials = 1000\nfidelty = 0.5\n")
+        cfg.write_text(body + "full = 0\nfidelty = 0.5\n")
         code, out, err = run(capsys, "keyrate", "--config", str(cfg))
         assert code == 2 and out == ""
         assert err.startswith(f"error: {cfg}:6: unknown config key 'fidelty'")
@@ -799,7 +836,7 @@ FLAGS = {
               "--gate-quality-range", "--jobs"),
     "cost": (*_RATE_FLAGS, "--distance", "--distance-range", "--paper-fig8-defaults"),
     "enumerate-errors": ("--config", "--list"),
-    "validate": ("--config", "--seed", "--trials", "--full"),
+    "validate": ("--config", "--full"),
 }
 
 
@@ -819,7 +856,7 @@ class TestParserContract:
         ("keyrate", "--distance", "600", "--nesting", "2"),
         ("sweep", "--distance-range", "100:300:100", "--t0", "1", "--jobs", "1"),
         ("threshold", "--stations", "1,3", "--tolerance", "0.01", "--output", "-"),
-        ("validate", "--seed", "7", "--trials", "1000", "--full"),
+        ("validate", "--config", os.devnull, "--full"),
         ("cost", "--paper-fig8-defaults", "--distance", "600", "--min-nesting", "0"),
     ])
     def test_equals_form_gives_same_namespace(self, argv, monkeypatch):
@@ -1027,7 +1064,7 @@ class TestImports:
         assert (result.returncode, result.stdout, result.stderr) == (0, "\n", "")
 
     @pytest.mark.parametrize("argv,expected", [
-        (("validate", "--trials", "20000"), "checks passed"),
+        (("validate",), "checks passed"),
     ])
     def test_dense_commands_load_numpy(self, argv, expected):
         code, out, loaded = run_child(*argv)

@@ -1,6 +1,7 @@
 import math
 import sys
 import time
+import types
 from fractions import Fraction
 
 import mpmath as mp
@@ -10,7 +11,6 @@ from scipy.optimize import bisect
 
 from repeater_keyrate import channels, cli, closedform, encgen, frames, rates
 from repeater_keyrate.qstate import BellDiagCoeffs
-from repeater_keyrate.validation import _geometric_max, monte_carlo_z
 from repeater_keyrate.rates import (
     CostReport,
     NoThresholdError,
@@ -84,6 +84,25 @@ class TestSecretFraction:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             secret_fraction_six_state(-0.2, 0.0, 0.0)
+
+    # Each QBER may stray 1e-9 past [0, 1] by rounding.  e_z = 1 + 1e-9 is left
+    # out of the inside points: the e_z >= 1 branch rejects e_z >= 1 + 1e-12.
+    @pytest.mark.parametrize("position, edge", [
+        (0, -1e-9), (0, 1.0 + 1e-9), (1, -1e-9), (1, 1.0 + 1e-9), (2, -1e-9),
+    ])
+    def test_slack_edge_is_accepted(self, position, edge):
+        args = [0.0, 0.0, 0.0]
+        args[position] = edge
+        assert math.isfinite(secret_fraction_six_state(*args))
+
+    @pytest.mark.parametrize("position", range(3))
+    @pytest.mark.parametrize("edge", [-1e-9, 1.0 + 1e-9])
+    def test_just_past_the_slack_names_the_argument(self, position, edge):
+        args = [0.0, 0.0, 0.0]
+        args[position] = math.nextafter(edge, math.copysign(math.inf, edge))
+        name = ("e_x", "e_y", "e_z")[position]
+        with pytest.raises(ValueError, match=f"^{name} must be in \\[0, 1\\]"):
+            secret_fraction_six_state(*args)
 
 
 class TestTransmission:
@@ -222,6 +241,20 @@ class TestZnTailSum:
                 assert rates._tail_terms(num_pairs, x, ks) == [
                     two_branch(num_pairs, x, k) for k in ks
                 ]
+
+    def test_series_stops_once_its_terms_are_negligible(self, monkeypatch):
+        # z_n(3 * 2^20, 0.9999) takes the tail sum with K = 2, where n q^K ~ 0.03:
+        # its binomial series drops below 2^-70 within a dozen terms, not n
+        num_pairs, p0 = 3 * 2**20, 0.9999
+        x = -math.log1p(-p0)
+        assert not rates._asymptote_is_exact(num_pairs, x)
+        assert math.ceil((math.log(num_pairs) + math.log(2.0)) / x) == 2
+        sizes = []
+        counted = types.SimpleNamespace(**vars(math))
+        counted.fsum = lambda terms: (sizes.append(len(terms)), math.fsum(terms))[1]
+        monkeypatch.setattr(rates, "math", counted)
+        rates.z_n(num_pairs, p0)
+        assert 1 < sizes[-1] <= 16
 
     def test_exact_cases(self):
         assert z_n(1, 0.3) == 1.0 / 0.3
@@ -402,7 +435,7 @@ class TestZn:
     def test_matches_series_oracle(self, num_pairs, p0):
         assert z_n(num_pairs, p0) == pytest.approx(z_series_oracle(num_pairs, p0), rel=1e-10)
 
-    def test_monte_carlo_agreement(self):
+    def test_monte_carlo_agreement(self, monte_carlo_z):
         rng = np.random.default_rng(42)
         trials = 200_000
         for num_pairs, p0 in ((6, 0.37), (12, 0.2)):
@@ -434,7 +467,7 @@ class TestZn:
 
 
 class TestGeometricMax:
-    """The Monte Carlo check's sampler: one uniform per maximum of n geometrics."""
+    """The Monte Carlo sampler of z_n: one uniform per maximum of n geometrics."""
 
     TRIALS = 10**5
     # DKW: an empirical CDF of N draws strays more than eps from its law with
@@ -442,9 +475,9 @@ class TestGeometricMax:
     EPS = math.sqrt(math.log(2 / 0.5e-6) / (2 * TRIALS))
 
     @pytest.mark.parametrize("num_pairs, p0", [(3, 0.37), (12, 0.2)])
-    def test_law_is_the_maximum_of_geometrics(self, num_pairs, p0):
+    def test_law_is_the_maximum_of_geometrics(self, geometric_max, num_pairs, p0):
         rng = np.random.default_rng(2024)
-        direct = _geometric_max(rng.random(self.TRIALS), num_pairs, p0)
+        direct = geometric_max(rng.random(self.TRIALS), num_pairs, p0)
         # the sampler it replaced: the maximum of n draws of rng.geometric
         reference = rng.geometric(p0, size=(self.TRIALS, num_pairs)).max(axis=1)
         k = np.arange(1, 11)
@@ -455,8 +488,8 @@ class TestGeometricMax:
         assert np.abs(reference_cdf - law).max() <= self.EPS
         assert np.abs(direct_cdf - reference_cdf).max() <= 2 * self.EPS
 
-    def test_zero_uniform_is_one_wait(self):
-        assert _geometric_max(np.array([0.0]), 12, 0.2).tolist() == [1.0]
+    def test_zero_uniform_is_one_wait(self, geometric_max):
+        assert geometric_max(np.array([0.0]), 12, 0.2).tolist() == [1.0]
 
 
 class TestRepeaterRate:
