@@ -38,6 +38,7 @@ from .rates import (
     min_cost_over_nesting,
     optimize_over_stations,
     secret_fraction_six_state,
+    surface_key_rates,
     threshold_fidelity,
     threshold_gate_quality,
     transmission_prob,

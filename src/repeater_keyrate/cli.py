@@ -20,12 +20,19 @@ reader and the help screen (:mod:`repeater_keyrate.cliextra`) when
 (:mod:`repeater_keyrate.repeaterless`) on the first level scored at N = 0;
 the Pauli-frame core (:mod:`repeater_keyrate.frames`) by enumerate-errors
 (no rate command loads it at any N); the process pool by ``--jobs`` above 1
-(no numpy); and numpy and the dense layer by validate.
+(no numpy); and numpy and the dense layer by validate.  Both sweeps run
+through one helper that maps a :mod:`repeater_keyrate.rates` function over
+tasks, in the pool when ``--jobs`` is above 1: a distance sweep maps
+:func:`~repeater_keyrate.rates.optimize_over_stations` over its distances, a
+surface sweep :func:`~repeater_keyrate.rates.surface_key_rates` over one
+interleaved chunk of its grid per job, so the CSV is the same at every
+``--jobs``.
 """
 
 import math
 import os
 import sys
+from functools import partial
 from types import SimpleNamespace
 
 from . import __version__
@@ -36,10 +43,10 @@ from .rates import (
     DEFAULT_SPEED_KM_PER_S,
     TABLE_STATION_COUNTS,
     NoThresholdError,
-    RateReport,
     check_link,
     nesting_of,
     optimize_over_stations,
+    surface_key_rates,
     threshold_fidelity,
     threshold_gate_quality,
 )
@@ -247,21 +254,15 @@ def cmd_threshold(args: SimpleNamespace) -> int:
     return 0
 
 
-def _optimize_point(task: tuple[float, list[int], dict]) -> tuple[int, RateReport]:
-    distance, n_values, common = task
-    return optimize_over_stations(distance, n_range=n_values, **common)
-
-
-def _optimize_points(
-    tasks: list[tuple[float, list[int], dict]], jobs: int
-) -> list[tuple[int, RateReport]]:
-    """(N_opt, report) for each (distance, nesting levels, common) task."""
+def _map(function, tasks: list, jobs: int) -> list:
+    """``function`` of each task, in order: here at ``jobs`` = 1, else in a pool
+    of ``jobs`` worker processes."""
     if jobs == 1:
-        return [_optimize_point(t) for t in tasks]
+        return list(map(function, tasks))
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_optimize_point, tasks, chunksize=max(1, len(tasks) // (4 * jobs))))
+        return list(pool.map(function, tasks, chunksize=max(1, len(tasks) // (4 * jobs))))
 
 
 def cmd_sweep(args: SimpleNamespace) -> int:
@@ -274,7 +275,8 @@ def cmd_sweep(args: SimpleNamespace) -> int:
         point = _point(args)
         distances = args.distance_range
         _require_timed(args, distances, n_values[-1])
-        results = _optimize_points([(d, n_values, point) for d in distances], args.jobs)
+        results = _map(partial(optimize_over_stations, n_range=n_values, **point), distances,
+                       args.jobs)
         rows = [
             _row(
                 d, n_best, rep.l0_km, rep.p0, rep.z_value, rep.rate_pairs_per_s,
@@ -291,15 +293,14 @@ def cmd_sweep(args: SimpleNamespace) -> int:
         if count > MAX_RANGE_POINTS:
             raise CliError(f"a surface sweep has at most {MAX_RANGE_POINTS} points, got {count}")
         _require_timed(args, [args.distance], n_values[-1])
-        fiber = _fiber(args)
         points = [(f0, pg) for f0 in args.fidelity_range for pg in args.gate_quality_range]
-        tasks = [
-            (args.distance, n_values, {"beta": 1.0 - pg, "f0": f0, **fiber}) for f0, pg in points
-        ]
-        rows = [
-            _row(f0, pg, rep.key_rate, n_best)
-            for (f0, pg), (n_best, rep) in zip(points, _optimize_points(tasks, args.jobs))
-        ]
+        # one interleaved chunk of the grid per job, each scored in one call: point i
+        # is entry i // jobs of chunk i % jobs, whose (N, K) reversed is its K, N_opt
+        jobs = args.jobs
+        chunks = [[(1.0 - pg, f0) for f0, pg in points[i::jobs]] for i in range(jobs)]
+        grid = partial(surface_key_rates, args.distance, n_range=n_values, **_fiber(args))
+        best = _map(grid, chunks, jobs)
+        rows = [_row(f0, pg, *best[i % jobs][i // jobs][::-1]) for i, (f0, pg) in enumerate(points)]
         header = "F0,pG,K_per_mem_per_s,N_opt"
     else:
         raise CliError("sweep needs --distance-range, or --fidelity-range and --gate-quality-range")

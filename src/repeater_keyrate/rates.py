@@ -28,14 +28,17 @@ per (L, N, fiber) (:func:`_link_terms`), the rows of p_s per F0
 (``_success_rows``; row 0 alone at beta = 0), the beta terms per beta
 (``_shared_chain``), the chain's P_r-free terms per (beta, r)
 (``ChainState._by_r``), and p_s, checked once, per (beta, F0, accounting)
-(``_shared_point``, the :class:`_Point` of every entry point, so K agrees to
-the last bit); those that take the caller's floats are typed.
-:meth:`_Point.level` scores a level cheapest test first: P_r as one power,
-then r_inf from the QBER kernel ``ChainState.qbers``, which computes only the
-Phi- and Psi entries of the decoded pair (e_X = e_Y, so the six-state
-fraction skips h(1/2) = 1), then the link terms.  The level scan
-(:func:`optimize_over_stations`) takes the levels by descending bound, stops
-at the first bound below the best K, and reports only the winner.
+(``_shared_point``, the :class:`_Point` of every entry point but the surface
+grid, whose points never repeat a key, so K agrees to the last bit); those
+that take the caller's floats are typed.  :meth:`_Point.best` is the one level
+scorer: it takes the levels by descending bound, scores each cheapest test
+first, P_r as one power, then r_inf from the QBER kernel ``ChainState.qbers``,
+which computes only the Phi- and Psi entries of the decoded pair (e_X = e_Y,
+so the six-state fraction skips h(1/2) = 1), then the link terms, and stops at
+the first bound below the best K.  :func:`optimize_over_stations` reports
+only its winner; :func:`surface_key_rates` reads the level list once for a
+grid at one distance and returns each point's (N, K) with no report; and
+:func:`cost_coefficient` scores every level alone.
 
 Everything here is stdlib arithmetic on those closed forms, N = 0
 included: with no swap the key pair mixes the stored perfect and one-faulty
@@ -155,9 +158,7 @@ def secret_fraction_six_state(e_x: float, e_y: float, e_z: float) -> float:
             return float("-inf")
         term_cond_phase = e_z * binary_entropy(arg)
     if e_z >= 1.0:
-        # no term without a Z error, and h(e_z) = h(1) = 0 up to 1e-12
-        if e_z >= 1.0 + 1e-12:
-            raise ValueError(f"entropy argument {e_z} outside [0, 1]")
+        # no term without a Z error, and h(e_z) = 0 at and past 1
         return 1.0 - term_cond_phase
     arg = (1.0 - (e_x + e_y + e_z) / 2.0) / (1.0 - e_z)
     if arg < _LOW or arg > _HIGH:
@@ -351,24 +352,33 @@ class _Point:
         k = rate * (0.0 if fraction < 0.0 else fraction) / MEMORIES_PER_HALF_NODE
         return RateReport(p0, z, rate, e_x, e_y, e_z, fraction, k, self.p_s, p_r, nesting, l0)
 
-    def level(
-        self, distance_km: float, nesting: int, fiber: tuple
-    ) -> tuple[float, tuple | None]:
-        """K and the :meth:`decoded` tuple of a scan level: (0.0, None) below the
-        gate (P_r = p_s ** r < ``KEYLESS_P_R``), (0.0, decoded) without the link
-        terms when r_inf <= 0 (R is finite), else K = R r_inf / 6 as :meth:`report` has it."""
-        r = 2**nesting - 1
-        p_r = self._capped_p_s**r
-        if p_r < KEYLESS_P_R:
-            return 0.0, None
-        decoded = self.decoded(r, p_r)
-        if decoded[2] <= 0.0:
-            return 0.0, decoded
-        rate = _link_terms(distance_km, nesting, *fiber)[3]
-        return rate * decoded[2] / MEMORIES_PER_HALF_NODE, decoded
+    def best(self, distance_km: float, levels: tuple, fiber: tuple) -> tuple:
+        """(N, K, decoded) of the winner among ``levels``, (UB, N) pairs highest UB
+        first (:func:`_levels_by_bound`): a level ranks as (K, UB > 0, -N), and the
+        scan stops at the first UB below the best K.  A level's K is 0.0 with no
+        decode below the gate (P_r = p_s ** r < ``KEYLESS_P_R``) and without the
+        link terms when r_inf <= 0 (R is finite), else R r_inf / 6 as :meth:`report`
+        has it; ``decoded`` is the winner's :meth:`decoded` tuple, or None."""
+        best = (-math.inf,)  # (K, UB > 0, -N) of the winner so far
+        for bound, n in levels:
+            if bound < best[0]:
+                break
+            r = 2**n - 1
+            p_r = self._capped_p_s**r
+            if p_r < KEYLESS_P_R:
+                key, decoded = 0.0, None
+            else:
+                decoded = self.decoded(r, p_r)
+                key = 0.0 if decoded[2] <= 0.0 else (
+                    _link_terms(distance_km, n, *fiber)[3] * decoded[2] / MEMORIES_PER_HALF_NODE)
+            rank = (key, bound > 0.0, -n)
+            if rank > best:
+                best, winner = rank, decoded
+        return -best[2], best[0], winner
 
 
-# every entry point's (beta, F0, accounting) and its beta's chain, typed as _link_terms is
+# each single-point entry's (beta, F0, accounting) and every point's beta chain, typed as
+# _link_terms is; a grid's points never repeat and skip the point memo
 _shared_chain = lru_cache(maxsize=1024, typed=True)(ChainState)
 _shared_point = lru_cache(maxsize=1024, typed=True)(_Point)
 
@@ -453,21 +463,36 @@ def optimize_over_stations(
     """Key rate maximized over the nesting level; ties go to fewer stations,
     except that a level whose P0 underflowed to 0 loses every tie.  The
     levels are taken in descending order of their bound UB
-    (:func:`_levels_by_bound`), and the search stops at the first UB below
-    the best K so far: no level left can then win or tie.  A level ranks as
-    (K, UB > 0, -N) from :meth:`_Point.level`, since UB > 0 exactly when
-    P0 > 0, and the winner alone gets a report, from its decoded tuple."""
+    (:func:`_levels_by_bound`), and the search (:meth:`_Point.best`) stops at
+    the first UB below the best K so far: no level left can then win or tie.
+    A level ranks as (K, UB > 0, -N), since UB > 0 exactly when P0 > 0, and
+    the winner alone gets a report, from its decoded tuple."""
     fiber = (alpha_db_per_km, speed_km_per_s, t0_mode)
     point = _shared_point(beta, f0)
-    best = (-math.inf,)  # (K, UB > 0, -N) of the winner so far
-    for bound, n in _levels_by_bound(distance_km, tuple(n_range), *fiber):
-        if bound < best[0]:
-            break
-        key, decoded = point.level(distance_km, n, fiber)
-        rank = (key, bound > 0.0, -n)
-        if rank > best:
-            best, winner = rank, decoded
-    return -best[2], point.report(distance_km, -best[2], fiber, winner)
+    n, _, decoded = point.best(
+        distance_km, _levels_by_bound(distance_km, tuple(n_range), *fiber), fiber)
+    return n, point.report(distance_km, n, fiber, decoded)
+
+
+def surface_key_rates(
+    distance_km: float,
+    points: Iterable[tuple],
+    n_range: Iterable[int],
+    *,
+    alpha_db_per_km: float,
+    speed_km_per_s: float,
+    t0_mode: str,
+) -> list[tuple]:
+    """(N, K) of :func:`optimize_over_stations` at each (beta, F0) of ``points``,
+    with one level list for the grid and no report: K is the winner's
+    R r_inf / 6, the expression of its report, and 0.0 for a winner without a
+    key, as the report has it.  The points come from :class:`_Point` itself,
+    since no two points of a grid share the memo's key; each checks its beta
+    and F0 before the level list is read."""
+    fiber = (alpha_db_per_km, speed_km_per_s, t0_mode)
+    grid = [_Point(*point) for point in points]
+    levels = _levels_by_bound(distance_km, tuple(n_range), *fiber)
+    return [point.best(distance_km, levels, fiber)[:2] for point in grid]
 
 
 def _bisect(f: Callable[[float], float], a: float, b: float, fa: float, xtol: float) -> float:
@@ -575,7 +600,7 @@ def cost_coefficient(
     fiber = (alpha_db_per_km, speed_km_per_s, t0_mode)
     point = _shared_point(beta, f0)
     # every level, in the bound's order: min_cost_over_nesting breaks ties by N
-    levels = [n for _, n in _levels_by_bound(distance_km, tuple(n_range), *fiber)]
-    key_rates = {n: point.level(distance_km, n, fiber)[0] for n in levels}
+    key_rates = {level[1]: point.best(distance_km, (level,), fiber)[1]
+                 for level in _levels_by_bound(distance_km, tuple(n_range), *fiber)}
     cost, n_best = min_cost_over_nesting(list(key_rates.items()))
     return CostReport(cost, cost / distance_km, n_best, distance_km / 2**n_best, key_rates[n_best])

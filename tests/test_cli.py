@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repeater_keyrate
-from repeater_keyrate import cli
+from repeater_keyrate import cli, rates
 from repeater_keyrate.cli import main
 
 
@@ -334,6 +334,16 @@ class TestSweep:
                 "--distance-range", "100:400:100")
         run(capsys, *args, "--output", str(f1))
         run(capsys, *args, "--jobs", "2", "--output", str(f2))
+        assert f1.read_bytes() == f2.read_bytes()
+
+    def test_parallel_surface_matches_serial(self, capsys, tmp_path):
+        # one interleaved chunk per job: 3 x 5 points at 2 jobs split 8 / 7
+        f1, f2 = tmp_path / "serial.csv", tmp_path / "par.csv"
+        args = ("sweep", "--distance", "600", "--fidelity-range", "0.98:1:0.01",
+                "--gate-quality-range", "0.99:1:0.0025")
+        run(capsys, *args, "--output", str(f1))
+        run(capsys, *args, "--jobs", "2", "--output", str(f2))
+        assert len(f1.read_text().splitlines()) == 16
         assert f1.read_bytes() == f2.read_bytes()
 
     def test_empty_range_rejected(self, capsys):
@@ -989,6 +999,70 @@ def test_resolve_answers_or_rejects(capsys, monkeypatch, tmp_path, first, rest):
     except SystemExit as exc:
         assert exc.code == 0
     capsys.readouterr()
+
+
+_SWEEP_FLAGS = cli._COMMANDS["sweep"][2]
+_UNIT_ENDS = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def _unit_ranges(draw):
+    """``start:stop:step`` text of at most 6 points in [0, 1], ends 0 and 1 among them."""
+    start, stop = sorted((draw(_UNIT_ENDS), draw(_UNIT_ENDS)))
+    step = (stop - start) / draw(st.integers(1, 5)) if stop > start else draw(_UNIT_ENDS)
+    return f"{start!r}:{stop!r}:{step!r}"
+
+
+def _sweep_argv(**values):
+    """sweep argv of the given {dest: text}, each dest a flag of the sweep table."""
+    argv = ["sweep"]
+    for dest, text in values.items():
+        assert dest in _SWEEP_FLAGS
+        argv += [cli._flag(dest), text]
+    return argv
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_unit_ranges(), _unit_ranges(), st.floats(5e-324, 1e300),
+       st.lists(st.integers(0, 20), min_size=2, max_size=2).map(sorted),
+       st.sampled_from([False, False, False, True]), st.sampled_from(["physical", "1"]),
+       st.integers(1, cli._MAX_JOBS),
+       st.sampled_from([{}, {}, {}, {"fidelity": "0.9"}, {"beta": "0.01"}]))
+def test_surface_sweep_answers_or_rejects(
+    capsys, monkeypatch, tmp_path, f_range, g_range, distance, levels, reverse, t0, jobs, unread
+):
+    """Every surface sweep writes the grid's rows with the scan's K >= 0 and N_opt
+    in range, or exits 2 with one ``error:`` line.  The pool maps the same function
+    over the same chunks, so here the chunks run in this process, and no example
+    starts a worker (``TestSweep.test_parallel_surface_matches_serial`` does)."""
+    monkeypatch.setattr(cli, "_map", lambda function, tasks, jobs: list(map(function, tasks)))
+    output = tmp_path / "surface.csv"
+    output.unlink(missing_ok=True)
+    low, high = levels[::-1] if reverse else levels
+    code = cli.main(_sweep_argv(
+        distance=repr(distance), fidelity_range=f_range, gate_quality_range=g_range,
+        min_nesting=str(low), max_nesting=str(high), t0=t0, jobs=str(jobs), **unread,
+        output=str(output)))
+    err = capsys.readouterr().err
+    if code != 0 or unread:
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+        assert not output.exists()
+        return
+    assert err == ""
+    header, *rows = output.read_text().splitlines()
+    assert header == "F0,pG,K_per_mem_per_s,N_opt"
+    fiber = {"t0_mode": "physical" if t0 == "physical" else "normalized"}
+    grid = [(f0, pg) for f0 in cli._UNIT_RANGE(f_range) for pg in cli._UNIT_RANGE(g_range)]
+    assert len(rows) == len(grid)
+    for row, (f0, pg) in zip(rows, grid):
+        key, n_opt = row.split(",")[2:]
+        assert float(key) >= 0.0 and not key.startswith("-")
+        assert low <= int(n_opt) <= high
+        n_best, report = rates.optimize_over_stations(
+            distance, 1.0 - pg, f0, range(low, high + 1), **fiber)
+        assert row == cli._row(f0, pg, report.key_rate, n_best)
 
 
 class TestRuntimeDependencies:

@@ -46,6 +46,7 @@ from repeater_keyrate.rates import (
     min_cost_over_nesting,
     optimize_over_stations,
     secret_fraction_six_state,
+    surface_key_rates,
     threshold_fidelity,
     threshold_gate_quality,
     transmission_prob,
@@ -251,7 +252,8 @@ def test_lean_level_path_equals_the_reference_path(beta, f0, nesting):
     # the scan's gate and QBER kernel against chain_success_prob and a
     # fresh ChainState's mixture, bit for bit
     point, r = _Point(beta, f0), 2**nesting - 1
-    _, decoded = point.level(100.0, nesting, (0.17, 2e5, "physical"))
+    fiber = (0.17, 2e5, "physical")
+    _, _, decoded = point.best(100.0, _levels_by_bound(100.0, (nesting,), *fiber), fiber)
     if nesting == 0:
         stored = repeaterless.pair_decode_closed_form(beta, f0)
         expected = error_rates(ChainState(beta).mix(*stored))
@@ -354,8 +356,6 @@ def _six_state_with_builtin_clamps(e_x, e_y, e_z):
             return float("-inf")
         term_cond_phase = e_z * binary_entropy(min(max(arg, 0.0), 1.0))
     if e_z >= 1.0:
-        if e_z >= 1.0 + 1e-12:
-            raise ValueError(f"entropy argument {e_z} outside [0, 1]")
         return 1.0 - term_cond_phase
     arg = (1.0 - (e_x + e_y + e_z) / 2.0) / (1.0 - e_z)
     if arg < -1e-9 or arg > 1.0 + 1e-9:
@@ -492,6 +492,39 @@ def test_cached_scans_equal_cold_ones_at_every_point():
     for point, expected in zip(points, warm):
         _clear_rate_path_caches()
         assert scan(*point) == expected, point
+
+
+grid_values = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 1.0 - 1e-12]), unit)
+level_ranges = st.tuples(st.integers(0, 20), st.integers(0, 20)).map(
+    lambda ends: range(min(ends), max(ends) + 1))
+
+
+@settings(deterministic, max_examples=300)
+@given(st.lists(st.tuples(grid_values, grid_values), max_size=6), st.floats(1e-3, 1e5),
+       level_ranges, st.sampled_from(["physical", "normalized"]))
+# the ideal corner with both zeros; P0 = 0 at N = 0...2 of 1e5 km, and 0 at N = 0
+# and subnormal at N = 1 of 37000 km
+@example([(0.0, 1.0), (-0.0, 1.0), (1.0, 0.0)], 600.0, range(0, 11), "physical")
+@example([(0.05, 0.9), (0.0, 1.0)], 1e5, range(0, 21), "normalized")
+@example([(0.1, 0.9), (0.0, 1.0 - 1e-12)], 37000.0, range(0, 3), "physical")
+@example([], 600.0, range(1, 11), "physical")
+def test_surface_batch_equals_the_scan_at_every_point(points, distance, levels, t0_mode):
+    # a surface grid builds no report, and its K is the scan's report's K to the last
+    # bit: with every memo cleared, and with the memos that the scans filled
+    fiber = {"alpha_db_per_km": DEFAULT_ALPHA_DB_PER_KM,
+             "speed_km_per_s": DEFAULT_SPEED_KM_PER_S, "t0_mode": t0_mode}
+
+    def scans():
+        return repr([(n, report.key_rate) for n, report in (
+            optimize_over_stations(distance, beta, f0, levels, **fiber) for beta, f0 in points)])
+
+    _clear_rate_path_caches()
+    batch = repr(surface_key_rates(distance, points, levels, **fiber))
+    _clear_rate_path_caches()
+    expected = scans()
+    assert batch == expected
+    assert repr(surface_key_rates(distance, points, levels, **fiber)) == expected
+    assert scans() == expected
 
 
 def _optimized(distance, beta, f0):

@@ -85,10 +85,9 @@ class TestSecretFraction:
         with pytest.raises(ValueError):
             secret_fraction_six_state(-0.2, 0.0, 0.0)
 
-    # Each QBER may stray 1e-9 past [0, 1] by rounding.  e_z = 1 + 1e-9 is left
-    # out of the inside points: the e_z >= 1 branch rejects e_z >= 1 + 1e-12.
+    # Each QBER may stray 1e-9 past [0, 1] by rounding.
     @pytest.mark.parametrize("position, edge", [
-        (0, -1e-9), (0, 1.0 + 1e-9), (1, -1e-9), (1, 1.0 + 1e-9), (2, -1e-9),
+        (0, -1e-9), (0, 1.0 + 1e-9), (1, -1e-9), (1, 1.0 + 1e-9), (2, -1e-9), (2, 1.0 + 1e-9),
     ])
     def test_slack_edge_is_accepted(self, position, edge):
         args = [0.0, 0.0, 0.0]
