@@ -8,25 +8,19 @@ built-in defaults; flag and config values pass the flag's type function.  All
 tabular output is CSV with a header row and values printed to 10 significant
 digits, so identical inputs give byte-identical files.
 
-The rate commands (keyrate, sweep, cost and threshold, N = 0 included) and
-enumerate-errors run on the stdlib alone.  Importing this module compiles
-the parser, the flag tables, :func:`main` and the sweep and threshold
-commands, which compute the paper's key rate over distance and its
-threshold table.  Everything else is imported when it is first asked for:
-the keyrate, cost, enumerate-errors and validate commands, the config
-reader and the help screen (:mod:`repeater_keyrate.cliextra`) when
-:func:`main` first runs one of those commands, a config file is named or
-``-h``/``--help`` is given; the N = 0 decode rows
-(:mod:`repeater_keyrate.repeaterless`) on the first level scored at N = 0;
-the Pauli-frame core (:mod:`repeater_keyrate.frames`) by enumerate-errors
-(no rate command loads it at any N); the process pool by ``--jobs`` above 1
-(no numpy); and numpy and the dense layer by validate.  Both sweeps run
+This module holds the parser, the flag tables, :func:`main` and the sweep
+and threshold commands, which compute the paper's key rate over distance
+and its threshold table.  The keyrate, cost, enumerate-errors and validate
+commands, the config reader and the help screen live in
+:mod:`repeater_keyrate.cliextra`, which :func:`main` imports when it first
+runs one of those commands, a config file is named or ``-h``/``--help`` is
+given (README "Running" lists what each command loads).  Both sweeps run
 through one helper that maps a :mod:`repeater_keyrate.rates` function over
-tasks, in the pool when ``--jobs`` is above 1: a distance sweep maps
-:func:`~repeater_keyrate.rates.optimize_over_stations` over its distances, a
-surface sweep :func:`~repeater_keyrate.rates.surface_key_rates` over one
-interleaved chunk of its grid per job, so the CSV is the same at every
-``--jobs``.
+tasks, in a process pool, loaded only then, when ``--jobs`` is above 1: a
+distance sweep maps :func:`~repeater_keyrate.rates.optimize_over_stations`
+over its distances, a surface sweep
+:func:`~repeater_keyrate.rates.surface_key_rates` over one interleaved chunk
+of its grid per job, so the CSV is the same at every ``--jobs``.
 """
 
 import math

@@ -11,7 +11,7 @@ validate them.  With no swap (r = 0) the decoded coefficients here come
 from the encoded pair's Pauli frames and the frame-to-Bell decode tables
 (:func:`~repeater_keyrate.frames.pair_decode_coeffs`), the frame-by-frame
 reference of the rate path's stored rows
-(:func:`~repeater_keyrate.repeaterless.pair_decode_closed_form`), which
+(:func:`~repeater_keyrate.closedform.pair_decode_closed_form`), which
 ``validate`` compares with the circuits.  Each decoded pair
 is the :func:`~repeater_keyrate.qstate.frame_state` of its Bell
 coefficients (phi+, phi-, psi+, psi-).
@@ -28,7 +28,6 @@ from .closedform import (
     chain_success_prob,
     swap_success_closed_form,
 )
-from .encgen import encoded_pair
 from .encswap import swapped_state_nonideal
 from .frames import pair_decode_coeffs
 from .qstate import (
@@ -111,12 +110,10 @@ def final_state(beta: float, f0: float, r: int) -> DensityOperator:
 
 
 def validate_first_order_vs_exact(beta: float, f0: float, r: int) -> float:
-    """Uhlmann fidelity between the first-order final state and a decode in
-    which every CNOT carries the exact depolarizing map."""
-    if r == 0:
-        pre = encoded_pair(beta, f0).matrix
-    else:
-        pre = swapped_state_nonideal(beta, f0, r).matrix
+    """Uhlmann fidelity between the first-order final state after r >= 1
+    stations and a decode in which every CNOT carries the exact depolarizing
+    map; :func:`chain_success_prob` rejects any other r."""
+    pre = swapped_state_nonideal(beta, f0, r).matrix
     exact = DensityOperator(decode_exact_noise_mat(pre, beta))
     first = final_state(beta, f0, r)
     return uhlmann_fidelity(first, exact)

@@ -6,9 +6,8 @@ weight per Pauli frame (README decision 20).  This module carries the
 frames through generation, the perfect and the one-faulty decode, and the
 correctable errors of the swap.  The rate path never imports it: p_s and
 the decode at N = 0 are integer tables in :mod:`~repeater_keyrate.closedform`
-and :mod:`~repeater_keyrate.repeaterless` that the tests rebuild from
-these frames.  ``enumerate-errors``, the dense modules and the tests
-import it.  Importing it builds no table.
+that the tests rebuild from these frames.  ``enumerate-errors``, the dense
+modules and the tests import it.  Importing it builds no table.
 """
 
 from collections import Counter
@@ -166,7 +165,7 @@ def pair_decode_coeffs(beta: float, f0: float) -> tuple[tuple[float, ...], tuple
     encoded pair itself, with no swap (N = 0), frame by frame; then
     :meth:`ChainState.mix` adds the noise of the decode CNOTs.  The
     reference of the rate path's stored rows
-    (:func:`~repeater_keyrate.repeaterless.pair_decode_closed_form`)."""
+    (:func:`~repeater_keyrate.closedform.pair_decode_closed_form`)."""
     weights, (bells, rows) = frame_weights(beta, f0), _decode_tables()
     perfect = tuple(sum(w for w, bell in zip(weights, bells) if bell == k) for k in range(4))
     return perfect, tuple(sum(w * row[k] for w, row in zip(weights, rows)) / 64 for k in range(4))

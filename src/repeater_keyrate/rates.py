@@ -21,9 +21,10 @@ range (per-station compounding contradicts it beyond a few stations, and
 no single accounting reproduces both the table and the published cost
 curves).  Both conventions are deliberate; see the README model notes.
 
-Nesting scan.  Each quantity is computed where it is constant, in one memo
-each: H_n per n (:func:`_harmonic`), the levels' checks and K bounds per
-(L, levels, fiber) (:func:`_levels_by_bound`), the link terms L0, P0, Z and R
+Nesting scan.  Each quantity is computed where it is constant: the levels'
+checks and K bounds once per scan, with no memo, as no scan repeats its
+(L, levels, fiber) (:func:`_levels_by_bound`), and the rest in one memo
+each: H_n per n (:func:`_harmonic`), the link terms L0, P0, Z and R
 per (L, N, fiber) (:func:`_link_terms`), the rows of p_s per F0
 (``_success_rows``; row 0 alone at beta = 0), the beta terms per beta
 (``_shared_chain``), the chain's P_r-free terms per (beta, r)
@@ -43,11 +44,10 @@ grid at one distance and returns each point's (N, K) with no report; and
 Everything here is stdlib arithmetic on those closed forms, N = 0
 included: with no swap the key pair mixes the stored perfect and one-faulty
 decodes of the encoded pair
-(:func:`~repeater_keyrate.repeaterless.pair_decode_closed_form`, imported
-on the first level scored at N = 0), so no rate command, at any N, loads
-numpy or the Pauli-frame core.  The records are namedtuples, not
-dataclasses, which would cost the rate commands the import of
-:mod:`dataclasses` and its dependencies.  The annotations take
+(:func:`~repeater_keyrate.closedform.pair_decode_closed_form`), so no rate
+command, at any N, loads numpy or the Pauli-frame core.  The records are
+namedtuples, not dataclasses, which would cost the rate commands the import
+of :mod:`dataclasses` and its dependencies.  The annotations take
 ``Callable``, ``Iterable`` and ``Sequence`` from :mod:`collections.abc`,
 which a start with site has already loaded, not from :mod:`typing`, which
 with the :mod:`re` and :mod:`enum` it loads would add its import to every
@@ -60,13 +60,19 @@ from collections import namedtuple
 from collections.abc import Callable, Iterable, Sequence
 from functools import lru_cache
 
-from .closedform import ChainState, _capped_success, chain_success_prob, swap_success_closed_form
+from .closedform import (
+    ChainState,
+    _capped_success,
+    chain_success_prob,
+    pair_decode_closed_form,
+    swap_success_closed_form,
+)
 
 MEMORIES_PER_HALF_NODE = 6
 DEFAULT_ALPHA_DB_PER_KM = 0.17
 DEFAULT_SPEED_KM_PER_S = 2e5
 # The default optimization range starts at one station: N = 0 (a single
-# repeaterless segment) is supported as an explicit extension but is not
+# segment with no station) is supported as an explicit extension but is not
 # part of the repeater protocol whose thresholds the pipeline reproduces.
 DEFAULT_MIN_NESTING = 1
 DEFAULT_MAX_NESTING = 10
@@ -330,11 +336,8 @@ class _Point:
     ) -> tuple[float, tuple[float, float, float], float]:
         """P_r (unless given), (e_X, e_Y, e_Z) and the unclamped six-state r_inf
         after ``swap_count`` compoundings, from the chain's QBER kernel; N = 0
-        mixes the stored decodes of the encoded pair, whose module
-        (:mod:`~repeater_keyrate.repeaterless`) loads on the first call at N = 0."""
+        mixes the stored decodes of the encoded pair."""
         if swap_count == 0:
-            from .repeaterless import pair_decode_closed_form
-
             p_r = 1.0
             qbers = error_rates(self.chain.mix(*pair_decode_closed_form(self.beta, self.f0)))
         else:
@@ -414,22 +417,23 @@ def key_rate(
     return point.report(distance_km, int(nesting), fiber)
 
 
-@lru_cache(maxsize=1024)
 def _levels_by_bound(
-    distance_km: float, n_range: tuple, alpha_db_per_km: float, speed_km_per_s: float, t0_mode: str
+    distance_km: float, n_range: Iterable[int], alpha_db_per_km: float,
+    speed_km_per_s: float, t0_mode: str,
 ) -> tuple[tuple[float, int], ...]:
     """(UB, N) for each distinct level of ``n_range``, highest UB first.
 
-    The inputs are checked once per (L, levels, fiber), not per point (the
-    point checks beta and F0), by :func:`check_link` at two levels: the
-    nesting sign fails first at the shallowest, T0 is shortest (the only
-    level-dependent check) at the deepest, and the other checks are the same
-    at every level.  UB bounds the level's K without Z or the fraction
+    The inputs are checked once per call, not per point (the point checks
+    beta and F0), by :func:`check_link` at two levels: the nesting sign
+    fails first at the shallowest, T0 is shortest (the only level-dependent
+    check) at the deepest, and the other checks are the same at every
+    level.  UB bounds the level's K without Z or the fraction
     (README decision 18): r_inf <= 1 and Z >= max(1, 1/P0, H_n/x),
     n = 3 * 2^N, x = -ln(1 - P0), times 1 + 1e-9 for rounding.  UB = 0
     exactly when P0 underflowed to 0: 1/Z <= min(1, P0, x/H_n) does not
     overflow at a subnormal P0, and a positive UB that rounds to 0 is
     rounded up to the smallest float."""
+    n_range = tuple(n_range)  # read twice, and any iterable is accepted
     if not n_range:
         raise ValueError("n_range must be nonempty")
     fractional = [n for n in n_range if n % 1 != 0]  # in n_range order: a set's order drifts
@@ -470,7 +474,7 @@ def optimize_over_stations(
     fiber = (alpha_db_per_km, speed_km_per_s, t0_mode)
     point = _shared_point(beta, f0)
     n, _, decoded = point.best(
-        distance_km, _levels_by_bound(distance_km, tuple(n_range), *fiber), fiber)
+        distance_km, _levels_by_bound(distance_km, n_range, *fiber), fiber)
     return n, point.report(distance_km, n, fiber, decoded)
 
 
@@ -491,7 +495,7 @@ def surface_key_rates(
     and F0 before the level list is read."""
     fiber = (alpha_db_per_km, speed_km_per_s, t0_mode)
     grid = [_Point(*point) for point in points]
-    levels = _levels_by_bound(distance_km, tuple(n_range), *fiber)
+    levels = _levels_by_bound(distance_km, n_range, *fiber)
     return [point.best(distance_km, levels, fiber)[:2] for point in grid]
 
 
@@ -601,6 +605,6 @@ def cost_coefficient(
     point = _shared_point(beta, f0)
     # every level, in the bound's order: min_cost_over_nesting breaks ties by N
     key_rates = {level[1]: point.best(distance_km, (level,), fiber)[1]
-                 for level in _levels_by_bound(distance_km, tuple(n_range), *fiber)}
+                 for level in _levels_by_bound(distance_km, n_range, *fiber)}
     cost, n_best = min_cost_over_nesting(list(key_rates.items()))
     return CostReport(cost, cost / distance_km, n_best, distance_km / 2**n_best, key_rates[n_best])

@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import closedform, decode, encgen, encswap, frames, rates, repeaterless
+from . import closedform, decode, encgen, encswap, frames, rates
 from .qstate import bell_diag_coeffs, frame_state, frame_weights_of
 
 
@@ -76,12 +76,12 @@ def perfect_decode_deviation(
 
 def pair_decode_deviation(betas: Sequence[float], f0s: Sequence[float]) -> float:
     """Largest entry deviation of the stored N = 0 decodes of the rate path
-    (:func:`repeaterless.pair_decode_closed_form`) from the perfect and the
+    (:func:`closedform.pair_decode_closed_form`) from the perfect and the
     one-faulty decoding circuit applied to the dense encoded pair, over the grid."""
     worst = 0.0
     for beta, f0 in itertools.product(betas, f0s):
         pair = encgen.encoded_pair(beta, f0)
-        perfect, faulty = repeaterless.pair_decode_closed_form(beta, f0)
+        perfect, faulty = closedform.pair_decode_closed_form(beta, f0)
         worst = max(worst, _deviation(decode.decode_circuit(pair).matrix, frame_state(perfect)),
                     _deviation(decode.decode_one_faulty(pair).matrix, frame_state(faulty)))
     return worst

@@ -43,12 +43,10 @@ def run_bounded(*argv):
 
 # The modules that a default command leaves unloaded: numpy and the
 # dataclasses, argparse and gettext it once imported, the Pauli-frame core,
-# the N = 0 decode rows, and the module of the keyrate, cost,
-# enumerate-errors and validate commands, the config reader and the help
-# screen.
-FRAMES, REPEATERLESS, CLIEXTRA = (
-    "repeater_keyrate.frames", "repeater_keyrate.repeaterless", "repeater_keyrate.cliextra")
-WATCHED = ("numpy", "dataclasses", "argparse", "gettext", FRAMES, REPEATERLESS, CLIEXTRA)
+# and the module of the keyrate, cost, enumerate-errors and validate
+# commands, the config reader and the help screen.
+FRAMES, CLIEXTRA = "repeater_keyrate.frames", "repeater_keyrate.cliextra"
+WATCHED = ("numpy", "dataclasses", "argparse", "gettext", FRAMES, CLIEXTRA)
 # stands for the path of a config file in a TestImports row
 CONFIG_FILE = "<config file>"
 
@@ -711,6 +709,15 @@ class TestConfig:
         point = ["--fidelity", "0.99", "--distance", "600", *alone.split()]
         assert run(capsys, "keyrate", *point) == (0, out, "")
 
+    def test_blank_and_comment_lines_are_skipped(self, capsys, tmp_path):
+        body = "fidelity = 0.98\ngate-quality = 0.992\ndistance = 600\nnesting = 1\n"
+        plain, commented = tmp_path / "plain.cfg", tmp_path / "commented.cfg"
+        plain.write_text(body)
+        commented.write_text("# a point\n\n" + body.replace("\n", "\n   \n  # note\n", 2))
+        expected = run(capsys, "keyrate", "--config", str(plain))
+        assert expected[0] == 0
+        assert run(capsys, "keyrate", "--config", str(commented)) == expected
+
     def test_environment_variable(self, capsys, tmp_path, monkeypatch):
         cfg = tmp_path / "env.cfg"
         cfg.write_text("fidelity = 0.97\ngate-quality = 1\ndistance = 100\nnesting = 1\n")
@@ -857,6 +864,42 @@ def rejected(capsys, *argv):
     assert code == 2 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
     return err
+
+
+# stands for an --output path in a directory that does not exist
+MISSING_DIR = "<missing dir>"
+_POINT = ("--fidelity", "0.99", "--gate-quality", "0.99")
+_GRID = ("--fidelity-range", "0.99:1:0.01", "--gate-quality-range", "0.99:1:0.01")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("threshold", "--stations", ","),
+     "argument --stations: expected a comma list of 2^N - 1, N >= 1, got ','"),
+    (("threshold", "--stations", "0"),
+     "argument --stations: expected a comma list of 2^N - 1, N >= 1, got '0'"),
+    (("sweep", "--distance-range", "100:200", *_POINT),
+     "argument --distance-range: expected finite start:stop:step, step > 0: '100:200'"),
+    (("sweep", "--distance-range", "100:200:100", "--fidelity-range", "0.99:1:0.01", *_POINT),
+     "--distance-range cannot be combined with surface ranges"),
+    (("sweep", *_GRID), "--distance (km, positive) is required for a surface sweep"),
+    (("sweep", "--distance", "600", *_GRID, "--output", MISSING_DIR),
+     f"cannot write --output {MISSING_DIR}: [Errno 2] No such file or directory: "
+     f"'{MISSING_DIR}'"),
+    (("keyrate", *_POINT, "--nesting", "1"), "--distance (km, positive) is required"),
+    (("keyrate", "--distance", "100", *_POINT, "--nesting", "1", "--stations", "1"),
+     "--nesting and --stations are mutually exclusive"),
+    (("keyrate", "--distance", "100", *_POINT),
+     "exactly one of --optimize or --nesting/--stations is required"),
+    (("keyrate", "--distance", "100", *_POINT, "--optimize", "--nesting", "1"),
+     "exactly one of --optimize or --nesting/--stations is required"),
+], ids=["empty-stations", "zero-stations", "two-field-range", "range-and-surface",
+        "surface-without-distance", "output-in-missing-dir", "keyrate-without-distance",
+        "nesting-and-stations", "neither-level-nor-optimize", "level-and-optimize"])
+def test_rejection_branches(capsys, tmp_path, argv, message):
+    # each branch prints its own message and nothing else
+    missing = str(tmp_path / "missing" / "grid.csv")
+    argv = [missing if a == MISSING_DIR else a for a in argv]
+    assert rejected(capsys, *argv) == f"error: {message.replace(MISSING_DIR, missing)}\n"
 
 
 class TestParserContract:
@@ -1094,7 +1137,7 @@ class TestImports:
         (("threshold", "--stations", "1,3"), "p_G,min", set()),
         # N = 0 mixes the stored decodes of the encoded pair, with no frame core
         (("keyrate", "--distance", "100", "--fidelity", "0.99", "--gate-quality", "0.99",
-          "--nesting", "0"), "K_per_mem_per_s=0.9336730933", {REPEATERLESS, CLIEXTRA}),
+          "--nesting", "0"), "K_per_mem_per_s=0.9336730933", {CLIEXTRA}),
         # the error counts come from the frame core's correctable frames
         (("enumerate-errors",), "distinct_orthogonal_states=64", {FRAMES, CLIEXTRA}),
         # the process pool of --jobs loads concurrent.futures, not numpy
@@ -1104,12 +1147,12 @@ class TestImports:
         # a fixed N >= 1 is key_rate's path
         (("keyrate", "--distance", "600", "--fidelity", "0.99", "--gate-quality", "0.995",
           "--nesting", "2"), "K_per_mem_per_s=", {CLIEXTRA}),
-        # the nesting scans with the repeaterless link N = 0 in range, and winning
+        # the nesting scans with the one-segment link N = 0 in range, and winning
         (("sweep", "--distance", "5", "--fidelity-range", "0.99:1:0.005",
           "--gate-quality-range", "0.99:1:0.005", "--min-nesting", "0", "--max-nesting", "3"),
-         "\n0.99,0.99,1097.434884,0\n", {REPEATERLESS}),
+         "\n0.99,0.99,1097.434884,0\n", set()),
         (("cost", "--paper-fig8-defaults", "--distance-range", "5:15:5", "--min-nesting", "0"),
-         "N*=0", {REPEATERLESS, CLIEXTRA}),
+         "N*=0", {CLIEXTRA}),
         # a config file and the help screen load their module
         (("keyrate", "--config", CONFIG_FILE), "K_per_mem_per_s=", {CLIEXTRA}),
         (("sweep", "--help"), "usage: repeater-keyrate sweep [FLAGS]", {CLIEXTRA}),
@@ -1124,18 +1167,31 @@ class TestImports:
         assert code == 0 and expected in out
         assert loaded == modules
 
+    @staticmethod
+    def bare_import(watched, *flags):
+        """(exit code, stdout, stderr) of ``import repeater_keyrate.cli`` in a
+        fresh interpreter started with ``flags``: stdout names the modules of
+        ``watched`` that the import loaded."""
+        src = Path(repeater_keyrate.__file__).resolve().parents[1]
+        probe = ("import sys, repeater_keyrate.cli; print(*(m for m in "
+                 f"{watched!r} if m in sys.modules))")
+        result = subprocess.run(
+            [sys.executable, *flags, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=120,
+        )
+        return result.returncode, result.stdout, result.stderr
+
+    def test_bare_import_loads_none_of_the_watched(self):
+        # a normal start, with site: the import alone loads cli, rates,
+        # closedform and __init__, and none of the watched modules
+        assert self.bare_import(WATCHED) == (0, "\n", "")
+
     def test_clean_start_loads_no_typing(self):
         # without site (python -S), which may preload typing through a .pth file,
         # the bare import loads none of typing and the re and enum it would bring,
         # no __future__, and none of the watched modules
-        src = Path(repeater_keyrate.__file__).resolve().parents[1]
-        probe = ("import sys, repeater_keyrate.cli; print(*(m for m in "
-                 f"{('typing', 're', 'enum', '__future__', *WATCHED)!r} if m in sys.modules))")
-        result = subprocess.run(
-            [sys.executable, "-S", "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
-            capture_output=True, text=True, timeout=120,
-        )
-        assert (result.returncode, result.stdout, result.stderr) == (0, "\n", "")
+        watched = ("typing", "re", "enum", "__future__", *WATCHED)
+        assert self.bare_import(watched, "-S") == (0, "\n", "")
 
     @pytest.mark.parametrize("argv,expected", [
         (("validate",), "checks passed"),

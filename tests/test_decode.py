@@ -6,13 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repeater_keyrate import repeaterless
 from repeater_keyrate.closedform import (
+    _PAIR_ONE_FAULTY,
+    _PAIR_PERFECT,
     _TILDE_BELL,
     DECODE_GATE_COUNT,
     ChainState,
     chain_success_prob,
     first_order_weights,
+    pair_decode_closed_form,
     swap_success_closed_form,
 )
 from repeater_keyrate.decode import (
@@ -35,7 +37,6 @@ from repeater_keyrate.qstate import (
 
 PHI_PLUS = frame_state(np.eye(4)[0])
 from repeater_keyrate.rates import key_rate
-from repeater_keyrate.repeaterless import pair_decode_closed_form
 from repeater_keyrate.validation import pair_decode_deviation
 
 
@@ -143,7 +144,7 @@ class TestDecodeTables:
 
 
 def stored_pair_rows():
-    """The perfect rows (phi+, phi-, psi+, psi-) of repeaterless's N = 0
+    """The perfect rows (phi+, phi-, psi+, psi-) of closedform's N = 0
     decode and its one-faulty rows times their denominator 32, rebuilt in
     exact rationals from the frame core.
 
@@ -175,19 +176,19 @@ def stored_pair_rows():
 
 
 class TestStoredPairDecode:
-    """repeaterless.pair_decode_closed_form, the rate path's N = 0, against the
+    """closedform.pair_decode_closed_form, the rate path's N = 0, against the
     frame core's frame-by-frame decode and the dense decoding circuits."""
 
     def test_stored_rows_regenerate_exactly(self):
         perfect, faulty = stored_pair_rows()
-        phi_plus, phi_minus, psi = repeaterless._PAIR_PERFECT
+        phi_plus, phi_minus, psi = _PAIR_PERFECT
         assert perfect == [phi_plus, phi_minus, psi, psi]
-        faulty_phi, faulty_psi = repeaterless._PAIR_ONE_FAULTY
+        faulty_phi, faulty_psi = _PAIR_ONE_FAULTY
         assert faulty == [faulty_phi, faulty_phi, faulty_psi, faulty_psi]
 
     def test_stored_entries_are_nonnegative(self):
         # so the sum over the nonnegative monomials never cancels
-        rows = repeaterless._PAIR_PERFECT + repeaterless._PAIR_ONE_FAULTY
+        rows = _PAIR_PERFECT + _PAIR_ONE_FAULTY
         assert all(len(row) == 24 for row in rows)
         assert min(min(row) for row in rows) >= 0
 

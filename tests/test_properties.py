@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repeater_keyrate import cli, closedform, encgen, frames, rates, repeaterless
+from repeater_keyrate import cli, closedform, encgen, frames, rates
 from repeater_keyrate.closedform import (
     DECODE_GATE_COUNT,
     ChainState,
@@ -255,7 +255,7 @@ def test_lean_level_path_equals_the_reference_path(beta, f0, nesting):
     fiber = (0.17, 2e5, "physical")
     _, _, decoded = point.best(100.0, _levels_by_bound(100.0, (nesting,), *fiber), fiber)
     if nesting == 0:
-        stored = repeaterless.pair_decode_closed_form(beta, f0)
+        stored = closedform.pair_decode_closed_form(beta, f0)
         expected = error_rates(ChainState(beta).mix(*stored))
         assert decoded is not None and decoded == point.decoded(0)
     else:
@@ -461,8 +461,8 @@ def test_report_clamp_keeps_the_builtin_bits(fraction, link, t0_mode):
 
 # the rate path's memos but ChainState._by_r, which clearing _shared_chain drops
 _RATE_PATH_CACHES = (
-    rates._harmonic, rates._levels_by_bound, rates._link_terms,
-    closedform._success_rows, rates._shared_chain, rates._shared_point,
+    rates._harmonic, rates._link_terms, closedform._success_rows, rates._shared_chain,
+    rates._shared_point,
 )
 
 

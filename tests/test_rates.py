@@ -655,6 +655,14 @@ class TestOptimize:
             optimize_over_stations(600.0, 0.0, 1.0, [1, 2])
         )
 
+    def test_generator_range(self):
+        # the level list is read twice (its checks, then its levels), so a
+        # one-pass iterable must give the answer of the same levels in a list
+        levels = [3, 1, 2, 1]
+        assert optimize_over_stations(300.0, 0.002, 0.995, (n for n in levels)) == (
+            optimize_over_stations(300.0, 0.002, 0.995, levels)
+        )
+
     def test_surface_grid_builds_the_swap_rows_once_per_f0(self, monkeypatch):
         # p_s's rows over eps depend on F0 alone; each point adds only its beta.
         # The link terms depend on (L, N, fiber) alone and the chain's
