@@ -21,6 +21,13 @@ distance sweep maps :func:`~repeater_keyrate.rates.optimize_over_stations`
 over its distances, a surface sweep
 :func:`~repeater_keyrate.rates.surface_key_rates` over one interleaved chunk
 of its grid per job, so the CSV is the same at every ``--jobs``.
+
+The parse finds each flag by one lookup of its full name, and looks for a
+unique prefix only on a miss.  Its last step checks that ``--output`` can be
+written, so a command that cannot save its CSV fails before it computes or
+prints anything.  A reader that closes stdout early ends the command with
+exit code 1 and no traceback: :func:`main` flushes stdout itself and, on a
+``BrokenPipeError``, points it at ``os.devnull``.
 """
 
 import math
@@ -157,7 +164,8 @@ def _resolve(argv: list[str] | None) -> SimpleNamespace:
     command-line value, else the config value (``cliextra.read_config``,
     loaded only when ``--config`` or REPEATER_KEYRATE_CONFIG names a file)
     unless the command line gives a flag of its :data:`_CHOICES`, else the
-    built-in default.  ``given``: the dests on the command line."""
+    built-in default.  ``given``: the dests on the command line;
+    ``output_file``: the new --output file, open (:func:`_open_output`)."""
     command, given = _parse(sys.argv[1:] if argv is None else argv)
     table = _COMMANDS[command][2]
     values = {dest: False if kind is None else None for dest, (kind, _) in table.items()} | given
@@ -172,7 +180,25 @@ def _resolve(argv: list[str] | None) -> SimpleNamespace:
         gate_quality = FIG8_GATE_QUALITY if values["beta"] is None else None
         defaults.update(fidelity=FIG8_FIDELITY, t0="1", gate_quality=gate_quality)
     values.update((d, v) for d, v in defaults.items() if values.get(d, False) is None)
+    path = values.get("output")
+    values["output_file"] = None if path in (None, "-") else _open_output(path)
     return SimpleNamespace(command=command, given=set(given), **values)
+
+
+def _open_output(path: str):
+    """The --output check, the last step of the parse, so that a command that
+    cannot save its rows fails before it computes or prints anything: a new
+    file is created and held open for the rows (:func:`main` removes it if the
+    command stops before it writes them), and an existing one is opened for
+    appending, which leaves it as it was until the rows replace it; None then."""
+    try:
+        try:
+            return open(path, "x", encoding="utf-8", newline="")
+        except FileExistsError:
+            open(path, "a").close()
+            return None
+    except OSError as exc:
+        raise CliError(f"cannot write --output {path}: {exc}")
 
 
 def _reject(args: SimpleNamespace, mode: str, *dests: str) -> None:
@@ -216,16 +242,17 @@ def _nesting_range(args: SimpleNamespace) -> range:
     return range(args.min_nesting, args.max_nesting + 1)
 
 
-def _write_rows(path: str | None, header: str, rows: list[str]) -> None:
+def _write_rows(args: SimpleNamespace, header: str, rows: list[str]) -> None:
+    """The CSV to stdout without --output or with '-', else to the --output file."""
     text = "".join(line + "\n" for line in [header, *rows])
-    if path is None or path == "-":
+    if args.output is None or args.output == "-":
         sys.stdout.write(text)
         return
     try:
-        with open(path, "w", encoding="utf-8", newline="") as out:
+        with args.output_file or open(args.output, "w", encoding="utf-8", newline="") as out:
             out.write(text)
     except OSError as exc:
-        raise CliError(f"cannot write --output {path}: {exc}")
+        raise CliError(f"cannot write --output {args.output}: {exc}")
 
 
 def cmd_threshold(args: SimpleNamespace) -> int:
@@ -244,7 +271,7 @@ def cmd_threshold(args: SimpleNamespace) -> int:
         print(f"{r:>5} {n:>3} {pg:>9.3f} {f0:>9.3f}")
         rows.append(f"{r},{n},{pg:.3f},{f0:.3f},{_row(pg, f0)}")
     if args.output is not None:
-        _write_rows(args.output, header, rows)
+        _write_rows(args, header, rows)
     return 0
 
 
@@ -299,7 +326,7 @@ def cmd_sweep(args: SimpleNamespace) -> int:
     else:
         raise CliError("sweep needs --distance-range, or --fidelity-range and --gate-quality-range")
 
-    _write_rows(args.output, header, rows)
+    _write_rows(args, header, rows)
     return 0
 
 
@@ -313,18 +340,21 @@ def _parse(argv: list[str]) -> tuple[str, dict]:
     prefix of one; a switch takes no value, and no value starts with ``--``."""
     command = argv[0] if argv and argv[0] in _COMMANDS else None
     flags = _COMMANDS[command][2] if command else _TOP
+    names = {_flag(dest): dest for dest in flags}
     given = {}
     tokens = iter(argv[1:] if command else argv)
     for token in tokens:
         name, has_value, value = ("--help" if token == "-h" else token).partition("=")
-        dests = [d for d in flags if _flag(d) == name] or [
-            d for d in flags if _flag(d).startswith(name)]
-        if len(name) < 3 or not dests:
-            raise CliError(f"unrecognized argument {token!r}")
-        if len(dests) > 1:
-            raise CliError(f"ambiguous option: {name} could match {', '.join(map(_flag, dests))}")
-        dest = dests[0]
-        name, kind = _flag(dest), flags[dest][0]
+        dest = names.get(name)
+        if dest is None:  # not a flag's name: a unique prefix of one, three characters or more
+            flagged = [flag for flag in names if flag.startswith(name)]
+            if len(name) < 3 or not flagged:
+                raise CliError(f"unrecognized argument {token!r}")
+            if len(flagged) > 1:
+                raise CliError(f"ambiguous option: {name} could match {', '.join(flagged)}")
+            name = flagged[0]
+            dest = names[name]
+        kind = flags[dest][0]
         if kind is None and has_value:
             raise CliError(f"argument {name}: ignored explicit argument {value!r}")
         if dest == "help":
@@ -403,12 +433,26 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    args = None
     try:
-        args = _resolve(argv)
-        return _COMMANDS[args.command][0](args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        try:
+            args = _resolve(argv)
+            return _COMMANDS[args.command][0](args)
+        except CliError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        finally:
+            rows = None if args is None else args.output_file
+            if rows is not None and not rows.closed:
+                # the command stopped before it wrote its rows: it leaves no file behind
+                rows.close()
+                os.remove(rows.name)
+            sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+    except BrokenPipeError:
+        # the reader of stdout has gone: later flushes, the one at exit among them,
+        # write to os.devnull (Python docs, module signal, "Note on SIGPIPE")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -73,7 +73,7 @@ def cmd_keyrate(args: SimpleNamespace) -> int:
         header = "L_km,F0,p_G,N_opt,L0_km,P0,Z,R_per_s,eX,eY,eZ,r_inf,K_per_mem_per_s"
         aliases = {"L_km": "distance_km", "N_opt": "N"}
         row = _row(*(fields[aliases.get(name, name)] for name in header.split(",")))
-        _write_rows(args.output, header, [row])
+        _write_rows(args, header, [row])
     return 0
 
 
@@ -97,7 +97,7 @@ def cmd_cost(args: SimpleNamespace) -> int:
             f"C'={_row(rep.cost_coefficient)} /km, N*={rep.nesting}, L0*={_row(rep.l0_km)} km"
         )
     if args.output is not None:
-        _write_rows(args.output, header, rows)
+        _write_rows(args, header, rows)
     return 0
 
 

@@ -182,7 +182,14 @@ class ChainState:
     (r, P_r).  log(1 - beta), log 3 + log beta and the decode CNOTs' weights
     are computed once, for every point and nesting level at that beta, and
     the P_r-free terms of each r once, on first use; at beta = 0 and 1 a
-    logarithm is -inf, which gives the exact weights."""
+    logarithm is -inf, which gives the exact weights.
+
+    ``keyless_p_r`` maps each r >= 1 to the largest P_r at which the nesting
+    scan (``rates._Point.best``) decoded a keyless pair, r_inf <= -1e-6.  At
+    fixed (beta, r) every decoded Bell coefficient is affine in P_r, so
+    r_inf = 1 - H is convex in P_r, and that one decode rules out a key at
+    every lower P_r (README decision 22).  N = 0 is never stored: its pair
+    depends on F0, not on P_r."""
 
     def __init__(self, beta: float):
         _check_unit("beta", beta)
@@ -191,6 +198,7 @@ class ChainState:
         w_perfect, w_branch, w_rest = first_order_weights(DECODE_GATE_COUNT, beta)
         self._decode_weights = (w_perfect, DECODE_GATE_COUNT * w_branch, w_rest / 4.0)
         self._by_r: dict[int, tuple[float, ...]] = {}
+        self.keyless_p_r: dict[int, float] = {}
 
     def weights(self, r: int) -> tuple[float, float, float]:
         """(ideal, dephased, mixed-remainder) weights of the swapped state

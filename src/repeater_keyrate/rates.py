@@ -28,18 +28,22 @@ each: H_n per n (:func:`_harmonic`), the link terms L0, P0, Z and R
 per (L, N, fiber) (:func:`_link_terms`), the rows of p_s per F0
 (``_success_rows``; row 0 alone at beta = 0), the beta terms per beta
 (``_shared_chain``), the chain's P_r-free terms per (beta, r)
-(``ChainState._by_r``), and p_s, checked once, per (beta, F0, accounting)
+(``ChainState._by_r``) and the largest P_r decoded keyless there
+(``ChainState.keyless_p_r``), and p_s, checked once, per (beta, F0, accounting)
 (``_shared_point``, the :class:`_Point` of every entry point but the surface
 grid, whose points never repeat a key, so K agrees to the last bit); those
 that take the caller's floats are typed.  :meth:`_Point.best` is the one level
 scorer: it takes the levels by descending bound, scores each cheapest test
-first, P_r as one power, then r_inf from the QBER kernel ``ChainState.qbers``,
-which computes only the Phi- and Psi entries of the decoded pair (e_X = e_Y,
-so the six-state fraction skips h(1/2) = 1), then the link terms, and stops at
-the first bound below the best K.  :func:`optimize_over_stations` reports
-only its winner; :func:`surface_key_rates` reads the level list once for a
-grid at one distance and returns each point's (N, K) with no report; and
-:func:`cost_coefficient` scores every level alone.
+first, P_r as one power against the gate and the chain's keyless bound, then
+r_inf from the QBER kernel ``ChainState.qbers``, which computes only the Phi-
+and Psi entries of the decoded pair (e_X = e_Y, so the six-state fraction
+skips h(1/2) = 1), then the link terms, ranks only the levels with a key, and
+stops at the first bound below the best K.  :func:`optimize_over_stations`
+reports only its winner; :func:`surface_key_rates` reads the level list once
+for a grid at one distance, scores its points in descending p_s, so that one
+keyless decode per (beta, r) serves every later point, and returns each
+point's (N, K) with no report; and :func:`cost_coefficient` scores every
+level alone.
 
 Everything here is stdlib arithmetic on those closed forms, N = 0
 included: with no swap the key pair mixes the stored perfect and one-faulty
@@ -81,6 +85,10 @@ TABLE_STATION_COUNTS = (1, 3, 7, 15, 31, 63, 127)
 # so r_inf <= 0 (README decision 22); the 8.7e-5 margin under 31/94, where the
 # bound is 1/2, keeps r_inf below -1.8e-4, far past any rounding.
 KEYLESS_P_R = 0.3297
+# A float r_inf at most -KEYLESS_MARGIN is below 0 in exact arithmetic by more than
+# its 1e-7 of rounding, so the decode rules out a key at every lower P_r of its
+# (beta, r): r_inf is convex in P_r and below -1.7e-4 at KEYLESS_P_R (decision 22).
+KEYLESS_MARGIN = 1e-6
 
 
 class NoThresholdError(ValueError):
@@ -357,27 +365,42 @@ class _Point:
 
     def best(self, distance_km: float, levels: tuple, fiber: tuple) -> tuple:
         """(N, K, decoded) of the winner among ``levels``, (UB, N) pairs highest UB
-        first (:func:`_levels_by_bound`): a level ranks as (K, UB > 0, -N), and the
-        scan stops at the first UB below the best K.  A level's K is 0.0 with no
-        decode below the gate (P_r = p_s ** r < ``KEYLESS_P_R``) and without the
-        link terms when r_inf <= 0 (R is finite), else R r_inf / 6 as :meth:`report`
-        has it; ``decoded`` is the winner's :meth:`decoded` tuple, or None."""
-        best = (-math.inf,)  # (K, UB > 0, -N) of the winner so far
+        first (:func:`_levels_by_bound`): a level with K > 0 ranks as (K, -N), and
+        the scan stops at the first UB below the best K.  A level is keyless with
+        no decode below the gate (P_r = p_s ** r < ``KEYLESS_P_R``) or at a P_r no
+        higher than one its chain state decoded keyless (``ChainState.keyless_p_r``,
+        set to its P_r by each decode with r >= 1 and a finite r_inf <=
+        -``KEYLESS_MARGIN``), and without the link terms when r_inf <= 0 (R is
+        finite); else its K is R r_inf / 6, as :meth:`report` has it.  A point with
+        no key takes the level that ranks highest as (UB > 0, -N), with K = 0.0.
+        ``decoded`` is the winner's :meth:`decoded` tuple, or None below the gate."""
+        keyless = self.chain.keyless_p_r
+        best, winner, last_keyless = (0.0, 0), None, None  # best: (K, -N), K > 0
         for bound, n in levels:
             if bound < best[0]:
                 break
             r = 2**n - 1
             p_r = self._capped_p_s**r
-            if p_r < KEYLESS_P_R:
-                key, decoded = 0.0, None
+            if p_r < KEYLESS_P_R or p_r <= keyless.get(r, -1.0):
+                continue
+            decoded = self.decoded(r, p_r)
+            fraction = decoded[2]
+            if fraction > 0.0:
+                key = _link_terms(distance_km, n, *fiber)[3] * fraction / MEMORIES_PER_HALF_NODE
+                if (key, -n) > best:
+                    best, winner = (key, -n), decoded
             else:
-                decoded = self.decoded(r, p_r)
-                key = 0.0 if decoded[2] <= 0.0 else (
-                    _link_terms(distance_km, n, *fiber)[3] * decoded[2] / MEMORIES_PER_HALF_NODE)
-            rank = (key, bound > 0.0, -n)
-            if rank > best:
-                best, winner = rank, decoded
-        return -best[2], best[0], winner
+                last_keyless = n, decoded
+                if r and -math.inf < fraction <= -KEYLESS_MARGIN:
+                    keyless[r] = p_r  # above any bound stored at r: those levels are skipped
+        if winner is not None:
+            return -best[1], best[0], winner
+        n = -max((bound > 0.0, -n) for bound, n in levels)[1]
+        if last_keyless is not None and last_keyless[0] == n:
+            return n, 0.0, last_keyless[1]
+        r = 2**n - 1
+        p_r = self._capped_p_s**r
+        return n, 0.0, None if p_r < KEYLESS_P_R else self.decoded(r, p_r)
 
 
 # each single-point entry's (beta, F0, accounting) and every point's beta chain, typed as
@@ -488,15 +511,20 @@ def surface_key_rates(
     t0_mode: str,
 ) -> list[tuple]:
     """(N, K) of :func:`optimize_over_stations` at each (beta, F0) of ``points``,
-    with one level list for the grid and no report: K is the winner's
-    R r_inf / 6, the expression of its report, and 0.0 for a winner without a
-    key, as the report has it.  The points come from :class:`_Point` itself,
-    since no two points of a grid share the memo's key; each checks its beta
-    and F0 before the level list is read."""
+    in their order, with one level list for the grid and no report: K is the
+    winner's R r_inf / 6, the expression of its report, and 0.0 for a winner
+    without a key, as the report has it.  The points come from :class:`_Point`
+    itself, since no two points of a grid share the memo's key; each checks its
+    beta and F0 before the level list is read.  They are scored in descending
+    p_s: at each (beta, r) the first keyless decode then bounds the lower P_r of
+    every point after it (``ChainState.keyless_p_r``)."""
     fiber = (alpha_db_per_km, speed_km_per_s, t0_mode)
     grid = [_Point(*point) for point in points]
     levels = _levels_by_bound(distance_km, n_range, *fiber)
-    return [point.best(distance_km, levels, fiber)[:2] for point in grid]
+    scores = [None] * len(grid)
+    for i in sorted(range(len(grid)), key=lambda i: grid[i].p_s, reverse=True):
+        scores[i] = grid[i].best(distance_km, levels, fiber)[:2]
+    return scores
 
 
 def _bisect(f: Callable[[float], float], a: float, b: float, fa: float, xtol: float) -> float:

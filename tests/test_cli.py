@@ -902,6 +902,47 @@ def test_rejection_branches(capsys, tmp_path, argv, message):
     assert rejected(capsys, *argv) == f"error: {message.replace(MISSING_DIR, missing)}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("keyrate", "--distance", "600", *_POINT, "--nesting", "1"),
+    ("sweep", "--distance", "600", *_GRID),
+    ("cost", "--distance", "600", *_POINT),
+    ("threshold", "--stations", "1"),
+])
+def test_unwritable_output_is_rejected_before_any_work(tmp_path, argv):
+    # the --output check ends the parse: no row is printed, no file is left behind
+    target = tmp_path / "missing" / "out.csv"
+    result = run_bounded(*argv, "--output", str(target))
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.startswith(f"error: cannot write --output {target}: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,keep", [
+    (("sweep", "--distance", "600", "--fidelity-range", "0.9:1:0.001",
+      "--gate-quality-range", "0.99:1:0.0001"), 0),
+    (("keyrate", "--distance", "600", *_POINT, "--nesting", "1"), 1),
+    # 200 lines printed before the rows are written, so the new file is removed
+    (("cost", "--distance-range", "100:20000:100", *_POINT, "--output", "{tmp}/out.csv"), 0),
+])
+def test_closed_stdout_ends_without_a_traceback(tmp_path, argv, keep):
+    # as `| true` and `| head -c1` do: read `keep` bytes, then close the pipe
+    src = Path(repeater_keyrate.__file__).resolve().parents[1]
+    child = subprocess.Popen(
+        [sys.executable, "-m", "repeater_keyrate.cli", *(a.format(tmp=tmp_path) for a in argv)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    child.stdout.read(keep)
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    code = child.wait(timeout=60)
+    assert err == ""  # no traceback, and no "Exception ignored" from the flush at exit
+    # the 10 201-row sweep and the cost lines outgrow stdout's buffer, so a write fails
+    assert code == 1 if keep == 0 else code in (0, 1)
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestParserContract:
     """What the command line accepts and rejects, independent of how it is parsed."""
 
@@ -927,6 +968,11 @@ class TestParserContract:
                              "--gate-q", "0.99", "--nest", "1")
         assert code == 0, err
         assert parse_kv(out)["distance_km"] == "600"
+
+    def test_exact_flag_wins_over_the_longer_flags_it_prefixes(self):
+        # --distance is also a prefix of --distance-range
+        args = cli._resolve(["sweep", "--distance", "600"])
+        assert (args.distance, args.distance_range, args.given) == (600.0, None, {"distance"})
 
     def test_ambiguous_prefix_rejected(self, capsys):
         err = rejected(capsys, "sweep", "--dist", "600", "--fidelity", "0.99")

@@ -34,6 +34,7 @@ from repeater_keyrate.qstate import DensityOperator, bell_diag_coeffs
 from repeater_keyrate.rates import (
     DEFAULT_ALPHA_DB_PER_KM,
     DEFAULT_SPEED_KM_PER_S,
+    KEYLESS_MARGIN,
     KEYLESS_P_R,
     MEMORIES_PER_HALF_NODE,
     _levels_by_bound,
@@ -236,6 +237,20 @@ def test_keyless_gate_is_sound(beta, f0, nesting):
         perfect, faulty = point.chain.decode_coeffs(r, p_r)
         assert max(*perfect, *faulty, *point.chain.mix(perfect, faulty)) <= 0.5
         assert point.decoded(r)[2] <= 0.0
+
+
+@deterministic
+@given(betas, st.integers(1, 2**20 - 1), st.floats(KEYLESS_P_R, 1.0), st.floats(KEYLESS_P_R, 1.0))
+@example(0.005, 1, KEYLESS_P_R, 0.7395601118298879)  # r_inf(P1) = -0.09
+@example(0.005, 1, 0.5, 0.7726252078738193)  # r_inf(P1) = -2e-6
+def test_a_keyless_decode_rules_out_every_lower_chain_success(beta, r, p_a, p_b):
+    # at fixed (beta, r) r_inf is convex in P_r and below -1.7e-4 at KEYLESS_P_R, so a
+    # float r_inf <= -KEYLESS_MARGIN at P1 leaves no key anywhere in [KEYLESS_P_R, P1]
+    chain = ChainState(beta)
+    p_r, p1 = sorted((p_a, p_b))
+    assert secret_fraction_six_state(*chain.qbers(r, KEYLESS_P_R)) < -1.7e-4
+    if -math.inf < secret_fraction_six_state(*chain.qbers(r, p1)) <= -KEYLESS_MARGIN:
+        assert secret_fraction_six_state(*chain.qbers(r, p_r)) <= 0.0
 
 
 unit = st.floats(0.0, 1.0)
@@ -508,6 +523,17 @@ level_ranges = st.tuples(st.integers(0, 20), st.integers(0, 20)).map(
 @example([(0.05, 0.9), (0.0, 1.0)], 1e5, range(0, 21), "normalized")
 @example([(0.1, 0.9), (0.0, 1.0 - 1e-12)], 37000.0, range(0, 3), "physical")
 @example([], 600.0, range(1, 11), "physical")
+# each in both orders, as the keyless bounds of one point serve the points after it:
+# N = 0 keyless at F0 = 0.8 and keyed at 0.99, where N = 0 must store no bound;
+# at r = 1 keyless at F0 = 0.958471 (P_r = 0.7705, r_inf = -0.006) and keyed at
+# 0.959538 (P_r = 0.7745, r_inf = 0.005);
+# and no key at any level for F0 = p_G = 0.9
+@example([(0.01, 0.8), (0.01, 0.99)], 50.0, range(0, 1), "physical")
+@example([(0.01, 0.99), (0.01, 0.8)], 50.0, range(0, 1), "physical")
+@example([(0.005, 0.958471), (0.005, 0.959538)], 600.0, range(1, 2), "physical")
+@example([(0.005, 0.959538), (0.005, 0.958471)], 600.0, range(1, 2), "physical")
+@example([(1.0 - 0.9, 0.9), (1.0 - 0.9, 0.95)], 600.0, range(1, 11), "physical")
+@example([(1.0 - 0.9, 0.95), (1.0 - 0.9, 0.9)], 600.0, range(1, 11), "physical")
 def test_surface_batch_equals_the_scan_at_every_point(points, distance, levels, t0_mode):
     # a surface grid builds no report, and its K is the scan's report's K to the last
     # bit: with every memo cleared, and with the memos that the scans filled
@@ -661,3 +687,41 @@ def test_keyless_levels_do_no_entropy_or_waiting_time_work(monkeypatch):
         assert not keyless_qbers & set(fractions)
         assert not {3 * 2**n for n in keyless} & {num_pairs for num_pairs, _ in waits}
         assert 12 not in {num_pairs for num_pairs, _ in waits}
+
+
+def test_a_point_without_a_key_decodes_its_winner_once(monkeypatch):
+    # at 600 km, beta = 0.02, F0 = 0.97 only N = 1 passes the gate, and it decodes to
+    # r_inf = -0.33: the keyless winner's report takes the scan's decode
+    calls = []
+    original = secret_fraction_six_state
+
+    def counted(*qbers):
+        calls.append(qbers)
+        return original(*qbers)
+
+    _clear_rate_path_caches()
+    _patch_every_binding(monkeypatch, original, counted)
+    n, report = optimize_over_stations(600.0, 0.02, 0.97, range(1, 11))
+    assert (n, report.key_rate) == (1, 0.0) and report.secret_fraction < 0.0
+    assert calls == [(report.e_x, report.e_y, report.e_z)]
+
+
+def test_keyless_decodes_rule_out_the_grid_points_after_them(monkeypatch):
+    # the benchmark's surface grid: 600 km, F0 and p_G over 0.99:1:0.001, N = 1...10.
+    # Of its 1128 levels past UB, 360 pass the gate; one keyless decode per (beta, r)
+    # rules out the points of lower p_s, so 157 are decoded
+    axis = cli._UNIT_RANGE("0.99:1:0.001")
+    points = [(1.0 - pg, f0) for f0 in axis for pg in axis]
+    fiber = {"alpha_db_per_km": DEFAULT_ALPHA_DB_PER_KM,
+             "speed_km_per_s": DEFAULT_SPEED_KM_PER_S, "t0_mode": "physical"}
+    calls = []
+    original = secret_fraction_six_state
+
+    def counted(*qbers):
+        calls.append(qbers)
+        return original(*qbers)
+
+    _clear_rate_path_caches()
+    _patch_every_binding(monkeypatch, original, counted)
+    surface_key_rates(600.0, points, range(1, 11), **fiber)
+    assert len(calls) <= 160
